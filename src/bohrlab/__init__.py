@@ -21,13 +21,11 @@ from .errors import (
 from .series import (
     BinomialWeights,
     CoefficientSequence,
-    CompensatedSum,
     binomial_coeffs,
     cauchy_product,
     cumulative_identity_residual,
     geometric_coeffs,
     horner,
-    kahan_sum,
 )
 from .corpus import (
     BLASCHKE_ZERO_CAP,
@@ -54,9 +52,11 @@ from .operators import (
     Bernardi,
     CBeta,
     CesaroBeta,
+    ClassicalBohr,
     Libera,
     OperatorKind,
     PrimitiveI,
+    Shifted,
     adaptive_simpson,
     bernardi_series_order,
     bohr_majorant,
@@ -74,17 +74,17 @@ from .radii import (
     CurveRow,
     RadiusProblem,
     RadiusResult,
-    closed_bound,
     radius_curve,
     radius_equation,
     solve_radius,
 )
 from .sharpness import (
     BOHR_BASELINE_RADIUS,
-    ClassicalBohr,
     Decomposition,
     ViolationReport,
     concavity_check,
+    critical_radius,
+    decomposition,
     decomposition_bernardi,
     decomposition_cesaro,
     extremal_majorant,

@@ -12,8 +12,9 @@ selftest   run the built-in identity/concavity/coefficient/quadrature suites
 Reports are JSON (default) or RFC-4180-style CSV with a header row; numbers
 are printed with 17 significant digits in CSV, and JSON uses shortest
 round-trip floats.  Identical flags and seed reproduce byte-identical
-output.  Exit codes: 0 ok, 2 parameter-domain error, 3 solver/summation
-failure, 4 verification failure, 5 sharpness reconstruction mismatch.
+output.  Exit codes: 0 ok, 1 a failed selftest suite, 2 parameter-domain
+error, 3 solver/summation failure, 4 verification failure, 5 sharpness
+reconstruction mismatch.
 """
 
 from __future__ import annotations
@@ -24,13 +25,12 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 from . import __version__
 from .corpus import (
     derive_seed,
-    evaluate,
     multiply_by_z,
     random_schur,
     suggested_order,
@@ -49,10 +49,10 @@ from .operators import (
     Bernardi,
     CBeta,
     CesaroBeta,
+    ClassicalBohr,
     Libera,
     OperatorKind,
     PrimitiveI,
-    bohr_majorant,
     majorant_value,
     operator_coeffs,
     quadrature_value,
@@ -61,16 +61,10 @@ from .operators import (
 )
 from .radii import RadiusProblem, radius_curve, solve_radius
 from .series import cumulative_identity_residual, horner
-from .sharpness import (
-    BOHR_BASELINE_RADIUS,
-    ClassicalBohr,
-    concavity_check,
-    decomposition_bernardi,
-    decomposition_cesaro,
-    violation_search,
-)
+from .sharpness import concavity_check, critical_radius, decomposition, violation_search
 
 EXIT_OK = 0
+EXIT_SELFTEST = 1
 EXIT_DOMAIN = 2
 EXIT_SOLVER = 3
 EXIT_VERIFY = 4
@@ -93,7 +87,7 @@ class RunReport:
     seed: int
     version: str = __version__
     csv_header: tuple = field(default=(), repr=False)
-    csv_rows: list = field(default_factory=list, repr=False)
+    csv_rows: list = field(default_factory=list, repr=False)  # dicts keyed by the header
 
     def to_json(self) -> str:
         payload = {
@@ -110,7 +104,7 @@ class RunReport:
         writer = csv.writer(buf)
         writer.writerow(self.csv_header)
         for row in self.csv_rows:
-            writer.writerow([_csv_cell(v) for v in row])
+            writer.writerow([_csv_cell(row[key]) for key in self.csv_header])
         return buf.getvalue()
 
 
@@ -129,72 +123,45 @@ def _emit(report: RunReport, args: argparse.Namespace) -> None:
         sys.stdout.write(text)
 
 
+_FIXED_KINDS = {
+    "libera": Libera,
+    "alexander": Alexander,
+    "primitive": PrimitiveI,
+    "bohr": ClassicalBohr,
+}
+
+
 def _operator_kind(args: argparse.Namespace) -> OperatorKind:
     op = args.op
-    if op == "cesaro":
+    if op in ("cesaro", "cbeta"):
         if args.beta is None:
-            raise ParameterDomainError("--beta is required for the cesaro operator")
-        return CesaroBeta(args.beta)
-    if op == "cbeta":
-        if args.beta is None:
-            raise ParameterDomainError("--beta is required for the cbeta operator")
-        return CBeta(args.beta)
+            raise ParameterDomainError(f"--beta is required for the {op} operator")
+        return CesaroBeta(args.beta) if op == "cesaro" else CBeta(args.beta)
     if op == "bernardi":
         if args.gamma is None:
             raise ParameterDomainError("--gamma is required for the bernardi operator")
         return Bernardi(args.gamma, args.m or 0)
-    if op == "libera":
-        return Libera()
-    if op == "alexander":
-        return Alexander()
-    if op == "primitive":
-        return PrimitiveI()
+    if op in _FIXED_KINDS:
+        return _FIXED_KINDS[op]()
     raise ParameterDomainError(f"unknown operator {op!r}")
 
 
-def _radius_family(kind: OperatorKind):
-    """Normalize an operator kind to its radius-equation family."""
-    if isinstance(kind, (CesaroBeta, CBeta)):
-        return CesaroBeta(kind.beta)
-    if isinstance(kind, Bernardi):
-        return kind
-    if isinstance(kind, (Libera, PrimitiveI)):
-        return Bernardi(1.0, 0)
-    if isinstance(kind, Alexander):
-        return Bernardi(0.0, 1)
-    raise ParameterDomainError(f"no radius family for {kind!r}")
+def _operator_params(args: argparse.Namespace) -> dict:
+    return {"op": args.op, "beta": args.beta, "gamma": args.gamma, "m": args.m}
 
 
 def cmd_radius(args: argparse.Namespace) -> tuple:
-    kind = _operator_kind(args)
-    family = _radius_family(kind)
+    family = _operator_kind(args).family
     result = solve_radius(RadiusProblem(family), args.tol)
+    results = asdict(result)
+    lo, hi = result.bracket
     report = RunReport(
         command="radius",
-        params={
-            "op": args.op,
-            "beta": args.beta,
-            "gamma": args.gamma,
-            "m": args.m,
-            "tol": args.tol,
-        },
-        results={
-            "root": result.root,
-            "residual": result.residual,
-            "bracket": list(result.bracket),
-            "iterations": result.iterations,
-        },
+        params={**_operator_params(args), "tol": args.tol},
+        results=results,
         seed=args.seed,
         csv_header=("root", "residual", "bracket_lo", "bracket_hi", "iterations"),
-        csv_rows=[
-            (
-                result.root,
-                result.residual,
-                result.bracket[0],
-                result.bracket[1],
-                result.iterations,
-            )
-        ],
+        csv_rows=[{**results, "bracket_lo": lo, "bracket_hi": hi}],
     )
     return report, EXIT_OK
 
@@ -224,7 +191,10 @@ def cmd_curve(args: argparse.Namespace) -> tuple:
     else:
         m = args.m or 0
         entries = [(g, RadiusProblem(Bernardi(g, m))) for g in grid]
-    rows = radius_curve(entries, args.tol)
+    rows = [
+        {"param": row.parameter, "root": row.root, "residual": row.residual}
+        for row in radius_curve(entries, args.tol)
+    ]
     report = RunReport(
         command="curve",
         params={
@@ -233,53 +203,20 @@ def cmd_curve(args: argparse.Namespace) -> tuple:
             "grid": grid,
             "tol": args.tol,
         },
-        results={
-            "rows": [
-                {"param": row.parameter, "root": row.root, "residual": row.residual}
-                for row in rows
-            ]
-        },
+        results={"rows": rows},
         seed=args.seed,
         csv_header=("param", "root", "residual"),
-        csv_rows=[(row.parameter, row.root, row.residual) for row in rows],
+        csv_rows=rows,
     )
     return report, EXIT_OK
-
-
-def _verify_order(kind: OperatorKind, r: float, trunc_eps: float = 1e-11) -> int:
-    """Coefficient order so the unsampled tail moves the majorant by < trunc_eps."""
-    if isinstance(kind, (CesaroBeta, CBeta)):
-        gain = (1.0 - r) ** -(kind.beta + 1.0)
-        n = 0
-        while r ** (n + 1) * gain > trunc_eps:
-            n += 1
-        return max(n, 4)
-    if isinstance(kind, (Libera, PrimitiveI)):
-        gamma = 1.0
-    elif isinstance(kind, Alexander):
-        gamma = 0.0
-    else:
-        gamma = kind.gamma
-    n = 0
-    while r ** (n + 1) / ((n + 1 + gamma) * (1.0 - r)) > trunc_eps:
-        n += 1
-    return max(n, 4)
 
 
 def cmd_verify(args: argparse.Namespace) -> tuple:
     if args.samples < 1:
         raise ParameterDomainError(f"--samples must be >= 1, got {args.samples}")
 
-    baseline = args.op == "bohr"
-    if baseline:
-        kind = None
-        critical = BOHR_BASELINE_RADIUS
-        problem = ClassicalBohr()
-    else:
-        kind = _operator_kind(args)
-        family = _radius_family(kind)
-        problem = family
-        critical = solve_radius(RadiusProblem(family), args.tol).root
+    kind = _operator_kind(args)
+    critical = critical_radius(kind.family, args.tol)
 
     if args.r_mode == "below":
         r = 0.99 * critical
@@ -289,10 +226,7 @@ def cmd_verify(args: argparse.Namespace) -> tuple:
         r = args.r if args.r is not None else min(critical + max(0.02, 20 * args.tol), 0.98)
 
     params = {
-        "op": args.op,
-        "beta": args.beta,
-        "gamma": args.gamma,
-        "m": args.m,
+        **_operator_params(args),
         "samples": args.samples,
         "r_mode": args.r_mode,
         "r": r,
@@ -302,30 +236,16 @@ def cmd_verify(args: argparse.Namespace) -> tuple:
     }
 
     if args.r_mode == "above":
-        outcome = violation_search(problem, r, eps=DEFAULT_MAJORANT_EPS)
-        results = {
-            "witness": outcome.witness,
-            "majorant": outcome.majorant,
-            "bound": outcome.bound,
-            "margin": outcome.margin,
-            "attempts": outcome.attempts,
-        }
+        outcome = violation_search(kind.family, r, eps=DEFAULT_MAJORANT_EPS)
+        results = asdict(outcome)
+        witness = "" if outcome.witness is None else outcome.witness
         report = RunReport(
             command="verify",
             params=params,
             results=results,
             seed=args.seed,
             csv_header=("r", "bound", "witness", "majorant", "margin", "attempts"),
-            csv_rows=[
-                (
-                    r,
-                    outcome.bound,
-                    "" if outcome.witness is None else outcome.witness,
-                    outcome.majorant,
-                    outcome.margin,
-                    outcome.attempts,
-                )
-            ],
+            csv_rows=[{**results, "r": r, "witness": witness}],
         )
         if not outcome.found:
             print(
@@ -335,13 +255,9 @@ def cmd_verify(args: argparse.Namespace) -> tuple:
             return report, EXIT_VERIFY
         return report, EXIT_OK
 
-    bound = 1.0 if baseline else sup_bound(kind, r)
-    zeros_needed = 0 if baseline else required_origin_zeros(kind)
-    order = (
-        max(4, math.ceil(math.log(1e-11 * (1.0 - r)) / math.log(r)))
-        if baseline
-        else _verify_order(kind, r)
-    )
+    bound = sup_bound(kind, r)
+    zeros_needed = required_origin_zeros(kind)
+    order = kind.family.verify_order(r)
     violations = 0
     first_violation = None
     worst = -math.inf
@@ -351,10 +267,7 @@ def cmd_verify(args: argparse.Namespace) -> tuple:
         if zeros_needed:
             f = multiply_by_z(f, zeros_needed)
         coeffs = taylor_coeffs(f, order + zeros_needed)
-        if baseline:
-            value = bohr_majorant(coeffs, r)
-        else:
-            value = majorant_value(kind, coeffs, r, DEFAULT_MAJORANT_EPS)
+        value = majorant_value(kind, coeffs, r, DEFAULT_MAJORANT_EPS)
         excess = value - bound
         if excess > worst:
             worst = excess
@@ -376,7 +289,7 @@ def cmd_verify(args: argparse.Namespace) -> tuple:
         results=results,
         seed=args.seed,
         csv_header=("r", "bound", "samples", "violations", "max_excess"),
-        csv_rows=[(r, bound, args.samples, violations, worst)],
+        csv_rows=[{**results, "r": r, "samples": args.samples}],
     )
     if violations:
         print(
@@ -396,66 +309,31 @@ def _parse_a_values(text: str) -> list:
 
 
 def cmd_sharpness(args: argparse.Namespace) -> tuple:
-    kind = _operator_kind(args)
-    family = _radius_family(kind)
+    family = _operator_kind(args).family
     if args.r is None:
         raise ParameterDomainError("--r is required for the sharpness command")
     a_values = _parse_a_values(args.a_values)
     rows = []
     worst_recon = 0.0
     for a in a_values:
-        if isinstance(family, CesaroBeta):
-            dec = decomposition_cesaro(family.beta, a, args.r, DEFAULT_MAJORANT_EPS)
-        else:
-            dec = decomposition_bernardi(
-                family.gamma, family.m, a, args.r, DEFAULT_MAJORANT_EPS
-            )
+        dec = decomposition(family, a, args.r, DEFAULT_MAJORANT_EPS)
         worst_recon = max(worst_recon, dec.reconstruction_error)
         ratio = dec.remainder / (1.0 - a) ** 2 if a < 1.0 else float("nan")
         rows.append(
             {
                 "a": a,
-                "bound_term": dec.bound_term,
-                "deficit_term": dec.deficit_term,
-                "remainder": dec.remainder,
-                "total": dec.total,
+                **asdict(dec),
                 "reconstruction_error": dec.reconstruction_error,
                 "remainder_ratio": ratio,
             }
         )
     report = RunReport(
         command="sharpness",
-        params={
-            "op": args.op,
-            "beta": args.beta,
-            "gamma": args.gamma,
-            "m": args.m,
-            "r": args.r,
-            "a_values": a_values,
-        },
+        params={**_operator_params(args), "r": args.r, "a_values": a_values},
         results={"rows": rows, "max_reconstruction_error": worst_recon},
         seed=args.seed,
-        csv_header=(
-            "a",
-            "bound_term",
-            "deficit_term",
-            "remainder",
-            "total",
-            "reconstruction_error",
-            "remainder_ratio",
-        ),
-        csv_rows=[
-            (
-                row["a"],
-                row["bound_term"],
-                row["deficit_term"],
-                row["remainder"],
-                row["total"],
-                row["reconstruction_error"],
-                row["remainder_ratio"],
-            )
-            for row in rows
-        ],
+        csv_header=tuple(rows[0]),
+        csv_rows=rows,
     )
     if worst_recon > 1e-9:
         print(f"reconstruction mismatch {worst_recon} exceeds 1e-9", file=sys.stderr)
@@ -526,9 +404,9 @@ def cmd_selftest(args: argparse.Namespace) -> tuple:
         results={"suites": suites, "all_passed": all_pass},
         seed=args.seed,
         csv_header=("suite", "passed", "detail"),
-        csv_rows=[(s["suite"], s["passed"], s["detail"]) for s in suites],
+        csv_rows=suites,
     )
-    return report, EXIT_OK if all_pass else 1
+    return report, EXIT_OK if all_pass else EXIT_SELFTEST
 
 
 def _build_parser() -> argparse.ArgumentParser:

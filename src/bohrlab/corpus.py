@@ -77,7 +77,7 @@ class Polynomial:
             raise ParameterDomainError("a polynomial needs at least one coefficient")
         object.__setattr__(self, "coeffs", coeffs)
         worst = max(
-            abs(_horner_tuple(coeffs, _VALIDATION_RADIUS * cmath.exp(2j * math.pi * k / 256)))
+            abs(horner(coeffs, _VALIDATION_RADIUS * cmath.exp(2j * math.pi * k / 256)))
             for k in range(256)
         )
         if worst > 1.0 + _MEMBERSHIP_TOL:
@@ -160,13 +160,6 @@ def extremal_psi(a: float, m: int) -> BoundedFunction:
     return ExtremalPsi(a, m)
 
 
-def _horner_tuple(coeffs: tuple, z: complex) -> complex:
-    acc = 0.0 + 0.0j
-    for c in reversed(coeffs):
-        acc = acc * z + c
-    return acc
-
-
 def evaluate(f: BoundedFunction, z: complex) -> complex:
     """Exact structural evaluation at a point of the open unit disk."""
     z = complex(z)
@@ -175,7 +168,7 @@ def evaluate(f: BoundedFunction, z: complex) -> complex:
     if isinstance(f, Constant):
         return f.value
     if isinstance(f, Polynomial):
-        return _horner_tuple(f.coeffs, z)
+        return horner(f.coeffs, z)
     if isinstance(f, Blaschke):
         out = f.unimodular_factor * f.scale
         for a in f.zeros:

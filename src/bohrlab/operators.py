@@ -2,29 +2,40 @@
 absolute-series (majorant) values, closed-form sup bounds, and adaptive
 quadrature of the defining integrals.
 
-Supported operators, acting on f(z) = sum a_n z^n analytic on the disk:
+Every operator is a radius family ``F`` plus an origin shift,
+
+    K[f](z) = z**s * F[f / z**d](z),
+
+where F is one of two families acting on f(z) = sum a_n z^n:
 
 * ``CesaroBeta(beta)``  T_b[f](z) = integral_0^1 f(tz) (1-tz)**(-b) dt,
   with series coefficients ``(1/(n+1)) sum_{k<=n} c_{n-k}(b) a_k``.
-* ``CBeta(beta)``       the variant for functions vanishing at 0, equal to
-  ``z * T_b[h](z)`` for the Schwarz factor h(z) = f(z)/z.
 * ``Bernardi(gamma, m)``  L_g[f](z) = integral_0^1 f(zt) t**(gamma-1) dt
   = sum_{n>=m} a_n/(n+gamma) z^n, for f with an m-fold zero and gamma > -m.
-* ``Libera`` = Bernardi(1, 0), ``Alexander`` = Bernardi(0, 1), and
-  ``PrimitiveI`` (the antiderivative integral_0^z f), which is the Libera
-  image shifted up one index.
 
-Majorant values carry certified truncation error: the partial sum differs
-from the full absolute series by at most ``eps``, using the running-sum
-identity ``sum_{k<=n} c_k(b) = c_n(b+1)`` and a geometric envelope for the
-Cesaro family, and the plain geometric bound for the Bernardi family.
+A family used on its own has ``(s, d) = (0, 0)``.  The named operators are
+``Libera()`` = Bernardi(1, 0), ``Alexander()`` = Bernardi(0, 1),
+``CBeta(beta)`` = ``z * T_b[f / z]`` (the variant for functions vanishing
+at 0, shift (1, 1) over CesaroBeta) and ``PrimitiveI()`` = the
+antiderivative ``integral_0^z f = z * L_1[f]`` (shift (1, 0) over
+Bernardi(1, 0)).  ``ClassicalBohr()`` is the identity operator, the
+baseline with bound 1.
+
+Each family supplies its coefficient image, absolute series, defining
+integral, sup bound, radius equation and truncation orders; the module
+functions below apply the shift rule once for all of them.  Majorant values
+carry certified truncation error: the partial sum differs from the full
+absolute series by at most ``eps``, using the running-sum identity
+``sum_{k<=n} c_k(b) = c_n(b+1)`` and a geometric envelope for the Cesaro
+family, and the plain geometric bound for the Bernardi family.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable, Iterator, Union
 
 import numpy as np
 
@@ -35,12 +46,14 @@ from .errors import (
     QuadratureError,
     TruncationError,
 )
-from .series import CoefficientSequence, CompensatedSum, binomial_coeffs, kahan_sum
+from .series import CoefficientSequence, binomial_coeffs
 
 __all__ = [
     "CesaroBeta",
-    "CBeta",
     "Bernardi",
+    "ClassicalBohr",
+    "Shifted",
+    "CBeta",
     "Libera",
     "Alexander",
     "PrimitiveI",
@@ -48,6 +61,7 @@ __all__ = [
     "kernel_integral",
     "cesaro_series_order",
     "bernardi_series_order",
+    "required_origin_zeros",
     "operator_coeffs",
     "majorant_value",
     "bohr_majorant",
@@ -63,28 +77,75 @@ __all__ = [
 MAX_SERIES_TERMS = 10**6
 
 
+class Unshifted:
+    """A family used as an operator on its own: ``(s, d) = (0, 0)``.
+
+    A family provides ``m`` (the origin zeros its operand needs) and the
+    methods ``image``, ``abs_series``, ``bound`` and ``series_order``; the
+    two radius families add ``integral`` and ``radius_equation``, and every
+    family has the ``verify_order`` of its sampled coefficients.
+    """
+
+    s = 0
+    d = 0
+
+    @property
+    def family(self):
+        return self
+
+
 @dataclass(frozen=True)
-class CesaroBeta:
+class CesaroBeta(Unshifted):
+    """The generalized Cesaro family ``T_beta``; its operand needs no zero at 0."""
+
     beta: float
+    m = 0  # no zero at the origin needed
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "beta", float(self.beta))
         if self.beta <= 0.0:
             raise ParameterDomainError(f"beta must be positive, got {self.beta}")
 
+    def image(self, a: np.ndarray, n_max: int) -> np.ndarray:
+        c = binomial_coeffs(self.beta, n_max).weights
+        return np.convolve(c, a[: n_max + 1])[: n_max + 1] / np.arange(1, n_max + 2)
+
+    def abs_series(self, absf: np.ndarray, r: float, eps: float) -> float:
+        n_stop = cesaro_series_order(self.beta, r, eps)
+        c = binomial_coeffs(self.beta, n_stop).weights
+        conv = np.convolve(c, absf[: n_stop + 1])[: n_stop + 1]
+        return math.fsum(conv * r ** np.arange(n_stop + 1) / np.arange(1, n_stop + 2))
+
+    def integral(self, f: BoundedFunction, z: complex, tol: float) -> complex:
+        beta = self.beta
+        return adaptive_simpson(
+            lambda t: evaluate(f, t * z) * (1.0 - t * z) ** (-beta), 0.0, 1.0, tol
+        )
+
+    def bound(self, r: float, s: int = 0) -> float:
+        """Sharp bound of ``z**s T_beta[f]`` on ``|z| = r``: ``r**(s-1) A(beta, r)``."""
+        return kernel_integral(self.beta, r) / r ** (1 - s)
+
+    def radius_equation(self, x: float, tail_eps: float) -> float:
+        """``3 A(beta, x) - 2 A(beta + 1, x)`` with ``A = kernel_integral``."""
+        return 3.0 * kernel_integral(self.beta, x) - 2.0 * kernel_integral(self.beta + 1.0, x)
+
+    def series_order(self, r: float, eps: float) -> int:
+        return cesaro_series_order(self.beta, r, eps)
+
+    def verify_order(self, r: float, trunc_eps: float = 1e-11) -> int:
+        """Coefficient order so the unsampled tail moves the majorant by < trunc_eps."""
+        gain = (1.0 - r) ** -(self.beta + 1.0)
+        n = 0
+        while r ** (n + 1) * gain > trunc_eps:
+            n += 1
+        return max(n, 4)
+
 
 @dataclass(frozen=True)
-class CBeta:
-    beta: float
+class Bernardi(Unshifted):
+    """The Bernardi family ``L_gamma`` on operands with an ``m``-fold zero at 0."""
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "beta", float(self.beta))
-        if self.beta <= 0.0:
-            raise ParameterDomainError(f"beta must be positive, got {self.beta}")
-
-
-@dataclass(frozen=True)
-class Bernardi:
     gamma: float
     m: int = 0
 
@@ -98,42 +159,140 @@ class Bernardi:
                 f"gamma must exceed -m, got gamma={self.gamma}, m={self.m}"
             )
 
+    def image(self, a: np.ndarray, n_max: int) -> np.ndarray:
+        out = np.zeros(n_max + 1, dtype=np.complex128)
+        if n_max >= self.m:
+            n = np.arange(self.m, n_max + 1, dtype=np.float64)
+            out[self.m :] = a[self.m : n_max + 1] / (n + self.gamma)
+        return out
+
+    def abs_series(self, absf: np.ndarray, r: float, eps: float) -> float:
+        n = np.arange(self.m, absf.size)
+        r_pow = r**n
+        done = np.flatnonzero(r_pow / ((n + self.gamma) * (1.0 - r)) <= eps)
+        stop = done[0] if done.size else n.size
+        return math.fsum(absf[self.m : self.m + stop] / (n[:stop] + self.gamma) * r_pow[:stop])
+
+    def integral(self, f: BoundedFunction, z: complex, tol: float) -> complex:
+        """Endpoint singularities of the kernel (gamma < 1) are removed by
+        splitting off the m-fold zero of the operand and substituting
+        ``u = t**(m + gamma)`` when the combined exponent stays below 1."""
+        gamma, m = self.gamma, self.m
+        if gamma >= 1.0:
+            return adaptive_simpson(
+                lambda t: evaluate(f, t * z) * t ** (gamma - 1.0), 0.0, 1.0, tol
+            )
+        h = schwarz_shift(f, m)
+        s = m + gamma
+        zm = z**m
+        if s >= 1.0:
+            return zm * adaptive_simpson(
+                lambda t: evaluate(h, t * z) * t ** (s - 1.0), 0.0, 1.0, tol
+            )
+        # 0 < s < 1: substitute u = t**s, which flattens the endpoint.
+        inv_s = 1.0 / s
+        return (
+            zm
+            / s
+            * adaptive_simpson(lambda u: evaluate(h, u**inv_s * z), 0.0, 1.0, tol * s)
+        )
+
+    def bound(self, r: float, s: int = 0) -> float:
+        """Sharp bound of ``z**s L_gamma[f]`` on ``|z| = r``: ``r**(m+s) / (m+gamma)``."""
+        return r ** (self.m + s) / (self.m + self.gamma)
+
+    def tail(self, x: float, tol: float, weight: float = 1.0) -> Iterator[tuple]:
+        """Pairs ``(n, x**n)`` for ``n > m`` up to the first ``n`` where the
+        geometric bound ``weight * x**n / ((n+gamma)(1-x))`` on the weighted
+        tail from ``n`` on is at most ``tol``.
+
+        Powers come from repeated multiplication; running past the order cap
+        raises ``TruncationError``.
+        """
+        gamma, gap = self.gamma, 1.0 - x
+        x_pow = x ** (self.m + 1)
+        for n in range(self.m + 1, MAX_SERIES_TERMS):
+            if weight * x_pow / ((n + gamma) * gap) <= tol:
+                return
+            yield n, x_pow
+            x_pow *= x
+        raise TruncationError(
+            f"Bernardi tail will not reach {tol} within {MAX_SERIES_TERMS} terms at x={x}"
+        )
+
+    def radius_equation(self, x: float, tail_eps: float) -> float:
+        """``x**m/(m+gamma) - 2 sum_{n>m} x**n/(n+gamma)``, tail below ``tail_eps``."""
+        gamma = self.gamma
+        lead = x**self.m / (self.m + gamma)
+        tail = (-2.0 * x_pow / (n + gamma) for n, x_pow in self.tail(x, tail_eps, 2.0))
+        return math.fsum(itertools.chain((lead,), tail))
+
+    def series_order(self, r: float, eps: float) -> int:
+        return bernardi_series_order(self.gamma, r, eps, start=self.m)
+
+    def verify_order(self, r: float, trunc_eps: float = 1e-11) -> int:
+        """Coefficient order so the unsampled tail moves the majorant by < trunc_eps.
+
+        The scan starts at the first ``n`` with ``n + 1 + gamma > 0``: below
+        it the tail bound is not positive and would stop the scan at once.
+        """
+        start = max(0, math.floor(-self.gamma))
+        return max(bernardi_series_order(self.gamma, r, trunc_eps, start), 4)
+
 
 @dataclass(frozen=True)
-class Libera:
-    """Bernardi with gamma = 1, m = 0."""
+class ClassicalBohr(Unshifted):
+    """The identity operator: Bohr's baseline, coefficients against the bound 1."""
+
+    m = 0  # no zero at the origin needed
+
+    def abs_series(self, absf: np.ndarray, r: float, eps: float) -> float:
+        """Exact over the given coefficients, so ``eps`` goes unused."""
+        return math.fsum(absf * r ** np.arange(absf.size))
+
+    def bound(self, r: float, s: int = 0) -> float:
+        return 1.0
+
+    def series_order(self, r: float, eps: float) -> int:
+        # Tail of sum |b_n| r^n past N is below r^(N+1)/(1-r).
+        return max(1, math.ceil(math.log(eps * (1.0 - r)) / math.log(r)))
+
+    def verify_order(self, r: float, trunc_eps: float = 1e-11) -> int:
+        return max(4, self.series_order(r, trunc_eps))
 
 
 @dataclass(frozen=True)
-class Alexander:
-    """Bernardi with gamma = 0, m = 1."""
+class Shifted:
+    """The operator ``K[f] = z**s * F[f / z**d]`` over a radius family ``F``."""
+
+    family: Union[CesaroBeta, Bernardi]
+    s: int
+    d: int
+
+    def __post_init__(self) -> None:
+        if not 0 <= self.d <= self.s:
+            raise ParameterDomainError(f"need 0 <= d <= s, got s={self.s}, d={self.d}")
 
 
-@dataclass(frozen=True)
-class PrimitiveI:
-    """The antiderivative operator: the Libera image shifted up one index."""
+def CBeta(beta: float) -> Shifted:
+    """The Cesaro variant for functions vanishing at 0: ``z * T_beta[f / z]``."""
+    return Shifted(CesaroBeta(beta), 1, 1)
 
 
-OperatorKind = Union[CesaroBeta, CBeta, Bernardi, Libera, Alexander, PrimitiveI]
+def PrimitiveI() -> Shifted:
+    """The antiderivative ``integral_0^z f = z * L_1[f]``."""
+    return Shifted(Bernardi(1.0, 0), 1, 0)
 
 
-def _bernardi_form(kind: OperatorKind) -> Bernardi:
-    if isinstance(kind, Bernardi):
-        return kind
-    if isinstance(kind, (Libera, PrimitiveI)):
-        return Bernardi(1.0, 0)
-    if isinstance(kind, Alexander):
-        return Bernardi(0.0, 1)
-    raise TypeError(f"not a Bernardi-family kind: {kind!r}")
+def Libera() -> Bernardi:
+    return Bernardi(1.0, 0)
 
 
-def required_origin_zeros(kind: OperatorKind) -> int:
-    """How many leading zero coefficients the operand must carry."""
-    if isinstance(kind, (CesaroBeta, Libera, PrimitiveI)):
-        return 0
-    if isinstance(kind, CBeta):
-        return 1
-    return _bernardi_form(kind).m
+def Alexander() -> Bernardi:
+    return Bernardi(0.0, 1)
+
+
+OperatorKind = Union[CesaroBeta, Bernardi, ClassicalBohr, Shifted]
 
 
 def kernel_integral(beta: float, r: float) -> float:
@@ -193,13 +352,19 @@ def bernardi_series_order(gamma: float, r: float, eps: float, start: int = 0) ->
     )
 
 
-def _require_leading_zeros(f: CoefficientSequence, m: int, what: str) -> None:
+def required_origin_zeros(kind: OperatorKind) -> int:
+    """How many leading zero coefficients the operand must carry."""
+    return kind.d + kind.family.m
+
+
+def _require_leading_zeros(f: CoefficientSequence, kind: OperatorKind) -> None:
+    m = required_origin_zeros(kind)
     if m == 0:
         return
     lead = f.entries[: min(m, len(f))]
     if np.max(np.abs(lead)) > 1e-12:
         raise PreconditionError(
-            f"{what} requires the first {m} coefficients to vanish, got {lead}"
+            f"{kind!r} requires the first {m} coefficients to vanish, got {lead}"
         )
 
 
@@ -211,65 +376,11 @@ def operator_coeffs(
         raise ParameterDomainError(f"n_max must be nonnegative, got {n_max}")
     if f.order < n_max:
         raise TruncationError(f"input order {f.order} is below the requested {n_max}")
-
-    if isinstance(kind, CesaroBeta):
-        c = binomial_coeffs(kind.beta, n_max).weights
-        conv = np.convolve(c, f.entries[: n_max + 1])[: n_max + 1]
-        return CoefficientSequence(conv / np.arange(1, n_max + 2))
-
-    if isinstance(kind, CBeta):
-        _require_leading_zeros(f, 1, "the vanishing-at-origin Cesaro variant")
-        out = np.zeros(n_max + 1, dtype=np.complex128)
-        if n_max >= 1:
-            inner = operator_coeffs(
-                CesaroBeta(kind.beta), CoefficientSequence(f.entries[1:]), n_max - 1
-            )
-            out[1:] = inner.entries
-        return CoefficientSequence(out)
-
-    if isinstance(kind, PrimitiveI):
-        out = np.zeros(n_max + 1, dtype=np.complex128)
-        if n_max >= 1:
-            n = np.arange(n_max, dtype=np.float64)
-            out[1:] = f.entries[:n_max] / (n + 1.0)
-        return CoefficientSequence(out)
-
-    bern = _bernardi_form(kind)
-    _require_leading_zeros(f, bern.m, "the Bernardi operator")
+    _require_leading_zeros(f, kind)
     out = np.zeros(n_max + 1, dtype=np.complex128)
-    if n_max >= bern.m:
-        n = np.arange(bern.m, n_max + 1, dtype=np.float64)
-        out[bern.m :] = f.entries[bern.m : n_max + 1] / (n + bern.gamma)
+    if n_max >= kind.s:
+        out[kind.s :] = kind.family.image(f.entries[kind.d :], n_max - kind.s)
     return CoefficientSequence(out)
-
-
-def _check_unit_coeffs(f: CoefficientSequence) -> np.ndarray:
-    absf = f.abs_entries()
-    if absf.max() > 1.0 + 1e-9:
-        raise ParameterDomainError(
-            "majorant tail bounds assume unit-ball coefficients; "
-            f"max |a_k| = {absf.max()}"
-        )
-    return absf
-
-
-def _cesaro_abs_series(beta: float, absf: np.ndarray, r: float, eps: float) -> float:
-    n_stop = cesaro_series_order(beta, r, eps)
-    c = binomial_coeffs(beta, n_stop).weights
-    conv = np.convolve(c, absf[: n_stop + 1])[: n_stop + 1]
-    terms = conv * r ** np.arange(n_stop + 1) / np.arange(1, n_stop + 2)
-    return kahan_sum(terms)
-
-
-def _bernardi_abs_series(
-    gamma: float, m: int, absf: np.ndarray, r: float, eps: float
-) -> float:
-    acc = CompensatedSum()
-    for n in range(m, absf.size):
-        if r**n / ((n + gamma) * (1.0 - r)) <= eps:
-            break
-        acc.add(absf[n] / (n + gamma) * r**n)
-    return acc.value
 
 
 def majorant_value(
@@ -285,27 +396,22 @@ def majorant_value(
         raise ParameterDomainError(f"r must lie in (0, 1), got {r}")
     if eps <= 0.0:
         raise ParameterDomainError("eps must be positive")
-    absf = _check_unit_coeffs(f)
-
-    if isinstance(kind, CesaroBeta):
-        return _cesaro_abs_series(kind.beta, absf, r, eps)
-    if isinstance(kind, CBeta):
-        _require_leading_zeros(f, 1, "the vanishing-at-origin Cesaro variant")
-        shifted = absf[1:] if f.order >= 1 else np.zeros(1)
-        return r * _cesaro_abs_series(kind.beta, shifted, r, eps)
-    if isinstance(kind, PrimitiveI):
-        return r * _bernardi_abs_series(1.0, 0, absf, r, eps)
-    bern = _bernardi_form(kind)
-    _require_leading_zeros(f, bern.m, "the Bernardi operator")
-    return _bernardi_abs_series(bern.gamma, bern.m, absf, r, eps)
+    absf = f.abs_entries()
+    if absf.max() > 1.0 + 1e-9:
+        raise ParameterDomainError(
+            "majorant tail bounds assume unit-ball coefficients; "
+            f"max |a_k| = {absf.max()}"
+        )
+    _require_leading_zeros(f, kind)
+    shifted = absf[kind.d :] if f.order >= kind.d else np.zeros(1)
+    return r**kind.s * kind.family.abs_series(shifted, r, eps)
 
 
 def bohr_majorant(f: CoefficientSequence, r: float) -> float:
     """Plain absolute series ``sum |a_n| r**n`` of the coefficients themselves."""
     if not 0.0 < r < 1.0:
         raise ParameterDomainError(f"r must lie in (0, 1), got {r}")
-    absf = f.abs_entries()
-    return kahan_sum(absf * r ** np.arange(absf.size))
+    return ClassicalBohr().abs_series(f.abs_entries(), r, eps=0.0)
 
 
 def adaptive_simpson(
@@ -367,72 +473,24 @@ def adaptive_simpson(
 def quadrature_value(
     kind: OperatorKind, f: BoundedFunction, z: complex, tol: float = 1e-10
 ) -> complex:
-    """The defining integral of the operator at ``z``, to absolute ``tol``.
-
-    Endpoint singularities of the Bernardi kernel (gamma < 1) are removed by
-    splitting off the m-fold zero of the operand and substituting
-    ``u = t**(m + gamma)`` when the combined exponent stays below 1.
-    """
+    """The defining integral of the operator at ``z``, to absolute ``tol``."""
     z = complex(z)
     if abs(z) >= 1.0:
         raise ParameterDomainError(f"|z| must be < 1, got {abs(z)}")
-
-    if isinstance(kind, CesaroBeta):
-        beta = kind.beta
-        return adaptive_simpson(
-            lambda t: evaluate(f, t * z) * (1.0 - t * z) ** (-beta), 0.0, 1.0, tol
-        )
-
-    if isinstance(kind, CBeta):
-        beta = kind.beta
-        h = schwarz_shift(f, 1)
-        return z * adaptive_simpson(
-            lambda t: evaluate(h, t * z) * (1.0 - t * z) ** (-beta), 0.0, 1.0, tol
-        )
-
-    if isinstance(kind, PrimitiveI):
-        return z * adaptive_simpson(lambda t: evaluate(f, t * z), 0.0, 1.0, tol)
-
-    bern = _bernardi_form(kind)
-    gamma, m = bern.gamma, bern.m
-    if gamma >= 1.0:
-        return adaptive_simpson(
-            lambda t: evaluate(f, t * z) * t ** (gamma - 1.0), 0.0, 1.0, tol
-        )
-    h = schwarz_shift(f, m)
-    s = m + gamma
-    zm = z**m
-    if s >= 1.0:
-        return zm * adaptive_simpson(
-            lambda t: evaluate(h, t * z) * t ** (s - 1.0), 0.0, 1.0, tol
-        )
-    # 0 < s < 1: substitute u = t**s, which flattens the endpoint.
-    inv_s = 1.0 / s
-    return (
-        zm
-        / s
-        * adaptive_simpson(lambda u: evaluate(h, u**inv_s * z), 0.0, 1.0, tol * s)
-    )
+    return z**kind.s * kind.family.integral(schwarz_shift(f, kind.d), z, tol)
 
 
 def sup_bound(kind: OperatorKind, r: float) -> float:
     """Sharp closed-form bound on the operator image modulus over the class.
 
     Over the unit ball (with the required origin zeros) and ``|z| = r``:
-    the Cesaro family is bounded by ``kernel_integral(beta, r) / r``, its
-    vanishing-at-origin variant by ``kernel_integral(beta, r)``, and the
-    Bernardi family by ``r**m / (m + gamma)``.
+    the Cesaro family is bounded by ``kernel_integral(beta, r) / r``, the
+    Bernardi family by ``r**m / (m + gamma)``, and a shift ``z**s`` adds
+    the factor ``r**s``.
     """
     if not 0.0 < r < 1.0:
         raise ParameterDomainError(f"r must lie in (0, 1), got {r}")
-    if isinstance(kind, CesaroBeta):
-        return kernel_integral(kind.beta, r) / r
-    if isinstance(kind, CBeta):
-        return kernel_integral(kind.beta, r)
-    if isinstance(kind, PrimitiveI):
-        return r
-    bern = _bernardi_form(kind)
-    return r**bern.m / (bern.m + bern.gamma)
+    return kind.family.bound(r, kind.s)
 
 
 def sup_bound_check(

@@ -18,20 +18,17 @@ a short regula-falsi polish then drives the residual to rounding level.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
-from .errors import BracketError, ContinuityError, ParameterDomainError, TruncationError
-from .operators import MAX_SERIES_TERMS, Bernardi, CesaroBeta, kernel_integral, sup_bound
-from .series import CompensatedSum
+from .errors import BracketError, ContinuityError, ParameterDomainError
+from .operators import Bernardi, CesaroBeta
 
 __all__ = [
     "RadiusFamily",
     "RadiusProblem",
     "RadiusResult",
     "CurveRow",
-    "closed_bound",
     "radius_equation",
     "solve_radius",
     "radius_curve",
@@ -73,37 +70,11 @@ class CurveRow:
     residual: float
 
 
-def closed_bound(family: RadiusFamily, r: float) -> float:
-    """Closed-form sup bound of the family at radius ``r``."""
-    if not isinstance(family, (CesaroBeta, Bernardi)):
-        raise ParameterDomainError(f"unsupported family {family!r}")
-    return sup_bound(family, r)
-
-
 def radius_equation(problem: RadiusProblem, x: float) -> float:
     """The family's radius equation, positive before the root, negative after."""
     if not 0.0 < x < 1.0:
         raise ParameterDomainError(f"x must lie in (0, 1), got {x}")
-    family = problem.family
-    if isinstance(family, CesaroBeta):
-        beta = family.beta
-        return 3.0 * kernel_integral(beta, x) - 2.0 * kernel_integral(beta + 1.0, x)
-    gamma, m = family.gamma, family.m
-    acc = CompensatedSum()
-    acc.add(x**m / (m + gamma))
-    x_pow = x ** (m + 1)
-    for n in range(m + 1, MAX_SERIES_TERMS):
-        # Remaining tail of 2 * sum x^n/(n+gamma) past n-1 terms.
-        if 2.0 * x_pow / ((n + gamma) * (1.0 - x)) <= problem.series_tail_eps:
-            break
-        acc.add(-2.0 * x_pow / (n + gamma))
-        x_pow *= x
-    else:
-        raise TruncationError(
-            f"radius equation tail will not reach {problem.series_tail_eps} "
-            f"within {MAX_SERIES_TERMS} terms at x={x}"
-        )
-    return acc.value
+    return problem.family.radius_equation(x, problem.series_tail_eps)
 
 
 # Candidate abscissas for the sign-change scan: geometric ladders toward both

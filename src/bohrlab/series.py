@@ -9,22 +9,21 @@ than by Gamma-function quotients: the weights grow only like
 ``n**(beta - 1)``, so the recurrence stays finite and accurate for orders
 in the thousands where naive Gamma evaluation would overflow.
 
-All arithmetic is IEEE-754 binary64.  Long real sums are accumulated with
-compensated (Kahan) summation so that absolute-series values retain about
-1e-12 absolute accuracy near the radii of interest.
+All arithmetic is IEEE-754 binary64.  Long real sums go through
+``math.fsum``, which is correctly rounded, so absolute-series values keep
+about 1e-12 absolute accuracy near the radii of interest.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+import math
+from typing import Sequence
 
 import numpy as np
 
 from .errors import ParameterDomainError, TruncationError
 
 __all__ = [
-    "CompensatedSum",
-    "kahan_sum",
     "CoefficientSequence",
     "BinomialWeights",
     "binomial_coeffs",
@@ -33,34 +32,6 @@ __all__ = [
     "cumulative_identity_residual",
     "horner",
 ]
-
-
-class CompensatedSum:
-    """Kahan-compensated running sum of binary64 terms."""
-
-    __slots__ = ("_total", "_carry")
-
-    def __init__(self) -> None:
-        self._total = 0.0
-        self._carry = 0.0
-
-    def add(self, term: float) -> None:
-        y = term - self._carry
-        t = self._total + y
-        self._carry = (t - self._total) - y
-        self._total = t
-
-    @property
-    def value(self) -> float:
-        return self._total
-
-
-def kahan_sum(terms: Iterable[float]) -> float:
-    """Sum an iterable of floats with Kahan compensation."""
-    acc = CompensatedSum()
-    for term in terms:
-        acc.add(float(term))
-    return acc.value
 
 
 class CoefficientSequence:
@@ -193,24 +164,19 @@ def cumulative_identity_residual(beta: float, n_max: int) -> float:
 
     The partial sums of ``c_n(beta)`` coincide with ``c_n(beta + 1)``;
     this returns ``max_n |sum_{k<=n} c_k(beta) - c_n(beta+1)| / c_n(beta+1)``
-    over ``0 <= n <= n_max``, with the running sum Kahan-compensated.
+    over ``0 <= n <= n_max``, with every running sum correctly rounded.
     """
     base = binomial_coeffs(beta, n_max).weights
     bumped = binomial_coeffs(beta + 1.0, n_max).weights
-    running = CompensatedSum()
-    worst = 0.0
-    for n in range(n_max + 1):
-        running.add(base[n])
-        rel = abs(running.value - bumped[n]) / bumped[n]
-        if rel > worst:
-            worst = rel
-    return float(worst)
+    running = np.array([math.fsum(base[: n + 1]) for n in range(n_max + 1)])
+    return float(np.max(np.abs(running - bumped) / bumped))
 
 
-def horner(seq: CoefficientSequence, z: complex) -> complex:
-    """Evaluate the truncated series at ``z`` by Horner's rule."""
+def horner(coeffs: CoefficientSequence | Sequence[complex], z: complex) -> complex:
+    """Evaluate ``sum coeffs[n] z**n`` by Horner's rule, in Python complex
+    arithmetic for a ``CoefficientSequence`` and a tuple alike."""
     z = complex(z)
     acc = 0.0 + 0.0j
-    for c in seq.entries[::-1]:
+    for c in reversed(coeffs):
         acc = acc * z + c
     return acc

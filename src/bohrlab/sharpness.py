@@ -18,32 +18,33 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from functools import singledispatch
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .corpus import extremal_phi, extremal_psi, taylor_coeffs
+from .corpus import extremal_psi, taylor_coeffs
 from .errors import ParameterDomainError
 from .operators import (
     Bernardi,
     CesaroBeta,
+    ClassicalBohr,
     adaptive_simpson,
-    bernardi_series_order,
-    bohr_majorant,
-    cesaro_series_order,
     kernel_integral,
     majorant_value,
+    required_origin_zeros,
+    sup_bound,
 )
 from .radii import RadiusProblem, radius_equation, solve_radius
-from .series import CompensatedSum
 
 __all__ = [
-    "ClassicalBohr",
     "SharpnessProblem",
     "Decomposition",
     "ViolationReport",
     "BOHR_BASELINE_RADIUS",
+    "critical_radius",
     "extremal_majorant",
+    "decomposition",
     "decomposition_cesaro",
     "decomposition_bernardi",
     "quadratic_remainder_check",
@@ -54,11 +55,6 @@ __all__ = [
 # The classical constant for the identity operator: the absolute series of
 # every unit-ball member stays at most 1 up to radius 1/3, and no further.
 BOHR_BASELINE_RADIUS = 1.0 / 3.0
-
-
-@dataclass(frozen=True)
-class ClassicalBohr:
-    """Identity-operator baseline: coefficients against the bound 1."""
 
 
 SharpnessProblem = Union[CesaroBeta, Bernardi, ClassicalBohr]
@@ -105,36 +101,26 @@ def _check_a_r(a: float, r: float) -> None:
         raise ParameterDomainError(f"r must lie in (0, 1), got {r}")
 
 
+def critical_radius(problem: SharpnessProblem, tol: float = 1e-12) -> float:
+    """Bohr's 1/3 for the identity baseline, the solved family radius otherwise."""
+    if problem == ClassicalBohr():
+        return BOHR_BASELINE_RADIUS
+    return solve_radius(RadiusProblem(problem), tol).root
+
+
 def extremal_majorant(
     problem: SharpnessProblem, a: float, r: float, eps: float = 1e-12
 ) -> float:
     """Absolute series of the problem's extremal member at radius ``r``.
 
-    Summed through the generic operator path on Taylor coefficients whose
-    order is chosen so the omitted tail stays below ``eps``.
+    The member is ``z**m phi_a`` with ``m`` the origin zeros the operand
+    needs; it is summed through the generic operator path on Taylor
+    coefficients whose order keeps the omitted tail below ``eps``.
     """
     _check_a_r(a, r)
-    if isinstance(problem, CesaroBeta):
-        n_max = cesaro_series_order(problem.beta, r, eps)
-        return majorant_value(problem, taylor_coeffs(extremal_phi(a), n_max), r, eps)
-    if isinstance(problem, Bernardi):
-        n_max = bernardi_series_order(problem.gamma, r, eps, start=problem.m)
-        return majorant_value(
-            problem, taylor_coeffs(extremal_psi(a, problem.m), n_max), r, eps
-        )
-    if isinstance(problem, ClassicalBohr):
-        # Tail of sum |b_n| r^n past N is below r^(N+1)/(1-r).
-        n_max = max(1, math.ceil(math.log(eps * (1.0 - r)) / math.log(r)))
-        return bohr_majorant(taylor_coeffs(extremal_phi(a), n_max), r)
-    raise ParameterDomainError(f"unsupported problem {problem!r}")
-
-
-def _problem_bound(problem: SharpnessProblem, r: float) -> float:
-    if isinstance(problem, ClassicalBohr):
-        return 1.0
-    from .radii import closed_bound
-
-    return closed_bound(problem, r)
+    f = extremal_psi(a, required_origin_zeros(problem))
+    n_max = problem.family.series_order(r, eps) + problem.d
+    return majorant_value(problem, taylor_coeffs(f, n_max), r, eps)
 
 
 def decomposition_cesaro(
@@ -148,10 +134,8 @@ def decomposition_cesaro(
     adaptive quadrature, and the deficit is ``(1-a)/r`` times the radius
     equation at ``r``.
     """
-    if beta <= 0.0:
-        raise ParameterDomainError(f"beta must be positive, got {beta}")
-    _check_a_r(a, r)
     kind = CesaroBeta(beta)
+    _check_a_r(a, r)
     a_int = kernel_integral(beta, r)
     b_int = kernel_integral(beta + 1.0, r)
     bound = a_int / r
@@ -180,31 +164,34 @@ def decomposition_bernardi(
     kind = Bernardi(gamma, m)
     _check_a_r(a, r)
     problem = RadiusProblem(kind, series_tail_eps=min(1e-15, eps / 8.0))
-    bound = r**m / (m + gamma)
+    bound = sup_bound(kind, r)
     deficit = (1.0 - a) * radius_equation(problem, r)
     if a == 1.0:
         remainder = 0.0
     else:
-        acc = CompensatedSum()
-        x_pow = r ** (m + 1)
-        n = m + 1
         # |per-term bracket| <= 2(1-a), so the tail past n is geometric.
-        while 2.0 * (1.0 - a) * x_pow / ((n + gamma) * (1.0 - r)) > eps:
-            bracket = (1.0 - a) * ((1.0 + a) * a ** (n - m - 1) - 2.0)
-            acc.add(bracket * x_pow / (n + gamma))
-            x_pow *= r
-            n += 1
-        remainder = acc.value
+        remainder = math.fsum(
+            (1.0 - a) * ((1.0 + a) * a ** (n - m - 1) - 2.0) * x_pow / (n + gamma)
+            for n, x_pow in kind.tail(r, eps, weight=2.0 * (1.0 - a))
+        )
     total = extremal_majorant(kind, a, r, eps)
     return Decomposition(bound_term=bound, deficit_term=deficit, remainder=remainder, total=total)
 
 
-def _remainder(problem: SharpnessProblem, a: float, r: float, eps: float) -> float:
-    if isinstance(problem, CesaroBeta):
-        return decomposition_cesaro(problem.beta, a, r, eps).remainder
-    if isinstance(problem, Bernardi):
-        return decomposition_bernardi(problem.gamma, problem.m, a, r, eps).remainder
+@singledispatch
+def decomposition(problem, a: float, r: float, eps: float = 1e-12) -> Decomposition:
+    """Three-term split of either family's extremal absolute series."""
     raise ParameterDomainError(f"no remainder decomposition for {problem!r}")
+
+
+@decomposition.register(CesaroBeta)
+def _(problem: CesaroBeta, a: float, r: float, eps: float = 1e-12) -> Decomposition:
+    return decomposition_cesaro(problem.beta, a, r, eps)
+
+
+@decomposition.register(Bernardi)
+def _(problem: Bernardi, a: float, r: float, eps: float = 1e-12) -> Decomposition:
+    return decomposition_bernardi(problem.gamma, problem.m, a, r, eps)
 
 
 def quadratic_remainder_check(
@@ -224,7 +211,7 @@ def quadratic_remainder_check(
         raise ParameterDomainError("all a values must lie in [0, 1)")
     if any(b <= a for a, b in zip(values, values[1:])):
         raise ParameterDomainError("a_list must be strictly increasing")
-    return [_remainder(problem, a, r, eps) / (1.0 - a) ** 2 for a in values]
+    return [decomposition(problem, a, r, eps).remainder / (1.0 - a) ** 2 for a in values]
 
 
 def violation_search(
@@ -242,15 +229,12 @@ def violation_search(
     """
     if not 0.0 < r < 1.0:
         raise ParameterDomainError(f"r must lie in (0, 1), got {r}")
-    if isinstance(problem, ClassicalBohr):
-        critical = BOHR_BASELINE_RADIUS
-    else:
-        critical = solve_radius(RadiusProblem(problem), 1e-12).root
+    critical = critical_radius(problem)
     if r <= critical:
         raise ParameterDomainError(
             f"r={r} does not exceed the critical radius {critical}"
         )
-    bound = _problem_bound(problem, r)
+    bound = sup_bound(problem, r)
     best_margin = -math.inf
     best_value = -math.inf
     for k in range(1, max_doublings + 1):
@@ -296,31 +280,27 @@ def concavity_check(
     if steps.min() <= 0.0 or (steps.max() - steps.min()) > 1e-9 * max(steps.max(), 1e-30):
         raise ParameterDomainError("the a-grid must be uniform and increasing")
 
-    if isinstance(problem, CesaroBeta):
-        a_int = kernel_integral(problem.beta, r)
-        b_int = kernel_integral(problem.beta + 1.0, r)
-
-        def envelope(a: float) -> float:
-            return ((a * a + a - 1.0) * a_int + (1.0 - a * a) * b_int) / r
-
-    elif isinstance(problem, Bernardi):
-        gamma, m = problem.gamma, problem.m
-        acc = CompensatedSum()
-        x_pow = r ** (m + 1)
-        n = m + 1
-        while x_pow / ((n + gamma) * (1.0 - r)) > 1e-16:
-            acc.add(x_pow / (n + gamma))
-            x_pow *= r
-            n += 1
-        tail_sum = acc.value
-        lead = r**m / (m + gamma)
-
-        def envelope(a: float) -> float:
-            return a * lead + (1.0 - a * a) * tail_sum
-
-    else:
-        raise ParameterDomainError(f"no concavity envelope for {problem!r}")
-
+    envelope = _envelope(problem, r)
     values = np.array([envelope(a) for a in grid])
     second = values[2:] - 2.0 * values[1:-1] + values[:-2]
     return float(second.max())
+
+
+@singledispatch
+def _envelope(problem, r: float) -> Callable[[float], float]:
+    raise ParameterDomainError(f"no concavity envelope for {problem!r}")
+
+
+@_envelope.register(CesaroBeta)
+def _(problem: CesaroBeta, r: float) -> Callable[[float], float]:
+    a_int = kernel_integral(problem.beta, r)
+    b_int = kernel_integral(problem.beta + 1.0, r)
+    return lambda a: ((a * a + a - 1.0) * a_int + (1.0 - a * a) * b_int) / r
+
+
+@_envelope.register(Bernardi)
+def _(problem: Bernardi, r: float) -> Callable[[float], float]:
+    gamma, m = problem.gamma, problem.m
+    tail_sum = math.fsum(x_pow / (n + gamma) for n, x_pow in problem.tail(r, 1e-16))
+    lead = r**m / (m + gamma)
+    return lambda a: a * lead + (1.0 - a * a) * tail_sum

@@ -219,7 +219,7 @@ def test_criterion_10_oracle_equivalence():
             image = bl.operator_coeffs(kind, bl.taylor_coeffs(g, order), order)
             gap = abs(bl.horner(image, z) - bl.quadrature_value(kind, g, z, 1e-10))
             worst = max(worst, gap)
-    bound_gap = abs(bl.closed_bound(bl.CesaroBeta(2.0), 0.5) - 2.0)
+    bound_gap = abs(bl.sup_bound(bl.CesaroBeta(2.0), 0.5) - 2.0)
     ok = worst <= 1e-8 and bound_gap <= 1e-14
     _criterion(
         "series-vs-quadrature",

@@ -151,6 +151,24 @@ class TestVerifyCommand:
         assert code == 0
         assert json.loads(out)["results"]["violations"] == 0
 
+    @pytest.mark.parametrize("gamma,m", [(-2.5, 3), (-1.0, 2)])
+    def test_negative_gamma_order_covers_the_tail(self, capsys, gamma, m):
+        # With gamma < 0 the leading tail bounds r**(n+1)/((n+1+gamma)(1-r))
+        # are negative or divide by zero; the order scan must skip them.
+        import bohrlab as bl
+
+        code, out, _ = run_cli(
+            capsys, "verify", "--op", "bernardi", "--gamma", str(gamma), "--m", str(m),
+            "--samples", "5",
+        )
+        assert code == 0
+        payload = json.loads(out)
+        order, r = payload["results"]["coefficient_order"], payload["params"]["r"]
+        kind, psi = bl.Bernardi(gamma, m), bl.ExtremalPsi(0.9, m)
+        sampled = bl.majorant_value(kind, bl.taylor_coeffs(psi, order), r)
+        full = bl.majorant_value(kind, bl.taylor_coeffs(psi, 2000), r)
+        assert full - sampled <= 1e-10
+
     def test_zero_samples_exits_2(self, capsys):
         code, _, _ = run_cli(
             capsys, "verify", "--op", "cesaro", "--beta", "1", "--samples", "0"
@@ -272,7 +290,7 @@ class TestFailurePaths:
 
     def test_forced_reconstruction_mismatch_exits_5(self, capsys, monkeypatch):
         import bohrlab as bl
-        from bohrlab import cli as cli_mod
+        from bohrlab import sharpness
 
         def skewed(beta, a, r, eps=1e-12):
             dec = bl.decomposition_cesaro(beta, a, r, eps)
@@ -280,7 +298,7 @@ class TestFailurePaths:
                 dec.bound_term + 1e-6, dec.deficit_term, dec.remainder, dec.total
             )
 
-        monkeypatch.setattr(cli_mod, "decomposition_cesaro", skewed)
+        monkeypatch.setattr(sharpness, "decomposition_cesaro", skewed)
         code, _, err = run_cli(
             capsys, "sharpness", "--op", "cesaro", "--beta", "1", "--r", "0.5"
         )

@@ -236,12 +236,12 @@ class TestQuadrature:
             bl.CesaroBeta(0.5),
             bl.CesaroBeta(1.0),
             bl.CesaroBeta(2.0),
-            bl.CBeta(1.0),
+            pytest.param(bl.CBeta(1.0), id="CBeta(beta=1.0)"),
             bl.Bernardi(1.0, 0),
             bl.Bernardi(0.5, 1),
-            bl.Libera(),
-            bl.Alexander(),
-            bl.PrimitiveI(),
+            pytest.param(bl.Libera(), id="Libera()"),
+            pytest.param(bl.Alexander(), id="Alexander()"),
+            pytest.param(bl.PrimitiveI(), id="PrimitiveI()"),
         ],
         ids=str,
     )

@@ -27,14 +27,14 @@ CESARO_ONE_ROOT = brentq(_cesaro_one_equation, 0.1, 0.9, xtol=1e-14)
 class TestClosedBound:
     def test_logarithmic_case(self):
         family = bl.CesaroBeta(1.0)
-        assert bl.closed_bound(family, 0.5) == pytest.approx(2.0 * math.log(2.0), abs=1e-14)
+        assert bl.sup_bound(family, 0.5) == pytest.approx(2.0 * math.log(2.0), abs=1e-14)
 
     def test_rational_case_is_exact(self):
-        assert abs(bl.closed_bound(bl.CesaroBeta(2.0), 0.5) - 2.0) <= 1e-14
+        assert abs(bl.sup_bound(bl.CesaroBeta(2.0), 0.5) - 2.0) <= 1e-14
 
     def test_bernardi_unit_bound(self):
         for r in (0.1, 0.46, 0.83):
-            assert bl.closed_bound(bl.Bernardi(1.0, 0), r) == 1.0
+            assert bl.sup_bound(bl.Bernardi(1.0, 0), r) == 1.0
 
 
 class TestRadiusEquation:
@@ -191,7 +191,7 @@ class TestBoundConsistency:
         root = bl.solve_radius(bl.RadiusProblem(family)).root
         for frac in (0.35, 0.7, 0.99):
             r = frac * root
-            bound = bl.closed_bound(family, r)
+            bound = bl.sup_bound(family, r)
             for i in range(12):
                 f = bl.random_schur(bl.derive_seed(555, i), 4, 0.9)
                 coeffs = bl.taylor_coeffs(f, 160)
@@ -202,7 +202,7 @@ class TestBoundConsistency:
         family = bl.Bernardi(gamma, m)
         root = bl.solve_radius(bl.RadiusProblem(family)).root
         r = 0.99 * root
-        bound = bl.closed_bound(family, r)
+        bound = bl.sup_bound(family, r)
         for i in range(12):
             f = bl.multiply_by_z(bl.random_schur(bl.derive_seed(556, i), 4, 0.9), m)
             coeffs = bl.taylor_coeffs(f, 160)

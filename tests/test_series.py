@@ -1,7 +1,6 @@
 """Series-core tests: binomial weights, Cauchy products, the running-sum
 identity, and the compensated accumulator."""
 
-import math
 from fractions import Fraction
 
 import numpy as np
@@ -174,12 +173,6 @@ class TestCoefficientSequence:
         seq = bl.CoefficientSequence([1, 2])
         with pytest.raises(ValueError):
             seq.entries[0] = 5.0
-
-
-def test_kahan_sum_recovers_fsum():
-    # alternating, poorly conditioned series
-    terms = [((-1.0) ** n) / (n + 1) * 1e8 for n in range(20000)]
-    assert bl.kahan_sum(terms) == pytest.approx(math.fsum(terms), abs=1e-6)
 
 
 def test_horner_on_known_polynomial():

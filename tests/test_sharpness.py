@@ -174,7 +174,7 @@ class TestBelowRadiusSafety:
     def test_extremal_series_below_bound(self, problem):
         root = bl.solve_radius(bl.RadiusProblem(problem)).root
         r = 0.99 * root
-        bound = bl.closed_bound(problem, r)
+        bound = bl.sup_bound(problem, r)
         for a in np.linspace(0.0, 1.0, 21):
             assert bl.extremal_majorant(problem, float(a), r) <= bound + 1e-9
 
