@@ -45,6 +45,7 @@ from .corpus import (
     schwarz_shift,
     suggested_order,
     taylor_coeffs,
+    taylor_matrix,
     validate_membership,
 )
 from .operators import (
@@ -64,6 +65,7 @@ from .operators import (
     cesaro_series_order,
     kernel_integral,
     majorant_value,
+    majorant_values,
     operator_coeffs,
     quadrature_value,
     required_origin_zeros,

@@ -17,12 +17,12 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Sequence, Union
 
 import numpy as np
 
 from .errors import ParameterDomainError, PreconditionError
-from .series import CoefficientSequence, cauchy_product, geometric_coeffs, horner
+from .series import CoefficientSequence, horner
 
 __all__ = [
     "BLASCHKE_ZERO_CAP",
@@ -36,6 +36,7 @@ __all__ = [
     "extremal_psi",
     "evaluate",
     "taylor_coeffs",
+    "taylor_matrix",
     "suggested_order",
     "validate_membership",
     "schwarz_factor",
@@ -194,16 +195,12 @@ def _phi_coeff_vector(a: float, n_max: int) -> np.ndarray:
 def taylor_coeffs(f: BoundedFunction, n_max: int) -> CoefficientSequence:
     """The first ``n_max + 1`` Taylor coefficients of ``f`` at the origin.
 
-    Blaschke products are expanded by Cauchy products of the factor series
-    ``(z - a) * sum conj(a)**n z**n``; zeros must stay strictly inside the
-    modulus cap 0.95 so the factor coefficients decay geometrically.
+    A constant or a Blaschke product is the one-row case of ``taylor_matrix``.
     """
     if n_max < 0:
         raise ParameterDomainError(f"n_max must be nonnegative, got {n_max}")
-    if isinstance(f, Constant):
-        out = np.zeros(n_max + 1, dtype=np.complex128)
-        out[0] = f.value
-        return CoefficientSequence(out)
+    if isinstance(f, (Constant, Blaschke)):
+        return CoefficientSequence(taylor_matrix([f], n_max)[0])
     if isinstance(f, Polynomial):
         out = np.zeros(n_max + 1, dtype=np.complex128)
         take = min(len(f.coeffs), n_max + 1)
@@ -216,26 +213,51 @@ def taylor_coeffs(f: BoundedFunction, n_max: int) -> CoefficientSequence:
         if n_max >= f.m:
             out[f.m :] = _phi_coeff_vector(f.a, n_max - f.m)
         return CoefficientSequence(out)
-    if isinstance(f, Blaschke):
-        for a in f.zeros:
-            if abs(a) >= BLASCHKE_ZERO_CAP:
-                raise ParameterDomainError(
-                    f"Blaschke zero modulus {abs(a)} at or above the cap {BLASCHKE_ZERO_CAP}"
-                )
-        unit = np.zeros(n_max + 1, dtype=np.complex128)
-        unit[0] = f.unimodular_factor * f.scale
-        product = CoefficientSequence(unit)
-        for a in f.zeros:
-            linear = np.zeros(n_max + 1, dtype=np.complex128)
-            linear[0] = -a
-            if n_max >= 1:
-                linear[1] = 1.0
-            factor = cauchy_product(
-                CoefficientSequence(linear), geometric_coeffs(a.conjugate(), n_max), n_max
-            )
-            product = cauchy_product(product, factor, n_max)
-        return CoefficientSequence(product.entries)
     raise TypeError(f"not a bounded function: {f!r}")
+
+
+def taylor_matrix(fs: Sequence[BoundedFunction], n_max: int) -> np.ndarray:
+    """Taylor coefficients ``a_0 .. a_{n_max}`` of each function, one row each.
+
+    Takes constants and Blaschke products, the members ``random_schur``
+    draws, and expands them with numpy over the rows: each zero ``a``
+    multiplies the series by ``(z - a)``, ``g_n = h_{n-1} - a h_n``, then
+    divides by ``(1 - conj(a) z)``, ``h_n = g_n + conj(a) h_{n-1}``.  Zeros
+    must stay inside the modulus cap 0.95 so the coefficients decay
+    geometrically.
+    """
+    if n_max < 0:
+        raise ParameterDomainError(f"n_max must be nonnegative, got {n_max}")
+    width = max((len(f.zeros) for f in fs if isinstance(f, Blaschke)), default=0)
+    # Coefficient index first: one recurrence step over all rows is contiguous.
+    h = np.zeros((n_max + 1, len(fs)), dtype=np.complex128)
+    zeros = np.zeros((len(fs), width), dtype=np.complex128)
+    live = np.zeros((len(fs), width), dtype=bool)
+    for i, f in enumerate(fs):
+        if isinstance(f, Blaschke):
+            h[0, i] = f.unimodular_factor * f.scale
+            zeros[i, : len(f.zeros)] = f.zeros
+            live[i, : len(f.zeros)] = True
+        elif isinstance(f, Constant):
+            h[0, i] = f.value
+        else:
+            raise TypeError(f"expected a constant or a Blaschke product, got {f!r}")
+    worst = np.abs(zeros).max(initial=0.0)
+    if worst >= BLASCHKE_ZERO_CAP:
+        raise ParameterDomainError(
+            f"Blaschke zero modulus {worst} at or above the cap {BLASCHKE_ZERO_CAP}"
+        )
+    # A row without this zero skips the multiply; its padding a = 0 makes the divide exact.
+    for a, a_bar, on in zip(zeros.T, zeros.conj().T, live.T):
+        g = h.copy()
+        g[1:, on] = h[:-1, on] - a[on] * h[1:, on]
+        g[0, on] = -a[on] * h[0, on]
+        for n in range(1, n_max + 1):
+            g[n] += a_bar * g[n - 1]
+        h = g
+    if not np.all(np.isfinite(h)):
+        raise ParameterDomainError("coefficient entries must be finite")
+    return np.ascontiguousarray(h.T)
 
 
 def suggested_order(f: BoundedFunction, eps: float = 1e-15) -> int:

@@ -21,10 +21,13 @@ antiderivative ``integral_0^z f = z * L_1[f]`` (shift (1, 0) over
 Bernardi(1, 0)).  ``ClassicalBohr()`` is the identity operator, the
 baseline with bound 1.
 
-Each family supplies its coefficient image, absolute series, defining
+Each family supplies its coefficient image, majorant weights, defining
 integral, sup bound, radius equation and truncation orders; the module
-functions below apply the shift rule once for all of them.  Majorant values
-carry certified truncation error: the partial sum differs from the full
+functions below apply the shift rule once for all of them.  The absolute
+series of the image is linear in ``|a_k|``, so the majorant is a weight
+vector: ``M(f, r) = r**s * sum_k |a_{k+d}| w_k(r)``, built once per
+``(family, r, eps)`` and applied to a whole coefficient matrix.  The weights
+carry the certified truncation cut: the partial sum differs from the full
 absolute series by at most ``eps``, using the running-sum identity
 ``sum_{k<=n} c_k(b) = c_n(b+1)`` and a geometric envelope for the Cesaro
 family, and the plain geometric bound for the Bernardi family.
@@ -32,6 +35,7 @@ family, and the plain geometric bound for the Bernardi family.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -64,6 +68,7 @@ __all__ = [
     "required_origin_zeros",
     "operator_coeffs",
     "majorant_value",
+    "majorant_values",
     "bohr_majorant",
     "quadrature_value",
     "sup_bound",
@@ -81,7 +86,7 @@ class Unshifted:
     """A family used as an operator on its own: ``(s, d) = (0, 0)``.
 
     A family provides ``m`` (the origin zeros its operand needs) and the
-    methods ``image``, ``abs_series``, ``bound`` and ``series_order``; the
+    methods ``image``, ``weights``, ``bound`` and ``series_order``; the
     two radius families add ``integral`` and ``radius_equation``, and every
     family has the ``verify_order`` of its sampled coefficients.
     """
@@ -110,11 +115,14 @@ class CesaroBeta(Unshifted):
         c = binomial_coeffs(self.beta, n_max).weights
         return np.convolve(c, a[: n_max + 1])[: n_max + 1] / np.arange(1, n_max + 2)
 
-    def abs_series(self, absf: np.ndarray, r: float, eps: float) -> float:
+    def weights(self, r: float, eps: float, n: int) -> np.ndarray:
+        """``w_k = sum_j c_j(beta) r**(k+j) / (k+j+1)`` over ``k + j <= N``,
+        ``N = cesaro_series_order(beta, r, eps)``, for ``k < min(n, N + 1)``."""
         n_stop = cesaro_series_order(self.beta, r, eps)
         c = binomial_coeffs(self.beta, n_stop).weights
-        conv = np.convolve(c, absf[: n_stop + 1])[: n_stop + 1]
-        return math.fsum(conv * r ** np.arange(n_stop + 1) / np.arange(1, n_stop + 2))
+        r_pow, denom = r ** np.arange(n_stop + 1), np.arange(1, n_stop + 2)
+        tails = range(min(n, n_stop + 1))
+        return np.array([math.fsum(c[: n_stop + 1 - k] * r_pow[k:] / denom[k:]) for k in tails])
 
     def integral(self, f: BoundedFunction, z: complex, tol: float) -> complex:
         beta = self.beta
@@ -166,12 +174,16 @@ class Bernardi(Unshifted):
             out[self.m :] = a[self.m : n_max + 1] / (n + self.gamma)
         return out
 
-    def abs_series(self, absf: np.ndarray, r: float, eps: float) -> float:
-        n = np.arange(self.m, absf.size)
-        r_pow = r**n
-        done = np.flatnonzero(r_pow / ((n + self.gamma) * (1.0 - r)) <= eps)
-        stop = done[0] if done.size else n.size
-        return math.fsum(absf[self.m : self.m + stop] / (n[:stop] + self.gamma) * r_pow[:stop])
+    def weights(self, r: float, eps: float, n: int) -> np.ndarray:
+        """``w_k = r**k / (k+gamma)`` for ``m <= k < n``, zero below ``m``, cut
+        before the first ``k`` with ``r**k / ((k+gamma)(1-r)) <= eps``."""
+        k = np.arange(self.m, n)
+        r_pow = r**k
+        done = np.flatnonzero(r_pow / ((k + self.gamma) * (1.0 - r)) <= eps)
+        stop = done[0] if done.size else k.size
+        w = np.zeros(min(n, self.m + stop))
+        w[self.m :] = r_pow[:stop] / (k[:stop] + self.gamma)
+        return w
 
     def integral(self, f: BoundedFunction, z: complex, tol: float) -> complex:
         """Endpoint singularities of the kernel (gamma < 1) are removed by
@@ -246,9 +258,9 @@ class ClassicalBohr(Unshifted):
 
     m = 0  # no zero at the origin needed
 
-    def abs_series(self, absf: np.ndarray, r: float, eps: float) -> float:
-        """Exact over the given coefficients, so ``eps`` goes unused."""
-        return math.fsum(absf * r ** np.arange(absf.size))
+    def weights(self, r: float, eps: float, n: int) -> np.ndarray:
+        """``w_k = r**k``: exact over the given coefficients, so ``eps`` goes unused."""
+        return r ** np.arange(n)
 
     def bound(self, r: float, s: int = 0) -> float:
         return 1.0
@@ -357,14 +369,12 @@ def required_origin_zeros(kind: OperatorKind) -> int:
     return kind.d + kind.family.m
 
 
-def _require_leading_zeros(f: CoefficientSequence, kind: OperatorKind) -> None:
+def _require_leading_zeros(coeffs: np.ndarray, kind: OperatorKind) -> None:
     m = required_origin_zeros(kind)
-    if m == 0:
-        return
-    lead = f.entries[: min(m, len(f))]
-    if np.max(np.abs(lead)) > 1e-12:
+    worst = np.abs(coeffs[..., :m]).max(initial=0.0)
+    if worst > 1e-12:
         raise PreconditionError(
-            f"{kind!r} requires the first {m} coefficients to vanish, got {lead}"
+            f"{kind!r} requires the first {m} coefficients to vanish, got modulus {worst}"
         )
 
 
@@ -376,42 +386,57 @@ def operator_coeffs(
         raise ParameterDomainError(f"n_max must be nonnegative, got {n_max}")
     if f.order < n_max:
         raise TruncationError(f"input order {f.order} is below the requested {n_max}")
-    _require_leading_zeros(f, kind)
+    _require_leading_zeros(f.entries, kind)
     out = np.zeros(n_max + 1, dtype=np.complex128)
     if n_max >= kind.s:
         out[kind.s :] = kind.family.image(f.entries[kind.d :], n_max - kind.s)
     return CoefficientSequence(out)
 
 
-def majorant_value(
-    kind: OperatorKind, f: CoefficientSequence, r: float, eps: float = 1e-12
-) -> float:
-    """Absolute series of the operator image at radius ``r``, within ``eps``.
+@functools.lru_cache(maxsize=64)
+def _weights(family, r: float, eps: float, n: int) -> np.ndarray:
+    # Built once per argument tuple: a verify sweep or an a-grid reuses it.
+    w = family.weights(r, eps, n)
+    w.setflags(write=False)
+    return w
 
-    The input must represent a unit-ball member (``|a_k| <= 1``), which the
-    tail bounds rely on.  Truncation is adaptive; exceeding the order cap
-    raises ``TruncationError``.
+
+def majorant_values(
+    kind: OperatorKind, coeffs: np.ndarray, r: float, eps: float = 1e-12
+) -> list:
+    """Absolute series of the operator image at radius ``r`` for each row of
+    ``coeffs``, each within ``eps``: ``r**s * sum_k |a_{k+d}| w_k`` with the
+    family's weights.  Each row is summed by ``math.fsum``, so its value does
+    not depend on the other rows.  The rows must be unit-ball members
+    (``|a_k| <= 1``), which the weight cuts rely on.
     """
     if not 0.0 < r < 1.0:
         raise ParameterDomainError(f"r must lie in (0, 1), got {r}")
     if eps <= 0.0:
         raise ParameterDomainError("eps must be positive")
-    absf = f.abs_entries()
-    if absf.max() > 1.0 + 1e-9:
+    absf = np.abs(coeffs)
+    if absf.max(initial=0.0) > 1.0 + 1e-9:
         raise ParameterDomainError(
-            "majorant tail bounds assume unit-ball coefficients; "
-            f"max |a_k| = {absf.max()}"
+            f"majorant tail bounds assume unit-ball coefficients; max |a_k| = {absf.max()}"
         )
-    _require_leading_zeros(f, kind)
-    shifted = absf[kind.d :] if f.order >= kind.d else np.zeros(1)
-    return r**kind.s * kind.family.abs_series(shifted, r, eps)
+    _require_leading_zeros(absf, kind)
+    shifted = absf[:, kind.d :]
+    w, scale = _weights(kind.family, r, eps, shifted.shape[1]), r**kind.s
+    return [scale * math.fsum(row.tolist()) for row in shifted[:, : w.size] * w]
+
+
+def majorant_value(
+    kind: OperatorKind, f: CoefficientSequence, r: float, eps: float = 1e-12
+) -> float:
+    """The one-row case of ``majorant_values``."""
+    return majorant_values(kind, f.entries[np.newaxis], r, eps)[0]
 
 
 def bohr_majorant(f: CoefficientSequence, r: float) -> float:
     """Plain absolute series ``sum |a_n| r**n`` of the coefficients themselves."""
     if not 0.0 < r < 1.0:
         raise ParameterDomainError(f"r must lie in (0, 1), got {r}")
-    return ClassicalBohr().abs_series(f.abs_entries(), r, eps=0.0)
+    return math.fsum(f.abs_entries() * ClassicalBohr().weights(r, 0.0, len(f)))
 
 
 def adaptive_simpson(

@@ -29,6 +29,7 @@ from .operators import (
     Bernardi,
     CesaroBeta,
     ClassicalBohr,
+    Shifted,
     adaptive_simpson,
     kernel_integral,
     majorant_value,
@@ -57,7 +58,7 @@ __all__ = [
 BOHR_BASELINE_RADIUS = 1.0 / 3.0
 
 
-SharpnessProblem = Union[CesaroBeta, Bernardi, ClassicalBohr]
+SharpnessProblem = Union[CesaroBeta, Bernardi, ClassicalBohr, Shifted]
 
 
 @dataclass(frozen=True)
@@ -194,6 +195,14 @@ def _(problem: Bernardi, a: float, r: float, eps: float = 1e-12) -> Decompositio
     return decomposition_bernardi(problem.gamma, problem.m, a, r, eps)
 
 
+@decomposition.register(Shifted)
+def _(problem: Shifted, a: float, r: float, eps: float = 1e-12) -> Decomposition:
+    """The family's split times ``r**s``; ``total`` is still summed on its own."""
+    inner, scale = decomposition(problem.family, a, r, eps), r**problem.s
+    return Decomposition(scale * inner.bound_term, scale * inner.deficit_term,
+                         scale * inner.remainder, extremal_majorant(problem, a, r, eps))
+
+
 def quadratic_remainder_check(
     problem: SharpnessProblem,
     r: float,
@@ -222,18 +231,17 @@ def violation_search(
 ) -> ViolationReport:
     """Scan a = 1 - 2**-k for an extremal absolute series above the bound.
 
-    Requires ``r`` beyond the problem's critical radius.  A witness must
+    Requires ``r`` beyond the critical radius of the problem's family, which
+    an origin shift leaves unchanged.  A witness must
     exist once ``r`` clears the radius by more than the solver tolerance;
     coming up empty therefore signals a structural defect and is reported
     with ``witness=None`` rather than raised.
     """
     if not 0.0 < r < 1.0:
         raise ParameterDomainError(f"r must lie in (0, 1), got {r}")
-    critical = critical_radius(problem)
+    critical = critical_radius(problem.family)
     if r <= critical:
-        raise ParameterDomainError(
-            f"r={r} does not exceed the critical radius {critical}"
-        )
+        raise ParameterDomainError(f"r={r} does not exceed the critical radius {critical}")
     bound = sup_bound(problem, r)
     best_margin = -math.inf
     best_value = -math.inf

@@ -3,12 +3,19 @@
 Everything here deliberately avoids the library's summation, convolution,
 and recurrence paths: coefficients come from log-Gamma quotients, sums go
 through math.fsum, and series are expanded by explicit double loops.
+
+The reference implementations at the end are the per-sample paths that the
+batched verify sweep replaced: a Blaschke product expanded as a chain of
+Cauchy products, and the three absolute series with their truncation cuts.
+They take plain numpy arrays and nothing from the library.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+
+import numpy as np
 
 
 def binomial_weight_lgamma(beta: float, n: int) -> float:
@@ -84,3 +91,43 @@ def psi_coeffs_direct(a: float, m: int, n_max: int) -> list:
     base = phi_coeffs_direct(a, max(n_max - m, 0))
     out = [0.0] * m + base
     return out[: n_max + 1]
+
+
+def blaschke_coeffs_reference(zeros, lead: complex, n_max: int) -> np.ndarray:
+    """Coefficients of ``lead * prod (z - a) / (1 - conj(a) z)`` up to ``n_max``.
+
+    Each factor series is the Cauchy product of ``(z - a)`` with the
+    geometric series ``sum conj(a)**n z**n``; the product is built by one
+    more Cauchy product per factor.
+    """
+    product = np.zeros(n_max + 1, dtype=np.complex128)
+    product[0] = lead
+    for a in zeros:
+        linear = np.zeros(n_max + 1, dtype=np.complex128)
+        linear[0] = -a
+        if n_max >= 1:
+            linear[1] = 1.0
+        geometric = complex(a).conjugate() ** np.arange(n_max + 1)
+        factor = np.convolve(linear, geometric)[: n_max + 1]
+        product = np.convolve(product, factor)[: n_max + 1]
+    return product
+
+
+def cesaro_abs_series_reference(beta: float, absf, r: float, n_stop: int) -> float:
+    """Cesaro absolute series cut at order ``n_stop``: the image's absolute
+    coefficients by one convolution, then one correctly rounded sum."""
+    n = np.arange(1, n_stop + 1, dtype=np.float64)
+    c = np.concatenate(([1.0], np.cumprod((n - 1.0 + beta) / n)))
+    conv = np.convolve(c, np.asarray(absf)[: n_stop + 1])[: n_stop + 1]
+    return math.fsum(conv * r ** np.arange(n_stop + 1) / np.arange(1, n_stop + 2))
+
+
+def bernardi_abs_series_reference(gamma: float, m: int, absf, r: float, eps: float) -> float:
+    """Bernardi absolute series over the given coefficients, stopped before
+    the first ``n`` whose geometric tail bound is at most ``eps``."""
+    absf = np.asarray(absf)
+    n = np.arange(m, absf.size)
+    r_pow = r**n
+    done = np.flatnonzero(r_pow / ((n + gamma) * (1.0 - r)) <= eps)
+    stop = done[0] if done.size else n.size
+    return math.fsum(absf[m : m + stop] / (n[:stop] + gamma) * r_pow[:stop])

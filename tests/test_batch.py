@@ -1,0 +1,195 @@
+"""The batched verify sweep against the per-sample reference paths.
+
+``taylor_matrix`` expands a block of corpus members at once, and
+``majorant_values`` applies one weight vector to the whole coefficient
+matrix.  Both are checked here against ``oracles``' reference
+implementations of the per-sample Cauchy-product chain and absolute series,
+and the ``verify`` command is checked to give the same report whatever the
+block size.
+"""
+
+import json
+import math
+
+import numpy as np
+import pytest
+
+import bohrlab as bl
+from bohrlab import cli
+from bohrlab.errors import ParameterDomainError, PreconditionError
+from oracles import (
+    bernardi_abs_series_reference,
+    blaschke_coeffs_reference,
+    bohr_abs_series_bruteforce,
+    cesaro_abs_series_reference,
+)
+
+MAJORANT_EPS = 1e-12
+
+
+def _product_form(f):
+    """``(zeros, lead)`` of a member drawn by ``random_schur``."""
+    if isinstance(f, bl.Constant):
+        return (), f.value
+    return f.zeros, f.unimodular_factor * f.scale
+
+
+def _corpus(seed, count, max_factors):
+    return [bl.random_schur(bl.derive_seed(seed, i), max_factors, 0.9) for i in range(count)]
+
+
+class TestTaylorMatrix:
+    @pytest.mark.parametrize("max_factors", range(5))
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_rows_match_cauchy_product_chain(self, seed, max_factors):
+        fs = _corpus(seed, 150, max_factors)
+        n_max = 120
+        rows = bl.taylor_matrix(fs, n_max)
+        assert rows.shape == (len(fs), n_max + 1)
+        for f, row in zip(fs, rows):
+            ref = blaschke_coeffs_reference(*_product_form(f), n_max)
+            assert np.max(np.abs(row - ref)) <= 1e-14
+
+    def test_taylor_coeffs_is_the_one_row_case(self):
+        for f in _corpus(5, 40, 4):
+            row = bl.taylor_matrix([f], 60)[0]
+            assert np.array_equal(bl.taylor_coeffs(f, 60).entries, row)
+
+    def test_only_constants_and_blaschke_products(self):
+        with pytest.raises(TypeError):
+            bl.taylor_matrix([bl.Constant(0.25j), bl.ExtremalPhi(0.7)], 30)
+
+    def test_empty_block_and_order_zero(self):
+        assert bl.taylor_matrix([], 5).shape == (0, 6)
+        f = bl.Blaschke((0.5,), 1j)
+        assert bl.taylor_matrix([f], 0).tolist() == [[-0.5j]]
+
+    def test_zero_cap_checked_over_the_block(self):
+        fs = _corpus(3, 10, 2) + [bl.Blaschke((0.1, 0.97))]
+        with pytest.raises(ParameterDomainError, match="cap"):
+            bl.taylor_matrix(fs, 10)
+
+
+class TestMajorantValues:
+    @pytest.mark.parametrize(
+        "kind",
+        [bl.CesaroBeta(1.0), bl.CBeta(2.0), bl.Libera(), bl.Bernardi(2.0, 1),
+         bl.PrimitiveI(), bl.ClassicalBohr()],
+        ids=["cesaro-1", "cbeta-2", "libera", "bernardi-2-1", "primitive", "bohr"],
+    )
+    def test_rows_are_the_one_row_values(self, kind):
+        zeros = bl.required_origin_zeros(kind)
+        coeffs = np.zeros((30, 81 + zeros), dtype=np.complex128)
+        coeffs[:, zeros:] = bl.taylor_matrix(_corpus(9, 30, 4), 80)
+        values = bl.majorant_values(kind, coeffs, 0.4)
+        for row, value in zip(coeffs, values):
+            assert bl.majorant_value(kind, bl.CoefficientSequence(row), 0.4) == value
+
+    def test_unit_ball_checked_over_the_block(self):
+        coeffs = np.zeros((3, 5), dtype=np.complex128)
+        coeffs[2, 1] = 1.5
+        with pytest.raises(ParameterDomainError):
+            bl.majorant_values(bl.CesaroBeta(1.0), coeffs, 0.5)
+
+    def test_leading_zeros_checked_over_the_block(self):
+        coeffs = np.zeros((3, 5), dtype=np.complex128)
+        coeffs[1, 0] = 0.5
+        with pytest.raises(PreconditionError):
+            bl.majorant_values(bl.CBeta(1.0), coeffs, 0.5)
+
+
+def _reference_majorant(kind, absf, r):
+    shifted = absf[kind.d :]
+    family = kind.family
+    if isinstance(family, bl.CesaroBeta):
+        n_stop = bl.cesaro_series_order(family.beta, r, MAJORANT_EPS)
+        value = cesaro_abs_series_reference(family.beta, shifted, r, n_stop)
+    elif isinstance(family, bl.Bernardi):
+        value = bernardi_abs_series_reference(family.gamma, family.m, shifted, r, MAJORANT_EPS)
+    else:
+        value = bohr_abs_series_bruteforce(shifted, r)
+    return r**kind.s * value
+
+
+def _reference_verify(kind, report):
+    """The per-sample verify loop: one draw, expansion and majorant each."""
+    params, results = report["params"], report["results"]
+    r, order = params["r"], results["coefficient_order"]
+    zeros = bl.required_origin_zeros(kind)
+    bound = bl.sup_bound(kind, r)
+    violations, first_violation, worst = 0, None, -math.inf
+    for i in range(params["samples"]):
+        seed = bl.derive_seed(report["seed"], i)
+        f = bl.random_schur(seed, params["max_factors"], params["radius_cap"])
+        coeffs = np.zeros(order + 1, dtype=np.complex128)
+        coeffs[zeros:] = blaschke_coeffs_reference(*_product_form(f), order - zeros)
+        excess = _reference_majorant(kind, np.abs(coeffs), r) - bound
+        worst = max(worst, excess)
+        if excess > 1e-9:
+            violations += 1
+            if first_violation is None:
+                first_violation = {"index": i, "seed": seed, "excess": excess}
+    return violations, first_violation, worst
+
+
+# The six verify commands of the benchmark's verify-sweep workload.
+VERIFY_SWEEP = (
+    (("--op", "cesaro", "--beta", "1"), bl.CesaroBeta(1.0)),
+    (("--op", "cbeta", "--beta", "2"), bl.CBeta(2.0)),
+    (("--op", "libera"), bl.Libera()),
+    (("--op", "bernardi", "--gamma", "2", "--m", "1"), bl.Bernardi(2.0, 1)),
+    (("--op", "bohr"), bl.ClassicalBohr()),
+    (("--op", "cesaro", "--beta", "2"), bl.CesaroBeta(2.0)),
+)
+
+
+def _verify(capsys, *argv):
+    code = cli.main(["verify", *argv])
+    return code, capsys.readouterr().out
+
+
+@pytest.mark.parametrize("seed", [1, 7, 20261])
+@pytest.mark.parametrize(
+    "op_flags,kind", VERIFY_SWEEP,
+    ids=["cesaro-1", "cbeta-2", "libera", "bernardi-2-1", "bohr", "cesaro-2"],
+)
+def test_verify_matches_the_per_sample_loop(capsys, op_flags, kind, seed):
+    code, out = _verify(capsys, *op_flags, "--samples", "300", "--seed", str(seed))
+    report = json.loads(out)
+    violations, first_violation, worst = _reference_verify(kind, report)
+    results = report["results"]
+    assert code == (cli.EXIT_VERIFY if violations else cli.EXIT_OK)
+    assert results["violations"] == violations
+    if first_violation is None:
+        assert results["first_violation"] is None
+    else:
+        assert {k: results["first_violation"][k] for k in ("index", "seed")} == {
+            k: first_violation[k] for k in ("index", "seed")
+        }
+        assert abs(results["first_violation"]["excess"] - first_violation["excess"]) <= 1e-13
+    assert abs(results["max_excess"] - worst) <= 1e-13
+
+
+class TestBlockBoundaries:
+    @pytest.mark.parametrize("samples", [1, 255, 256, 257, 513])
+    def test_every_sample_is_counted(self, capsys, monkeypatch, samples):
+        # With a zero bound every nonzero majorant is a violation.
+        monkeypatch.setattr(cli, "sup_bound", lambda kind, r: 0.0)
+        code, out = _verify(capsys, "--op", "cbeta", "--beta", "1", "--samples", str(samples),
+                            "--seed", "4")
+        results = json.loads(out)["results"]
+        assert code == cli.EXIT_VERIFY
+        assert results["violations"] == samples
+        assert results["first_violation"]["index"] == 0
+        assert results["first_violation"]["seed"] == bl.derive_seed(4, 0)
+
+    @pytest.mark.parametrize(
+        "op_flags", [("--op", "cesaro", "--beta", "1"), ("--op", "alexander")],
+        ids=["cesaro-1", "alexander"],
+    )
+    def test_report_does_not_depend_on_the_block_size(self, capsys, monkeypatch, op_flags):
+        argv = (*op_flags, "--samples", "257", "--seed", "11", "--r-mode", "at")
+        _, default_block = _verify(capsys, *argv)
+        monkeypatch.setattr(cli, "VERIFY_BLOCK", 7)
+        _, small_block = _verify(capsys, *argv)
+        assert small_block == default_block

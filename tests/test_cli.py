@@ -217,6 +217,37 @@ class TestSharpnessCommand:
         assert code == 2
 
 
+class TestShiftedOperators:
+    """``primitive`` and ``cbeta`` report their own bound, not their family's."""
+
+    def test_primitive_above_uses_its_own_bound(self, capsys):
+        _, out, _ = run_cli(capsys, "verify", "--op", "primitive", "--r-mode", "above", "--r", "0.6")
+        results = json.loads(out)["results"]
+        assert results["bound"] == pytest.approx(0.6)
+        _, out, _ = run_cli(capsys, "verify", "--op", "libera", "--r-mode", "above", "--r", "0.6")
+        libera = json.loads(out)["results"]
+        assert results["majorant"] == pytest.approx(0.6 * libera["majorant"], rel=1e-13)
+
+    def test_cbeta_above_uses_its_own_bound(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "verify", "--op", "cbeta", "--beta", "2", "--r-mode", "above", "--r", "0.55"
+        )
+        import bohrlab as bl
+
+        assert code == 0
+        assert json.loads(out)["results"]["bound"] == bl.sup_bound(bl.CBeta(2.0), 0.55)
+
+    def test_cbeta_sharpness_is_not_the_cesaro_table(self, capsys):
+        argv = ("--beta", "2", "--r", "0.5", "--a-values", "0.5,0.9,1")
+        code, cbeta, _ = run_cli(capsys, "sharpness", "--op", "cbeta", *argv)
+        assert code == 0
+        _, cesaro, _ = run_cli(capsys, "sharpness", "--op", "cesaro", *argv)
+        for row, plain in zip(json.loads(cbeta)["results"]["rows"],
+                              json.loads(cesaro)["results"]["rows"]):
+            assert row["bound_term"] == 0.5 * plain["bound_term"]
+            assert row["total"] == pytest.approx(0.5 * plain["total"], rel=1e-14)
+
+
 class TestSelftestCommand:
     def test_all_suites_pass(self, capsys):
         code, out, _ = run_cli(capsys, "selftest")

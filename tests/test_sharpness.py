@@ -147,6 +147,37 @@ class TestViolationSearch:
         with pytest.raises(ParameterDomainError):
             bl.violation_search(bl.ClassicalBohr(), 1.0 / 3.0)
 
+    @pytest.mark.parametrize(
+        "kind,r", [(bl.PrimitiveI(), 0.60), (bl.CBeta(2.0), 0.55)], ids=["primitive", "cbeta-2"]
+    )
+    def test_shifted_kind_reports_its_own_numbers(self, kind, r):
+        # z**s F[f / z**d] has the family's radius and r**s times its values.
+        family = bl.violation_search(kind.family, r)
+        shifted = bl.violation_search(kind, r)
+        assert shifted.bound == bl.sup_bound(kind, r) == pytest.approx(r * family.bound)
+        assert shifted.witness == family.witness
+        assert shifted.majorant == pytest.approx(r * family.majorant, rel=1e-13)
+        with pytest.raises(ParameterDomainError):
+            bl.violation_search(kind, 0.5)
+
+
+class TestShiftedDecomposition:
+    @pytest.mark.parametrize("a", [0.0, 0.5, 0.9, 0.999, 1.0])
+    @pytest.mark.parametrize(
+        "kind", [bl.CBeta(2.0), bl.CBeta(0.25), bl.PrimitiveI()],
+        ids=["cbeta-2", "cbeta-0.25", "primitive"],
+    )
+    def test_family_split_times_r_to_the_s(self, kind, a):
+        r = 0.5
+        family = bl.decomposition(kind.family, a, r)
+        dec = bl.decomposition(kind, a, r)
+        assert dec.bound_term == r * family.bound_term
+        assert dec.deficit_term == r * family.deficit_term
+        assert dec.remainder == r * family.remainder
+        assert dec.total == bl.extremal_majorant(kind, a, r)
+        assert dec.total == pytest.approx(r * family.total, rel=1e-14)
+        assert dec.reconstruction_error <= 1e-9
+
 
 class TestDeficitSign:
     """The deficit term is the proofs' pivot: positive below the radius,
