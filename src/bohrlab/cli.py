@@ -242,7 +242,7 @@ def cmd_verify(args: argparse.Namespace) -> tuple:
     }
 
     if args.r_mode == "above":
-        outcome = violation_search(kind, r, eps=DEFAULT_MAJORANT_EPS)
+        outcome = violation_search(kind, r, eps=DEFAULT_MAJORANT_EPS, critical=critical)
         results = asdict(outcome)
         witness = "" if outcome.witness is None else outcome.witness
         report = RunReport(

@@ -138,6 +138,9 @@ class CesaroBeta(Unshifted):
         """``3 A(beta, x) - 2 A(beta + 1, x)`` with ``A = kernel_integral``."""
         return 3.0 * kernel_integral(self.beta, x) - 2.0 * kernel_integral(self.beta + 1.0, x)
 
+    def require_root_below(self, x_top: float) -> None:
+        """Every Cesaro root lies in (1/3, 0.59), far below any ladder top."""
+
     def series_order(self, r: float, eps: float) -> int:
         return cesaro_series_order(self.beta, r, eps)
 
@@ -218,25 +221,52 @@ class Bernardi(Unshifted):
         geometric bound ``weight * x**n / ((n+gamma)(1-x))`` on the weighted
         tail from ``n`` on is at most ``tol``.
 
-        Powers come from repeated multiplication; running past the order cap
-        raises ``TruncationError``.
+        Powers come from repeated multiplication.  When the bound at the order
+        cap is above ``2 * tol`` the generator raises ``TruncationError``
+        before it yields a term; between ``tol`` and ``2 * tol`` it raises
+        on running past the cap.
         """
         gamma, gap = self.gamma, 1.0 - x
-        x_pow = x ** (self.m + 1)
-        for n in range(self.m + 1, MAX_SERIES_TERMS):
-            if weight * x_pow / ((n + gamma) * gap) <= tol:
-                return
-            yield n, x_pow
-            x_pow *= x
+        cap = MAX_SERIES_TERMS - 1
+        # The bound decreases in n.  Above 2 * tol at the cap it stays above
+        # tol whatever rounding the running power picks up: refuse at once.
+        if weight * x**cap / ((cap + gamma) * gap) <= 2.0 * tol:
+            x_pow = x ** (self.m + 1)
+            for n in range(self.m + 1, MAX_SERIES_TERMS):
+                if weight * x_pow / ((n + gamma) * gap) <= tol:
+                    return
+                yield n, x_pow
+                x_pow *= x
         raise TruncationError(
             f"Bernardi tail will not reach {tol} within {MAX_SERIES_TERMS} terms at x={x}"
         )
 
+    def require_root_below(self, x_top: float) -> None:
+        """Refuse parameters whose radius-equation root is certified above ``x_top``.
+
+        For ``n > m``, ``sum x**n/(n+gamma) = x**-gamma integral_0^x
+        t**(m+gamma)/(1-t) dt <= -x**m log(1-x)`` because ``m + gamma > 0``,
+        so the equation is at least ``x**m (1/(m+gamma) + 2 log(1-x))``: it
+        stays positive up to ``x_top`` when ``1/(m+gamma) > -2 log(1-x_top)``,
+        and the root is then within ``exp(-1/(2(m+gamma)))`` of 1.
+        """
+        s, limit = self.m + self.gamma, -2.0 * math.log1p(-x_top)
+        if 1.0 / s > limit:
+            raise ParameterDomainError(
+                f"m+gamma={s:g} is below {1.0 / limit:.4g}: the radius equation stays "
+                f"positive up to x={x_top}, and its root R has 1 - R <= "
+                f"exp(-1/(2(m+gamma))) = exp({-0.5 / s:.4g}); refused"
+            )
+
     def radius_equation(self, x: float, tail_eps: float) -> float:
-        """``x**m/(m+gamma) - 2 sum_{n>m} x**n/(n+gamma)``, tail below ``tail_eps``."""
+        """``x**m/(m+gamma) - 2 sum_{n>m} x**n/(n+gamma)``, tail below ``tail_eps``
+        times ``min(1, lead)``: relative to the leading term ``x**m/(m+gamma)``,
+        which sets the equation's scale, so a root moves by about ``tail_eps``
+        however small that scale is."""
         gamma = self.gamma
         lead = x**self.m / (self.m + gamma)
-        tail = (-2.0 * x_pow / (n + gamma) for n, x_pow in self.tail(x, tail_eps, 2.0))
+        tol = tail_eps * min(1.0, lead)
+        tail = (-2.0 * x_pow / (n + gamma) for n, x_pow in self.tail(x, tol, 2.0))
         return math.fsum(itertools.chain((lead,), tail))
 
     def series_order(self, r: float, eps: float) -> int:

@@ -11,15 +11,23 @@ equation:
   for gamma = 1, m = 0 this is ``(1/x)(3x + 2 log(1-x)) = 0``
   (root 0.5828...), and gamma = 0, m = 1 gives the same root.
 
-Both equations are positive for small x > 0 and negative past the root,
-so a geometric scan of (0, 1) followed by bisection certifies a bracket;
-a short regula-falsi polish then drives the residual to rounding level.
+Both equations are positive for small x > 0 and negative past the root.
+The solver checks the sign at x = 1e-6, then searches a geometric ladder
+of (0, 1) from 0.5 for the adjacent pair where the sign changes: upward
+while the equation is positive, by galloping bisection of the ladder
+indices below 0.5 otherwise.  ITP narrows that pair to a bracket of width
+``tol``, and ``iterations`` counts its steps; the ladder search, a short
+regula-falsi polish that drives the residual to rounding level and the
+two evaluations that confirm the reported bracket are not counted.
+Bernardi parameters whose root is certified to lie above the ladder
+(``m + gamma`` below about 0.0362) are refused before any evaluation.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
 from .errors import BracketError, ContinuityError, ParameterDomainError
 from .operators import Bernardi, CesaroBeta
@@ -55,7 +63,7 @@ class RadiusProblem:
 
 @dataclass(frozen=True)
 class RadiusResult:
-    """A certified root: value, residual, sign-change bracket, iteration count."""
+    """A certified root: value, residual, sign-change bracket, ITP step count."""
 
     root: float
     residual: float
@@ -77,86 +85,146 @@ def radius_equation(problem: RadiusProblem, x: float) -> float:
     return problem.family.radius_equation(x, problem.series_tail_eps)
 
 
-# Candidate abscissas for the sign-change scan: geometric ladders toward both
-# ends of (0, 1).
+# Candidate abscissas for the sign-change search: geometric ladders toward
+# both ends of (0, 1).  Roots lie in about [0.33, 0.98], so the search starts
+# at 0.5.
 _SCAN_LO = 1e-6
 _SCAN_HI = 1.0 - 1e-6
+_LADDER = tuple(
+    sorted(
+        {_SCAN_LO, _SCAN_HI}
+        | {x for k in range(1, 21) for x in (2.0**-k, 1.0 - 2.0**-k) if _SCAN_LO < x < _SCAN_HI}
+    )
+)
+_LADDER_START = _LADDER.index(0.5)
+
+# ITP parameters: kappa1 = 0.2 / (initial width), kappa2 = 2, and n0 extra
+# steps over bisection's count (n0 = 1 falls back to bisection on the
+# Bernardi m = 3 and large-beta Cesaro grids).
+_ITP_K1 = 0.2
+_ITP_N0 = 4
+# Regula-falsi polish steps inside the final bracket at most; the polish
+# stops earlier once a step no longer lands strictly inside the bracket.
+_POLISH_STEPS = 8
 
 
-def _scan_points() -> list:
-    pts = {_SCAN_LO, _SCAN_HI}
-    for k in range(1, 21):
-        for x in (2.0**-k, 1.0 - 2.0**-k):
-            if _SCAN_LO < x < _SCAN_HI:
-                pts.add(x)
-    return sorted(pts)
+def _ladder_bracket(eq: Callable[[float], float]) -> tuple:
+    """Adjacent ladder points ``(lo, f_lo, hi, f_hi)`` with ``hi`` the first
+    ladder point where the equation is not positive, as a linear scan from
+    the left finds them.
+
+    From 0.5 it walks upward while the equation is positive; otherwise it
+    searches the indices below 0.5, galloping down from 0.5 and then
+    bisecting.  Both assume the sign changes once along the ladder, and
+    neither evaluates above the first non-positive point, where the
+    Bernardi series grows long.
+    """
+    f_first = eq(_LADDER[0])
+    if f_first <= 0.0:
+        raise BracketError(
+            f"equation is not positive at x={_LADDER[0]}; check the family parameters"
+        )
+    i = _LADDER_START
+    f_i = eq(_LADDER[i])
+    if f_i > 0.0:
+        for j in range(i + 1, len(_LADDER)):
+            f_j = eq(_LADDER[j])
+            if f_j <= 0.0:
+                return _LADDER[j - 1], f_i, _LADDER[j], f_j
+            f_i = f_j
+        raise BracketError("no sign change found in (0, 1); the root should satisfy R < 1")
+    lo, f_lo, hi, f_hi, step = 0, f_first, i, f_i, 1
+    while hi - lo > 1:
+        j = max(hi - step, (lo + hi) // 2)
+        f_j = eq(_LADDER[j])
+        if f_j > 0.0:
+            lo, f_lo = j, f_j
+        else:
+            hi, f_hi = j, f_j
+        step *= 2
+    return _LADDER[lo], f_lo, _LADDER[hi], f_hi
+
+
+def _itp(eq: Callable[[float], float], lo: float, f_lo: float, hi: float, f_hi: float,
+         tol: float) -> tuple:
+    """ITP steps from ``f(lo) > 0 >= f(hi)`` until ``hi - lo <= tol``:
+    ``(lo, f_lo, hi, f_hi, steps)`` with the same sign pattern.
+
+    Each step moves the regula-falsi point toward the midpoint by
+    ``max(kappa1 * width**2, tol/2)`` and projects it into the interval
+    around the midpoint that keeps the bracket on bisection's schedule plus
+    n0 steps.  The ``tol/2`` floor is what ends the run once the
+    interpolation has hit the root: a bare ``kappa1 * width**2`` is below
+    an ulp by then and would evaluate the same endpoint again.
+    """
+    half_tol, k1 = 0.5 * tol, _ITP_K1 / (hi - lo)
+    n_max = math.ceil(math.log2((hi - lo) / tol)) + _ITP_N0
+    steps = 0
+    while hi - lo > tol:
+        mid, width = 0.5 * (lo + hi), hi - lo
+        reach = max(half_tol * 2.0 ** (n_max - steps) - 0.5 * width, 0.0)
+        x_f = (f_hi * lo - f_lo * hi) / (f_hi - f_lo)
+        sigma = math.copysign(1.0, mid - x_f)
+        delta = max(k1 * width * width, half_tol)
+        x_t = x_f + sigma * delta if delta <= abs(mid - x_f) else mid
+        x = x_t if abs(x_t - mid) <= reach else mid - sigma * reach
+        f_x = eq(x)
+        steps += 1
+        if f_x > 0.0:
+            lo, f_lo = x, f_x
+        else:
+            hi, f_hi = x, f_x
+    return lo, f_lo, hi, f_hi, steps
 
 
 def solve_radius(problem: RadiusProblem, tol: float = 1e-12) -> RadiusResult:
-    """Locate the positive root by bracketed bisection plus a secant polish.
+    """Locate the positive root by ITP on a ladder bracket plus a short polish.
 
-    The scan walks a geometric ladder across (0, 1); the equation must be
-    positive at the left end (structural property of both families) and a
-    sign change must appear before 1.  Bisection narrows the bracket to
-    width ``tol``; regula falsi then polishes the root inside the bracket.
+    The family first refuses parameters whose root is certified to lie
+    above the ladder.  The ladder search finds a sign-change bracket, and
+    ITP (Oliveira and Takahashi, ACM TOMS 47(1), 2021) narrows it to width
+    ``tol`` in at most ``ceil(log2(width / tol)) + n0`` steps, the
+    ``iterations`` reported.  Regula falsi then polishes the residual inside
+    the final bracket until its step stalls on an endpoint; the root is the
+    evaluated point with the smallest residual.  The reported bracket is
+    ``root -+ tol/2`` when the equation's signs there confirm it, else the
+    ITP bracket.
     """
     if tol < 1e-14:
         raise ParameterDomainError(f"tol must be >= 1e-14, got {tol}")
+    problem.family.require_root_below(_SCAN_HI)
 
     def eq(x: float) -> float:
         return radius_equation(problem, x)
 
-    points = _scan_points()
-    f_prev = eq(points[0])
-    if f_prev <= 0.0:
-        raise BracketError(
-            f"equation is not positive at x={points[0]}; check the family parameters"
-        )
-    lo, hi, f_lo, f_hi = points[0], None, f_prev, None
-    for x in points[1:]:
-        f_x = eq(x)
-        if f_x <= 0.0:
-            hi, f_hi = x, f_x
-            break
-        lo, f_lo = x, f_x
-    if hi is None:
-        raise BracketError("no sign change found in (0, 1); the root should satisfy R < 1")
-
-    iterations = 0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        f_mid = eq(mid)
-        iterations += 1
-        if f_mid > 0.0:
-            lo, f_lo = mid, f_mid
-        else:
-            hi, f_hi = mid, f_mid
+    ladder_lo, f_lo, ladder_hi, f_hi = _ladder_bracket(eq)
+    lo, f_lo, hi, f_hi, iterations = _itp(eq, ladder_lo, f_lo, ladder_hi, f_hi, tol)
     bracket = (lo, hi)
 
-    # Regula-falsi polish inside the final bracket.
     best_x, best_f = (lo, f_lo) if abs(f_lo) <= abs(f_hi) else (hi, f_hi)
-    a, fa, b, fb = lo, f_lo, hi, f_hi
-    for _ in range(12):
-        if fa == fb:
+    for _ in range(_POLISH_STEPS):
+        x = hi - f_hi * (hi - lo) / (f_hi - f_lo)
+        if not lo < x < hi:
             break
-        x_new = b - fb * (b - a) / (fb - fa)
-        if not a <= x_new <= b:
-            break
-        f_new = eq(x_new)
-        iterations += 1
-        if abs(f_new) < abs(best_f):
-            best_x, best_f = x_new, f_new
-        if f_new == 0.0:
-            break
-        if f_new > 0.0:
-            a, fa = x_new, f_new
+        f_x = eq(x)
+        if abs(f_x) < abs(best_f):
+            best_x, best_f = x, f_x
+        if f_x > 0.0:
+            lo, f_lo = x, f_x
         else:
-            b, fb = x_new, f_new
+            hi, f_hi = x, f_x
 
-    root = best_x
-    if not 0.0 < root < 1.0:
-        raise BracketError(f"solver produced an out-of-range root {root}")
-    return RadiusResult(root=root, residual=best_f, bracket=bracket, iterations=iterations)
+    # ITP often ends with an endpoint a few ulps from the root, where the
+    # sign of the computed equation is rounding noise; half a tolerance
+    # away it is not.
+    half = 0.5 * tol - math.ulp(best_x)
+    lo, hi = max(best_x - half, ladder_lo), min(best_x + half, ladder_hi)
+    if eq(lo) > 0.0 >= eq(hi):
+        bracket = (lo, hi)
+
+    if not 0.0 < best_x < 1.0:
+        raise BracketError(f"solver produced an out-of-range root {best_x}")
+    return RadiusResult(root=best_x, residual=best_f, bracket=bracket, iterations=iterations)
 
 
 def radius_curve(

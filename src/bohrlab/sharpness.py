@@ -197,10 +197,15 @@ def _(problem: Bernardi, a: float, r: float, eps: float = 1e-12) -> Decompositio
 
 @decomposition.register(Shifted)
 def _(problem: Shifted, a: float, r: float, eps: float = 1e-12) -> Decomposition:
-    """The family's split times ``r**s``; ``total`` is still summed on its own."""
+    """The family's split times ``r**s``.
+
+    The shifted extremal member has the family's coefficients behind ``d``
+    zeros, so its majorant is the family's ``total`` times ``r**s``, bit
+    for bit; ``total`` stays summed apart from the other three terms.
+    """
     inner, scale = decomposition(problem.family, a, r, eps), r**problem.s
     return Decomposition(scale * inner.bound_term, scale * inner.deficit_term,
-                         scale * inner.remainder, extremal_majorant(problem, a, r, eps))
+                         scale * inner.remainder, scale * inner.total)
 
 
 def quadratic_remainder_check(
@@ -228,18 +233,21 @@ def violation_search(
     r: float,
     eps: float = 1e-12,
     max_doublings: int = 40,
+    critical: Optional[float] = None,
 ) -> ViolationReport:
     """Scan a = 1 - 2**-k for an extremal absolute series above the bound.
 
     Requires ``r`` beyond the critical radius of the problem's family, which
-    an origin shift leaves unchanged.  A witness must
+    an origin shift leaves unchanged; a caller that has already solved it
+    passes it as ``critical``, otherwise it is solved here.  A witness must
     exist once ``r`` clears the radius by more than the solver tolerance;
     coming up empty therefore signals a structural defect and is reported
     with ``witness=None`` rather than raised.
     """
     if not 0.0 < r < 1.0:
         raise ParameterDomainError(f"r must lie in (0, 1), got {r}")
-    critical = critical_radius(problem.family)
+    if critical is None:
+        critical = critical_radius(problem.family)
     if r <= critical:
         raise ParameterDomainError(f"r={r} does not exceed the critical radius {critical}")
     bound = sup_bound(problem, r)

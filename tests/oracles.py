@@ -131,3 +131,17 @@ def bernardi_abs_series_reference(gamma: float, m: int, absf, r: float, eps: flo
     done = np.flatnonzero(r_pow / ((n + gamma) * (1.0 - r)) <= eps)
     stop = done[0] if done.size else n.size
     return math.fsum(absf[m : m + stop] / (n[:stop] + gamma) * r_pow[:stop])
+
+
+def bernardi_tail_reference(gamma: float, m: int, x: float, tol: float, weight: float,
+                            cap: int) -> list:
+    """The Bernardi tail loop without an early refusal: pairs ``(n, x**n)``
+    for ``n > m`` until ``weight * x**n / ((n+gamma)(1-x)) <= tol``, or
+    ``None`` when the bound is still above ``tol`` at ``n = cap - 1``."""
+    out, x_pow = [], x ** (m + 1)
+    for n in range(m + 1, cap):
+        if weight * x_pow / ((n + gamma) * (1.0 - x)) <= tol:
+            return out
+        out.append((n, x_pow))
+        x_pow *= x
+    return None

@@ -47,6 +47,12 @@ class TestRadiusCommand:
         code, _, _ = run_cli(capsys, "radius", "--op", "cesaro")
         assert code == 2
 
+    @pytest.mark.parametrize("gamma,m", [("1e-9", "0"), ("-0.999", "1")])
+    def test_corner_refused_with_exit_2(self, capsys, gamma, m):
+        code, out, err = run_cli(capsys, "radius", "--op", "bernardi", "--gamma", gamma, "--m", m)
+        assert code == 2 and out == ""
+        assert "refused" in err and "exp(-1/(2(m+gamma)))" in err
+
     def test_csv_format(self, capsys):
         code, out, _ = run_cli(
             capsys, "radius", "--op", "cesaro", "--beta", "2", "--format", "csv"
@@ -169,6 +175,19 @@ class TestVerifyCommand:
         full = bl.majorant_value(kind, bl.taylor_coeffs(psi, 2000), r)
         assert full - sampled <= 1e-10
 
+    def test_above_mode_solves_the_radius_once_at_the_given_tol(self, capsys, monkeypatch):
+        from bohrlab import sharpness
+
+        tols = []
+        solve = sharpness.solve_radius
+        monkeypatch.setattr(
+            sharpness, "solve_radius", lambda problem, tol: tols.append(tol) or solve(problem, tol)
+        )
+        code, _, _ = run_cli(
+            capsys, "verify", "--op", "libera", "--r-mode", "above", "--r", "0.6", "--tol", "1e-6"
+        )
+        assert code == 0 and tols == [1e-6]
+
     def test_zero_samples_exits_2(self, capsys):
         code, _, _ = run_cli(
             capsys, "verify", "--op", "cesaro", "--beta", "1", "--samples", "0"
@@ -236,6 +255,20 @@ class TestShiftedOperators:
 
         assert code == 0
         assert json.loads(out)["results"]["bound"] == bl.sup_bound(bl.CBeta(2.0), 0.55)
+
+    def test_sharpness_sums_one_extremal_series_per_row(self, capsys, monkeypatch):
+        from bohrlab import sharpness
+
+        calls = []
+        majorant = sharpness.extremal_majorant
+        monkeypatch.setattr(
+            sharpness, "extremal_majorant", lambda *args: calls.append(args) or majorant(*args)
+        )
+        code, _, _ = run_cli(
+            capsys, "sharpness", "--op", "cbeta", "--beta", "2", "--r", "0.5",
+            "--a-values", "0,0.5,0.9,0.99,1",
+        )
+        assert code == 0 and len(calls) == 5
 
     def test_cbeta_sharpness_is_not_the_cesaro_table(self, capsys):
         argv = ("--beta", "2", "--r", "0.5", "--a-values", "0.5,0.9,1")

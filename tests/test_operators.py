@@ -11,8 +11,10 @@ from hypothesis import strategies as st
 
 import bohrlab as bl
 from bohrlab.errors import ParameterDomainError, PreconditionError, TruncationError
+from bohrlab.operators import MAX_SERIES_TERMS
 from oracles import (
     bernardi_abs_series_bruteforce,
+    bernardi_tail_reference,
     cbeta_abs_series_bruteforce,
     cesaro_abs_series_bruteforce,
     phi_coeffs_direct,
@@ -254,6 +256,43 @@ class TestQuadrature:
             series_val = bl.horner(image, z)
             quad_val = bl.quadrature_value(kind, f, z, 1e-10)
             assert abs(series_val - quad_val) <= 1e-8
+
+
+class TestBernardiTail:
+    @pytest.mark.parametrize(
+        "gamma,m,x,tol,weight",
+        [
+            (1.0, 0, 0.58, 1e-14, 2.0),
+            (0.06, 0, 1.0 - 2.0**-12, 1e-14, 2.0),
+            (0.04, 0, 1.0 - 2.0**-11, 1e-14, 2.0),
+            (-2.85, 3, 0.9, 1e-15, 1.0),
+            (2.0, 1, 0.6, 1e-12, 0.2),
+        ],
+    )
+    def test_terms_match_the_plain_loop(self, gamma, m, x, tol, weight):
+        terms = list(bl.Bernardi(gamma, m).tail(x, tol, weight))
+        assert terms == bernardi_tail_reference(gamma, m, x, tol, weight, MAX_SERIES_TERMS)
+
+    def test_unreachable_cap_raises_before_the_first_term(self):
+        tail = bl.Bernardi(0.04, 0).tail(1.0 - 2.0**-16, 1e-14, 2.0)
+        with pytest.raises(TruncationError):
+            next(tail)
+
+    def test_unreachable_equation_sums_no_terms(self, monkeypatch):
+        # `radius --op bernardi --gamma 0.04 --m 0` walks its ladder up to this
+        # point, just outside the corner refusal.
+        terms = []
+        tail = bl.Bernardi.tail
+
+        def counting(self, x, tol, weight=1.0):
+            for item in tail(self, x, tol, weight):
+                terms.append(item)
+                yield item
+
+        monkeypatch.setattr(bl.Bernardi, "tail", counting)
+        with pytest.raises(TruncationError):
+            bl.radius_equation(bl.RadiusProblem(bl.Bernardi(0.04, 0)), 1.0 - 2.0**-16)
+        assert terms == []
 
 
 class TestSupBounds:
