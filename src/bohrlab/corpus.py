@@ -1,15 +1,19 @@
 """Concrete members of the unit ball of bounded analytic functions.
 
-Every function is stored structurally: a constant, a polynomial, a finite
-Blaschke product, or one of the disk-automorphism extremal families
+Every function the paper needs is a scaled, rotated product
+``c * z**k * prod_j (z - a_j) / (1 - conj(a_j) z)``, stored in one of
+three forms: a polynomial; a finite Blaschke product with a rotation and a
+damping scale (a constant is the empty product, ``Constant(c)``); or the
+extremal family
 
-    phi_a(z) = (z - a) / (1 - a z),        psi_a_m(z) = z**m * phi_a(z),
+    psi_a_m(z) = z**m * phi_a(z),        phi_a(z) = (z - a) / (1 - a z),
 
-each with an exact rational point evaluator and a coefficient producer
-that is exact up to rounding.  A seeded generator draws random members
-for verification sweeps: constants, finite Blaschke products (sup norm
-exactly 1 on the circle), and Blaschke products damped by a constant of
-modulus at most 1.
+with ``ExtremalPhi(a)`` its ``m = 0`` case and ``a = 1`` the Blaschke
+product ``-z**m``.  Each form has an exact rational point evaluator and a
+coefficient producer that is exact up to rounding.  A seeded generator
+draws random members for verification sweeps: constants, finite Blaschke
+products (sup norm exactly 1 on the circle), and Blaschke products damped
+by a constant of modulus at most 1.
 """
 
 from __future__ import annotations
@@ -55,18 +59,6 @@ _VALIDATION_RADIUS = 1.0 - 1e-6
 
 
 @dataclass(frozen=True)
-class Constant:
-    """A constant c with |c| <= 1."""
-
-    value: complex
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "value", complex(self.value))
-        if abs(self.value) > 1.0 + 1e-12:
-            raise ParameterDomainError(f"|constant| must be <= 1, got {abs(self.value)}")
-
-
-@dataclass(frozen=True)
 class Polynomial:
     """A polynomial, membership checked numerically on a boundary grid."""
 
@@ -77,10 +69,7 @@ class Polynomial:
         if not coeffs:
             raise ParameterDomainError("a polynomial needs at least one coefficient")
         object.__setattr__(self, "coeffs", coeffs)
-        worst = max(
-            abs(horner(coeffs, _VALIDATION_RADIUS * cmath.exp(2j * math.pi * k / 256)))
-            for k in range(256)
-        )
+        worst = validate_membership(self, 256)
         if worst > 1.0 + _MEMBERSHIP_TOL:
             raise ParameterDomainError(
                 f"polynomial exceeds the unit bound on the boundary grid: {worst}"
@@ -93,7 +82,7 @@ class Blaschke:
 
     ``scale`` damps the product by a constant of modulus at most 1 so that
     randomly drawn members need not have sup norm exactly 1; it is 1 for a
-    pure product.
+    pure product.  With no zeros the product is the constant ``scale``.
     """
 
     zeros: tuple
@@ -111,19 +100,7 @@ class Blaschke:
         if abs(abs(self.unimodular_factor) - 1.0) > 1e-12:
             raise ParameterDomainError("the rotation factor must be unimodular")
         if abs(self.scale) > 1.0 + 1e-12:
-            raise ParameterDomainError("|scale| must be <= 1")
-
-
-@dataclass(frozen=True)
-class ExtremalPhi:
-    """The disk automorphism phi_a(z) = (z - a)/(1 - a z), a in [0, 1)."""
-
-    a: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "a", float(self.a))
-        if not 0.0 <= self.a < 1.0:
-            raise ParameterDomainError(f"a must lie in [0, 1), got {self.a}")
+            raise ParameterDomainError(f"|scale| must be <= 1, got {abs(self.scale)}")
 
 
 @dataclass(frozen=True)
@@ -142,23 +119,29 @@ class ExtremalPsi:
             raise ParameterDomainError(f"m must be nonnegative, got {self.m}")
 
 
-BoundedFunction = Union[Constant, Polynomial, Blaschke, ExtremalPhi, ExtremalPsi]
+BoundedFunction = Union[Polynomial, Blaschke, ExtremalPsi]
 
 
-def extremal_phi(a: float) -> BoundedFunction:
-    """phi_a for a in [0, 1]; the degenerate a = 1 collapses to the constant -1."""
-    if a == 1.0:
-        return Constant(-1.0)
-    return ExtremalPhi(a)
+def Constant(value: complex) -> Blaschke:
+    """The constant ``value``, ``|value| <= 1``: the empty Blaschke product scaled by it."""
+    return Blaschke((), 1.0, value)
+
+
+def ExtremalPhi(a: float) -> ExtremalPsi:
+    """The disk automorphism phi_a(z) = (z - a)/(1 - a z), a in [0, 1): psi with m = 0."""
+    return ExtremalPsi(a, 0)
 
 
 def extremal_psi(a: float, m: int) -> BoundedFunction:
     """z**m * phi_a for a in [0, 1]; a = 1 collapses to the monomial -z**m."""
-    if m == 0:
-        return extremal_phi(a)
     if a == 1.0:
-        return Polynomial((0.0,) * m + (-1.0,))
+        return Blaschke((0j,) * m, 1.0, -1.0)
     return ExtremalPsi(a, m)
+
+
+def extremal_phi(a: float) -> BoundedFunction:
+    """phi_a for a in [0, 1]; the degenerate a = 1 collapses to the constant -1."""
+    return extremal_psi(a, 0)
 
 
 def evaluate(f: BoundedFunction, z: complex) -> complex:
@@ -166,8 +149,6 @@ def evaluate(f: BoundedFunction, z: complex) -> complex:
     z = complex(z)
     if abs(z) >= 1.0:
         raise ParameterDomainError(f"|z| must be < 1, got {abs(z)}")
-    if isinstance(f, Constant):
-        return f.value
     if isinstance(f, Polynomial):
         return horner(f.coeffs, z)
     if isinstance(f, Blaschke):
@@ -175,43 +156,33 @@ def evaluate(f: BoundedFunction, z: complex) -> complex:
         for a in f.zeros:
             out *= (z - a) / (1.0 - a.conjugate() * z)
         return out
-    if isinstance(f, ExtremalPhi):
-        return (z - f.a) / (1.0 - f.a * z)
     if isinstance(f, ExtremalPsi):
         return z**f.m * (z - f.a) / (1.0 - f.a * z)
     raise TypeError(f"not a bounded function: {f!r}")
 
 
-def _phi_coeff_vector(a: float, n_max: int) -> np.ndarray:
-    # -a, then (1 - a^2) a^(n-1) for n >= 1; scalar pow keeps the law exact
-    out = np.zeros(n_max + 1, dtype=np.complex128)
-    out[0] = -a
-    slack = 1.0 - a * a
-    for n in range(1, n_max + 1):
-        out[n] = slack * a ** (n - 1)
-    return out
-
-
 def taylor_coeffs(f: BoundedFunction, n_max: int) -> CoefficientSequence:
     """The first ``n_max + 1`` Taylor coefficients of ``f`` at the origin.
 
-    A constant or a Blaschke product is the one-row case of ``taylor_matrix``.
+    A Blaschke product is the one-row case of ``taylor_matrix``.
     """
     if n_max < 0:
         raise ParameterDomainError(f"n_max must be nonnegative, got {n_max}")
-    if isinstance(f, (Constant, Blaschke)):
+    if isinstance(f, Blaschke):
         return CoefficientSequence(taylor_matrix([f], n_max)[0])
     if isinstance(f, Polynomial):
         out = np.zeros(n_max + 1, dtype=np.complex128)
         take = min(len(f.coeffs), n_max + 1)
         out[:take] = f.coeffs[:take]
         return CoefficientSequence(out)
-    if isinstance(f, ExtremalPhi):
-        return CoefficientSequence(_phi_coeff_vector(f.a, n_max))
     if isinstance(f, ExtremalPsi):
+        # phi_a: -a, then (1 - a^2) a^(n-1) for n >= 1; scalar pow keeps the law exact
         out = np.zeros(n_max + 1, dtype=np.complex128)
         if n_max >= f.m:
-            out[f.m :] = _phi_coeff_vector(f.a, n_max - f.m)
+            out[f.m] = -f.a
+            slack = 1.0 - f.a * f.a
+            for n in range(1, n_max - f.m + 1):
+                out[f.m + n] = slack * f.a ** (n - 1)
         return CoefficientSequence(out)
     raise TypeError(f"not a bounded function: {f!r}")
 
@@ -219,29 +190,27 @@ def taylor_coeffs(f: BoundedFunction, n_max: int) -> CoefficientSequence:
 def taylor_matrix(fs: Sequence[BoundedFunction], n_max: int) -> np.ndarray:
     """Taylor coefficients ``a_0 .. a_{n_max}`` of each function, one row each.
 
-    Takes constants and Blaschke products, the members ``random_schur``
-    draws, and expands them with numpy over the rows: each zero ``a``
-    multiplies the series by ``(z - a)``, ``g_n = h_{n-1} - a h_n``, then
-    divides by ``(1 - conj(a) z)``, ``h_n = g_n + conj(a) h_{n-1}``.  Zeros
-    must stay inside the modulus cap 0.95 so the coefficients decay
+    Takes Blaschke products, constants included, the members
+    ``random_schur`` draws, and expands them with numpy over the rows: each
+    zero ``a`` multiplies the series by ``(z - a)``, ``g_n = h_{n-1} - a h_n``,
+    then divides by ``(1 - conj(a) z)``, ``h_n = g_n + conj(a) h_{n-1}``.
+    Zeros must stay inside the modulus cap 0.95 so the coefficients decay
     geometrically.
     """
     if n_max < 0:
         raise ParameterDomainError(f"n_max must be nonnegative, got {n_max}")
-    width = max((len(f.zeros) for f in fs if isinstance(f, Blaschke)), default=0)
+    for f in fs:
+        if not isinstance(f, Blaschke):
+            raise TypeError(f"expected a Blaschke product, got {f!r}")
+    width = max((len(f.zeros) for f in fs), default=0)
     # Coefficient index first: one recurrence step over all rows is contiguous.
     h = np.zeros((n_max + 1, len(fs)), dtype=np.complex128)
     zeros = np.zeros((len(fs), width), dtype=np.complex128)
     live = np.zeros((len(fs), width), dtype=bool)
     for i, f in enumerate(fs):
-        if isinstance(f, Blaschke):
-            h[0, i] = f.unimodular_factor * f.scale
-            zeros[i, : len(f.zeros)] = f.zeros
-            live[i, : len(f.zeros)] = True
-        elif isinstance(f, Constant):
-            h[0, i] = f.value
-        else:
-            raise TypeError(f"expected a constant or a Blaschke product, got {f!r}")
+        h[0, i] = f.unimodular_factor * f.scale
+        zeros[i, : len(f.zeros)] = f.zeros
+        live[i, : len(f.zeros)] = True
     worst = np.abs(zeros).max(initial=0.0)
     if worst >= BLASCHKE_ZERO_CAP:
         raise ParameterDomainError(
@@ -265,7 +234,9 @@ def suggested_order(f: BoundedFunction, eps: float = 1e-15) -> int:
 
     Per Blaschke-type factor with zero modulus ``q`` the rule is
     ``N >= log(eps * (1 - q)) / log(q)``, which caps the factor's
-    coefficient tail by roughly ``2 * eps``.
+    coefficient tail by roughly ``2 * eps``.  A Blaschke product with ``k``
+    zeros at the origin, the monomial ``z**k`` times the other factors,
+    needs at least order ``k``.
     """
     if eps <= 0.0:
         raise ParameterDomainError("eps must be positive")
@@ -275,18 +246,12 @@ def suggested_order(f: BoundedFunction, eps: float = 1e-15) -> int:
             return 1
         return max(1, math.ceil(math.log(eps * (1.0 - q)) / math.log(q)))
 
-    if isinstance(f, Constant):
-        return 0
     if isinstance(f, Polynomial):
         return len(f.coeffs) - 1
-    if isinstance(f, ExtremalPhi):
-        return factor_order(f.a)
     if isinstance(f, ExtremalPsi):
         return factor_order(f.a) + f.m
     if isinstance(f, Blaschke):
-        if not f.zeros:
-            return 0
-        return max(factor_order(abs(a)) for a in f.zeros)
+        return max([f.zeros.count(0j)] + [factor_order(abs(a)) for a in f.zeros if a != 0])
     raise TypeError(f"not a bounded function: {f!r}")
 
 
@@ -323,10 +288,6 @@ def schwarz_shift(f: BoundedFunction, m: int) -> BoundedFunction:
         raise ParameterDomainError(f"m must be nonnegative, got {m}")
     if m == 0:
         return f
-    if isinstance(f, Constant):
-        if f.value == 0:
-            return f
-        raise PreconditionError("a nonzero constant has no zero at the origin")
     if isinstance(f, Polynomial):
         if len(f.coeffs) <= m:
             if all(c == 0 for c in f.coeffs):
@@ -336,6 +297,8 @@ def schwarz_shift(f: BoundedFunction, m: int) -> BoundedFunction:
             raise PreconditionError("polynomial lacks the required zero at the origin")
         return Polynomial(f.coeffs[m:])
     if isinstance(f, Blaschke):
+        if f.scale == 0:
+            return f  # the zero function
         at_origin = sum(1 for a in f.zeros if a == 0)
         if at_origin < m:
             raise PreconditionError(
@@ -345,13 +308,9 @@ def schwarz_shift(f: BoundedFunction, m: int) -> BoundedFunction:
         for _ in range(m):
             remaining.remove(0j)
         return Blaschke(tuple(remaining), f.unimodular_factor, f.scale)
-    if isinstance(f, ExtremalPhi):
-        raise PreconditionError("phi_a has no zero at the origin unless a = 0")
     if isinstance(f, ExtremalPsi):
         if f.m < m:
             raise PreconditionError(f"psi has an {f.m}-fold zero, needs {m}")
-        if f.m == m:
-            return ExtremalPhi(f.a)
         return ExtremalPsi(f.a, f.m - m)
     raise TypeError(f"not a bounded function: {f!r}")
 
@@ -362,16 +321,10 @@ def multiply_by_z(f: BoundedFunction, m: int = 1) -> BoundedFunction:
         raise ParameterDomainError(f"m must be nonnegative, got {m}")
     if m == 0:
         return f
-    if isinstance(f, Constant):
-        if f.value == 0:
-            return f
-        return Polynomial((0.0,) * m + (f.value,))
     if isinstance(f, Polynomial):
         return Polynomial((0.0,) * m + f.coeffs)
     if isinstance(f, Blaschke):
         return Blaschke(f.zeros + (0j,) * m, f.unimodular_factor, f.scale)
-    if isinstance(f, ExtremalPhi):
-        return ExtremalPsi(f.a, m)
     if isinstance(f, ExtremalPsi):
         return ExtremalPsi(f.a, f.m + m)
     raise TypeError(f"not a bounded function: {f!r}")

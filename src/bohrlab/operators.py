@@ -39,7 +39,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Union
+from typing import Callable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -138,7 +138,7 @@ class CesaroBeta(Unshifted):
         """``3 A(beta, x) - 2 A(beta + 1, x)`` with ``A = kernel_integral``."""
         return 3.0 * kernel_integral(self.beta, x) - 2.0 * kernel_integral(self.beta + 1.0, x)
 
-    def require_root_below(self, x_top: float) -> None:
+    def require_root_below(self, ladder: Sequence[float], tail_eps: float) -> None:
         """Every Cesaro root lies in (1/3, 0.59), far below any ladder top."""
 
     def series_order(self, r: float, eps: float) -> int:
@@ -227,10 +227,9 @@ class Bernardi(Unshifted):
         on running past the cap.
         """
         gamma, gap = self.gamma, 1.0 - x
-        cap = MAX_SERIES_TERMS - 1
         # The bound decreases in n.  Above 2 * tol at the cap it stays above
         # tol whatever rounding the running power picks up: refuse at once.
-        if weight * x**cap / ((cap + gamma) * gap) <= 2.0 * tol:
+        if self._cap_fits(x, tol, weight):
             x_pow = x ** (self.m + 1)
             for n in range(self.m + 1, MAX_SERIES_TERMS):
                 if weight * x_pow / ((n + gamma) * gap) <= tol:
@@ -241,20 +240,33 @@ class Bernardi(Unshifted):
             f"Bernardi tail will not reach {tol} within {MAX_SERIES_TERMS} terms at x={x}"
         )
 
-    def require_root_below(self, x_top: float) -> None:
-        """Refuse parameters whose radius-equation root is certified above ``x_top``.
+    def _cap_fits(self, x: float, tol: float, weight: float) -> bool:
+        """Whether ``tail``'s bound at the order cap is at most ``2 * tol``."""
+        cap = MAX_SERIES_TERMS - 1
+        return weight * x**cap / ((cap + self.gamma) * (1.0 - x)) <= 2.0 * tol
+
+    def require_root_below(self, ladder: Sequence[float], tail_eps: float) -> None:
+        """Refuse parameters whose radius-equation root is certified to lie
+        above every ``ladder`` point where the equation's tail can be summed.
 
         For ``n > m``, ``sum x**n/(n+gamma) = x**-gamma integral_0^x
         t**(m+gamma)/(1-t) dt <= -x**m log(1-x)`` because ``m + gamma > 0``,
-        so the equation is at least ``x**m (1/(m+gamma) + 2 log(1-x))``: it
-        stays positive up to ``x_top`` when ``1/(m+gamma) > -2 log(1-x_top)``,
-        and the root is then within ``exp(-1/(2(m+gamma)))`` of 1.
+        so the equation is at least ``x**m (1/(m+gamma) + 2 log(1-x))``, and
+        its root is at least ``1 - exp(-1/(2(m+gamma)))``.  When no ladder
+        point at or above that floor passes ``tail``'s order-cap test at the
+        cut ``radius_equation`` uses there, the solver would run into a
+        ``TruncationError`` before it brackets the root.
         """
-        s, limit = self.m + self.gamma, -2.0 * math.log1p(-x_top)
-        if 1.0 / s > limit:
+        s = self.m + self.gamma
+        floor = -math.expm1(-0.5 / s)
+        if not any(
+            self._cap_fits(x, tail_eps * min(1.0, x**self.m / s), 2.0)
+            for x in ladder
+            if x >= floor
+        ):
             raise ParameterDomainError(
-                f"m+gamma={s:g} is below {1.0 / limit:.4g}: the radius equation stays "
-                f"positive up to x={x_top}, and its root R has 1 - R <= "
+                f"m+gamma={s:g}: the radius equation's root R lies above every ladder "
+                f"point its {MAX_SERIES_TERMS}-term tail can reach, since 1 - R <= "
                 f"exp(-1/(2(m+gamma))) = exp({-0.5 / s:.4g}); refused"
             )
 
@@ -350,7 +362,12 @@ def kernel_integral(beta: float, r: float) -> float:
     log_base = math.log1p(-r)
     if abs(1.0 - beta) < 1e-8:
         return -log_base
-    return -math.expm1((1.0 - beta) * log_base) / (1.0 - beta)
+    try:
+        return -math.expm1((1.0 - beta) * log_base) / (1.0 - beta)
+    except OverflowError:
+        raise ParameterDomainError(
+            f"integral_0^r (1-t)**(-beta) dt overflows a float at beta={beta}, r={r}"
+        ) from None
 
 
 def cesaro_series_order(beta: float, r: float, eps: float) -> int:

@@ -19,8 +19,9 @@ indices below 0.5 otherwise.  ITP narrows that pair to a bracket of width
 ``tol``, and ``iterations`` counts its steps; the ladder search, a short
 regula-falsi polish that drives the residual to rounding level and the
 two evaluations that confirm the reported bracket are not counted.
-Bernardi parameters whose root is certified to lie above the ladder
-(``m + gamma`` below about 0.0362) are refused before any evaluation.
+Bernardi parameters whose root is certified to lie above every ladder
+point the ``10**6``-term tail can reach (``m + gamma`` below about 0.048 at
+the default tail cut) are refused before any evaluation.
 """
 
 from __future__ import annotations
@@ -181,7 +182,7 @@ def solve_radius(problem: RadiusProblem, tol: float = 1e-12) -> RadiusResult:
     """Locate the positive root by ITP on a ladder bracket plus a short polish.
 
     The family first refuses parameters whose root is certified to lie
-    above the ladder.  The ladder search finds a sign-change bracket, and
+    above every ladder point it can evaluate.  The ladder search finds a sign-change bracket, and
     ITP (Oliveira and Takahashi, ACM TOMS 47(1), 2021) narrows it to width
     ``tol`` in at most ``ceil(log2(width / tol)) + n0`` steps, the
     ``iterations`` reported.  Regula falsi then polishes the residual inside
@@ -192,7 +193,7 @@ def solve_radius(problem: RadiusProblem, tol: float = 1e-12) -> RadiusResult:
     """
     if tol < 1e-14:
         raise ParameterDomainError(f"tol must be >= 1e-14, got {tol}")
-    problem.family.require_root_below(_SCAN_HI)
+    problem.family.require_root_below(_LADDER, problem.series_tail_eps)
 
     def eq(x: float) -> float:
         return radius_equation(problem, x)

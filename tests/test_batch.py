@@ -29,8 +29,6 @@ MAJORANT_EPS = 1e-12
 
 def _product_form(f):
     """``(zeros, lead)`` of a member drawn by ``random_schur``."""
-    if isinstance(f, bl.Constant):
-        return (), f.value
     return f.zeros, f.unimodular_factor * f.scale
 
 

@@ -53,6 +53,20 @@ class TestRadiusCommand:
         assert code == 2 and out == ""
         assert "refused" in err and "exp(-1/(2(m+gamma)))" in err
 
+    def test_gamma_above_the_old_limit_refused_with_exit_2(self, capsys):
+        # root >= 1 - exp(-12.5), above 1 - 2**-15, the last ladder point the
+        # 10**6-term tail reaches
+        code, out, err = run_cli(capsys, "radius", "--op", "bernardi", "--gamma", "0.04", "--m", "0")
+        assert code == 2 and out == ""
+        assert "refused" in err and len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("command", ["radius", "verify"])
+    def test_large_beta_exits_2_with_one_line(self, capsys, command):
+        code, out, err = run_cli(capsys, command, "--op", "cesaro", "--beta", "1100")
+        assert code == 2 and out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert "beta=1100" in err and "r=" in err
+
     def test_csv_format(self, capsys):
         code, out, _ = run_cli(
             capsys, "radius", "--op", "cesaro", "--beta", "2", "--format", "csv"

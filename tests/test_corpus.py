@@ -36,7 +36,7 @@ class TestExtremalFamilies:
 
     def test_phi_at_one_collapses_to_constant(self):
         f = bl.extremal_phi(1.0)
-        assert isinstance(f, bl.Constant) and f.value == -1.0
+        assert f == bl.Constant(-1.0)
 
     def test_psi_at_one_collapses_to_monomial(self):
         f = bl.extremal_psi(1.0, 2)
@@ -58,6 +58,47 @@ class TestExtremalFamilies:
             bl.ExtremalPsi(0.5, -1)
         with pytest.raises(ParameterDomainError):
             bl.Constant(1.5)
+
+
+class TestOneMemberModel:
+    """Constants and phi_a are cases of the Blaschke and psi member types."""
+
+    @pytest.mark.parametrize("c", [0.0, 0.5, -1.0, 0.3 - 0.4j])
+    def test_constant_is_the_empty_blaschke_product(self, c):
+        assert bl.Constant(c) == bl.Blaschke((), 1.0, c)
+
+    @pytest.mark.parametrize("a", [0.0, 0.4, 0.95])
+    def test_phi_is_psi_without_origin_zeros(self, a):
+        assert bl.ExtremalPhi(a) == bl.ExtremalPsi(a, 0)
+        assert bl.extremal_phi(a) == bl.extremal_psi(a, 0)
+
+    @pytest.mark.parametrize("m", range(4))
+    def test_psi_at_one_is_minus_z_to_the_m(self, m):
+        f = bl.extremal_psi(1.0, m)
+        assert f == bl.Blaschke((0j,) * m, 1.0, -1.0)
+        expected = [0.0] * (m + 3)
+        expected[m] = -1.0
+        assert bl.taylor_coeffs(f, m + 2).entries.tolist() == expected
+
+    def test_origin_zeros_set_the_suggested_order(self):
+        # the orders of the equal polynomials -z**3 and 0.5 z**2
+        assert bl.suggested_order(bl.extremal_psi(1.0, 3)) == 3
+        assert bl.suggested_order(bl.multiply_by_z(bl.Constant(0.5), 2)) == 2
+        assert bl.suggested_order(bl.Constant(0.5)) == 0
+
+    def test_zero_constant_shifts_to_itself(self):
+        assert bl.schwarz_shift(bl.Constant(0), 2) == bl.Constant(0)
+
+    def test_nonzero_constant_has_no_origin_zero(self):
+        with pytest.raises(PreconditionError):
+            bl.schwarz_shift(bl.Constant(0.5), 1)
+
+    def test_three_member_types(self):
+        from bohrlab import corpus
+
+        members = {name for name, obj in vars(corpus).items()
+                   if isinstance(obj, type) and obj.__module__ == corpus.__name__}
+        assert members == {"Polynomial", "Blaschke", "ExtremalPsi"}
 
 
 class TestBlaschke:
@@ -154,7 +195,7 @@ class TestRandomCorpus:
     def test_zero_factor_cap_yields_constantlike_output(self):
         for seed in range(24):
             f = bl.random_schur(bl.derive_seed(11, seed), 0, 0.9)
-            assert isinstance(f, (bl.Constant, bl.Blaschke))
+            assert isinstance(f, bl.Blaschke) and f.zeros == ()
             if isinstance(f, bl.Blaschke):
                 assert f.zeros == ()
 

@@ -318,6 +318,11 @@ class TestSupBounds:
         assert bl.sup_bound(bl.Alexander(), 0.37) == pytest.approx(0.37)
         assert bl.sup_bound(bl.PrimitiveI(), 0.37) == pytest.approx(0.37)
 
+    def test_kernel_integral_overflow_is_a_domain_error(self):
+        assert math.isfinite(bl.kernel_integral(1e3, 0.5))
+        with pytest.raises(ParameterDomainError, match=r"beta=1100\.0, r=0\.5"):
+            bl.kernel_integral(1100.0, 0.5)
+
     def test_sample_floor(self):
         with pytest.raises(ParameterDomainError):
             bl.sup_bound_check(bl.CesaroBeta(1.0), bl.Constant(1.0), 0.5, 4)

@@ -165,6 +165,22 @@ class TestSolverContract:
             _, _, hi, _ = radii._ladder_bracket(eq)
             assert max(seen) == hi
 
+    @pytest.mark.parametrize("gamma,m", [(0.04, 0), (-0.96, 1), (-2.96, 3)])
+    def test_root_beyond_the_reachable_ladder_refused(self, gamma, m, monkeypatch):
+        # m + gamma = 0.04: the root floor 1 - exp(-12.5) lies above every
+        # ladder point the 10**6-term tail can reach
+        calls = []
+        equation = radii.radius_equation
+        monkeypatch.setattr(radii, "radius_equation", lambda p, x: calls.append(x) or equation(p, x))
+        with pytest.raises(ParameterDomainError, match="refused"):
+            bl.solve_radius(bl.RadiusProblem(bl.Bernardi(gamma, m)))
+        assert len(calls) < 3
+
+    @pytest.mark.parametrize("name", BENCHMARK_GRIDS)
+    def test_benchmark_grids_are_not_refused(self, name):
+        for family in BENCHMARK_GRIDS[name]:
+            family.require_root_below(radii._LADDER, bl.RadiusProblem(family).series_tail_eps)
+
     @pytest.mark.parametrize("gamma,m", CORNERS)
     def test_corner_refused_within_three_evaluations(self, gamma, m, monkeypatch):
         calls = []
