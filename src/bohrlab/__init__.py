@@ -24,7 +24,6 @@ from .series import (
     binomial_coeffs,
     cauchy_product,
     cumulative_identity_residual,
-    geometric_coeffs,
     horner,
 )
 from .corpus import (
@@ -41,7 +40,6 @@ from .corpus import (
     extremal_psi,
     multiply_by_z,
     random_schur,
-    schwarz_factor,
     schwarz_shift,
     suggested_order,
     taylor_coeffs,

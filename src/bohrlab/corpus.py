@@ -43,7 +43,6 @@ __all__ = [
     "taylor_matrix",
     "suggested_order",
     "validate_membership",
-    "schwarz_factor",
     "schwarz_shift",
     "multiply_by_z",
     "random_schur",
@@ -263,23 +262,6 @@ def validate_membership(f: BoundedFunction, grid_size: int) -> float:
         abs(evaluate(f, _VALIDATION_RADIUS * cmath.exp(2j * math.pi * k / grid_size)))
         for k in range(grid_size)
     )
-
-
-def schwarz_factor(g: BoundedFunction, m: int, n_max: int) -> CoefficientSequence:
-    """Coefficients of ``h`` with ``g(z) = z**m h(z)``.
-
-    The first ``m`` coefficients of ``g`` must vanish (to 1e-12); membership
-    of ``h`` in the unit ball is inherited from ``g``.
-    """
-    if m < 0:
-        raise ParameterDomainError(f"m must be nonnegative, got {m}")
-    coeffs = taylor_coeffs(g, n_max + m)
-    leading = coeffs.entries[:m]
-    if leading.size and np.max(np.abs(leading)) > 1e-12:
-        raise PreconditionError(
-            f"expected an {m}-fold zero at the origin, leading coefficients are {leading}"
-        )
-    return CoefficientSequence(coeffs.entries[m:])
 
 
 def schwarz_shift(f: BoundedFunction, m: int) -> BoundedFunction:

@@ -216,10 +216,10 @@ class Bernardi(Unshifted):
         """Sharp bound of ``z**s L_gamma[f]`` on ``|z| = r``: ``r**(m+s) / (m+gamma)``."""
         return r ** (self.m + s) / (self.m + self.gamma)
 
-    def tail(self, x: float, tol: float, weight: float = 1.0) -> Iterator[tuple]:
+    def tail(self, x: float, tol: float) -> Iterator[tuple]:
         """Pairs ``(n, x**n)`` for ``n > m`` up to the first ``n`` where the
-        geometric bound ``weight * x**n / ((n+gamma)(1-x))`` on the weighted
-        tail from ``n`` on is at most ``tol``.
+        geometric bound ``2 x**n / ((n+gamma)(1-x))`` on the radius
+        equation's doubled tail from ``n`` on is at most ``tol``.
 
         Powers come from repeated multiplication.  When the bound at the order
         cap is above ``2 * tol`` the generator raises ``TruncationError``
@@ -229,10 +229,10 @@ class Bernardi(Unshifted):
         gamma, gap = self.gamma, 1.0 - x
         # The bound decreases in n.  Above 2 * tol at the cap it stays above
         # tol whatever rounding the running power picks up: refuse at once.
-        if self._cap_fits(x, tol, weight):
+        if self._cap_fits(x, tol):
             x_pow = x ** (self.m + 1)
             for n in range(self.m + 1, MAX_SERIES_TERMS):
-                if weight * x_pow / ((n + gamma) * gap) <= tol:
+                if 2.0 * x_pow / ((n + gamma) * gap) <= tol:
                     return
                 yield n, x_pow
                 x_pow *= x
@@ -240,10 +240,10 @@ class Bernardi(Unshifted):
             f"Bernardi tail will not reach {tol} within {MAX_SERIES_TERMS} terms at x={x}"
         )
 
-    def _cap_fits(self, x: float, tol: float, weight: float) -> bool:
+    def _cap_fits(self, x: float, tol: float) -> bool:
         """Whether ``tail``'s bound at the order cap is at most ``2 * tol``."""
         cap = MAX_SERIES_TERMS - 1
-        return weight * x**cap / ((cap + self.gamma) * (1.0 - x)) <= 2.0 * tol
+        return x**cap / ((cap + self.gamma) * (1.0 - x)) <= tol
 
     def require_root_below(self, ladder: Sequence[float], tail_eps: float) -> None:
         """Refuse parameters whose radius-equation root is certified to lie
@@ -260,7 +260,7 @@ class Bernardi(Unshifted):
         s = self.m + self.gamma
         floor = -math.expm1(-0.5 / s)
         if not any(
-            self._cap_fits(x, tail_eps * min(1.0, x**self.m / s), 2.0)
+            self._cap_fits(x, tail_eps * min(1.0, x**self.m / s))
             for x in ladder
             if x >= floor
         ):
@@ -278,7 +278,7 @@ class Bernardi(Unshifted):
         gamma = self.gamma
         lead = x**self.m / (self.m + gamma)
         tol = tail_eps * min(1.0, lead)
-        tail = (-2.0 * x_pow / (n + gamma) for n, x_pow in self.tail(x, tol, 2.0))
+        tail = (-2.0 * x_pow / (n + gamma) for n, x_pow in self.tail(x, tol))
         return math.fsum(itertools.chain((lead,), tail))
 
     def series_order(self, r: float, eps: float) -> int:

@@ -28,7 +28,6 @@ __all__ = [
     "BinomialWeights",
     "binomial_coeffs",
     "cauchy_product",
-    "geometric_coeffs",
     "cumulative_identity_residual",
     "horner",
 ]
@@ -147,16 +146,6 @@ def cauchy_product(
         )
     conv = np.convolve(u.entries[: n_max + 1], v.entries[: n_max + 1])
     return CoefficientSequence(conv[: n_max + 1])
-
-
-def geometric_coeffs(alpha: complex, n_max: int) -> CoefficientSequence:
-    """Coefficients ``alpha**n`` of ``1 / (1 - alpha z)`` for ``|alpha| < 1``."""
-    if n_max < 0:
-        raise ParameterDomainError(f"n_max must be nonnegative, got {n_max}")
-    alpha = complex(alpha)
-    if abs(alpha) >= 1.0:
-        raise ParameterDomainError(f"|alpha| must be < 1, got {abs(alpha)}")
-    return CoefficientSequence(alpha ** np.arange(n_max + 1))
 
 
 def cumulative_identity_residual(beta: float, n_max: int) -> float:

@@ -8,18 +8,19 @@ a -> 1, and their absolute series split into three terms:
 with a remainder that vanishes quadratically in (1 - a).  The deficit term
 flips sign exactly at the critical radius, so for r beyond it the extremal
 absolute series eventually exceeds the bound; the witness search walks
-a = 1 - 2**-k until it finds such a violation.  The remainder is computed
-from its own integral/series form, never as a residual, which makes the
-three-term reconstruction a genuine cross-check against the independently
-summed majorant.
+a = 1 - 2**-k until it finds such a violation.  For every family the deficit
+and remainder come from one identity in the family's majorant weights, the
+bound from its closed form, and ``total`` from the extremal member's Taylor
+coefficients; the remainder is never taken as a residual, which makes the
+three-term reconstruction a genuine cross-check.  The integral form of the
+Cesaro remainder is kept as an independent oracle in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import singledispatch
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -30,13 +31,12 @@ from .operators import (
     CesaroBeta,
     ClassicalBohr,
     Shifted,
-    adaptive_simpson,
-    kernel_integral,
+    _weights,
     majorant_value,
     required_origin_zeros,
     sup_bound,
 )
-from .radii import RadiusProblem, radius_equation, solve_radius
+from .radii import RadiusProblem, solve_radius
 
 __all__ = [
     "SharpnessProblem",
@@ -124,88 +124,56 @@ def extremal_majorant(
     return majorant_value(problem, taylor_coeffs(f, n_max), r, eps)
 
 
+def _split_weights(family, r: float, eps: float) -> tuple:
+    """The family's majorant weights split as ``(w_m, [w_{m+1}, ...])``.
+
+    The cut ``min(1e-15, eps/8)`` keeps the omitted weight tail well below
+    the ``eps`` of the independently summed ``total``.  A Bernardi vector
+    cut before ``w_m`` means the whole series is below the cut.
+    """
+    cut = min(1e-15, eps / 8.0)
+    w = _weights(family, r, cut, family.series_order(r, cut) + 1)[family.m :]
+    return (float(w[0]), w[1:]) if w.size else (0.0, w)
+
+
+def decomposition(
+    problem: SharpnessProblem, a: float, r: float, eps: float = 1e-12
+) -> Decomposition:
+    """Three-term split of the extremal absolute series from the family weights.
+
+    With ``lead = w_m`` and ``tail = w_{m+1}, w_{m+2}, ...``, the extremal
+    ``z**m phi_a`` has ``|a_m| = a`` and ``|a_{m+k}| = (1-a^2) a**(k-1)``, so
+
+        deficit   = (1-a) (lead - 2 sum tail),
+        remainder = (1-a) sum_k ((1+a) a**(k-1) - 2) tail_k,
+
+    the deficit being ``(1-a)`` times the radius equation at ``r`` (over ``r``
+    for the Cesaro family).  ``bound`` is the closed-form sup bound and
+    ``total`` the extremal member's majorant; an origin shift scales all
+    four terms by ``r**s``.
+    """
+    _check_a_r(a, r)
+    family, scale = problem.family, r**problem.s
+    lead, tail = _split_weights(family, r, eps)
+    bracket = (1.0 + a) * a ** np.arange(tail.size) - 2.0
+    return Decomposition(
+        bound_term=scale * sup_bound(family, r),
+        deficit_term=scale * ((1.0 - a) * (lead - 2.0 * math.fsum(tail))),
+        remainder=scale * ((1.0 - a) * math.fsum(bracket * tail)),
+        total=scale * extremal_majorant(family, a, r, eps),
+    )
+
+
 def decomposition_cesaro(
     beta: float, a: float, r: float, eps: float = 1e-12
 ) -> Decomposition:
-    """Three-term split of the Cesaro extremal absolute series.
-
-    The remainder is
-    ``2(1-a)/r * [A(beta) - A(beta+1)] + (1-a^2)/r * I(a, r)`` with
-    ``I(a, r) = integral_0^r t / ((1-a t)(1-t)**beta) dt`` evaluated by
-    adaptive quadrature, and the deficit is ``(1-a)/r`` times the radius
-    equation at ``r``.
-    """
-    kind = CesaroBeta(beta)
-    _check_a_r(a, r)
-    a_int = kernel_integral(beta, r)
-    b_int = kernel_integral(beta + 1.0, r)
-    bound = a_int / r
-    deficit = (1.0 - a) * (3.0 * a_int - 2.0 * b_int) / r
-    if a == 1.0:
-        remainder = 0.0
-    else:
-        inner = adaptive_simpson(
-            lambda t: t / ((1.0 - a * t) * (1.0 - t) ** beta), 0.0, r, eps * r
-        ).real
-        remainder = 2.0 * (1.0 - a) * (a_int - b_int) / r + (1.0 - a * a) / r * inner
-    total = extremal_majorant(kind, a, r, eps)
-    return Decomposition(bound_term=bound, deficit_term=deficit, remainder=remainder, total=total)
+    return decomposition(CesaroBeta(beta), a, r, eps)
 
 
 def decomposition_bernardi(
     gamma: float, m: int, a: float, r: float, eps: float = 1e-12
 ) -> Decomposition:
-    """Three-term split of the Bernardi extremal absolute series.
-
-    The remainder series is
-    ``sum_{n>m} [2(a-1) + (1-a^2) a**(n-m-1)] r**n / (n+gamma)``, summed in
-    the factored form ``(1-a) * ((1+a) a**(n-m-1) - 2)`` per term, which is
-    exact algebraically and avoids cancellation as a -> 1.
-    """
-    kind = Bernardi(gamma, m)
-    _check_a_r(a, r)
-    problem = RadiusProblem(kind, series_tail_eps=min(1e-15, eps / 8.0))
-    bound = sup_bound(kind, r)
-    deficit = (1.0 - a) * radius_equation(problem, r)
-    if a == 1.0:
-        remainder = 0.0
-    else:
-        # |per-term bracket| <= 2(1-a), so the tail past n is geometric.
-        remainder = math.fsum(
-            (1.0 - a) * ((1.0 + a) * a ** (n - m - 1) - 2.0) * x_pow / (n + gamma)
-            for n, x_pow in kind.tail(r, eps, weight=2.0 * (1.0 - a))
-        )
-    total = extremal_majorant(kind, a, r, eps)
-    return Decomposition(bound_term=bound, deficit_term=deficit, remainder=remainder, total=total)
-
-
-@singledispatch
-def decomposition(problem, a: float, r: float, eps: float = 1e-12) -> Decomposition:
-    """Three-term split of either family's extremal absolute series."""
-    raise ParameterDomainError(f"no remainder decomposition for {problem!r}")
-
-
-@decomposition.register(CesaroBeta)
-def _(problem: CesaroBeta, a: float, r: float, eps: float = 1e-12) -> Decomposition:
-    return decomposition_cesaro(problem.beta, a, r, eps)
-
-
-@decomposition.register(Bernardi)
-def _(problem: Bernardi, a: float, r: float, eps: float = 1e-12) -> Decomposition:
-    return decomposition_bernardi(problem.gamma, problem.m, a, r, eps)
-
-
-@decomposition.register(Shifted)
-def _(problem: Shifted, a: float, r: float, eps: float = 1e-12) -> Decomposition:
-    """The family's split times ``r**s``.
-
-    The shifted extremal member has the family's coefficients behind ``d``
-    zeros, so its majorant is the family's ``total`` times ``r**s``, bit
-    for bit; ``total`` stays summed apart from the other three terms.
-    """
-    inner, scale = decomposition(problem.family, a, r, eps), r**problem.s
-    return Decomposition(scale * inner.bound_term, scale * inner.deficit_term,
-                         scale * inner.remainder, scale * inner.total)
+    return decomposition(Bernardi(gamma, m), a, r, eps)
 
 
 def quadratic_remainder_check(
@@ -277,10 +245,9 @@ def concavity_check(
 ) -> float:
     """Max centered second difference of the proof's upper envelope in ``a``.
 
-    The envelopes are concave,
+    In the family weights of ``decomposition`` the envelope is concave,
 
-        cesaro:   (1/r) [ (a^2+a-1) A(beta) + (1-a^2) A(beta+1) ],
-        bernardi: a r**m/(m+gamma) + (1-a^2) sum_{n>m} r**n/(n+gamma),
+        r**s [ a lead + (1-a^2) sum tail ],
 
     so on a uniform grid every second difference is nonpositive up to
     rounding; the returned maximum should not exceed 1e-10.
@@ -296,27 +263,8 @@ def concavity_check(
     if steps.min() <= 0.0 or (steps.max() - steps.min()) > 1e-9 * max(steps.max(), 1e-30):
         raise ParameterDomainError("the a-grid must be uniform and increasing")
 
-    envelope = _envelope(problem, r)
-    values = np.array([envelope(a) for a in grid])
+    lead, tail = _split_weights(problem.family, r, 1e-12)
+    tail_sum = math.fsum(tail)
+    values = r**problem.s * (grid * lead + (1.0 - grid * grid) * tail_sum)
     second = values[2:] - 2.0 * values[1:-1] + values[:-2]
     return float(second.max())
-
-
-@singledispatch
-def _envelope(problem, r: float) -> Callable[[float], float]:
-    raise ParameterDomainError(f"no concavity envelope for {problem!r}")
-
-
-@_envelope.register(CesaroBeta)
-def _(problem: CesaroBeta, r: float) -> Callable[[float], float]:
-    a_int = kernel_integral(problem.beta, r)
-    b_int = kernel_integral(problem.beta + 1.0, r)
-    return lambda a: ((a * a + a - 1.0) * a_int + (1.0 - a * a) * b_int) / r
-
-
-@_envelope.register(Bernardi)
-def _(problem: Bernardi, r: float) -> Callable[[float], float]:
-    gamma, m = problem.gamma, problem.m
-    tail_sum = math.fsum(x_pow / (n + gamma) for n, x_pow in problem.tail(r, 1e-16))
-    lead = r**m / (m + gamma)
-    return lambda a: a * lead + (1.0 - a * a) * tail_sum

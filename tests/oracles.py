@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 
 
@@ -91,6 +92,25 @@ def psi_coeffs_direct(a: float, m: int, n_max: int) -> list:
     base = phi_coeffs_direct(a, max(n_max - m, 0))
     out = [0.0] * m + base
     return out[: n_max + 1]
+
+
+def cesaro_remainder_integral(beta: float, a: float, r: float, dps: int = 40) -> float:
+    """Remainder of the Cesaro extremal split in its integral form,
+
+        2(1-a)/r [A(beta) - A(beta+1)] + (1-a^2)/r integral_0^r t / ((1-at)(1-t)**beta) dt,
+
+    with ``A(b) = integral_0^r (1-t)**-b dt``; all three integrals by
+    ``mpmath.quad`` at ``dps`` digits.
+    """
+    with mpmath.workdps(dps):
+        beta, a, r = (mpmath.mpf(v) for v in (beta, a, r))
+
+        def kernel(b):
+            return mpmath.quad(lambda t: (1 - t) ** -b, [0, r])
+
+        inner = mpmath.quad(lambda t: t / ((1 - a * t) * (1 - t) ** beta), [0, r])
+        value = 2 * (1 - a) / r * (kernel(beta) - kernel(beta + 1)) + (1 - a * a) / r * inner
+        return float(value)
 
 
 def blaschke_coeffs_reference(zeros, lead: complex, n_max: int) -> np.ndarray:

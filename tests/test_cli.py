@@ -1,10 +1,16 @@
 """Command-line surface tests: exit codes, report schemas, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from bohrlab import cli
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(capsys, *argv):
@@ -249,6 +255,20 @@ class TestSharpnessCommand:
         code, _, _ = run_cli(capsys, "sharpness", "--op", "cesaro", "--beta", "1")
         assert code == 2
 
+    def test_large_beta_finishes(self):
+        # A subprocess with a timeout, so a hang fails this test instead of
+        # stalling the suite.
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from bohrlab.cli import main; sys.exit(main())",
+             "sharpness", "--op", "cesaro", "--beta", "50", "--r", "0.3",
+             "--a-values", "0.5,0.9,0.999"],
+            env=env, capture_output=True, text=True, timeout=20,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["results"]["max_reconstruction_error"] <= 1e-9
+
 
 class TestShiftedOperators:
     """``primitive`` and ``cbeta`` report their own bound, not their family's."""
@@ -368,15 +388,15 @@ class TestFailurePaths:
 
     def test_forced_reconstruction_mismatch_exits_5(self, capsys, monkeypatch):
         import bohrlab as bl
-        from bohrlab import sharpness
+        from bohrlab import cli as cli_mod
 
-        def skewed(beta, a, r, eps=1e-12):
-            dec = bl.decomposition_cesaro(beta, a, r, eps)
+        def skewed(problem, a, r, eps=1e-12):
+            dec = bl.decomposition(problem, a, r, eps)
             return bl.Decomposition(
                 dec.bound_term + 1e-6, dec.deficit_term, dec.remainder, dec.total
             )
 
-        monkeypatch.setattr(sharpness, "decomposition_cesaro", skewed)
+        monkeypatch.setattr(cli_mod, "decomposition", skewed)
         code, _, err = run_cli(
             capsys, "sharpness", "--op", "cesaro", "--beta", "1", "--r", "0.5"
         )

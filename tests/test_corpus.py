@@ -153,24 +153,6 @@ class TestMembershipValidation:
 
 
 class TestSchwarz:
-    def test_psi_factor_recovers_phi(self):
-        lhs = bl.schwarz_factor(bl.ExtremalPsi(0.5, 1), 1, 6).entries
-        rhs = bl.taylor_coeffs(bl.ExtremalPhi(0.5), 6).entries
-        assert np.allclose(lhs, rhs)
-
-    def test_square_monomial(self):
-        out = bl.schwarz_factor(bl.Polynomial((0.0, 0.0, 1.0)), 2, 4).entries
-        assert out.tolist() == [1.0, 0.0, 0.0, 0.0, 0.0]
-
-    def test_shift_by_one_index(self):
-        g = bl.multiply_by_z(bl.ExtremalPhi(0.5))
-        out = bl.schwarz_factor(g, 1, 2).entries
-        assert np.allclose(out, [-0.5, 0.75, 0.375])
-
-    def test_nonzero_leading_coefficient_rejected(self):
-        with pytest.raises(PreconditionError):
-            bl.schwarz_factor(bl.Constant(0.5), 1, 4)
-
     def test_structural_shift_round_trip(self):
         for f in (
             bl.ExtremalPhi(0.3),

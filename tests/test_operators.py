@@ -260,21 +260,21 @@ class TestQuadrature:
 
 class TestBernardiTail:
     @pytest.mark.parametrize(
-        "gamma,m,x,tol,weight",
+        "gamma,m,x,tol",
         [
-            (1.0, 0, 0.58, 1e-14, 2.0),
-            (0.06, 0, 1.0 - 2.0**-12, 1e-14, 2.0),
-            (0.04, 0, 1.0 - 2.0**-11, 1e-14, 2.0),
-            (-2.85, 3, 0.9, 1e-15, 1.0),
-            (2.0, 1, 0.6, 1e-12, 0.2),
+            (1.0, 0, 0.58, 1e-14),
+            (0.06, 0, 1.0 - 2.0**-12, 1e-14),
+            (0.04, 0, 1.0 - 2.0**-11, 1e-14),
+            (-2.85, 3, 0.9, 1e-15),
+            (2.0, 1, 0.6, 1e-12),
         ],
     )
-    def test_terms_match_the_plain_loop(self, gamma, m, x, tol, weight):
-        terms = list(bl.Bernardi(gamma, m).tail(x, tol, weight))
-        assert terms == bernardi_tail_reference(gamma, m, x, tol, weight, MAX_SERIES_TERMS)
+    def test_terms_match_the_plain_loop(self, gamma, m, x, tol):
+        terms = list(bl.Bernardi(gamma, m).tail(x, tol))
+        assert terms == bernardi_tail_reference(gamma, m, x, tol, 2.0, MAX_SERIES_TERMS)
 
     def test_unreachable_cap_raises_before_the_first_term(self):
-        tail = bl.Bernardi(0.04, 0).tail(1.0 - 2.0**-16, 1e-14, 2.0)
+        tail = bl.Bernardi(0.04, 0).tail(1.0 - 2.0**-16, 1e-14)
         with pytest.raises(TruncationError):
             next(tail)
 
@@ -284,8 +284,8 @@ class TestBernardiTail:
         terms = []
         tail = bl.Bernardi.tail
 
-        def counting(self, x, tol, weight=1.0):
-            for item in tail(self, x, tol, weight):
+        def counting(self, x, tol):
+            for item in tail(self, x, tol):
                 terms.append(item)
                 yield item
 

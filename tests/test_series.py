@@ -111,23 +111,6 @@ class TestCauchyProduct:
         assert np.allclose(bl.cauchy_product(u, one, n).entries, u.entries)
 
 
-class TestGeometricCoeffs:
-    def test_zero_ratio(self):
-        assert bl.geometric_coeffs(0.0, 2).entries.tolist() == [1, 0, 0]
-
-    def test_real_ratio(self):
-        out = bl.geometric_coeffs(0.5, 3).entries
-        assert out.tolist() == [1.0, 0.5, 0.25, 0.125]
-
-    def test_imaginary_ratio(self):
-        out = bl.geometric_coeffs(0.5j, 2).entries
-        assert np.allclose(out, [1.0, 0.5j, -0.25])
-
-    def test_rejects_boundary_ratio(self):
-        with pytest.raises(ParameterDomainError):
-            bl.geometric_coeffs(1.0, 3)
-
-
 class TestRunningSumIdentity:
     """Partial sums of c_n(beta) coincide with c_n(beta + 1)."""
 

@@ -12,6 +12,7 @@ from bohrlab.errors import ParameterDomainError
 from oracles import (
     bernardi_abs_series_bruteforce,
     cesaro_abs_series_bruteforce,
+    cesaro_remainder_integral,
     phi_coeffs_direct,
     psi_coeffs_direct,
 )
@@ -56,6 +57,24 @@ class TestDecompositionCesaro:
             r = float(rng.uniform(0.05, 0.85))
             dec = bl.decomposition_cesaro(beta, a, r)
             assert dec.reconstruction_error <= 1e-10
+
+
+class TestCesaroIntegralOracle:
+    """The weight-form remainder against its integral form, summed apart."""
+
+    @pytest.mark.parametrize("a", (0.5, 0.9, 0.999))
+    @pytest.mark.parametrize("r", (0.3, 0.5))
+    @pytest.mark.parametrize("beta", (0.25, 1.0, 2.0, 20.0))
+    def test_remainder_matches_the_integral(self, beta, r, a):
+        remainder = bl.decomposition(bl.CesaroBeta(beta), a, r).remainder
+        assert remainder == pytest.approx(cesaro_remainder_integral(beta, a, r), rel=1e-10)
+
+    def test_forty_digit_point(self):
+        # The double nearest 0.999; the decimal 0.999 gives -1.38534804119548520e-06.
+        reference = cesaro_remainder_integral(1.0, 0.999, 0.5)
+        assert reference == pytest.approx(-1.3853480411954876e-06, rel=1e-15)
+        remainder = bl.decomposition_cesaro(1.0, 0.999, 0.5).remainder
+        assert remainder == pytest.approx(reference, rel=1e-12)
 
 
 class TestDecompositionBernardi:
@@ -195,6 +214,13 @@ class TestDeficitSign:
         above = bl.decomposition_bernardi(1.0, 0, 0.5, min(1.05 * root, 0.99))
         assert below.deficit_term > 0.0 > above.deficit_term
 
+    @pytest.mark.parametrize("r", (0.1, 0.3, 0.32, 0.34, 0.5, 0.9))
+    def test_classical_flip_at_one_third(self, r):
+        a = 0.5
+        deficit = bl.decomposition(bl.ClassicalBohr(), a, r).deficit_term
+        assert deficit == pytest.approx((1.0 - a) * (1.0 - 3.0 * r) / (1.0 - r), abs=1e-14)
+        assert (deficit > 0.0) == (r < 1.0 / 3.0)
+
 
 class TestBelowRadiusSafety:
     @pytest.mark.parametrize(
@@ -222,9 +248,11 @@ class TestConcavity:
     def test_bernardi_envelope(self, gamma, m):
         assert bl.concavity_check(bl.Bernardi(gamma, m), 0.5, self.GRID) <= 1e-10
 
-    def test_degenerate_small_radius(self):
-        # as r -> 0 the envelope flattens and second differences vanish
-        value = bl.concavity_check(bl.CesaroBeta(1.0), 1e-6, self.GRID)
+    @pytest.mark.parametrize("problem", [bl.CesaroBeta(1.0), bl.Bernardi(0.0, 3)], ids=str)
+    def test_degenerate_small_radius(self, problem):
+        # as r -> 0 the envelope flattens and second differences vanish;
+        # Bernardi(0, 3) has every weight below the cut there
+        value = bl.concavity_check(problem, 1e-6, self.GRID)
         assert abs(value) <= 1e-10
 
     def test_rejects_nonuniform_grid(self):
