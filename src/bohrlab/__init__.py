@@ -19,7 +19,6 @@ from .errors import (
     TruncationError,
 )
 from .series import (
-    BinomialWeights,
     CoefficientSequence,
     binomial_coeffs,
     cauchy_product,
@@ -57,9 +56,7 @@ from .operators import (
     PrimitiveI,
     Shifted,
     adaptive_simpson,
-    bernardi_series_order,
     bohr_majorant,
-    cbeta_relation_residual,
     cesaro_series_order,
     kernel_integral,
     majorant_value,
@@ -67,8 +64,8 @@ from .operators import (
     operator_coeffs,
     quadrature_value,
     required_origin_zeros,
+    series_order,
     sup_bound,
-    sup_bound_check,
 )
 from .radii import (
     CurveRow,

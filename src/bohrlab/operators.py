@@ -22,28 +22,31 @@ Bernardi(1, 0)).  ``ClassicalBohr()`` is the identity operator, the
 baseline with bound 1.
 
 Each family supplies its coefficient image, majorant weights, defining
-integral, sup bound, radius equation and truncation orders; the module
-functions below apply the shift rule once for all of them.  The absolute
-series of the image is linear in ``|a_k|``, so the majorant is a weight
-vector: ``M(f, r) = r**s * sum_k |a_{k+d}| w_k(r)``, built once per
-``(family, r, eps)`` and applied to a whole coefficient matrix.  The weights
-carry the certified truncation cut: the partial sum differs from the full
-absolute series by at most ``eps``, using the running-sum identity
-``sum_{k<=n} c_k(b) = c_n(b+1)`` and a geometric envelope for the Cesaro
-family, and the plain geometric bound for the Bernardi family.
+integral, sup bound and radius equation; the module functions below apply
+the shift rule once for all of them.  The absolute series of the image is
+linear in ``|a_k|``, so the majorant is a weight vector:
+``M(f, r) = r**s * sum_k |a_{k+d}| w_k(r)``, built once per
+``(family, r, eps)`` and applied to a whole coefficient matrix.  The weight
+vector is the family's one truncation decision: it ends where the partial
+sum differs from the full absolute series of any unit-ball member by at
+most ``eps``, using the running-sum identity ``sum_{k<=n} c_k(b) =
+c_n(b+1)`` and a geometric envelope for the Cesaro family and the plain
+geometric bound for the Bernardi family and the identity.  Every series
+order (``series_order``, the coefficients ``verify`` samples, the extremal
+members' expansions) is read off its length, and the Bernardi radius
+equation is the identity ``w_m - 2 sum_{k>m} w_k`` in the same weights.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .corpus import BoundedFunction, evaluate, multiply_by_z, schwarz_shift, taylor_coeffs
+from .corpus import BoundedFunction, evaluate, schwarz_shift
 from .errors import (
     ParameterDomainError,
     PreconditionError,
@@ -64,7 +67,7 @@ __all__ = [
     "OperatorKind",
     "kernel_integral",
     "cesaro_series_order",
-    "bernardi_series_order",
+    "series_order",
     "required_origin_zeros",
     "operator_coeffs",
     "majorant_value",
@@ -72,8 +75,6 @@ __all__ = [
     "bohr_majorant",
     "quadrature_value",
     "sup_bound",
-    "sup_bound_check",
-    "cbeta_relation_residual",
     "adaptive_simpson",
     "MAX_SERIES_TERMS",
 ]
@@ -86,9 +87,11 @@ class Unshifted:
     """A family used as an operator on its own: ``(s, d) = (0, 0)``.
 
     A family provides ``m`` (the origin zeros its operand needs) and the
-    methods ``image``, ``weights``, ``bound`` and ``series_order``; the
-    two radius families add ``integral`` and ``radius_equation``, and every
-    family has the ``verify_order`` of its sampled coefficients.
+    methods ``image``, ``weights(r, eps)`` and ``bound``; the two radius
+    families add ``integral``, ``radius_equation`` and
+    ``require_root_below``.  A family has no order method of its own:
+    ``series_order`` reads every truncation order off the length of its
+    weight vector.
     """
 
     s = 0
@@ -112,16 +115,16 @@ class CesaroBeta(Unshifted):
             raise ParameterDomainError(f"beta must be positive, got {self.beta}")
 
     def image(self, a: np.ndarray, n_max: int) -> np.ndarray:
-        c = binomial_coeffs(self.beta, n_max).weights
+        c = binomial_coeffs(self.beta, n_max)
         return np.convolve(c, a[: n_max + 1])[: n_max + 1] / np.arange(1, n_max + 2)
 
-    def weights(self, r: float, eps: float, n: int) -> np.ndarray:
+    def weights(self, r: float, eps: float) -> np.ndarray:
         """``w_k = sum_j c_j(beta) r**(k+j) / (k+j+1)`` over ``k + j <= N``,
-        ``N = cesaro_series_order(beta, r, eps)``, for ``k < min(n, N + 1)``."""
+        ``N = cesaro_series_order(beta, r, eps)``, for ``k <= N``."""
         n_stop = cesaro_series_order(self.beta, r, eps)
-        c = binomial_coeffs(self.beta, n_stop).weights
+        c = binomial_coeffs(self.beta, n_stop)
         r_pow, denom = r ** np.arange(n_stop + 1), np.arange(1, n_stop + 2)
-        tails = range(min(n, n_stop + 1))
+        tails = range(n_stop + 1)
         return np.array([math.fsum(c[: n_stop + 1 - k] * r_pow[k:] / denom[k:]) for k in tails])
 
     def integral(self, f: BoundedFunction, z: complex, tol: float) -> complex:
@@ -140,17 +143,6 @@ class CesaroBeta(Unshifted):
 
     def require_root_below(self, ladder: Sequence[float], tail_eps: float) -> None:
         """Every Cesaro root lies in (1/3, 0.59), far below any ladder top."""
-
-    def series_order(self, r: float, eps: float) -> int:
-        return cesaro_series_order(self.beta, r, eps)
-
-    def verify_order(self, r: float, trunc_eps: float = 1e-11) -> int:
-        """Coefficient order so the unsampled tail moves the majorant by < trunc_eps."""
-        gain = (1.0 - r) ** -(self.beta + 1.0)
-        n = 0
-        while r ** (n + 1) * gain > trunc_eps:
-            n += 1
-        return max(n, 4)
 
 
 @dataclass(frozen=True)
@@ -177,14 +169,26 @@ class Bernardi(Unshifted):
             out[self.m :] = a[self.m : n_max + 1] / (n + self.gamma)
         return out
 
-    def weights(self, r: float, eps: float, n: int) -> np.ndarray:
-        """``w_k = r**k / (k+gamma)`` for ``m <= k < n``, zero below ``m``, cut
-        before the first ``k`` with ``r**k / ((k+gamma)(1-r)) <= eps``."""
-        k = np.arange(self.m, n)
+    def weights(self, r: float, eps: float) -> np.ndarray:
+        """``w_k = r**k / (k+gamma)`` for ``k >= m``, zero below ``m``, cut
+        before the first ``k`` with ``r**k / ((k+gamma)(1-r)) <= eps``.
+
+        For ``k > m`` we have ``k + gamma > 1``, so that ``k`` is at most
+        ``max(ceil(log(eps (1-r)) / log r), m) + 1``; the scan from ``m``
+        stops there, or at the order cap, where ``TruncationError`` is
+        raised at once unless ``_cap_fits`` says the cut is reached by then.
+        """
+        cap = MAX_SERIES_TERMS - 1
+        top = max(math.ceil(math.log(eps * (1.0 - r)) / math.log(r)), self.m) + 1
+        if top > cap and not self._cap_fits(r, eps):
+            raise TruncationError(
+                f"Bernardi weights will not reach {eps} within {MAX_SERIES_TERMS} terms at r={r}"
+            )
+        k = np.arange(self.m, min(top, cap) + 1)
         r_pow = r**k
         done = np.flatnonzero(r_pow / ((k + self.gamma) * (1.0 - r)) <= eps)
         stop = done[0] if done.size else k.size
-        w = np.zeros(min(n, self.m + stop))
+        w = np.zeros(self.m + stop)
         w[self.m :] = r_pow[:stop] / (k[:stop] + self.gamma)
         return w
 
@@ -216,34 +220,11 @@ class Bernardi(Unshifted):
         """Sharp bound of ``z**s L_gamma[f]`` on ``|z| = r``: ``r**(m+s) / (m+gamma)``."""
         return r ** (self.m + s) / (self.m + self.gamma)
 
-    def tail(self, x: float, tol: float) -> Iterator[tuple]:
-        """Pairs ``(n, x**n)`` for ``n > m`` up to the first ``n`` where the
-        geometric bound ``2 x**n / ((n+gamma)(1-x))`` on the radius
-        equation's doubled tail from ``n`` on is at most ``tol``.
-
-        Powers come from repeated multiplication.  When the bound at the order
-        cap is above ``2 * tol`` the generator raises ``TruncationError``
-        before it yields a term; between ``tol`` and ``2 * tol`` it raises
-        on running past the cap.
-        """
-        gamma, gap = self.gamma, 1.0 - x
-        # The bound decreases in n.  Above 2 * tol at the cap it stays above
-        # tol whatever rounding the running power picks up: refuse at once.
-        if self._cap_fits(x, tol):
-            x_pow = x ** (self.m + 1)
-            for n in range(self.m + 1, MAX_SERIES_TERMS):
-                if 2.0 * x_pow / ((n + gamma) * gap) <= tol:
-                    return
-                yield n, x_pow
-                x_pow *= x
-        raise TruncationError(
-            f"Bernardi tail will not reach {tol} within {MAX_SERIES_TERMS} terms at x={x}"
-        )
-
-    def _cap_fits(self, x: float, tol: float) -> bool:
-        """Whether ``tail``'s bound at the order cap is at most ``2 * tol``."""
+    def _cap_fits(self, x: float, eps: float) -> bool:
+        """Whether ``weights(x, eps)`` is cut by the order cap: its tail
+        bound at ``MAX_SERIES_TERMS - 1`` is at most ``eps``."""
         cap = MAX_SERIES_TERMS - 1
-        return x**cap / ((cap + self.gamma) * (1.0 - x)) <= tol
+        return x**cap / ((cap + self.gamma) * (1.0 - x)) <= eps
 
     def require_root_below(self, ladder: Sequence[float], tail_eps: float) -> None:
         """Refuse parameters whose radius-equation root is certified to lie
@@ -253,14 +234,14 @@ class Bernardi(Unshifted):
         t**(m+gamma)/(1-t) dt <= -x**m log(1-x)`` because ``m + gamma > 0``,
         so the equation is at least ``x**m (1/(m+gamma) + 2 log(1-x))``, and
         its root is at least ``1 - exp(-1/(2(m+gamma)))``.  When no ladder
-        point at or above that floor passes ``tail``'s order-cap test at the
-        cut ``radius_equation`` uses there, the solver would run into a
+        point at or above that floor passes the weights' order-cap test at
+        the cut ``radius_equation`` uses there, the solver would run into a
         ``TruncationError`` before it brackets the root.
         """
         s = self.m + self.gamma
         floor = -math.expm1(-0.5 / s)
         if not any(
-            self._cap_fits(x, tail_eps * min(1.0, x**self.m / s))
+            self._cap_fits(x, 0.5 * tail_eps * min(1.0, x**self.m / s))
             for x in ladder
             if x >= floor
         ):
@@ -271,27 +252,15 @@ class Bernardi(Unshifted):
             )
 
     def radius_equation(self, x: float, tail_eps: float) -> float:
-        """``x**m/(m+gamma) - 2 sum_{n>m} x**n/(n+gamma)``, tail below ``tail_eps``
-        times ``min(1, lead)``: relative to the leading term ``x**m/(m+gamma)``,
-        which sets the equation's scale, so a root moves by about ``tail_eps``
-        however small that scale is."""
-        gamma = self.gamma
-        lead = x**self.m / (self.m + gamma)
-        tol = tail_eps * min(1.0, lead)
-        tail = (-2.0 * x_pow / (n + gamma) for n, x_pow in self.tail(x, tol))
-        return math.fsum(itertools.chain((lead,), tail))
-
-    def series_order(self, r: float, eps: float) -> int:
-        return bernardi_series_order(self.gamma, r, eps, start=self.m)
-
-    def verify_order(self, r: float, trunc_eps: float = 1e-11) -> int:
-        """Coefficient order so the unsampled tail moves the majorant by < trunc_eps.
-
-        The scan starts at the first ``n`` with ``n + 1 + gamma > 0``: below
-        it the tail bound is not positive and would stop the scan at once.
-        """
-        start = max(0, math.floor(-self.gamma))
-        return max(bernardi_series_order(self.gamma, r, trunc_eps, start), 4)
+        """``x**m/(m+gamma) - 2 sum_{n>m} x**n/(n+gamma)``: the weight identity
+        ``w_m - 2 sum_{k>m} w_k`` of ``weights(x, tol/2)``, so the dropped
+        doubled tail is at most ``tol = tail_eps * min(1, lead)``.  The cut is
+        relative to the leading term ``x**m/(m+gamma)``, which sets the
+        equation's scale, so a root moves by about ``tail_eps`` however small
+        that scale is.  Every ``x`` is new, so the weights are not cached."""
+        lead = x**self.m / (self.m + self.gamma)
+        w = self.weights(x, 0.5 * tail_eps * min(1.0, lead))
+        return math.fsum([lead] + (-2.0 * w[self.m + 1 :]).tolist())
 
 
 @dataclass(frozen=True)
@@ -300,19 +269,14 @@ class ClassicalBohr(Unshifted):
 
     m = 0  # no zero at the origin needed
 
-    def weights(self, r: float, eps: float, n: int) -> np.ndarray:
-        """``w_k = r**k``: exact over the given coefficients, so ``eps`` goes unused."""
-        return r ** np.arange(n)
+    def weights(self, r: float, eps: float) -> np.ndarray:
+        """``w_k = r**k`` for ``k <= N``, cut where the tail ``r**(N+1)/(1-r)``
+        of a unit-ball series is at most ``eps``."""
+        n_stop = max(1, math.ceil(math.log(eps * (1.0 - r)) / math.log(r)))
+        return r ** np.arange(n_stop + 1)
 
     def bound(self, r: float, s: int = 0) -> float:
         return 1.0
-
-    def series_order(self, r: float, eps: float) -> int:
-        # Tail of sum |b_n| r^n past N is below r^(N+1)/(1-r).
-        return max(1, math.ceil(math.log(eps * (1.0 - r)) / math.log(r)))
-
-    def verify_order(self, r: float, trunc_eps: float = 1e-11) -> int:
-        return max(4, self.series_order(r, trunc_eps))
 
 
 @dataclass(frozen=True)
@@ -397,20 +361,6 @@ def cesaro_series_order(beta: float, r: float, eps: float) -> int:
     )
 
 
-def bernardi_series_order(gamma: float, r: float, eps: float, start: int = 0) -> int:
-    """Smallest N >= start with ``r**(N+1) / ((N+1+gamma)(1-r)) <= eps``."""
-    if not 0.0 < r < 1.0:
-        raise ParameterDomainError(f"r must lie in (0, 1), got {r}")
-    if eps <= 0.0:
-        raise ParameterDomainError("eps must be positive")
-    for n in range(start, MAX_SERIES_TERMS):
-        if r ** (n + 1) / ((n + 1 + gamma) * (1.0 - r)) <= eps:
-            return n
-    raise TruncationError(
-        f"Bernardi majorant tail will not reach eps={eps} within {MAX_SERIES_TERMS} terms"
-    )
-
-
 def required_origin_zeros(kind: OperatorKind) -> int:
     """How many leading zero coefficients the operand must carry."""
     return kind.d + kind.family.m
@@ -441,11 +391,21 @@ def operator_coeffs(
 
 
 @functools.lru_cache(maxsize=64)
-def _weights(family, r: float, eps: float, n: int) -> np.ndarray:
+def _weights(family, r: float, eps: float) -> np.ndarray:
     # Built once per argument tuple: a verify sweep or an a-grid reuses it.
-    w = family.weights(r, eps, n)
+    if not 0.0 < r < 1.0:
+        raise ParameterDomainError(f"r must lie in (0, 1), got {r}")
+    if eps <= 0.0:
+        raise ParameterDomainError("eps must be positive")
+    w = family.weights(r, eps)
     w.setflags(write=False)
     return w
+
+
+def series_order(family, r: float, eps: float) -> int:
+    """The family's truncation order at ``(r, eps)``: the last index of its
+    certified weight vector."""
+    return _weights(family, r, eps).size - 1
 
 
 def majorant_values(
@@ -455,21 +415,18 @@ def majorant_values(
     ``coeffs``, each within ``eps``: ``r**s * sum_k |a_{k+d}| w_k`` with the
     family's weights.  Each row is summed by ``math.fsum``, so its value does
     not depend on the other rows.  The rows must be unit-ball members
-    (``|a_k| <= 1``), which the weight cuts rely on.
+    (``|a_k| <= 1``), which the weight cuts rely on.  Columns past the
+    weight vector's cut are not read; a shorter matrix uses its own columns.
     """
-    if not 0.0 < r < 1.0:
-        raise ParameterDomainError(f"r must lie in (0, 1), got {r}")
-    if eps <= 0.0:
-        raise ParameterDomainError("eps must be positive")
     absf = np.abs(coeffs)
     if absf.max(initial=0.0) > 1.0 + 1e-9:
         raise ParameterDomainError(
             f"majorant tail bounds assume unit-ball coefficients; max |a_k| = {absf.max()}"
         )
     _require_leading_zeros(absf, kind)
-    shifted = absf[:, kind.d :]
-    w, scale = _weights(kind.family, r, eps, shifted.shape[1]), r**kind.s
-    return [scale * math.fsum(row.tolist()) for row in shifted[:, : w.size] * w]
+    w, scale = _weights(kind.family, r, eps), r**kind.s
+    shifted = absf[:, kind.d : kind.d + w.size]
+    return [scale * math.fsum(row.tolist()) for row in shifted * w[: shifted.shape[1]]]
 
 
 def majorant_value(
@@ -483,7 +440,7 @@ def bohr_majorant(f: CoefficientSequence, r: float) -> float:
     """Plain absolute series ``sum |a_n| r**n`` of the coefficients themselves."""
     if not 0.0 < r < 1.0:
         raise ParameterDomainError(f"r must lie in (0, 1), got {r}")
-    return math.fsum(f.abs_entries() * ClassicalBohr().weights(r, 0.0, len(f)))
+    return math.fsum(f.abs_entries() * r ** np.arange(len(f)))
 
 
 def adaptive_simpson(
@@ -563,45 +520,3 @@ def sup_bound(kind: OperatorKind, r: float) -> float:
     if not 0.0 < r < 1.0:
         raise ParameterDomainError(f"r must lie in (0, 1), got {r}")
     return kind.family.bound(r, kind.s)
-
-
-def sup_bound_check(
-    kind: OperatorKind,
-    f: BoundedFunction,
-    r: float,
-    samples: int,
-    tol: float = 1e-10,
-) -> float:
-    """Sampled excess of the integral modulus over the closed-form bound.
-
-    Returns ``max_j |K[f](r e^{i theta_j})| - sup_bound(kind, r)`` over
-    equispaced angles (theta = 0 included, where the bound is attained by
-    the constant 1).  Nonpositive within 1e-9 certifies the sample check.
-    """
-    if not 0.0 < r < 1.0:
-        raise ParameterDomainError(f"r must lie in (0, 1), got {r}")
-    if samples < 8:
-        raise ParameterDomainError(f"samples must be >= 8, got {samples}")
-    bound = sup_bound(kind, r)
-    worst = -math.inf
-    for j in range(samples):
-        zj = r * complex(math.cos(2 * math.pi * j / samples), math.sin(2 * math.pi * j / samples))
-        worst = max(worst, abs(quadrature_value(kind, f, zj, tol)) - bound)
-    return worst
-
-
-def cbeta_relation_residual(
-    h: BoundedFunction, beta: float, r: float, eps: float = 1e-12
-) -> float:
-    """Defect of the index-shift relation between the two Cesaro forms.
-
-    For g(z) = z h(z), the absolute series of the vanishing-at-origin
-    variant applied to g must equal ``r`` times the absolute series of the
-    plain operator applied to h; returns the difference, which is at most
-    ``2 * eps``.
-    """
-    n_inner = cesaro_series_order(beta, r, eps)
-    g = multiply_by_z(h)
-    lhs = majorant_value(CBeta(beta), taylor_coeffs(g, n_inner + 1), r, eps)
-    rhs = r * majorant_value(CesaroBeta(beta), taylor_coeffs(h, n_inner), r, eps)
-    return abs(lhs - rhs)

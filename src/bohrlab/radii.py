@@ -7,9 +7,12 @@ equation:
 * Cesaro family:   ``3 A(beta, x) - 2 A(beta + 1, x) = 0`` where
   ``A(b, x) = integral_0^x (1 - t)**(-b) dt``; at beta = 1 this reduces to
   ``3 log(1/(1-x)) - 2x/(1-x) = 0`` (root 0.5335...).
-* Bernardi family: ``x**m/(m+gamma) - 2 sum_{n>m} x**n/(n+gamma) = 0``;
-  for gamma = 1, m = 0 this is ``(1/x)(3x + 2 log(1-x)) = 0``
-  (root 0.5828...), and gamma = 0, m = 1 gives the same root.
+* Bernardi family: ``x**m/(m+gamma) - 2 sum_{n>m} x**n/(n+gamma) = 0``,
+  the identity ``w_m - 2 sum_{k>m} w_k`` in the family's majorant weights
+  at ``x``, summed over the weight vector's own certified cut with no
+  separate tail loop; for gamma = 1, m = 0 this is
+  ``(1/x)(3x + 2 log(1-x)) = 0`` (root 0.5828...), and gamma = 0, m = 1
+  gives the same root.
 
 Both equations are positive for small x > 0 and negative past the root.
 The solver checks the sign at x = 1e-6, then searches a geometric ladder
@@ -20,7 +23,7 @@ indices below 0.5 otherwise.  ITP narrows that pair to a bracket of width
 regula-falsi polish that drives the residual to rounding level and the
 two evaluations that confirm the reported bracket are not counted.
 Bernardi parameters whose root is certified to lie above every ladder
-point the ``10**6``-term tail can reach (``m + gamma`` below about 0.048 at
+point the ``10**6``-term weight vector can reach (``m + gamma`` below about 0.048 at
 the default tail cut) are refused before any evaluation.
 """
 

@@ -25,7 +25,6 @@ from .errors import ParameterDomainError, TruncationError
 
 __all__ = [
     "CoefficientSequence",
-    "BinomialWeights",
     "binomial_coeffs",
     "cauchy_product",
     "cumulative_identity_residual",
@@ -75,45 +74,9 @@ class CoefficientSequence:
         return f"CoefficientSequence(order={self.order}, entries={head}...)"
 
 
-class BinomialWeights:
-    """Weights ``c_0 .. c_N`` of ``(1 - x)**(-beta)`` for fixed ``beta > 0``."""
-
-    __slots__ = ("_beta", "_weights")
-
-    def __init__(self, beta: float, weights: np.ndarray) -> None:
-        if beta <= 0.0:
-            raise ParameterDomainError(f"beta must be positive, got {beta}")
-        w = np.asarray(weights, dtype=np.float64)
-        if w.ndim != 1 or w.size == 0:
-            raise ParameterDomainError("weights must be a nonempty vector")
-        if w[0] != 1.0:
-            raise ParameterDomainError("the zeroth weight must be exactly 1")
-        if not np.all(w > 0.0) or not np.all(np.isfinite(w)):
-            raise ParameterDomainError("weights must be finite and strictly positive")
-        w.setflags(write=False)
-        self._beta = float(beta)
-        self._weights = w
-
-    @property
-    def beta(self) -> float:
-        return self._beta
-
-    @property
-    def weights(self) -> np.ndarray:
-        return self._weights
-
-    def __len__(self) -> int:
-        return self._weights.size
-
-    def __getitem__(self, n: int) -> float:
-        return float(self._weights[n])
-
-    def __repr__(self) -> str:
-        return f"BinomialWeights(beta={self._beta}, order={len(self) - 1})"
-
-
-def binomial_coeffs(beta: float, n_max: int) -> BinomialWeights:
-    """Weights ``c_n = Gamma(n+beta) / (Gamma(n+1) Gamma(beta))`` for ``n <= n_max``.
+def binomial_coeffs(beta: float, n_max: int) -> np.ndarray:
+    """Weights ``c_n = Gamma(n+beta) / (Gamma(n+1) Gamma(beta))`` for ``n <= n_max``,
+    as a read-only vector.
 
     Built by the multiplicative recurrence ``c_n = c_{n-1} (n-1+beta)/n``,
     never by Gamma evaluation.
@@ -127,7 +90,8 @@ def binomial_coeffs(beta: float, n_max: int) -> BinomialWeights:
     if n_max > 0:
         n = np.arange(1, n_max + 1, dtype=np.float64)
         w[1:] = np.cumprod((n - 1.0 + beta) / n)
-    return BinomialWeights(beta, w)
+    w.setflags(write=False)
+    return w
 
 
 def cauchy_product(
@@ -155,8 +119,8 @@ def cumulative_identity_residual(beta: float, n_max: int) -> float:
     this returns ``max_n |sum_{k<=n} c_k(beta) - c_n(beta+1)| / c_n(beta+1)``
     over ``0 <= n <= n_max``, with every running sum correctly rounded.
     """
-    base = binomial_coeffs(beta, n_max).weights
-    bumped = binomial_coeffs(beta + 1.0, n_max).weights
+    base = binomial_coeffs(beta, n_max)
+    bumped = binomial_coeffs(beta + 1.0, n_max)
     running = np.array([math.fsum(base[: n + 1]) for n in range(n_max + 1)])
     return float(np.max(np.abs(running - bumped) / bumped))
 

@@ -34,6 +34,7 @@ from .operators import (
     _weights,
     majorant_value,
     required_origin_zeros,
+    series_order,
     sup_bound,
 )
 from .radii import RadiusProblem, solve_radius
@@ -120,7 +121,7 @@ def extremal_majorant(
     """
     _check_a_r(a, r)
     f = extremal_psi(a, required_origin_zeros(problem))
-    n_max = problem.family.series_order(r, eps) + problem.d
+    n_max = series_order(problem.family, r, eps) + problem.d
     return majorant_value(problem, taylor_coeffs(f, n_max), r, eps)
 
 
@@ -132,7 +133,7 @@ def _split_weights(family, r: float, eps: float) -> tuple:
     cut before ``w_m`` means the whole series is below the cut.
     """
     cut = min(1e-15, eps / 8.0)
-    w = _weights(family, r, cut, family.series_order(r, cut) + 1)[family.m :]
+    w = _weights(family, r, cut)[family.m :]
     return (float(w[0]), w[1:]) if w.size else (0.0, w)
 
 

@@ -4,10 +4,16 @@ Everything here deliberately avoids the library's summation, convolution,
 and recurrence paths: coefficients come from log-Gamma quotients, sums go
 through math.fsum, and series are expanded by explicit double loops.
 
-The reference implementations at the end are the per-sample paths that the
-batched verify sweep replaced: a Blaschke product expanded as a chain of
-Cauchy products, and the three absolute series with their truncation cuts.
+The reference implementations after them are the per-sample paths that
+the batched verify sweep replaced: a Blaschke product expanded as a chain
+of Cauchy products, and the three absolute series with their truncation
+cuts; and the Bernardi radius equation summed by the plain tail loop.
 They take plain numpy arrays and nothing from the library.
+
+The two paper-claim checks at the end, the sampled sup bound and the
+index-shift relation between the Cesaro forms, are built from the
+library's public functions: they test what those functions assert about
+each other.
 """
 
 from __future__ import annotations
@@ -17,6 +23,9 @@ from fractions import Fraction
 
 import mpmath
 import numpy as np
+
+import bohrlab as bl
+from bohrlab.errors import ParameterDomainError
 
 
 def binomial_weight_lgamma(beta: float, n: int) -> float:
@@ -165,3 +174,49 @@ def bernardi_tail_reference(gamma: float, m: int, x: float, tol: float, weight: 
         out.append((n, x_pow))
         x_pow *= x
     return None
+
+
+def bernardi_equation_reference(gamma: float, m: int, x: float, tail_eps: float,
+                                cap: int) -> float:
+    """The Bernardi radius equation ``x**m/(m+gamma) - 2 sum_{n>m} x**n/(n+gamma)``
+    summed over ``bernardi_tail_reference``'s terms at the cut
+    ``tail_eps * min(1, lead)``, or ``None`` when that loop reaches ``cap``."""
+    lead = x**m / (m + gamma)
+    terms = bernardi_tail_reference(gamma, m, x, tail_eps * min(1.0, lead), 2.0, cap)
+    if terms is None:
+        return None
+    return math.fsum([lead] + [-2.0 * x_pow / (n + gamma) for n, x_pow in terms])
+
+
+def sup_bound_check(kind, f, r: float, samples: int, tol: float = 1e-10) -> float:
+    """Sampled excess of the integral modulus over the closed-form bound.
+
+    Returns ``max_j |K[f](r e^{i theta_j})| - sup_bound(kind, r)`` over
+    equispaced angles (theta = 0 included, where the bound is attained by
+    the constant 1).  Nonpositive within 1e-9 certifies the sample check.
+    """
+    if not 0.0 < r < 1.0:
+        raise ParameterDomainError(f"r must lie in (0, 1), got {r}")
+    if samples < 8:
+        raise ParameterDomainError(f"samples must be >= 8, got {samples}")
+    bound = bl.sup_bound(kind, r)
+    worst = -math.inf
+    for j in range(samples):
+        zj = r * complex(math.cos(2 * math.pi * j / samples), math.sin(2 * math.pi * j / samples))
+        worst = max(worst, abs(bl.quadrature_value(kind, f, zj, tol)) - bound)
+    return worst
+
+
+def cbeta_relation_residual(h, beta: float, r: float, eps: float = 1e-12) -> float:
+    """Defect of the index-shift relation between the two Cesaro forms.
+
+    For g(z) = z h(z), the absolute series of the vanishing-at-origin
+    variant applied to g must equal ``r`` times the absolute series of the
+    plain operator applied to h; returns the difference, which is at most
+    ``2 * eps``.
+    """
+    n_inner = bl.cesaro_series_order(beta, r, eps)
+    g = bl.multiply_by_z(h)
+    lhs = bl.majorant_value(bl.CBeta(beta), bl.taylor_coeffs(g, n_inner + 1), r, eps)
+    rhs = r * bl.majorant_value(bl.CesaroBeta(beta), bl.taylor_coeffs(h, n_inner), r, eps)
+    return abs(lhs - rhs)

@@ -177,23 +177,39 @@ class TestVerifyCommand:
         assert code == 0
         assert json.loads(out)["results"]["violations"] == 0
 
-    @pytest.mark.parametrize("gamma,m", [(-2.5, 3), (-1.0, 2)])
-    def test_negative_gamma_order_covers_the_tail(self, capsys, gamma, m):
-        # With gamma < 0 the leading tail bounds r**(n+1)/((n+1+gamma)(1-r))
-        # are negative or divide by zero; the order scan must skip them.
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("cesaro", "--beta", "1"),
+            ("cbeta", "--beta", "2"),
+            ("libera",),
+            ("alexander",),
+            ("primitive",),
+            ("bohr",),
+            ("bernardi", "--gamma", "2", "--m", "1"),
+            ("bernardi", "--gamma", "-2.5", "--m", "3"),
+            ("bernardi", "--gamma", "-1", "--m", "2"),
+        ],
+        ids=" ".join,
+    )
+    def test_negative_gamma_order_covers_the_tail(self, capsys, flags):
+        # verify samples exactly the coefficients the family's weight vector
+        # reads, so the sampled extremal majorant is the full one.  With
+        # gamma < 0 the tail bounds r**n/((n+gamma)(1-r)) below n = m are
+        # negative or divide by zero; the cut must start past them.
         import bohrlab as bl
 
-        code, out, _ = run_cli(
-            capsys, "verify", "--op", "bernardi", "--gamma", str(gamma), "--m", str(m),
-            "--samples", "5",
-        )
+        code, out, _ = run_cli(capsys, "verify", "--op", *flags, "--samples", "5")
         assert code == 0
         payload = json.loads(out)
         order, r = payload["results"]["coefficient_order"], payload["params"]["r"]
-        kind, psi = bl.Bernardi(gamma, m), bl.ExtremalPsi(0.9, m)
+        args = cli._build_parser().parse_args(["verify", "--op", *flags])
+        kind = cli._operator_kind(args)
+        assert order == kind.d + len(kind.family.weights(r, 1e-12)) - 1
+        psi = bl.ExtremalPsi(0.9, bl.required_origin_zeros(kind))
         sampled = bl.majorant_value(kind, bl.taylor_coeffs(psi, order), r)
         full = bl.majorant_value(kind, bl.taylor_coeffs(psi, 2000), r)
-        assert full - sampled <= 1e-10
+        assert sampled == full
 
     def test_above_mode_solves_the_radius_once_at_the_given_tol(self, capsys, monkeypatch):
         from bohrlab import sharpness
@@ -348,7 +364,7 @@ class TestFailurePaths:
             for n in range(1, n_max + 1):
                 # drifting factor: the running-sum identity degrades ~ n * 1e-8
                 w[n] = w[n - 1] * (n - 1 + beta) / n * (1.0 + 1e-8)
-            return series.BinomialWeights(beta, w)
+            return w
 
         monkeypatch.setattr(series, "binomial_coeffs", broken)
         code, out, _ = run_cli(capsys, "selftest")

@@ -3,6 +3,7 @@ oracles, quadrature of the defining integrals, and the sharp sup bounds."""
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,10 +15,13 @@ from bohrlab.errors import ParameterDomainError, PreconditionError, TruncationEr
 from bohrlab.operators import MAX_SERIES_TERMS
 from oracles import (
     bernardi_abs_series_bruteforce,
+    bernardi_equation_reference,
     bernardi_tail_reference,
     cbeta_abs_series_bruteforce,
+    cbeta_relation_residual,
     cesaro_abs_series_bruteforce,
     phi_coeffs_direct,
+    sup_bound_check,
 )
 
 DELTA = bl.CoefficientSequence([1.0] + [0.0] * 16)
@@ -133,7 +137,7 @@ class TestMajorant:
     def test_bernardi_corpus_against_bruteforce(self):
         r, gamma, m = 0.6, 0.5, 1
         f = bl.multiply_by_z(bl.random_schur(bl.derive_seed(18, 5), 4, 0.9))
-        coeffs = bl.taylor_coeffs(f, bl.bernardi_series_order(gamma, r, 1e-14, start=m))
+        coeffs = bl.taylor_coeffs(f, bl.series_order(bl.Bernardi(gamma, m), r, 1e-14))
         ours = bl.majorant_value(bl.Bernardi(gamma, m), coeffs, r, 1e-14)
         ref = bernardi_abs_series_bruteforce(gamma, m, coeffs.entries, r)
         assert ours == pytest.approx(ref, abs=1e-11)
@@ -173,7 +177,7 @@ class TestCBetaRelation:
     def test_constant_input_closed_form(self):
         # both routes equal 2 r log 2 at r = 1/2
         r = 0.5
-        res = bl.cbeta_relation_residual(bl.Constant(1.0), 1.0, r, eps=1e-12)
+        res = cbeta_relation_residual(bl.Constant(1.0), 1.0, r, eps=1e-12)
         assert res <= 2e-12
         n = bl.cesaro_series_order(1.0, r, 1e-12)
         g = bl.taylor_coeffs(bl.Polynomial((0.0, 1.0)), n + 1)  # z itself
@@ -181,10 +185,10 @@ class TestCBetaRelation:
         assert lhs == pytest.approx(2.0 * r * math.log(2.0), abs=1e-11)
 
     def test_extremal_input(self):
-        assert bl.cbeta_relation_residual(bl.ExtremalPhi(0.5), 0.5, 0.3) <= 2e-12
+        assert cbeta_relation_residual(bl.ExtremalPhi(0.5), 0.5, 0.3) <= 2e-12
 
     def test_zero_function(self):
-        assert bl.cbeta_relation_residual(bl.Constant(0.0), 1.0, 0.5) == 0.0
+        assert cbeta_relation_residual(bl.Constant(0.0), 1.0, 0.5) == 0.0
 
     def test_shift_against_double_sum_oracle(self):
         beta, r, a = 0.8, 0.45, 0.6
@@ -258,7 +262,7 @@ class TestQuadrature:
             assert abs(series_val - quad_val) <= 1e-8
 
 
-class TestBernardiTail:
+class TestBernardiEquation:
     @pytest.mark.parametrize(
         "gamma,m,x,tol",
         [
@@ -269,46 +273,46 @@ class TestBernardiTail:
             (2.0, 1, 0.6, 1e-12),
         ],
     )
-    def test_terms_match_the_plain_loop(self, gamma, m, x, tol):
-        terms = list(bl.Bernardi(gamma, m).tail(x, tol))
-        assert terms == bernardi_tail_reference(gamma, m, x, tol, 2.0, MAX_SERIES_TERMS)
+    def test_weight_identity_matches_the_plain_loop(self, gamma, m, x, tol):
+        family, lead = bl.Bernardi(gamma, m), x**m / (m + gamma)
+        # The equation sums the weights past w_m of the halved cut, one per
+        # term the plain loop takes at the full cut.
+        cut = tol * min(1.0, lead)
+        terms = bernardi_tail_reference(gamma, m, x, cut, 2.0, MAX_SERIES_TERMS)
+        assert family.weights(x, 0.5 * cut).size == m + 1 + len(terms)
+        # It is a difference of terms of the lead's size, so its rounding is
+        # counted in ulps of the lead.
+        ref = bernardi_equation_reference(gamma, m, x, tol, MAX_SERIES_TERMS)
+        assert abs(family.radius_equation(x, tol) - ref) <= 4.0 * math.ulp(lead)
 
-    def test_unreachable_cap_raises_before_the_first_term(self):
-        tail = bl.Bernardi(0.04, 0).tail(1.0 - 2.0**-16, 1e-14)
-        with pytest.raises(TruncationError):
-            next(tail)
-
-    def test_unreachable_equation_sums_no_terms(self, monkeypatch):
-        # `radius --op bernardi --gamma 0.04 --m 0` walks its ladder up to this
-        # point, just outside the corner refusal.
-        terms = []
-        tail = bl.Bernardi.tail
-
-        def counting(self, x, tol):
-            for item in tail(self, x, tol):
-                terms.append(item)
-                yield item
-
-        monkeypatch.setattr(bl.Bernardi, "tail", counting)
-        with pytest.raises(TruncationError):
-            bl.radius_equation(bl.RadiusProblem(bl.Bernardi(0.04, 0)), 1.0 - 2.0**-16)
-        assert terms == []
+    def test_unreachable_cap_raises_without_building_the_weights(self):
+        # `radius --op bernardi --gamma 0.04 --m 0` would walk its ladder up to
+        # this point, just outside the corner refusal.
+        problem = bl.RadiusProblem(bl.Bernardi(0.04, 0))
+        tracemalloc.start()
+        try:
+            with pytest.raises(TruncationError):
+                bl.radius_equation(problem, 1.0 - 2.0**-16)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestSupBounds:
     def test_equality_case_at_positive_axis(self):
         # the constant 1 attains the bound at z = r
-        out = bl.sup_bound_check(bl.CesaroBeta(1.0), bl.Constant(1.0), 0.5, 8, tol=1e-12)
+        out = sup_bound_check(bl.CesaroBeta(1.0), bl.Constant(1.0), 0.5, 8, tol=1e-12)
         assert abs(out) <= 1e-10
 
     def test_bernardi_corpus_stays_below_one(self):
         for f in _corpus(909, 4):
-            assert bl.sup_bound_check(bl.Bernardi(1.0, 0), f, 0.7, 16) <= 1e-9
+            assert sup_bound_check(bl.Bernardi(1.0, 0), f, 0.7, 16) <= 1e-9
 
     def test_cbeta_extremal_below_log_bound(self):
         r = 0.5
         assert bl.sup_bound(bl.CBeta(1.0), r) == pytest.approx(math.log(1.0 / (1.0 - r)))
-        out = bl.sup_bound_check(bl.CBeta(1.0), bl.ExtremalPsi(0.9, 1), r, 16)
+        out = sup_bound_check(bl.CBeta(1.0), bl.ExtremalPsi(0.9, 1), r, 16)
         assert out <= 1e-9
 
     def test_closed_forms(self):
@@ -325,4 +329,4 @@ class TestSupBounds:
 
     def test_sample_floor(self):
         with pytest.raises(ParameterDomainError):
-            bl.sup_bound_check(bl.CesaroBeta(1.0), bl.Constant(1.0), 0.5, 4)
+            sup_bound_check(bl.CesaroBeta(1.0), bl.Constant(1.0), 0.5, 4)

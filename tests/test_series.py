@@ -23,14 +23,14 @@ coeff_lists = st.lists(
 
 class TestBinomialWeights:
     def test_geometric_series_case(self):
-        assert bl.binomial_coeffs(1.0, 3).weights.tolist() == [1.0, 1.0, 1.0, 1.0]
+        assert bl.binomial_coeffs(1.0, 3).tolist() == [1.0, 1.0, 1.0, 1.0]
 
     def test_square_kernel_case(self):
-        assert bl.binomial_coeffs(2.0, 3).weights.tolist() == [1.0, 2.0, 3.0, 4.0]
+        assert bl.binomial_coeffs(2.0, 3).tolist() == [1.0, 2.0, 3.0, 4.0]
 
     def test_half_beta_exact_values(self):
         # Gamma(2.5) / (Gamma(3) Gamma(0.5)) = 3/8 in exact arithmetic
-        assert bl.binomial_coeffs(0.5, 2).weights.tolist() == [1.0, 0.5, 0.375]
+        assert bl.binomial_coeffs(0.5, 2).tolist() == [1.0, 0.5, 0.375]
 
     def test_rejects_nonpositive_beta(self):
         with pytest.raises(ParameterDomainError):
@@ -40,7 +40,7 @@ class TestBinomialWeights:
 
     @pytest.mark.parametrize("beta", BETA_GRID)
     def test_recurrence_consistency(self, beta):
-        w = bl.binomial_coeffs(beta, 500).weights
+        w = bl.binomial_coeffs(beta, 500)
         assert w[0] == 1.0
         for n in range(1, 501):
             expected = w[n - 1] * (n - 1 + beta) / n
@@ -61,7 +61,7 @@ class TestBinomialWeights:
         [(0.4, "down"), (0.99, "down"), (1.0, "flat"), (1.01, "up"), (5.0, "up")],
     )
     def test_monotone_growth_by_beta(self, beta, trend):
-        w = bl.binomial_coeffs(beta, 200).weights
+        w = bl.binomial_coeffs(beta, 200)
         diffs = np.diff(w)
         if trend == "down":
             assert np.all(diffs <= 0.0)
@@ -132,7 +132,7 @@ class TestRunningSumIdentity:
             running += base[n]
             assert running == bumped[n]  # identity is exact in rationals
         # and the float engine sits within 1e-13 of the exact values
-        ours = bl.binomial_coeffs(3.7, 40).weights
+        ours = bl.binomial_coeffs(3.7, 40)
         for n in range(41):
             assert abs(ours[n] - float(base[n])) <= 1e-13 * float(base[n])
 
