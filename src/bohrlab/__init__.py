@@ -35,10 +35,12 @@ from .corpus import (
     Polynomial,
     derive_seed,
     evaluate,
+    expand,
     extremal_phi,
     extremal_psi,
     multiply_by_z,
     random_schur,
+    random_schur_block,
     schwarz_shift,
     suggested_order,
     taylor_coeffs,

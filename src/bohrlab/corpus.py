@@ -13,7 +13,9 @@ product ``-z**m``.  Each form has an exact rational point evaluator and a
 coefficient producer that is exact up to rounding.  A seeded generator
 draws random members for verification sweeps: constants, finite Blaschke
 products (sup norm exactly 1 on the circle), and Blaschke products damped
-by a constant of modulus at most 1.
+by a constant of modulus at most 1.  ``random_schur_block`` draws the same
+members for a whole block of seeds as arrays, and ``expand`` turns those
+arrays into Taylor coefficients.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence, Union
 
 import numpy as np
@@ -46,6 +49,8 @@ __all__ = [
     "schwarz_shift",
     "multiply_by_z",
     "random_schur",
+    "random_schur_block",
+    "expand",
     "derive_seed",
 ]
 
@@ -190,31 +195,42 @@ def taylor_matrix(fs: Sequence[BoundedFunction], n_max: int) -> np.ndarray:
     """Taylor coefficients ``a_0 .. a_{n_max}`` of each function, one row each.
 
     Takes Blaschke products, constants included, the members
-    ``random_schur`` draws, and expands them with numpy over the rows: each
-    zero ``a`` multiplies the series by ``(z - a)``, ``g_n = h_{n-1} - a h_n``,
-    then divides by ``(1 - conj(a) z)``, ``h_n = g_n + conj(a) h_{n-1}``.
-    Zeros must stay inside the modulus cap 0.95 so the coefficients decay
-    geometrically.
+    ``random_schur`` draws, and lays them out as the arrays ``expand`` reads.
     """
-    if n_max < 0:
-        raise ParameterDomainError(f"n_max must be nonnegative, got {n_max}")
     for f in fs:
         if not isinstance(f, Blaschke):
             raise TypeError(f"expected a Blaschke product, got {f!r}")
     width = max((len(f.zeros) for f in fs), default=0)
-    # Coefficient index first: one recurrence step over all rows is contiguous.
-    h = np.zeros((n_max + 1, len(fs)), dtype=np.complex128)
+    h0 = np.array([f.unimodular_factor * f.scale for f in fs], dtype=np.complex128)
     zeros = np.zeros((len(fs), width), dtype=np.complex128)
     live = np.zeros((len(fs), width), dtype=bool)
     for i, f in enumerate(fs):
-        h[0, i] = f.unimodular_factor * f.scale
         zeros[i, : len(f.zeros)] = f.zeros
         live[i, : len(f.zeros)] = True
+    return expand(h0, zeros, live, n_max)
+
+
+def expand(h0: np.ndarray, zeros: np.ndarray, live: np.ndarray, n_max: int) -> np.ndarray:
+    """Taylor coefficients ``a_0 .. a_{n_max}`` of a block of Blaschke products.
+
+    Row ``i`` is ``h0[i] * prod_j (z - a_j) / (1 - conj(a_j) z)`` over the
+    zeros ``a_j = zeros[i, j]`` with ``live[i, j]``; the zeros of a row come
+    first and the padding is 0.  Each zero multiplies the series by
+    ``(z - a)``, ``g_n = h_{n-1} - a h_n``, then divides by
+    ``(1 - conj(a) z)``, ``h_n = g_n + conj(a) h_{n-1}``, with numpy over the
+    rows.  Zeros must stay inside the modulus cap 0.95 so the coefficients
+    decay geometrically.
+    """
+    if n_max < 0:
+        raise ParameterDomainError(f"n_max must be nonnegative, got {n_max}")
     worst = np.abs(zeros).max(initial=0.0)
     if worst >= BLASCHKE_ZERO_CAP:
         raise ParameterDomainError(
             f"Blaschke zero modulus {worst} at or above the cap {BLASCHKE_ZERO_CAP}"
         )
+    # Coefficient index first: one recurrence step over all rows is contiguous.
+    h = np.zeros((n_max + 1, len(h0)), dtype=np.complex128)
+    h[0] = h0
     # A row without this zero skips the multiply; its padding a = 0 makes the divide exact.
     for a, a_bar, on in zip(zeros.T, zeros.conj().T, live.T):
         g = h.copy()
@@ -331,6 +347,15 @@ def derive_seed(master_seed: int, index: int) -> int:
     return x
 
 
+def _check_draw(max_factors: int, radius_cap: float) -> None:
+    if max_factors < 0:
+        raise ParameterDomainError(f"max_factors must be nonnegative, got {max_factors}")
+    if not 0.0 < radius_cap <= BLASCHKE_ZERO_CAP:
+        raise ParameterDomainError(
+            f"radius_cap must lie in (0, {BLASCHKE_ZERO_CAP}], got {radius_cap}"
+        )
+
+
 def _disk_point(rng: np.random.Generator, radius: float = 1.0) -> complex:
     # Uniform w.r.t. area on the disk of the given radius.
     r = radius * math.sqrt(rng.random())
@@ -346,12 +371,7 @@ def random_schur(seed: int, max_factors: int, radius_cap: float) -> BoundedFunct
     disk constant).  Zeros are uniform on the disk of radius ``radius_cap``;
     the rotation is uniform on the circle.
     """
-    if max_factors < 0:
-        raise ParameterDomainError(f"max_factors must be nonnegative, got {max_factors}")
-    if not 0.0 < radius_cap <= BLASCHKE_ZERO_CAP:
-        raise ParameterDomainError(
-            f"radius_cap must lie in (0, {BLASCHKE_ZERO_CAP}], got {radius_cap}"
-        )
+    _check_draw(max_factors, radius_cap)
     rng = np.random.default_rng(seed & _MASK64)
     branch = rng.random()
     if branch < 0.25:
@@ -362,3 +382,205 @@ def random_schur(seed: int, max_factors: int, radius_cap: float) -> BoundedFunct
     if branch < 0.625:
         return Blaschke(zeros, rotation)
     return Blaschke(zeros, rotation, scale=_disk_point(rng))
+
+
+# ``random_schur_block`` replays numpy's ``default_rng(seed)`` stream with
+# array arithmetic over a block of seeds: the SeedSequence hash pool, PCG64
+# (XSL-RR 128/64, O'Neill, HMC-CS-2014-0905) with its 128-bit state held in
+# (high, low) pairs of uint64 arrays, ``random()``, and Lemire's bounded
+# ``integers()`` (ACM TOMACS 29(1), 2019).  The constants are numpy's.
+_M32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+
+
+def _hash_consts(init: int, mult: int, count: int) -> np.ndarray:
+    """The running hash constant of ``count`` SeedSequence hashes, as columns.
+
+    Hash ``i`` xors its input with row ``i`` of column 0 and multiplies by
+    row ``i`` of column 1; the constant does not depend on the data.
+    """
+    out = []
+    for _ in range(count):
+        out.append((init, init * mult & _M32))
+        init = out[-1][1]
+    return np.array(out, dtype=np.uint32)[:, :, None]
+
+
+# Pool hashes (four entropy words, then three per mixing round) and output hashes.
+_POOL_HASH = _hash_consts(0x43B0D7E5, 0x931E8875, 16)
+_STATE_HASH = _hash_consts(0x8B51F9DD, 0x58F38DED, 8)
+
+
+def _hash(value: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    value = (value ^ consts[:, 0]) * consts[:, 1]
+    return value ^ value >> np.uint32(16)
+
+
+def _seed_words(seeds: np.ndarray) -> np.ndarray:
+    """``SeedSequence(seed).generate_state(4, np.uint64)``, one column per seed.
+
+    The entropy is the seed's two 32-bit words; numpy gives a seed below
+    2**32 one word and hashes the missing one as the 0 it pads the pool with.
+    """
+    entropy = np.zeros((4, len(seeds)), dtype=np.uint32)
+    entropy[0], entropy[1] = seeds & _M32, seeds >> 32
+    pool = _hash(entropy, _POOL_HASH[:4])
+    # Every word is mixed with the hash of every other; a source word's three
+    # hashes use consecutive constants.
+    for src in range(4):
+        dst = [i for i in range(4) if i != src]
+        hashed = _hash(pool[src], _POOL_HASH[4 + 3 * src : 7 + 3 * src])
+        mixed = _MIX_MULT_L * pool[dst] - _MIX_MULT_R * hashed
+        pool[dst] = mixed ^ mixed >> np.uint32(16)
+    words = _hash(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _STATE_HASH).astype(np.uint64)
+    return words[0::2] | words[1::2] << 32
+
+
+def _mulhi64(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """High word of the 128-bit product of uint64 arrays, from 32-bit halves."""
+    a0, a1, b0, b1 = a & _M32, a >> 32, b & _M32, b >> 32
+    cross_ab, cross_ba = a0 * b1, a1 * b0
+    mid = (a0 * b0 >> 32) + (cross_ab & _M32) + (cross_ba & _M32)
+    return a1 * b1 + (cross_ab >> 32) + (cross_ba >> 32) + (mid >> 32)
+
+
+def _mul128(a: tuple, b: tuple) -> tuple:
+    """``a * b mod 2**128`` for (high, low) pairs; uint64 products wrap."""
+    (a_hi, a_lo), (b_hi, b_lo) = a, b
+    return _mulhi64(a_lo, b_lo) + a_lo * b_hi + a_hi * b_lo, a_lo * b_lo
+
+
+def _add128(a: tuple, b: tuple) -> tuple:
+    (a_hi, a_lo), (b_hi, b_lo) = a, b
+    lo = a_lo + b_lo
+    return a_hi + b_hi + (lo < a_lo), lo
+
+
+def _words128(values: list) -> tuple:
+    return (
+        np.array([v >> 64 for v in values], dtype=np.uint64),
+        np.array([v & _MASK64 for v in values], dtype=np.uint64),
+    )
+
+
+@lru_cache(maxsize=None)
+def _pcg_sums(count: int) -> tuple:
+    """``1 + A + .. + A**(j-1)`` mod 2**128 for j < count, ``A`` the multiplier.
+
+    ``j`` steps take a state ``s`` with increment ``c`` to
+    ``s + (1 + A + .. + A**(j-1)) ((A - 1) s + c)``.
+    """
+    sums, power, total = [], 1, 0
+    for _ in range(count):
+        sums.append(total)
+        total = (total + power) & _MASK128
+        power = power * _PCG_MULT & _MASK128
+    return _words128(sums)
+
+
+# Set-seq seeding starts at state 0 with increment ``c = 2 initseq + 1``,
+# steps, adds ``initstate`` and steps again; the first output steps once
+# more, to ``A**2 initstate + (1 + A + A**2) c``.
+_SEED_POWER, _SEED_SUM, _PCG_STEP = (
+    _words128([v])
+    for v in (_PCG_MULT**2 & _MASK128, 1 + _PCG_MULT + _PCG_MULT**2 & _MASK128, _PCG_MULT - 1)
+)
+
+
+def _pcg_outputs(seeds: np.ndarray, count: int) -> np.ndarray:
+    """The first ``count`` outputs of ``PCG64(seed)``, one row per seed."""
+    state_hi, state_lo, seq_hi, seq_lo = (w[:, None] for w in _seed_words(seeds))
+    inc = (seq_hi << 1 | seq_lo >> 63, seq_lo << 1 | 1)
+    state = _add128(_mul128((state_hi, state_lo), _SEED_POWER), _mul128(inc, _SEED_SUM))
+    step = _add128(_mul128(state, _PCG_STEP), inc)
+    hi, lo = _add128(state, _mul128(step, _pcg_sums(count)))
+    # XSL-RR: fold the halves, rotate right by the top six bits.
+    folded, rot = hi ^ lo, hi >> 58
+    return folded >> rot | folded << (64 - rot & 63)
+
+
+def _uniform(raw: np.ndarray) -> np.ndarray:
+    """``Generator.random()`` of each output: its top 53 bits times 2**-53."""
+    return (raw >> 11).astype(np.float64) * 2.0**-53
+
+
+def _lemire_redraws(leftover: np.ndarray, k: int) -> np.ndarray:
+    """Where ``integers(0, k)`` rejects its first 32-bit draw and draws again."""
+    return leftover < (2**32 - k) % k
+
+
+def _complex(re, im) -> np.ndarray:
+    out = np.empty(np.broadcast(re, im).shape, dtype=np.complex128)
+    out.real, out.imag = re, im
+    return out
+
+
+def _cmul(a: tuple, b: tuple) -> tuple:
+    """The product of (re, im) pairs, rounded as Python's complex product.
+
+    numpy's complex multiply may fuse ``ac - bd`` into one rounding.
+    """
+    (a_re, a_im), (b_re, b_im) = a, b
+    return a_re * b_re - a_im * b_im, a_re * b_im + a_im * b_re
+
+
+def _unit(u_angle: np.ndarray) -> tuple:
+    """``cmath.exp(2j * math.pi * u)`` as (re, im) arrays, (cos, sin) of ``2 pi u``."""
+    unit = np.exp(_complex(0.0, 2.0 * math.pi * u_angle))
+    return unit.real, unit.imag
+
+
+def _disk_points(u_radius: np.ndarray, u_angle: np.ndarray, radius: float) -> tuple:
+    """``_disk_point`` of the given uniforms, as (re, im) arrays."""
+    return _cmul((radius * np.sqrt(u_radius), 0.0), _unit(u_angle))
+
+
+def random_schur_block(seeds: Sequence[int], max_factors: int, radius_cap: float) -> tuple:
+    """``random_schur`` over a block of seeds, as the arrays ``expand`` reads.
+
+    Returns ``(h0, zeros, live)``, equal bit for bit to the arrays
+    ``taylor_matrix`` builds from ``random_schur(seed, ...)`` for each seed,
+    without a per-seed generator or member.  A draw reads the outputs
+    ``branch``, the factor count (only when ``max_factors > 0``), two per
+    zero, the rotation and, when damped, two for the scale; a constant reads
+    ``branch`` and two.  A seed whose count numpy would draw twice, at odds
+    of about 2**-32, is drawn by ``random_schur`` itself.
+    """
+    _check_draw(max_factors, radius_cap)
+    if max_factors >= _M32 - 1:
+        raise ParameterDomainError(f"max_factors must be below 2**32 - 1, got {max_factors}")
+    first = 1 if max_factors == 0 else 2  # output index of the first zero
+    u_raw = _pcg_outputs(
+        np.array([seed & _MASK64 for seed in seeds], dtype=np.uint64),
+        first + 2 * max_factors + 3,
+    )
+    u = _uniform(u_raw)
+    branch = u[:, 0]
+    # Lemire: the count is the high word of a 32-bit draw times k; k = 1 draws nothing.
+    k = max_factors + 1
+    scaled = (u_raw[:, 1] & _M32) * np.uint64(k)
+    redraw = _lemire_redraws(scaled & _M32, k)
+    counts = np.where((branch < 0.25) | redraw, 0, scaled >> 32).astype(np.intp)
+    redrawn = {i: random_schur(seeds[i], max_factors, radius_cap) for i in np.flatnonzero(redraw)}
+    width = max([int(counts.max(initial=0))] + [len(f.zeros) for f in redrawn.values()])
+
+    stop = first + 2 * width
+    live = np.arange(width) < counts[:, None]
+    zeros = _disk_points(u[:, first:stop:2], u[:, first + 1 : stop : 2], radius_cap)
+    zeros = np.where(live, _complex(*zeros), 0.0)
+    rows, after = np.arange(len(u)), first + 2 * counts
+    rotation = _unit(u[rows, after])
+    constant = _cmul((1.0, 0.0), _disk_points(u[:, 1], u[:, 2], 1.0))
+    pure = _cmul(rotation, (1.0, 0.0))
+    damped = _cmul(rotation, _disk_points(u[rows, after + 1], u[rows, after + 2], 1.0))
+    h0 = _complex(*(
+        np.where(branch < 0.25, c, np.where(branch < 0.625, p, d))
+        for c, p, d in zip(constant, pure, damped)
+    ))
+    for i, f in redrawn.items():
+        h0[i] = f.unimodular_factor * f.scale
+        zeros[i, : len(f.zeros)] = f.zeros
+        live[i, : len(f.zeros)] = True
+    return h0, zeros, live

@@ -230,6 +230,25 @@ class TestVerifyCommand:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("beta,samples", [(300, 3), (400, 20)])
+    def test_rounding_on_a_huge_bound_is_no_violation(self, capsys, beta, samples):
+        # The bound is 2.7e50 at beta 300: rounding alone exceeds it by 1e35.
+        code, out, err = run_cli(
+            capsys, "verify", "--op", "cesaro", "--beta", str(beta), "--samples", str(samples)
+        )
+        results = json.loads(out)["results"]
+        assert code == 0, err
+        assert results["violations"] == 0
+        assert results["max_excess"] <= 1e-12 * results["bound"]
+
+    def test_relative_excess_above_rounding_is_a_violation(self, capsys, monkeypatch):
+        bound = cli.sup_bound
+        monkeypatch.setattr(cli, "sup_bound", lambda kind, r: bound(kind, r) * (1.0 - 1e-9))
+        code, out, _ = run_cli(
+            capsys, "verify", "--op", "cesaro", "--beta", "300", "--samples", "3"
+        )
+        assert code == 4 and json.loads(out)["results"]["violations"] >= 1
+
     def test_determinism_bytes(self, capsys):
         argv = ("verify", "--op", "libera", "--samples", "30", "--seed", "123")
         _, first, _ = run_cli(capsys, *argv)
@@ -284,6 +303,17 @@ class TestSharpnessCommand:
         )
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["results"]["max_reconstruction_error"] <= 1e-9
+
+
+    def test_reconstruction_rounding_on_a_huge_bound_passes(self, capsys):
+        # bound_term is 2.3e13 at beta 50, r 0.5: the sum's last bits are 0.02.
+        code, out, err = run_cli(
+            capsys, "sharpness", "--op", "cesaro", "--beta", "50", "--r", "0.5",
+            "--a-values", "0.5,0.9,0.999",
+        )
+        results = json.loads(out)["results"]
+        assert code == 0, err
+        assert 1e-9 < results["max_reconstruction_error"] <= 1e-12 * results["rows"][0]["bound_term"]
 
 
 class TestShiftedOperators:

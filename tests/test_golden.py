@@ -3,7 +3,12 @@
 Each command runs in process through ``cli.main`` with ``--out`` and its
 report is compared byte for byte with the committed file in ``golden/``.
 A refactor that changes a report must change the golden file in the same
-commit and say which field changed and why.
+commit and say which field changed and why.  The goldens were written with
+numpy 2.4.6 under its full x86-64 dispatch, AVX-512 included: with
+``NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR"`` numpy's
+``power``, ``exp``, ``expm1`` and ``log1p`` round some values differently,
+and ``radius_bernardi.csv`` and ``sharpness_cesaro.csv`` change in their
+last bits.
 
 To regenerate after an intended change, run from the repository root:
 
