@@ -274,24 +274,28 @@ def cmd_verify(args: argparse.Namespace) -> tuple:
 
     bound = sup_bound(kind, r)
     zeros_needed = required_origin_zeros(kind)
+    # A bound below 1 scales the majorant cut and the rounding allowance, so
+    # that neither swallows the whole bound.
+    scale = min(1.0, bound)
+    eps, tol = DEFAULT_MAJORANT_EPS * scale, _rounding_tol(bound) * scale
     # Sample every coefficient the family's weight vector reads, no more; a
     # vector cut before w_m (the whole series below eps) leaves the zeros.
-    order = max(kind.d + series_order(kind.family, r, DEFAULT_MAJORANT_EPS), zeros_needed)
-    tol = _rounding_tol(bound)
+    order = max(kind.d + series_order(kind.family, r, eps), zeros_needed)
     violations, first_violation, worst = 0, None, -math.inf
     for start in range(0, args.samples, VERIFY_BLOCK):
-        indices = range(start, min(start + VERIFY_BLOCK, args.samples))
-        seeds = [derive_seed(args.seed, i) for i in indices]
+        indices = np.arange(start, min(start + VERIFY_BLOCK, args.samples), dtype=np.uint64)
+        seeds = derive_seed(args.seed, indices)
         h0, zeros, live = random_schur_block(seeds, args.max_factors, args.radius_cap)
         # The origin zeros the operand needs are leading zero columns.
         coeffs = np.zeros((len(seeds), order + 1), dtype=np.complex128)
         coeffs[:, zeros_needed:] = expand(h0, zeros, live, order - zeros_needed)
-        excesses = [v - bound for v in majorant_values(kind, coeffs, r, DEFAULT_MAJORANT_EPS)]
+        excesses = [v - bound for v in majorant_values(kind, coeffs, r, eps)]
         worst = max(worst, *excesses)
-        over = [(i, seed, e) for i, seed, e in zip(indices, seeds, excesses) if e > tol]
+        over = [(i, e) for i, e in enumerate(excesses) if e > tol]
         violations += len(over)
         if over and first_violation is None:
-            first_violation = dict(zip(("index", "seed", "excess"), over[0]))
+            i, excess = over[0]
+            first_violation = {"index": start + i, "seed": int(seeds[i]), "excess": excess}
 
     results = {
         "bound": bound,

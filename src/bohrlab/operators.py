@@ -340,7 +340,9 @@ def cesaro_series_order(beta: float, r: float, eps: float) -> int:
     Terms with unit-ball coefficients are dominated by
     ``t_n = c_n(beta+1) r**n / (n+1)``; past N the ratio of consecutive
     dominating terms never exceeds ``q = r * max(1, (N+1+beta)/(N+2))``, so
-    the tail is at most ``t_{N+1} / (1 - q)``.
+    the tail is at most ``t_{N+1} / (1 - q)``.  Once ``c_n(beta+1)``
+    overflows a float no later term is finite, so the scan stops there with
+    ``ParameterDomainError``.
     """
     if not 0.0 < r < 1.0:
         raise ParameterDomainError(f"r must lie in (0, 1), got {r}")
@@ -350,6 +352,11 @@ def cesaro_series_order(beta: float, r: float, eps: float) -> int:
     r_pow = r  # r**(n+1) while scanning n
     for n in range(MAX_SERIES_TERMS):
         c_np1 = c_next * (n + beta + 1.0) / (n + 1.0)
+        if math.isinf(c_np1):
+            raise ParameterDomainError(
+                f"c_n(beta+1) overflows a float at n={n + 1} before the Cesaro majorant "
+                f"tail reaches eps={eps} at beta={beta}, r={r}"
+            )
         t_next = c_np1 * r_pow / (n + 2.0)
         q = r * max(1.0, (n + 1.0 + beta) / (n + 2.0))
         if q < 1.0 and t_next / (1.0 - q) <= eps:

@@ -6,8 +6,10 @@ through math.fsum, and series are expanded by explicit double loops.
 
 The reference implementations after them are the per-sample paths that
 the batched verify sweep replaced: a Blaschke product expanded as a chain
-of Cauchy products, and the three absolute series with their truncation
-cuts; and the Bernardi radius equation summed by the plain tail loop.
+of Cauchy products, the corpus member of a seed drawn one uniform at a
+time from splitmix64 on Python ints, and the three absolute series with
+their truncation cuts; and the Bernardi radius equation summed by the
+plain tail loop.
 They take plain numpy arrays and nothing from the library.
 
 The two paper-claim checks at the end, the sampled sup bound and the
@@ -18,6 +20,7 @@ each other.
 
 from __future__ import annotations
 
+import cmath
 import math
 from fractions import Fraction
 
@@ -140,6 +143,41 @@ def blaschke_coeffs_reference(zeros, lead: complex, n_max: int) -> np.ndarray:
         factor = np.convolve(linear, geometric)[: n_max + 1]
         product = np.convolve(product, factor)[: n_max + 1]
     return product
+
+
+def splitmix64_reference(state: int, index: int) -> int:
+    """Output ``index`` of splitmix64 (Steele, Lea & Flood, OOPSLA 2014) from
+    ``state``: the mix of ``state + (index + 1) * golden`` on Python ints."""
+    mask = 2**64 - 1
+    z = (state + (index + 1) * 0x9E3779B97F4A7C15) & mask
+    z = ((z ^ z >> 30) * 0xBF58476D1CE4E5B9) & mask
+    z = ((z ^ z >> 27) * 0x94D049BB133111EB) & mask
+    return z ^ z >> 31
+
+
+def corpus_member_reference(seed: int, max_factors: int, radius_cap: float) -> tuple:
+    """The verify corpus member of ``seed`` as ``(lead, zeros)``, one uniform at a time.
+
+    Uniform ``j`` is the top 53 bits of splitmix64 output ``j`` from the
+    seed.  Column 0 picks a constant (below 1/4), a pure product (below
+    5/8) or a damped one; column 1 the factor count; columns 2 and 3 the
+    constant or the damping point; column 4 the rotation; columns ``5 + 2i``
+    and ``6 + 2i`` zero ``i``.  A disk point is ``length * unit`` with
+    ``length = radius * sqrt(u)``, the lead ``rotation * scale``.
+    """
+
+    def u(j):
+        return (splitmix64_reference(seed & 2**64 - 1, j) >> 11) * 2.0**-53
+
+    def disk(j, radius):
+        length, unit = radius * math.sqrt(u(j)), cmath.exp(2j * math.pi * u(j + 1))
+        return complex(length * unit.real, length * unit.imag)
+
+    if u(0) < 0.25:
+        return complex(1.0) * disk(2, 1.0), ()
+    zeros = tuple(disk(5 + 2 * i, radius_cap) for i in range(int(u(1) * (max_factors + 1))))
+    scale = complex(1.0) if u(0) < 0.625 else disk(2, 1.0)
+    return cmath.exp(2j * math.pi * u(4)) * scale, zeros
 
 
 def cesaro_abs_series_reference(beta: float, absf, r: float, n_stop: int) -> float:

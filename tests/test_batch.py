@@ -171,8 +171,9 @@ def test_verify_matches_the_per_sample_loop(capsys, op_flags, kind, seed):
 class TestBlockBoundaries:
     @pytest.mark.parametrize("samples", [1, 255, 256, 257, 513])
     def test_every_sample_is_counted(self, capsys, monkeypatch, samples):
-        # With a zero bound every nonzero majorant is a violation.
-        monkeypatch.setattr(cli, "sup_bound", lambda kind, r: 0.0)
+        # With a bound far below every majorant every sample is a violation.
+        # (A zero bound would set a zero majorant cut, which is refused.)
+        monkeypatch.setattr(cli, "sup_bound", lambda kind, r: 1e-30)
         code, out = _verify(capsys, "--op", "cbeta", "--beta", "1", "--samples", str(samples),
                             "--seed", "4")
         results = json.loads(out)["results"]

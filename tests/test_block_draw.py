@@ -1,13 +1,15 @@
-"""The block draw replays numpy's ``default_rng`` stream bit for bit.
+"""The verify corpus is one splitmix64 stream, drawn a block at a time.
 
-``corpus.random_schur_block`` rebuilds, for a whole block of seeds at once,
-the arrays ``taylor_matrix`` lays out from the members ``random_schur``
-draws: SeedSequence hashing, PCG64 steps, ``random()``, Lemire's bounded
-``integers()`` and the disk points are all array arithmetic.  The tests
-compare the two paths as uint64 bit patterns over more than 1e5 seeds, so a
-numpy release that changes any of these steps fails here instead of
-shifting the verify corpus in silence.  The same tests run once more in a
-subprocess with numpy's AVX-512 dispatch disabled.
+Uniform ``j`` of the member with seed ``s`` is ``(derive_seed(s, j) >> 11)
+* 2**-53``.  ``corpus.random_schur_block`` reads fixed columns of that
+stream for a whole block of seeds with array arithmetic, and
+``random_schur`` is its one-row case.  The tests compare the block, as
+uint64 bit patterns over more than 1e4 seeds, with a scalar transcription
+of the stream in ``tests/oracles.py`` (Python ints, ``math.sqrt``,
+``cmath.exp``) and with ``taylor_matrix`` of the ``random_schur`` members;
+they check the mixture's statistics over more than 1e5 seeds.  The same
+tests run once more in a subprocess with numpy's AVX-512 dispatch disabled,
+so the corpus does not depend on it.
 """
 
 import os
@@ -21,13 +23,14 @@ import pytest
 import bohrlab as bl
 from bohrlab import cli, corpus
 from bohrlab.errors import ParameterDomainError
+from oracles import corpus_member_reference, splitmix64_reference
 
 ROOT = Path(__file__).resolve().parents[1]
 NO_AVX512 = "X86_V4 AVX512_ICL AVX512_SPR"
 
 EDGE_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1)
 CASES = [(mf, cap) for mf in (0, 1, 4, 7) for cap in (0.5, 0.9, 0.95)]
-BLOCKS_PER_CASE = 33  # 12 cases x 33 blocks x 256 seeds = 101376 seeds
+BLOCKS_PER_CASE = 4  # 12 cases x 4 blocks x 256 seeds = 12288 seeds
 
 
 def _same_bits(got, want):
@@ -42,35 +45,81 @@ def _block_seeds(case, block):
     return seeds
 
 
-def _member_arrays(fs):
-    """``(h0, zeros, live)`` of the members: lead, zeros first, 0 padding."""
-    width = max((len(f.zeros) for f in fs), default=0)
-    h0 = np.array([f.unimodular_factor * f.scale for f in fs], dtype=np.complex128)
-    zeros = np.zeros((len(fs), width), dtype=np.complex128)
-    live = np.zeros((len(fs), width), dtype=bool)
-    for i, f in enumerate(fs):
-        zeros[i, : len(f.zeros)] = f.zeros
-        live[i, : len(f.zeros)] = True
+def _reference_arrays(seeds, max_factors, radius_cap):
+    """``(h0, zeros, live)`` of the reference members: zeros first, 0 padding."""
+    members = [corpus_member_reference(s, max_factors, radius_cap) for s in seeds]
+    width = max((len(zeros) for _, zeros in members), default=0)
+    h0 = np.array([lead for lead, _ in members], dtype=np.complex128)
+    zeros = np.zeros((len(seeds), width), dtype=np.complex128)
+    live = np.zeros((len(seeds), width), dtype=bool)
+    for i, (_, row) in enumerate(members):
+        zeros[i, : len(row)] = row
+        live[i, : len(row)] = True
     return h0, zeros, live
 
 
-def test_pcg_stream_is_numpys():
-    seeds = list(EDGE_SEEDS) + [bl.derive_seed(5, i) for i in range(5000)]
-    raw = corpus._pcg_outputs(np.array(seeds, dtype=np.uint64), 9)
-    expected = np.array([np.random.default_rng(s).bit_generator.random_raw(9) for s in seeds])
-    assert raw.dtype == np.uint64
-    assert np.array_equal(raw, expected)
+@pytest.mark.parametrize("master", [0, -5, 2**63, 2**64 - 1])
+def test_derive_seed_array_is_the_scalar_stream(master):
+    indices = list(range(300)) + [2**32 - 1, 2**32, 2**63, 2**64 - 2, 2**64 - 1]
+    got = bl.derive_seed(master, np.array(indices, dtype=np.uint64))
+    assert got.dtype == np.uint64
+    assert got.tolist() == [bl.derive_seed(master, i) for i in indices]
+    assert got.tolist() == [splitmix64_reference(master, i) for i in indices]
+
+
+def test_derive_seed_broadcasts_over_masters():
+    masters = np.array(EDGE_SEEDS, dtype=np.uint64)[:, None]
+    got = bl.derive_seed(masters, np.arange(9, dtype=np.uint64))
+    assert got.tolist() == [[bl.derive_seed(s, j) for j in range(9)] for s in EDGE_SEEDS]
 
 
 @pytest.mark.parametrize("max_factors,radius_cap", CASES)
-def test_block_draw_is_random_schur_bit_for_bit(max_factors, radius_cap):
+def test_block_draw_is_the_scalar_stream_bit_for_bit(max_factors, radius_cap):
     case = CASES.index((max_factors, radius_cap))
     for block in range(BLOCKS_PER_CASE):
         seeds = _block_seeds(case, block)
-        fs = [bl.random_schur(s, max_factors, radius_cap) for s in seeds]
         drawn = bl.random_schur_block(seeds, max_factors, radius_cap)
-        assert all(map(_same_bits, drawn, _member_arrays(fs)))
+        assert all(map(_same_bits, drawn, _reference_arrays(seeds, max_factors, radius_cap)))
+        fs = [bl.random_schur(s, max_factors, radius_cap) for s in seeds]
         assert _same_bits(bl.expand(*drawn, 12), bl.taylor_matrix(fs, 12))
+
+
+def test_seed_array_and_list_draw_alike():
+    seeds = _block_seeds(0, 0)
+    from_list = bl.random_schur_block(seeds, 4, 0.9)
+    from_array = bl.random_schur_block(np.array(seeds, dtype=np.uint64), 4, 0.9)
+    assert all(map(_same_bits, from_array, from_list))
+
+
+def test_negative_seed_is_its_residue():
+    assert bl.random_schur(-5, 4, 0.9) == bl.random_schur(2**64 - 5, 4, 0.9)
+
+
+@pytest.mark.parametrize("max_factors", [4, 7])
+def test_mixture_statistics(max_factors):
+    n, cap = 2**17, 0.9
+    seeds = bl.derive_seed(99 + max_factors, np.arange(n, dtype=np.uint64))
+    rotation, scale, zeros, live = corpus._draw(seeds, max_factors, cap)
+    constant, pure = rotation == 1.0, scale == 1.0
+    fractions = (constant.mean(), pure.mean(), (~constant & ~pure).mean())
+    for got, p in zip(fractions, (0.25, 0.375, 0.375)):
+        assert abs(got - p) <= 5.0 * np.sqrt(p * (1.0 - p) / n)
+    assert not live[constant].any()
+    counts = np.bincount(live[~constant].sum(axis=1), minlength=max_factors + 1)
+    p, rows = 1.0 / (max_factors + 1), counts.sum()
+    assert counts.size == max_factors + 1
+    assert np.all(np.abs(counts / rows - p) <= 5.0 * np.sqrt(p * (1.0 - p) / rows))
+    h0, _, _ = bl.random_schur_block(seeds, max_factors, cap)
+    assert np.abs(zeros).max() <= cap
+    assert np.abs(h0).max() <= 1.0 + 1e-12
+
+
+def test_count_stays_below_max_factors_plus_one():
+    # floor(u * k) < k for every uniform u <= 1 - 2**-53 and k <= 2**32 - 1,
+    # so the count needs no clamp.
+    top = 1.0 - 2.0**-53
+    for k in [1, 2, 3, 5, 8, 1000, 2**31 - 1, 2**31, 2**31 + 1, 2**32 - 3, 2**32 - 2, 2**32 - 1]:
+        assert int(top * k) == k - 1
 
 
 def test_empty_block():
@@ -83,75 +132,8 @@ def test_parameter_domain():
     for max_factors, radius_cap in ((-1, 0.9), (4, 0.96), (4, 0.0), (2**32 - 1, 0.9)):
         with pytest.raises(ParameterDomainError):
             bl.random_schur_block([1, 2], max_factors, radius_cap)
-
-
-def _numpy_redraws(low32, k):
-    """Whether ``integers(0, k)`` draws again after a first output of ``low32``.
-
-    The generator's next state is set so that its output is ``low32`` with a
-    high word of 0: one 64-bit output consumed and its high word still
-    buffered means numpy kept the first 32-bit draw.
-    """
-    mult, inc = corpus._PCG_MULT, 1
-    state = (low32 - inc) * pow(mult, -1, 2**128) % 2**128  # steps to (0, low32)
-    bitgen = np.random.PCG64()
-    bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                    "has_uint32": 0, "uinteger": 0}
-    np.random.Generator(bitgen).integers(0, k)
-    after = bitgen.state
-    kept = after["has_uint32"] == 1 and after["state"]["state"] == low32
-    return not kept
-
-
-@pytest.mark.parametrize("k", [2, 3, 5, 8, 2**31 + 1])
-def test_redraw_predicate_is_numpys(k):
-    rng = np.random.default_rng(k)
-    lows = [0, 1, 2, 2**31, 2**32 - 1] + [int(v) for v in rng.integers(0, 2**32, 200)]
-    leftovers = np.array(lows, dtype=np.uint64) * np.uint64(k) & corpus._M32
-    predicted = corpus._lemire_redraws(leftovers, k)
-    assert predicted.tolist() == [_numpy_redraws(v, k) for v in lows]
-    if k == 3:
-        assert predicted[0]  # leftover 0 < (2**32 - 3) % 3 = 1
-
-
-def _every_seed_redraws(monkeypatch):
-    monkeypatch.setattr(
-        corpus, "_lemire_redraws", lambda leftover, k: np.ones(leftover.shape, dtype=bool)
-    )
-
-
-@pytest.mark.parametrize("max_factors", [0, 4])
-def test_fallback_rows_are_the_block_rows(monkeypatch, max_factors):
-    seeds = _block_seeds(0, 0)
-    block_drawn = bl.random_schur_block(seeds, max_factors, 0.9)
-    _every_seed_redraws(monkeypatch)
-    assert all(map(_same_bits, bl.random_schur_block(seeds, max_factors, 0.9), block_drawn))
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("--op", "cesaro", "--beta", "1", "--samples", "600", "--seed", "3"),
-        ("--op", "libera", "--samples", "300", "--max-factors", "0"),
-        ("--op", "bohr", "--samples", "300", "--max-factors", "7", "--radius-cap", "0.95"),
-    ],
-    ids=["cesaro-1", "libera-no-factors", "bohr-7-factors"],
-)
-def test_verify_report_is_unchanged_when_every_seed_falls_back(capsys, monkeypatch, argv):
-    assert cli.main(["verify", *argv]) == 0
-    block_drawn = capsys.readouterr().out
-    calls = []
-
-    def counted(*args):
-        calls.append(args[0])
-        return bl.random_schur(*args)
-
-    _every_seed_redraws(monkeypatch)
-    monkeypatch.setattr(corpus, "random_schur", counted)
-    assert cli.main(["verify", *argv]) == 0
-    samples = int(argv[argv.index("--samples") + 1])
-    assert len(calls) == samples
-    assert capsys.readouterr().out == block_drawn
+        with pytest.raises(ParameterDomainError):
+            bl.random_schur(1, max_factors, radius_cap)
 
 
 def test_dispatch_is_as_requested():

@@ -205,7 +205,8 @@ class TestVerifyCommand:
         order, r = payload["results"]["coefficient_order"], payload["params"]["r"]
         args = cli._build_parser().parse_args(["verify", "--op", *flags])
         kind = cli._operator_kind(args)
-        assert order == kind.d + len(kind.family.weights(r, 1e-12)) - 1
+        eps = 1e-12 * min(1.0, bl.sup_bound(kind, r))  # the cut scales with a bound below 1
+        assert order == kind.d + len(kind.family.weights(r, eps)) - 1
         psi = bl.ExtremalPsi(0.9, bl.required_origin_zeros(kind))
         sampled = bl.majorant_value(kind, bl.taylor_coeffs(psi, order), r)
         full = bl.majorant_value(kind, bl.taylor_coeffs(psi, 2000), r)
@@ -242,12 +243,49 @@ class TestVerifyCommand:
         assert results["max_excess"] <= 1e-12 * results["bound"]
 
     def test_relative_excess_above_rounding_is_a_violation(self, capsys, monkeypatch):
+        import bohrlab as bl
+
+        # A unimodular constant attains the bound: sweep up to the first one.
+        members = (bl.random_schur(bl.derive_seed(0, i), 4, 0.9) for i in range(1000))
+        first = next(i for i, f in enumerate(members) if not f.zeros and f.scale == 1.0)
         bound = cli.sup_bound
         monkeypatch.setattr(cli, "sup_bound", lambda kind, r: bound(kind, r) * (1.0 - 1e-9))
         code, out, _ = run_cli(
-            capsys, "verify", "--op", "cesaro", "--beta", "300", "--samples", "3"
+            capsys, "verify", "--op", "cesaro", "--beta", "300", "--samples", str(first + 1)
         )
-        assert code == 4 and json.loads(out)["results"]["violations"] >= 1
+        results = json.loads(out)["results"]
+        assert code == 4 and results["first_violation"]["index"] == first
+
+    @pytest.mark.parametrize("beta", ["440", "500"])
+    def test_cesaro_weight_overflow_is_refused_at_once(self, capsys, beta):
+        # c_n(beta+1) overflows before the majorant tail reaches the cut.
+        code, out, err = run_cli(capsys, "verify", "--op", "cesaro", "--beta", beta,
+                                 "--samples", "5")
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and f"beta={beta}.0" in err and "r=" in err
+
+    def test_bound_below_one_scales_the_cut(self, capsys):
+        # The bound r**m/(m+gamma) is 1e-13 at gamma 1e13; an absolute cut
+        # of 1e-12 would drop every weight and read every majorant as 0.
+        code, out, _ = run_cli(capsys, "verify", "--op", "bernardi", "--gamma", "1e13",
+                               "--samples", "5")
+        results = json.loads(out)["results"]
+        assert code == 0 and results["violations"] == 0
+        assert results["coefficient_order"] > 0
+        assert -results["bound"] < results["max_excess"] <= 1e-9 * results["bound"]
+
+    @pytest.mark.parametrize("gamma", [1e11, 1e13])
+    def test_one_percent_above_a_tiny_bound_is_a_violation(self, capsys, monkeypatch, gamma):
+        # An absolute 1e-9 allowance would forgive any excess over these bounds.
+        monkeypatch.setattr(
+            cli, "majorant_values",
+            lambda kind, coeffs, r, eps: [1.01 * cli.sup_bound(kind, r)] * len(coeffs),
+        )
+        code, out, _ = run_cli(capsys, "verify", "--op", "bernardi", "--gamma", str(gamma),
+                               "--samples", "5")
+        results = json.loads(out)["results"]
+        assert results["bound"] == pytest.approx(1.0 / gamma, rel=1e-9)
+        assert code == 4 and results["violations"] == 5
 
     def test_determinism_bytes(self, capsys):
         argv = ("verify", "--op", "libera", "--samples", "30", "--seed", "123")
@@ -426,7 +464,8 @@ class TestFailurePaths:
     def test_forced_violations_exit_4_and_log_seed(self, capsys, monkeypatch):
         from bohrlab import cli as cli_mod
 
-        monkeypatch.setattr(cli_mod, "sup_bound", lambda kind, r: 0.0)
+        # A bound far below every majorant; a zero bound sets a zero majorant cut.
+        monkeypatch.setattr(cli_mod, "sup_bound", lambda kind, r: 1e-30)
         code, _, err = run_cli(
             capsys, "verify", "--op", "libera", "--samples", "10", "--seed", "3"
         )

@@ -327,6 +327,11 @@ class TestSupBounds:
         with pytest.raises(ParameterDomainError, match=r"beta=1100\.0, r=0\.5"):
             bl.kernel_integral(1100.0, 0.5)
 
+    def test_cesaro_order_stops_where_the_weights_overflow(self):
+        assert bl.cesaro_series_order(400.0, 0.3322, 1e-12) == 649
+        with pytest.raises(ParameterDomainError, match=r"beta=450\.0, r=0\.3322"):
+            bl.cesaro_series_order(450.0, 0.3322, 1e-12)
+
     def test_sample_floor(self):
         with pytest.raises(ParameterDomainError):
             sup_bound_check(bl.CesaroBeta(1.0), bl.Constant(1.0), 0.5, 4)
