@@ -9,6 +9,10 @@ verify     draw a seeded corpus and check the inequality direction, or hunt
 sharpness  emit the three-term extremal decompositions over an a-grid
 selftest   run the built-in identity/concavity/coefficient/quadrature suites
 
+``radius`` and ``curve`` need only the standard library; ``verify``,
+``sharpness`` and ``selftest`` import numpy and the corpus, series and
+sharpness modules when they run.
+
 Reports are JSON (default) or RFC-4180-style CSV with a header row; numbers
 are printed with 17 significant digits in CSV, and JSON uses shortest
 round-trip floats.  Identical flags and seed reproduce byte-identical
@@ -28,19 +32,7 @@ import sys
 from dataclasses import asdict, dataclass, field
 from typing import Optional
 
-import numpy as np
-
 from . import __version__
-from .corpus import (
-    derive_seed,
-    expand,
-    multiply_by_z,
-    random_schur,
-    random_schur_block,
-    suggested_order,
-    taylor_coeffs,
-    taylor_matrix,
-)
 from .errors import (
     BracketError,
     ContinuityError,
@@ -66,8 +58,6 @@ from .operators import (
     sup_bound,
 )
 from .radii import RadiusProblem, radius_curve, solve_radius
-from .series import cumulative_identity_residual, horner
-from .sharpness import concavity_check, critical_radius, decomposition, violation_search
 
 EXIT_OK = 0
 EXIT_SELFTEST = 1
@@ -229,6 +219,11 @@ def cmd_curve(args: argparse.Namespace) -> tuple:
 
 
 def cmd_verify(args: argparse.Namespace) -> tuple:
+    import numpy as np
+
+    from .corpus import derive_seed, expand, random_schur_block
+    from .sharpness import critical_radius, violation_search
+
     if args.samples < 1:
         raise ParameterDomainError(f"--samples must be >= 1, got {args.samples}")
 
@@ -330,6 +325,8 @@ def _parse_a_values(text: str) -> list:
 
 
 def cmd_sharpness(args: argparse.Namespace) -> tuple:
+    from .sharpness import decomposition
+
     kind = _operator_kind(args)
     if args.r is None:
         raise ParameterDomainError("--r is required for the sharpness command")
@@ -367,6 +364,19 @@ def cmd_sharpness(args: argparse.Namespace) -> tuple:
 
 
 def _selftest_suites(seed: int) -> list:
+    import numpy as np
+
+    from .corpus import (
+        derive_seed,
+        multiply_by_z,
+        random_schur,
+        suggested_order,
+        taylor_coeffs,
+        taylor_matrix,
+    )
+    from .series import cumulative_identity_residual, horner
+    from .sharpness import concavity_check
+
     suites = []
 
     worst = max(

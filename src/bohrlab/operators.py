@@ -35,25 +35,33 @@ geometric bound for the Bernardi family and the identity.  Every series
 order (``series_order``, the coefficients ``verify`` samples, the extremal
 members' expansions) is read off its length, and the Bernardi radius
 equation is the identity ``w_m - 2 sum_{k>m} w_k`` in the same weights.
+
+The radius layer (``kernel_integral``, ``Bernardi.weights`` and both radius
+equations) needs only ``math``.  numpy, ``corpus`` and ``series`` are
+imported inside the functions that build arrays, so importing this module,
+and solving a radius, loads none of them.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Sequence, Union
 
-import numpy as np
-
-from .corpus import BoundedFunction, evaluate, schwarz_shift
 from .errors import (
     ParameterDomainError,
     PreconditionError,
     QuadratureError,
     TruncationError,
 )
-from .series import CoefficientSequence, binomial_coeffs
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .corpus import BoundedFunction
+    from .series import CoefficientSequence
 
 __all__ = [
     "CesaroBeta",
@@ -115,12 +123,20 @@ class CesaroBeta(Unshifted):
             raise ParameterDomainError(f"beta must be positive, got {self.beta}")
 
     def image(self, a: np.ndarray, n_max: int) -> np.ndarray:
+        import numpy as np
+
+        from .series import binomial_coeffs
+
         c = binomial_coeffs(self.beta, n_max)
         return np.convolve(c, a[: n_max + 1])[: n_max + 1] / np.arange(1, n_max + 2)
 
     def weights(self, r: float, eps: float) -> np.ndarray:
         """``w_k = sum_j c_j(beta) r**(k+j) / (k+j+1)`` over ``k + j <= N``,
         ``N = cesaro_series_order(beta, r, eps)``, for ``k <= N``."""
+        import numpy as np
+
+        from .series import binomial_coeffs
+
         n_stop = cesaro_series_order(self.beta, r, eps)
         c = binomial_coeffs(self.beta, n_stop)
         r_pow, denom = r ** np.arange(n_stop + 1), np.arange(1, n_stop + 2)
@@ -128,6 +144,8 @@ class CesaroBeta(Unshifted):
         return np.array([math.fsum(c[: n_stop + 1 - k] * r_pow[k:] / denom[k:]) for k in tails])
 
     def integral(self, f: BoundedFunction, z: complex, tol: float) -> complex:
+        from .corpus import evaluate
+
         beta = self.beta
         return adaptive_simpson(
             lambda t: evaluate(f, t * z) * (1.0 - t * z) ** (-beta), 0.0, 1.0, tol
@@ -163,15 +181,18 @@ class Bernardi(Unshifted):
             )
 
     def image(self, a: np.ndarray, n_max: int) -> np.ndarray:
+        import numpy as np
+
         out = np.zeros(n_max + 1, dtype=np.complex128)
         if n_max >= self.m:
             n = np.arange(self.m, n_max + 1, dtype=np.float64)
             out[self.m :] = a[self.m : n_max + 1] / (n + self.gamma)
         return out
 
-    def weights(self, r: float, eps: float) -> np.ndarray:
+    def weights(self, r: float, eps: float) -> list:
         """``w_k = r**k / (k+gamma)`` for ``k >= m``, zero below ``m``, cut
-        before the first ``k`` with ``r**k / ((k+gamma)(1-r)) <= eps``.
+        before the first ``k`` with ``r**k / ((k+gamma)(1-r)) <= eps``, as a
+        list of floats from ``math`` alone.
 
         For ``k > m`` we have ``k + gamma > 1``, so that ``k`` is at most
         ``max(ceil(log(eps (1-r)) / log r), m) + 1``; the scan from ``m``
@@ -184,18 +205,20 @@ class Bernardi(Unshifted):
             raise TruncationError(
                 f"Bernardi weights will not reach {eps} within {MAX_SERIES_TERMS} terms at r={r}"
             )
-        k = np.arange(self.m, min(top, cap) + 1)
-        r_pow = r**k
-        done = np.flatnonzero(r_pow / ((k + self.gamma) * (1.0 - r)) <= eps)
-        stop = done[0] if done.size else k.size
-        w = np.zeros(self.m + stop)
-        w[self.m :] = r_pow[:stop] / (k[:stop] + self.gamma)
+        w, scale = [0.0] * self.m, 1.0 - r
+        for k in range(self.m, min(top, cap) + 1):
+            r_pow, denom = r**k, k + self.gamma
+            if r_pow / (denom * scale) <= eps:
+                break
+            w.append(r_pow / denom)
         return w
 
     def integral(self, f: BoundedFunction, z: complex, tol: float) -> complex:
         """Endpoint singularities of the kernel (gamma < 1) are removed by
         splitting off the m-fold zero of the operand and substituting
         ``u = t**(m + gamma)`` when the combined exponent stays below 1."""
+        from .corpus import evaluate, schwarz_shift
+
         gamma, m = self.gamma, self.m
         if gamma >= 1.0:
             return adaptive_simpson(
@@ -257,10 +280,18 @@ class Bernardi(Unshifted):
         doubled tail is at most ``tol = tail_eps * min(1, lead)``.  The cut is
         relative to the leading term ``x**m/(m+gamma)``, which sets the
         equation's scale, so a root moves by about ``tail_eps`` however small
-        that scale is.  Every ``x`` is new, so the weights are not cached."""
+        that scale is.  Every ``x`` is new, so the weights are not cached.
+
+        Where that lead leaves the normal float range (from ``m = 51`` at
+        ``x = 1e-6``, and near every root from ``m`` about 640), the cut
+        would underflow to 0 and the equation to a few bits or none.  There
+        the equation is divided by ``x**m``, which keeps its sign and root:
+        that is the same identity for ``Bernardi(m + gamma, 0)``."""
         lead = x**self.m / (self.m + self.gamma)
+        if self.m and lead < sys.float_info.min:
+            return Bernardi(self.m + self.gamma).radius_equation(x, tail_eps)
         w = self.weights(x, 0.5 * tail_eps * min(1.0, lead))
-        return math.fsum([lead] + (-2.0 * w[self.m + 1 :]).tolist())
+        return math.fsum([lead] + [-2.0 * v for v in w[self.m + 1 :]])
 
 
 @dataclass(frozen=True)
@@ -272,6 +303,8 @@ class ClassicalBohr(Unshifted):
     def weights(self, r: float, eps: float) -> np.ndarray:
         """``w_k = r**k`` for ``k <= N``, cut where the tail ``r**(N+1)/(1-r)``
         of a unit-ball series is at most ``eps``."""
+        import numpy as np
+
         n_stop = max(1, math.ceil(math.log(eps * (1.0 - r)) / math.log(r)))
         return r ** np.arange(n_stop + 1)
 
@@ -375,7 +408,7 @@ def required_origin_zeros(kind: OperatorKind) -> int:
 
 def _require_leading_zeros(coeffs: np.ndarray, kind: OperatorKind) -> None:
     m = required_origin_zeros(kind)
-    worst = np.abs(coeffs[..., :m]).max(initial=0.0)
+    worst = abs(coeffs[..., :m]).max(initial=0.0)
     if worst > 1e-12:
         raise PreconditionError(
             f"{kind!r} requires the first {m} coefficients to vanish, got modulus {worst}"
@@ -386,6 +419,10 @@ def operator_coeffs(
     kind: OperatorKind, f: CoefficientSequence, n_max: int
 ) -> CoefficientSequence:
     """Taylor coefficients of the operator image, truncated at ``n_max``."""
+    import numpy as np
+
+    from .series import CoefficientSequence
+
     if n_max < 0:
         raise ParameterDomainError(f"n_max must be nonnegative, got {n_max}")
     if f.order < n_max:
@@ -400,11 +437,13 @@ def operator_coeffs(
 @functools.lru_cache(maxsize=64)
 def _weights(family, r: float, eps: float) -> np.ndarray:
     # Built once per argument tuple: a verify sweep or an a-grid reuses it.
+    import numpy as np
+
     if not 0.0 < r < 1.0:
         raise ParameterDomainError(f"r must lie in (0, 1), got {r}")
     if eps <= 0.0:
         raise ParameterDomainError("eps must be positive")
-    w = family.weights(r, eps)
+    w = np.asarray(family.weights(r, eps), dtype=np.float64)
     w.setflags(write=False)
     return w
 
@@ -425,6 +464,8 @@ def majorant_values(
     (``|a_k| <= 1``), which the weight cuts rely on.  Columns past the
     weight vector's cut are not read; a shorter matrix uses its own columns.
     """
+    import numpy as np
+
     absf = np.abs(coeffs)
     if absf.max(initial=0.0) > 1.0 + 1e-9:
         raise ParameterDomainError(
@@ -440,11 +481,13 @@ def majorant_value(
     kind: OperatorKind, f: CoefficientSequence, r: float, eps: float = 1e-12
 ) -> float:
     """The one-row case of ``majorant_values``."""
-    return majorant_values(kind, f.entries[np.newaxis], r, eps)[0]
+    return majorant_values(kind, f.entries[None, :], r, eps)[0]
 
 
 def bohr_majorant(f: CoefficientSequence, r: float) -> float:
     """Plain absolute series ``sum |a_n| r**n`` of the coefficients themselves."""
+    import numpy as np
+
     if not 0.0 < r < 1.0:
         raise ParameterDomainError(f"r must lie in (0, 1), got {r}")
     return math.fsum(f.abs_entries() * r ** np.arange(len(f)))
@@ -510,6 +553,8 @@ def quadrature_value(
     kind: OperatorKind, f: BoundedFunction, z: complex, tol: float = 1e-10
 ) -> complex:
     """The defining integral of the operator at ``z``, to absolute ``tol``."""
+    from .corpus import schwarz_shift
+
     z = complex(z)
     if abs(z) >= 1.0:
         raise ParameterDomainError(f"|z| must be < 1, got {abs(z)}")

@@ -12,7 +12,9 @@ equation:
   at ``x``, summed over the weight vector's own certified cut with no
   separate tail loop; for gamma = 1, m = 0 this is
   ``(1/x)(3x + 2 log(1-x)) = 0`` (root 0.5828...), and gamma = 0, m = 1
-  gives the same root.
+  gives the same root.  Where the lead ``x**m/(m+gamma)`` leaves the
+  normal float range (at the first ladder point from m = 51), the equation
+  is divided by ``x**m``, which keeps its root.
 
 Both equations are positive for small x > 0 and negative past the root.
 The solver checks the sign at x = 1e-6, then searches a geometric ladder

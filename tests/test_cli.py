@@ -473,15 +473,17 @@ class TestFailurePaths:
 
     def test_forced_reconstruction_mismatch_exits_5(self, capsys, monkeypatch):
         import bohrlab as bl
-        from bohrlab import cli as cli_mod
+        from bohrlab import sharpness
+
+        decompose = sharpness.decomposition
 
         def skewed(problem, a, r, eps=1e-12):
-            dec = bl.decomposition(problem, a, r, eps)
+            dec = decompose(problem, a, r, eps)
             return bl.Decomposition(
                 dec.bound_term + 1e-6, dec.deficit_term, dec.remainder, dec.total
             )
 
-        monkeypatch.setattr(cli_mod, "decomposition", skewed)
+        monkeypatch.setattr(sharpness, "decomposition", skewed)
         code, _, err = run_cli(
             capsys, "sharpness", "--op", "cesaro", "--beta", "1", "--r", "0.5"
         )

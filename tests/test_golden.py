@@ -7,8 +7,8 @@ commit and say which field changed and why.  The goldens were written with
 numpy 2.4.6 under its full x86-64 dispatch, AVX-512 included: with
 ``NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR"`` numpy's
 ``power``, ``exp``, ``expm1`` and ``log1p`` round some values differently,
-and ``radius_bernardi.csv`` and ``sharpness_cesaro.csv`` change in their
-last bits.
+and ``sharpness_cesaro.csv`` changes in its last bits.  The radius and
+curve reports use no numpy, so they do not depend on the dispatch.
 
 To regenerate after an intended change, run from the repository root:
 

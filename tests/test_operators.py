@@ -279,7 +279,7 @@ class TestBernardiEquation:
         # term the plain loop takes at the full cut.
         cut = tol * min(1.0, lead)
         terms = bernardi_tail_reference(gamma, m, x, cut, 2.0, MAX_SERIES_TERMS)
-        assert family.weights(x, 0.5 * cut).size == m + 1 + len(terms)
+        assert len(family.weights(x, 0.5 * cut)) == m + 1 + len(terms)
         # It is a difference of terms of the lead's size, so its rounding is
         # counted in ulps of the lead.
         ref = bernardi_equation_reference(gamma, m, x, tol, MAX_SERIES_TERMS)

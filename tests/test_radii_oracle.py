@@ -24,12 +24,14 @@ BETAS = (1e-3, 0.01, 0.05, 0.1, 0.25, 0.5, 1.0, 1.5, 2.0, 3.7, 7.0, 10.0, 20.0, 
          100.0, 300.0, 1e3)
 
 # (gamma, m): the benchmark grid ends, gamma = 0.06 (root 0.99978, the
-# highest below the refused corners) and large gamma, where the equation's
-# scale 1/(m+gamma) is small.
+# highest below the refused corners), large gamma, where the equation's
+# scale 1/(m+gamma) is small, and large m, where x**m leaves the normal
+# float range at the first ladder point (m = 52, 100) or near the root
+# (m = 1000).
 BERNARDI = ((0.06, 0), (0.1, 0), (0.15, 0), (0.3, 0), (0.5, 0), (1.0, 0), (2.0, 0), (8.0, 0),
             (30.0, 0), (100.0, 0), (0.0, 1), (-0.85, 1), (-0.5, 1), (0.5, 1), (2.0, 1),
             (8.0, 1), (100.0, 1), (-2.85, 3), (-2.5, 3), (-1.0, 3), (0.0, 3), (2.0, 3),
-            (8.0, 3), (30.0, 3), (100.0, 3))
+            (8.0, 3), (30.0, 3), (100.0, 3), (1.0, 52), (1.0, 100), (1.0, 1000))
 
 CORNERS = ((1e-9, 0), (-0.999, 1))
 
