@@ -131,11 +131,9 @@ _FIXED_KINDS = {
 
 
 def _rounding_tol(bound: float) -> float:
-    """How far past ``bound`` a computed value may land by rounding alone.
-
-    Absolute 1e-9, or 1e-12 of the bound once the bound passes 1000.
-    """
-    return max(1e-9, 1e-12 * bound)
+    """How far past ``bound`` a computed value may land by rounding alone:
+    1e-9 of a bound below 1, 1e-9 up to 1000 and 1e-12 of a larger bound."""
+    return max(1e-9 * min(1.0, bound), 1e-12 * bound)
 
 
 def _operator_kind(args: argparse.Namespace) -> OperatorKind:
@@ -173,18 +171,27 @@ def cmd_radius(args: argparse.Namespace) -> tuple:
     return report, EXIT_OK
 
 
+def _parse_floats(flag: str, tokens: list) -> list:
+    try:
+        return [float(tok) for tok in tokens]
+    except ValueError as exc:
+        raise ParameterDomainError(f"{flag}: {exc}") from None
+
+
 def _parse_grid(args: argparse.Namespace) -> list:
     if args.grid_values is not None:
         text = args.grid_values.strip()
         if not text:
             return []
-        return [float(tok) for tok in text.split(",")]
+        return _parse_floats("--grid-values", text.split(","))
     if args.grid_points is None:
         raise ParameterDomainError("provide --grid-values or --grid-min/max/points")
     if args.grid_points < 0:
         raise ParameterDomainError("--grid-points must be nonnegative")
     if args.grid_points == 0:
         return []
+    if args.grid_min is None or (args.grid_max is None and args.grid_points > 1):
+        raise ParameterDomainError("--grid-points needs --grid-min and --grid-max")
     if args.grid_points == 1:
         return [args.grid_min]
     step = (args.grid_max - args.grid_min) / (args.grid_points - 1)
@@ -268,14 +275,10 @@ def cmd_verify(args: argparse.Namespace) -> tuple:
         return report, EXIT_OK
 
     bound = sup_bound(kind, r)
+    eps, tol = DEFAULT_MAJORANT_EPS, _rounding_tol(bound)
     zeros_needed = required_origin_zeros(kind)
-    # A bound below 1 scales the majorant cut and the rounding allowance, so
-    # that neither swallows the whole bound.
-    scale = min(1.0, bound)
-    eps, tol = DEFAULT_MAJORANT_EPS * scale, _rounding_tol(bound) * scale
-    # Sample every coefficient the family's weight vector reads, no more; a
-    # vector cut before w_m (the whole series below eps) leaves the zeros.
-    order = max(kind.d + series_order(kind.family, r, eps), zeros_needed)
+    # Sample every coefficient the family's weight vector reads, no more.
+    order = kind.d + series_order(kind.family, r, eps)
     violations, first_violation, worst = 0, None, -math.inf
     for start in range(0, args.samples, VERIFY_BLOCK):
         indices = np.arange(start, min(start + VERIFY_BLOCK, args.samples), dtype=np.uint64)
@@ -318,7 +321,7 @@ def cmd_verify(args: argparse.Namespace) -> tuple:
 
 
 def _parse_a_values(text: str) -> list:
-    values = [float(tok) for tok in text.split(",") if tok.strip()]
+    values = _parse_floats("--a-values", [tok for tok in text.split(",") if tok.strip()])
     if not values:
         raise ParameterDomainError("the a-grid is empty")
     return values
@@ -356,7 +359,8 @@ def cmd_sharpness(args: argparse.Namespace) -> tuple:
     )
     if mismatched:
         print(
-            f"reconstruction mismatch {worst_recon} exceeds 1e-9 or 1e-12 of the bound",
+            f"reconstruction mismatch {worst_recon} exceeds the rounding allowance "
+            "max(1e-9 * min(1, bound), 1e-12 * bound) of its row's bound",
             file=sys.stderr,
         )
         return report, EXIT_SHARPNESS
@@ -387,14 +391,9 @@ def _selftest_suites(seed: int) -> list:
     )
 
     grid = [k / 100.0 for k in range(100)]
-    worst = max(
-        [concavity_check(CesaroBeta(b), r, grid) for b in (0.5, 1.0, 2.0) for r in (0.3, 0.6)]
-        + [
-            concavity_check(Bernardi(g, m), r, grid)
-            for (g, m) in ((1.0, 0), (0.0, 1), (2.0, 1))
-            for r in (0.3, 0.6)
-        ]
-    )
+    families = [CesaroBeta(b) for b in (0.5, 1.0, 2.0)]
+    families += [Bernardi(g, m) for g, m in ((1.0, 0), (0.0, 1), (2.0, 1))]
+    worst = max(concavity_check(family, r, grid) for family in families for r in (0.3, 0.6))
     suites.append(
         {"suite": "envelope-concavity", "passed": bool(worst <= 1e-10), "detail": float(worst)}
     )

@@ -35,6 +35,9 @@ geometric bound for the Bernardi family and the identity.  Every series
 order (``series_order``, the coefficients ``verify`` samples, the extremal
 members' expansions) is read off its length, and the Bernardi radius
 equation is the identity ``w_m - 2 sum_{k>m} w_k`` in the same weights.
+One scale rule holds: each radius equation is evaluated at unit scale (the
+Cesaro one times ``(1-x)**beta``, the Bernardi one over ``x**m``), and every
+weight cut is ``eps * min(1, family.bound(r))``.
 
 The radius layer (``kernel_integral``, ``Bernardi.weights`` and both radius
 equations) needs only ``math``.  numpy, ``corpus`` and ``series`` are
@@ -46,7 +49,6 @@ from __future__ import annotations
 
 import functools
 import math
-import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Sequence, Union
 
@@ -119,8 +121,8 @@ class CesaroBeta(Unshifted):
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "beta", float(self.beta))
-        if self.beta <= 0.0:
-            raise ParameterDomainError(f"beta must be positive, got {self.beta}")
+        if not (self.beta > 0.0 and math.isfinite(self.beta)):
+            raise ParameterDomainError(f"beta must be positive and finite, got {self.beta}")
 
     def image(self, a: np.ndarray, n_max: int) -> np.ndarray:
         import numpy as np
@@ -156,8 +158,14 @@ class CesaroBeta(Unshifted):
         return kernel_integral(self.beta, r) / r ** (1 - s)
 
     def radius_equation(self, x: float, tail_eps: float) -> float:
-        """``3 A(beta, x) - 2 A(beta + 1, x)`` with ``A = kernel_integral``."""
-        return 3.0 * kernel_integral(self.beta, x) - 2.0 * kernel_integral(self.beta + 1.0, x)
+        """``(1-x)**beta (3 A(beta, x) - 2 A(beta+1, x))`` with ``A = kernel_integral``,
+        at unit scale: ``3 (1-x) (1 - (1-x)**(beta-1))/(beta-1) - 2 (1 - (1-x)**beta)/beta``
+        by ``expm1``/``log1p``, with the limit ``-3 (1-x) log(1-x) - 2x`` at beta = 1."""
+        beta, log_base = self.beta, math.log1p(-x)
+        if abs(1.0 - beta) < 1e-8:
+            return (1.0 - x) * (-3.0 * log_base) - 2.0 * x
+        first = -math.expm1((beta - 1.0) * log_base) / (beta - 1.0)
+        return 3.0 * (1.0 - x) * first + 2.0 * math.expm1(beta * log_base) / beta
 
     def require_root_below(self, ladder: Sequence[float], tail_eps: float) -> None:
         """Every Cesaro root lies in (1/3, 0.59), far below any ladder top."""
@@ -175,6 +183,8 @@ class Bernardi(Unshifted):
         object.__setattr__(self, "m", int(self.m))
         if self.m < 0:
             raise ParameterDomainError(f"m must be nonnegative, got {self.m}")
+        if not math.isfinite(self.gamma):
+            raise ParameterDomainError(f"gamma must be finite, got {self.gamma}")
         if self.gamma <= -self.m:
             raise ParameterDomainError(
                 f"gamma must exceed -m, got gamma={self.gamma}, m={self.m}"
@@ -190,24 +200,26 @@ class Bernardi(Unshifted):
         return out
 
     def weights(self, r: float, eps: float) -> list:
-        """``w_k = r**k / (k+gamma)`` for ``k >= m``, zero below ``m``, cut
-        before the first ``k`` with ``r**k / ((k+gamma)(1-r)) <= eps``, as a
-        list of floats from ``math`` alone.
+        """``w_k = r**k / (k+gamma)`` for ``k >= m``, zero below ``m``: the
+        unshifted ``_terms``, a list of floats from ``math`` alone."""
+        return [0.0] * self.m + self._terms(r, eps, 0)
 
-        For ``k > m`` we have ``k + gamma > 1``, so that ``k`` is at most
-        ``max(ceil(log(eps (1-r)) / log r), m) + 1``; the scan from ``m``
-        stops there, or at the order cap, where ``TruncationError`` is
-        raised at once unless ``_cap_fits`` says the cut is reached by then.
-        """
+    def _terms(self, r: float, eps: float, shift: int) -> list:
+        """``r**j / (j+shift+gamma)`` for ``j = k - shift``, ``k >= m``: the weights
+        with powers counted from ``shift``, cut before the first ``j`` with
+        ``r**j / ((j+shift+gamma)(1-r)) <= eps``, at most ``max(ceil(log(eps
+        (1-r)) / log r), m - shift) + 1`` as the denominator exceeds 1 past ``k =
+        m``.  At the order cap ``TruncationError`` is raised at once, unless
+        ``_cap_fits`` says the cut is reached by then."""
         cap = MAX_SERIES_TERMS - 1
-        top = max(math.ceil(math.log(eps * (1.0 - r)) / math.log(r)), self.m) + 1
-        if top > cap and not self._cap_fits(r, eps):
+        top = max(math.ceil(math.log(eps * (1.0 - r)) / math.log(r)), self.m - shift) + 1
+        if top > cap and not self._cap_fits(r, eps, shift):
             raise TruncationError(
                 f"Bernardi weights will not reach {eps} within {MAX_SERIES_TERMS} terms at r={r}"
             )
-        w, scale = [0.0] * self.m, 1.0 - r
-        for k in range(self.m, min(top, cap) + 1):
-            r_pow, denom = r**k, k + self.gamma
+        w, scale, offset = [], 1.0 - r, shift + self.gamma
+        for j in range(self.m - shift, min(top, cap) + 1):
+            r_pow, denom = r**j, j + offset
             if r_pow / (denom * scale) <= eps:
                 break
             w.append(r_pow / denom)
@@ -243,31 +255,27 @@ class Bernardi(Unshifted):
         """Sharp bound of ``z**s L_gamma[f]`` on ``|z| = r``: ``r**(m+s) / (m+gamma)``."""
         return r ** (self.m + s) / (self.m + self.gamma)
 
-    def _cap_fits(self, x: float, eps: float) -> bool:
-        """Whether ``weights(x, eps)`` is cut by the order cap: its tail
-        bound at ``MAX_SERIES_TERMS - 1`` is at most ``eps``."""
+    def _cap_fits(self, x: float, eps: float, shift: int) -> bool:
+        """Whether ``_terms(x, eps, shift)``'s tail bound at its order cap is at most ``eps``."""
         cap = MAX_SERIES_TERMS - 1
-        return x**cap / ((cap + self.gamma) * (1.0 - x)) <= eps
+        return x**cap / ((cap + shift + self.gamma) * (1.0 - x)) <= eps
+
+    def _equation_cut(self, tail_eps: float) -> float:
+        """``radius_equation``'s term cut, relative to its scale ``1/(m+gamma)``."""
+        return 0.5 * tail_eps * min(1.0, 1.0 / (self.m + self.gamma))
 
     def require_root_below(self, ladder: Sequence[float], tail_eps: float) -> None:
         """Refuse parameters whose radius-equation root is certified to lie
         above every ``ladder`` point where the equation's tail can be summed.
 
-        For ``n > m``, ``sum x**n/(n+gamma) = x**-gamma integral_0^x
-        t**(m+gamma)/(1-t) dt <= -x**m log(1-x)`` because ``m + gamma > 0``,
-        so the equation is at least ``x**m (1/(m+gamma) + 2 log(1-x))``, and
-        its root is at least ``1 - exp(-1/(2(m+gamma)))``.  When no ladder
-        point at or above that floor passes the weights' order-cap test at
-        the cut ``radius_equation`` uses there, the solver would run into a
-        ``TruncationError`` before it brackets the root.
-        """
-        s = self.m + self.gamma
+        As ``sum_{n>m} x**(n-m)/(n+gamma) <= -log(1-x)`` for ``m + gamma > 0``,
+        the equation is at least ``1/(m+gamma) + 2 log(1-x)``, so the root is
+        at least ``1 - exp(-1/(2(m+gamma)))``.  If no ladder point from there
+        passes the order-cap test at ``_equation_cut``, the solver would hit
+        ``TruncationError`` before it brackets the root."""
+        s, cut = self.m + self.gamma, self._equation_cut(tail_eps)
         floor = -math.expm1(-0.5 / s)
-        if not any(
-            self._cap_fits(x, 0.5 * tail_eps * min(1.0, x**self.m / s))
-            for x in ladder
-            if x >= floor
-        ):
+        if not any(self._cap_fits(x, cut, self.m) for x in ladder if x >= floor):
             raise ParameterDomainError(
                 f"m+gamma={s:g}: the radius equation's root R lies above every ladder "
                 f"point its {MAX_SERIES_TERMS}-term tail can reach, since 1 - R <= "
@@ -275,23 +283,13 @@ class Bernardi(Unshifted):
             )
 
     def radius_equation(self, x: float, tail_eps: float) -> float:
-        """``x**m/(m+gamma) - 2 sum_{n>m} x**n/(n+gamma)``: the weight identity
-        ``w_m - 2 sum_{k>m} w_k`` of ``weights(x, tol/2)``, so the dropped
-        doubled tail is at most ``tol = tail_eps * min(1, lead)``.  The cut is
-        relative to the leading term ``x**m/(m+gamma)``, which sets the
-        equation's scale, so a root moves by about ``tail_eps`` however small
-        that scale is.  Every ``x`` is new, so the weights are not cached.
-
-        Where that lead leaves the normal float range (from ``m = 51`` at
-        ``x = 1e-6``, and near every root from ``m`` about 640), the cut
-        would underflow to 0 and the equation to a few bits or none.  There
-        the equation is divided by ``x**m``, which keeps its sign and root:
-        that is the same identity for ``Bernardi(m + gamma, 0)``."""
-        lead = x**self.m / (self.m + self.gamma)
-        if self.m and lead < sys.float_info.min:
-            return Bernardi(self.m + self.gamma).radius_equation(x, tail_eps)
-        w = self.weights(x, 0.5 * tail_eps * min(1.0, lead))
-        return math.fsum([lead] + [-2.0 * v for v in w[self.m + 1 :]])
+        """``1/(m+gamma) - 2 sum_{n>m} x**(n-m)/(n+gamma)``: the weight identity
+        ``w_m - 2 sum_{k>m} w_k`` over ``x**m``, from the weights' own scan at
+        ``_equation_cut``, so the dropped doubled tail is at most ``tail_eps *
+        min(1, 1/(m+gamma))`` and a root moves by about ``tail_eps``.  Every
+        ``x`` is new, so the terms are not cached."""
+        w = self._terms(x, self._equation_cut(tail_eps), self.m)
+        return math.fsum([1.0 / (self.m + self.gamma)] + [-2.0 * v for v in w[1:]])
 
 
 @dataclass(frozen=True)
@@ -436,21 +434,28 @@ def operator_coeffs(
 
 @functools.lru_cache(maxsize=64)
 def _weights(family, r: float, eps: float) -> np.ndarray:
-    # Built once per argument tuple: a verify sweep or an a-grid reuses it.
+    """The family's weights cut at ``eps * min(1, family.bound(r))``, so they
+    never stop before ``w_m``, which is the bound or at least 1.  Built once
+    per argument tuple: a verify sweep or an a-grid reuses them."""
     import numpy as np
 
     if not 0.0 < r < 1.0:
         raise ParameterDomainError(f"r must lie in (0, 1), got {r}")
-    if eps <= 0.0:
-        raise ParameterDomainError("eps must be positive")
-    w = np.asarray(family.weights(r, eps), dtype=np.float64)
+    if not 0.0 < eps < 1.0:
+        raise ParameterDomainError(f"eps must lie in (0, 1), got {eps}")
+    bound = family.bound(r)
+    if bound < 2.0**-1022:  # the smallest normal float
+        raise ParameterDomainError(
+            f"the sharp bound {bound:g} at r={r} underflows the normal float range"
+        )
+    w = np.asarray(family.weights(r, eps * min(1.0, bound)), dtype=np.float64)
     w.setflags(write=False)
     return w
 
 
 def series_order(family, r: float, eps: float) -> int:
     """The family's truncation order at ``(r, eps)``: the last index of its
-    certified weight vector."""
+    certified weight vector, cut at ``eps`` relative to the family's bound."""
     return _weights(family, r, eps).size - 1
 
 
@@ -458,12 +463,12 @@ def majorant_values(
     kind: OperatorKind, coeffs: np.ndarray, r: float, eps: float = 1e-12
 ) -> list:
     """Absolute series of the operator image at radius ``r`` for each row of
-    ``coeffs``, each within ``eps``: ``r**s * sum_k |a_{k+d}| w_k`` with the
-    family's weights.  Each row is summed by ``math.fsum``, so its value does
-    not depend on the other rows.  The rows must be unit-ball members
-    (``|a_k| <= 1``), which the weight cuts rely on.  Columns past the
-    weight vector's cut are not read; a shorter matrix uses its own columns.
-    """
+    ``coeffs``, each within ``eps`` (times a family bound below 1): ``r**s *
+    sum_k |a_{k+d}| w_k`` with the family's weights.  Each row is summed by
+    ``math.fsum``, so its value does not depend on the other rows.  The rows
+    must be unit-ball members (``|a_k| <= 1``), which the weight cuts rely
+    on.  Columns past the weight vector's cut are not read; a shorter matrix
+    uses its own columns."""
     import numpy as np
 
     absf = np.abs(coeffs)

@@ -5,16 +5,18 @@ exactly up to a critical radius, the positive root of a transcendental
 equation:
 
 * Cesaro family:   ``3 A(beta, x) - 2 A(beta + 1, x) = 0`` where
-  ``A(b, x) = integral_0^x (1 - t)**(-b) dt``; at beta = 1 this reduces to
-  ``3 log(1/(1-x)) - 2x/(1-x) = 0`` (root 0.5335...).
+  ``A(b, x) = integral_0^x (1 - t)**(-b) dt``, evaluated times
+  ``(1-x)**beta``; at beta = 1 this is ``-3 (1-x) log(1-x) - 2x = 0``
+  (root 0.5335...).
 * Bernardi family: ``x**m/(m+gamma) - 2 sum_{n>m} x**n/(n+gamma) = 0``,
   the identity ``w_m - 2 sum_{k>m} w_k`` in the family's majorant weights
-  at ``x``, summed over the weight vector's own certified cut with no
+  at ``x``, evaluated over ``x**m`` from the weights' own scan with no
   separate tail loop; for gamma = 1, m = 0 this is
   ``(1/x)(3x + 2 log(1-x)) = 0`` (root 0.5828...), and gamma = 0, m = 1
-  gives the same root.  Where the lead ``x**m/(m+gamma)`` leaves the
-  normal float range (at the first ladder point from m = 51), the equation
-  is divided by ``x**m``, which keeps its root.
+  gives the same root.
+
+Neither factor moves the root, and both keep ITP's interpolation useful at
+every ``beta`` and ``m``; ``residual`` reports the unit-scale value.
 
 Both equations are positive for small x > 0 and negative past the root.
 The solver checks the sign at x = 1e-6, then searches a geometric ladder

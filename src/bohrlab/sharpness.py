@@ -128,13 +128,11 @@ def extremal_majorant(
 def _split_weights(family, r: float, eps: float) -> tuple:
     """The family's majorant weights split as ``(w_m, [w_{m+1}, ...])``.
 
-    The cut ``min(1e-15, eps/8)`` keeps the omitted weight tail well below
-    the ``eps`` of the independently summed ``total``.  A Bernardi vector
-    cut before ``w_m`` means the whole series is below the cut.
+    The cut ``min(1e-15, eps/8)`` (relative, as every weight cut) keeps the
+    omitted tail well below the ``eps`` of the independently summed ``total``.
     """
-    cut = min(1e-15, eps / 8.0)
-    w = _weights(family, r, cut)[family.m :]
-    return (float(w[0]), w[1:]) if w.size else (0.0, w)
+    w = _weights(family, r, min(1e-15, eps / 8.0))[family.m :]
+    return float(w[0]), w[1:]
 
 
 def decomposition(
@@ -208,10 +206,10 @@ def violation_search(
 
     Requires ``r`` beyond the critical radius of the problem's family, which
     an origin shift leaves unchanged; a caller that has already solved it
-    passes it as ``critical``, otherwise it is solved here.  A witness must
-    exist once ``r`` clears the radius by more than the solver tolerance;
-    coming up empty therefore signals a structural defect and is reported
-    with ``witness=None`` rather than raised.
+    passes it as ``critical``, otherwise it is solved here.  A witness, a
+    margin above ``1e-12 * min(1, bound)``, must exist once ``r`` clears the
+    radius by more than the solver tolerance; coming up empty therefore
+    signals a structural defect and is reported with ``witness=None``.
     """
     if not 0.0 < r < 1.0:
         raise ParameterDomainError(f"r must lie in (0, 1), got {r}")
@@ -220,24 +218,20 @@ def violation_search(
     if r <= critical:
         raise ParameterDomainError(f"r={r} does not exceed the critical radius {critical}")
     bound = sup_bound(problem, r)
-    best_margin = -math.inf
-    best_value = -math.inf
+    threshold = 1e-12 * min(1.0, bound)
+    best_margin = best_value = -math.inf
     for k in range(1, max_doublings + 1):
         a = 1.0 - 2.0**-k
         value = extremal_majorant(problem, a, r, eps)
         margin = value - bound
         if margin > best_margin:
             best_margin, best_value = margin, value
-        if margin > 1e-12:
+        if margin > threshold:
             return ViolationReport(
                 witness=a, majorant=value, bound=bound, margin=margin, attempts=k
             )
     return ViolationReport(
-        witness=None,
-        majorant=best_value,
-        bound=bound,
-        margin=best_margin,
-        attempts=max_doublings,
+        witness=None, majorant=best_value, bound=bound, margin=best_margin, attempts=max_doublings
     )
 
 
@@ -253,8 +247,6 @@ def concavity_check(
     so on a uniform grid every second difference is nonpositive up to
     rounding; the returned maximum should not exceed 1e-10.
     """
-    if not 0.0 < r < 1.0:
-        raise ParameterDomainError(f"r must lie in (0, 1), got {r}")
     grid = np.asarray(list(a_grid), dtype=np.float64)
     if grid.size < 3:
         raise ParameterDomainError("the a-grid needs at least three points")

@@ -8,8 +8,8 @@ The reference implementations after them are the per-sample paths that
 the batched verify sweep replaced: a Blaschke product expanded as a chain
 of Cauchy products, the corpus member of a seed drawn one uniform at a
 time from splitmix64 on Python ints, and the three absolute series with
-their truncation cuts; and the Bernardi radius equation summed by the
-plain tail loop.
+their truncation cuts; and the Bernardi radius equation over ``x**m``
+summed by the plain tail loop.
 They take plain numpy arrays and nothing from the library.
 
 The two paper-claim checks at the end, the sampled sup bound and the
@@ -216,14 +216,16 @@ def bernardi_tail_reference(gamma: float, m: int, x: float, tol: float, weight: 
 
 def bernardi_equation_reference(gamma: float, m: int, x: float, tail_eps: float,
                                 cap: int) -> float:
-    """The Bernardi radius equation ``x**m/(m+gamma) - 2 sum_{n>m} x**n/(n+gamma)``
-    summed over ``bernardi_tail_reference``'s terms at the cut
-    ``tail_eps * min(1, lead)``, or ``None`` when that loop reaches ``cap``."""
-    lead = x**m / (m + gamma)
-    terms = bernardi_tail_reference(gamma, m, x, tail_eps * min(1.0, lead), 2.0, cap)
+    """The Bernardi radius equation over ``x**m``,
+    ``1/(m+gamma) - 2 sum_{n>m} x**(n-m)/(n+gamma)``, summed over the terms
+    ``bernardi_tail_reference`` takes for ``m + gamma`` and ``m = 0`` at the
+    cut ``tail_eps * min(1, 1/(m+gamma))``, or ``None`` when that loop
+    reaches ``cap``."""
+    lead = 1.0 / (m + gamma)
+    terms = bernardi_tail_reference(m + gamma, 0, x, tail_eps * min(1.0, lead), 2.0, cap)
     if terms is None:
         return None
-    return math.fsum([lead] + [-2.0 * x_pow / (n + gamma) for n, x_pow in terms])
+    return math.fsum([lead] + [-2.0 * x_pow / (n + m + gamma) for n, x_pow in terms])
 
 
 def sup_bound_check(kind, f, r: float, samples: int, tol: float = 1e-10) -> float:

@@ -53,6 +53,14 @@ class TestRadiusCommand:
         code, _, _ = run_cli(capsys, "radius", "--op", "cesaro")
         assert code == 2
 
+    @pytest.mark.parametrize("flags", [("cesaro", "--beta"), ("bernardi", "--gamma")], ids=" ".join)
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_nonfinite_parameter_exits_2(self, capsys, flags, value):
+        op, flag = flags
+        code, out, err = run_cli(capsys, "radius", "--op", op, f"{flag}={value}")
+        assert code == 2 and out == ""
+        assert err.startswith("parameter error:") and "finite" in err
+
     @pytest.mark.parametrize("gamma,m", [("1e-9", "0"), ("-0.999", "1")])
     def test_corner_refused_with_exit_2(self, capsys, gamma, m):
         code, out, err = run_cli(capsys, "radius", "--op", "bernardi", "--gamma", gamma, "--m", m)
@@ -66,12 +74,24 @@ class TestRadiusCommand:
         assert code == 2 and out == ""
         assert "refused" in err and len(err.strip().splitlines()) == 1
 
-    @pytest.mark.parametrize("command", ["radius", "verify"])
+    @pytest.mark.parametrize("command", ["verify", "sharpness"])
     def test_large_beta_exits_2_with_one_line(self, capsys, command):
-        code, out, err = run_cli(capsys, command, "--op", "cesaro", "--beta", "1100")
+        # the majorant weights and the sharp bound still overflow; the radius
+        # equation, at unit scale, does not
+        code, out, err = run_cli(
+            capsys, command, "--op", "cesaro", "--beta", "1100", "--r", "0.5"
+        )
         assert code == 2 and out == ""
         assert len(err.strip().splitlines()) == 1
         assert "beta=1100" in err and "r=" in err
+
+    @pytest.mark.parametrize("beta", [1100.0, 2000.0])
+    def test_large_beta_solves(self, capsys, beta):
+        code, out, err = run_cli(capsys, "radius", "--op", "cesaro", "--beta", str(beta))
+        assert code == 0, err
+        results = json.loads(out)["results"]
+        assert abs(results["root"] - (1.0 / 3.0 + 2.0 / (3.0 * beta))) <= 1e-12
+        assert abs(results["residual"]) < 1e-12
 
     def test_csv_format(self, capsys):
         code, out, _ = run_cli(
@@ -116,6 +136,22 @@ class TestCurveCommand:
         )
         assert code == 0
         assert out.strip() == "param,root,residual"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("curve", "--op", "cesaro", "--grid-points", "3"),
+            ("curve", "--op", "cesaro", "--grid-points", "3", "--grid-min", "1"),
+            ("curve", "--op", "cesaro", "--grid-values", "1,,2"),
+            ("curve", "--op", "bernardi", "--grid-values", "1,x"),
+            ("sharpness", "--op", "cesaro", "--beta", "1", "--r", "0.5", "--a-values", "0.5,abc"),
+        ],
+        ids=" ".join,
+    )
+    def test_malformed_grid_exits_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("parameter error:") and len(err.strip().splitlines()) == 1
 
     def test_linspace_grid(self, capsys):
         code, out, _ = run_cli(
@@ -205,7 +241,8 @@ class TestVerifyCommand:
         order, r = payload["results"]["coefficient_order"], payload["params"]["r"]
         args = cli._build_parser().parse_args(["verify", "--op", *flags])
         kind = cli._operator_kind(args)
-        eps = 1e-12 * min(1.0, bl.sup_bound(kind, r))  # the cut scales with a bound below 1
+        # the cut scales with a family bound below 1
+        eps = 1e-12 * min(1.0, kind.family.bound(r))
         assert order == kind.d + len(kind.family.weights(r, eps)) - 1
         psi = bl.ExtremalPsi(0.9, bl.required_origin_zeros(kind))
         sampled = bl.majorant_value(kind, bl.taylor_coeffs(psi, order), r)
@@ -287,6 +324,25 @@ class TestVerifyCommand:
         assert results["bound"] == pytest.approx(1.0 / gamma, rel=1e-9)
         assert code == 4 and results["violations"] == 5
 
+    @pytest.mark.parametrize("m", ["20", "100"])
+    def test_above_mode_finds_a_witness_over_a_tiny_bound(self, capsys, m):
+        # The bound r**m/(m+gamma) is 1e-10 at m 20 and 1.6e-47 at m 100; an
+        # absolute cut or witness margin of 1e-12 hides every witness.
+        code, out, err = run_cli(capsys, "verify", "--op", "bernardi", "--gamma", "1", "--m", m,
+                                 "--r-mode", "above")
+        results = json.loads(out)["results"]
+        assert code == 0, err
+        assert results["witness"] is not None
+        assert results["margin"] > 1e-12 * results["bound"]
+
+    def test_underflowing_bound_is_refused_at_once(self, capsys):
+        # r**1000/1001 underflows at r = 0.99 R, so no cut relative to it exists.
+        code, out, err = run_cli(capsys, "verify", "--op", "bernardi", "--gamma", "1", "--m",
+                                 "1000", "--samples", "5")
+        assert code == 2 and out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert "bound" in err and "underflows" in err
+
     def test_determinism_bytes(self, capsys):
         argv = ("verify", "--op", "libera", "--samples", "30", "--seed", "123")
         _, first, _ = run_cli(capsys, *argv)
@@ -352,6 +408,35 @@ class TestSharpnessCommand:
         results = json.loads(out)["results"]
         assert code == 0, err
         assert 1e-9 < results["max_reconstruction_error"] <= 1e-12 * results["rows"][0]["bound_term"]
+
+
+    @pytest.mark.parametrize("m", ["30", "100"])
+    def test_reconstruction_over_a_tiny_bound(self, capsys, m):
+        # The bound is 3.0e-11 at m 30 and 7.8e-33 at m 100: an absolute cut
+        # of 1e-15 drops most or all of the weights.
+        code, out, err = run_cli(capsys, "sharpness", "--op", "bernardi", "--gamma", "1",
+                                 "--m", m, "--r", "0.5")
+        assert code == 0, err
+        for row in json.loads(out)["results"]["rows"]:
+            assert row["total"] > 0.0
+            assert row["reconstruction_error"] <= 1e-12 * row["bound_term"]
+
+    def test_reconstruction_allowance_is_relative_to_a_tiny_bound(self, capsys, monkeypatch):
+        import bohrlab as bl
+        from bohrlab import sharpness
+
+        decompose = sharpness.decomposition
+
+        def skewed(problem, a, r, eps=1e-12):
+            dec = decompose(problem, a, r, eps)
+            return bl.Decomposition(
+                dec.bound_term, dec.deficit_term, dec.remainder, dec.total * 1.001
+            )
+
+        monkeypatch.setattr(sharpness, "decomposition", skewed)
+        code, _, err = run_cli(capsys, "sharpness", "--op", "bernardi", "--gamma", "1",
+                               "--m", "30", "--r", "0.5", "--a-values", "0.5")
+        assert code == 5 and "min(1, bound)" in err
 
 
 class TestShiftedOperators:

@@ -161,6 +161,22 @@ class TestMajorant:
                 z = r * cmath.exp(2j * math.pi * k / 12)
                 assert abs(bl.horner(image, z)) <= maj + 1e-10
 
+    def test_cut_is_relative_to_a_tiny_bound(self):
+        # w_m = r**m/(m+gamma) is 7.8e-33 here; an absolute cut of 1e-12 drops it
+        family, r = bl.Bernardi(1.0, 100), 0.5
+        z_m = bl.CoefficientSequence([0.0] * 100 + [1.0])
+        assert bl.majorant_value(family, z_m, r) == bl.sup_bound(family, r) > 0.0
+
+    def test_underflowing_bound_is_a_domain_error(self):
+        with pytest.raises(ParameterDomainError, match="bound 0 .* underflows"):
+            bl.series_order(bl.Bernardi(1.0, 1100), 0.5, 1e-12)
+
+    @pytest.mark.parametrize("eps", [0.0, 1.0, 2.0])
+    def test_cut_outside_the_unit_interval_is_a_domain_error(self, eps):
+        # a cut of eps >= 1 times the bound could drop w_m itself
+        with pytest.raises(ParameterDomainError, match="eps must lie in"):
+            bl.series_order(bl.Bernardi(1.0, 3), 0.5, eps)
+
     def test_unit_ball_precondition(self):
         too_big = bl.CoefficientSequence([1.5, 0.0])
         with pytest.raises(ParameterDomainError):
@@ -271,15 +287,17 @@ class TestBernardiEquation:
             (0.04, 0, 1.0 - 2.0**-11, 1e-14),
             (-2.85, 3, 0.9, 1e-15),
             (2.0, 1, 0.6, 1e-12),
+            (1.0, 1000, 0.3337, 1e-14),
         ],
     )
     def test_weight_identity_matches_the_plain_loop(self, gamma, m, x, tol):
-        family, lead = bl.Bernardi(gamma, m), x**m / (m + gamma)
-        # The equation sums the weights past w_m of the halved cut, one per
-        # term the plain loop takes at the full cut.
+        family, lead = bl.Bernardi(gamma, m), 1.0 / (m + gamma)
+        # The equation over x**m sums the weight scan's terms past the lead
+        # at the halved cut, one per term the plain loop takes at the full
+        # cut, which is relative to the unit-scale lead 1/(m+gamma).
         cut = tol * min(1.0, lead)
-        terms = bernardi_tail_reference(gamma, m, x, cut, 2.0, MAX_SERIES_TERMS)
-        assert len(family.weights(x, 0.5 * cut)) == m + 1 + len(terms)
+        terms = bernardi_tail_reference(m + gamma, 0, x, cut, 2.0, MAX_SERIES_TERMS)
+        assert len(family._terms(x, 0.5 * cut, m)) == 1 + len(terms)
         # It is a difference of terms of the lead's size, so its rounding is
         # counted in ulps of the lead.
         ref = bernardi_equation_reference(gamma, m, x, tol, MAX_SERIES_TERMS)

@@ -50,9 +50,10 @@ class TestRadiusEquation:
             assert summed == pytest.approx(closed, abs=1e-10)
 
     def test_alexander_form_matches_closed_log(self):
+        # the equation over x**m, here x: the same closed form as Libera's
         problem = bl.RadiusProblem(bl.Bernardi(0.0, 1))
         for x in np.linspace(0.05, 0.95, 25):
-            closed = 3.0 * x + 2.0 * math.log(1.0 - x)
+            closed = (3.0 * x + 2.0 * math.log(1.0 - x)) / x
             assert bl.radius_equation(problem, x) == pytest.approx(closed, abs=1e-10)
 
     @pytest.mark.parametrize(

@@ -21,7 +21,7 @@ from bohrlab.errors import ParameterDomainError
 ORACLE_BRACKET = ("0.3", "0.999999999")
 
 BETAS = (1e-3, 0.01, 0.05, 0.1, 0.25, 0.5, 1.0, 1.5, 2.0, 3.7, 7.0, 10.0, 20.0, 45.0, 50.0,
-         100.0, 300.0, 1e3)
+         100.0, 300.0, 1e3, 1e4, 1e6)
 
 # (gamma, m): the benchmark grid ends, gamma = 0.06 (root 0.99978, the
 # highest below the refused corners), large gamma, where the equation's
@@ -96,6 +96,14 @@ class TestOracle:
             assert 0.0 < root - 1.0 / 3.0 <= 1.0 / beta
         assert 0 < oracle_root(cesaro_scaled(1e6)) - third <= 1e-6
 
+    @pytest.mark.parametrize("beta", (1e4, 1e6))
+    def test_large_beta_follows_the_asymptote(self, beta):
+        # At unit scale (1-x)**(beta-1) vanishes and the equation becomes
+        # 3 (1-x)/(beta-1) - 2/beta: R = 1/3 + 2/(3 beta).
+        law = 1.0 / 3.0 + 2.0 / (3.0 * beta)
+        assert abs(oracle_root(cesaro_scaled(beta)) - law) <= 1e-15
+        assert abs(solved(bl.CesaroBeta(beta)).root - law) <= 1e-12
+
     @pytest.mark.parametrize("gamma,m", [gm for gm in BERNARDI if gm[0] + gm[1] < 1.0])
     def test_refusal_floor_holds_where_the_solver_works(self, gamma, m):
         # the bound behind the corner refusal: R >= 1 - exp(-1/(2(m+gamma)))
@@ -150,6 +158,17 @@ class TestSolverContract:
         lo, hi = linear_scan(lambda x: bl.radius_equation(problem, x))
         bound = max(math.ceil(math.log2((hi - lo) / tol)), 0) + radii._ITP_N0
         assert bl.solve_radius(problem, tol).iterations <= bound
+
+    @pytest.mark.parametrize(
+        "family",
+        [bl.CesaroBeta(b) for b in (100.0, 300.0, 2000.0)]
+        + [bl.Bernardi(1.0, m) for m in (50, 300, 600)],
+        ids=str,
+    )
+    def test_unit_scale_lets_interpolation_work(self, family):
+        # The raw equations span (1-x)**-beta or x**m over the ladder pair,
+        # where ITP ran its full 42-43 step bound.
+        assert bl.solve_radius(bl.RadiusProblem(family)).iterations <= 12
 
     @pytest.mark.parametrize("name", BENCHMARK_GRIDS)
     def test_ladder_search_matches_the_linear_scan(self, name):
