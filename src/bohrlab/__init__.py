@@ -38,8 +38,7 @@ _EXPORTS = {
         "quadrature_value", "required_origin_zeros", "series_order", "sup_bound",
     ),
     "radii": (
-        "CurveRow", "RadiusProblem", "RadiusResult", "radius_curve", "radius_equation",
-        "solve_radius",
+        "CurveRow", "RadiusResult", "radius_curve", "radius_equation", "solve_radius",
     ),
     "sharpness": (
         "BOHR_BASELINE_RADIUS", "Decomposition", "ViolationReport", "concavity_check",

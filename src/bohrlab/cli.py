@@ -57,7 +57,7 @@ from .operators import (
     series_order,
     sup_bound,
 )
-from .radii import RadiusProblem, radius_curve, solve_radius
+from .radii import radius_curve, solve_radius
 
 EXIT_OK = 0
 EXIT_SELFTEST = 1
@@ -96,7 +96,7 @@ class RunReport:
             "seed": self.seed,
             "version": self.version,
         }
-        return json.dumps(payload, indent=2)
+        return json.dumps(payload, indent=2, allow_nan=False)
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -108,6 +108,8 @@ class RunReport:
 
 
 def _csv_cell(value) -> str:
+    if value is None:  # an undefined number, null in JSON
+        return "nan"
     if isinstance(value, float):
         return f"{value:.17g}"
     return str(value)
@@ -157,7 +159,7 @@ def _operator_params(args: argparse.Namespace) -> dict:
 
 def cmd_radius(args: argparse.Namespace) -> tuple:
     family = _operator_kind(args).family
-    result = solve_radius(RadiusProblem(family), args.tol)
+    result = solve_radius(family, args.tol)
     results = asdict(result)
     lo, hi = result.bracket
     report = RunReport(
@@ -201,10 +203,10 @@ def _parse_grid(args: argparse.Namespace) -> list:
 def cmd_curve(args: argparse.Namespace) -> tuple:
     grid = _parse_grid(args)
     if args.op == "cesaro":
-        entries = [(b, RadiusProblem(CesaroBeta(b))) for b in grid]
+        entries = [(b, CesaroBeta(b)) for b in grid]
     else:
         m = args.m or 0
-        entries = [(g, RadiusProblem(Bernardi(g, m))) for g in grid]
+        entries = [(g, Bernardi(g, m)) for g in grid]
     rows = [
         {"param": row.parameter, "root": row.root, "residual": row.residual}
         for row in radius_curve(entries, args.tol)
@@ -340,7 +342,7 @@ def cmd_sharpness(args: argparse.Namespace) -> tuple:
         dec = decomposition(kind, a, args.r, DEFAULT_MAJORANT_EPS)
         worst_recon = max(worst_recon, dec.reconstruction_error)
         mismatched |= dec.reconstruction_error > _rounding_tol(dec.bound_term)
-        ratio = dec.remainder / (1.0 - a) ** 2 if a < 1.0 else float("nan")
+        ratio = dec.remainder / (1.0 - a) ** 2 if a < 1.0 else None
         rows.append(
             {
                 "a": a,
@@ -447,11 +449,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def common(p: argparse.ArgumentParser, solves: bool = False) -> None:
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--out", default=None, help="write the report to this path")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--tol", type=float, default=DEFAULT_SOLVER_TOL)
+        if solves:
+            p.add_argument("--tol", type=float, default=DEFAULT_SOLVER_TOL)
 
     def operator_flags(p: argparse.ArgumentParser, ops: tuple) -> None:
         p.add_argument("--op", choices=ops, required=True)
@@ -463,7 +466,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("radius", help="solve the radius equation")
     operator_flags(p, all_ops)
-    common(p)
+    common(p, solves=True)
 
     p = sub.add_parser("curve", help="radius sweep over a parameter grid")
     p.add_argument("--op", choices=("cesaro", "bernardi"), required=True)
@@ -472,7 +475,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid-max", type=float, default=None)
     p.add_argument("--grid-points", type=int, default=None)
     p.add_argument("--grid-values", default=None, help="comma-separated grid")
-    common(p)
+    common(p, solves=True)
 
     p = sub.add_parser("verify", help="inequality sweep over a seeded corpus")
     operator_flags(p, all_ops + ("bohr",))
@@ -481,7 +484,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=float, default=None)
     p.add_argument("--max-factors", type=int, default=4)
     p.add_argument("--radius-cap", type=float, default=0.9)
-    common(p)
+    common(p, solves=True)
 
     p = sub.add_parser("sharpness", help="extremal decompositions over an a-grid")
     operator_flags(p, all_ops)

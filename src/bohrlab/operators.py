@@ -91,6 +91,11 @@ __all__ = [
 
 # Order cap for adaptive series truncation.
 MAX_SERIES_TERMS = 10**6
+# The Bernardi radius equation's tail cut, relative to its lead 1/(m+gamma):
+# a root moves by about this much.
+_RADIUS_EPS = 1e-14
+# Subdivision depth at which adaptive quadrature gives up.
+_SIMPSON_DEPTH = 60
 
 
 class Unshifted:
@@ -157,7 +162,7 @@ class CesaroBeta(Unshifted):
         """Sharp bound of ``z**s T_beta[f]`` on ``|z| = r``: ``r**(s-1) A(beta, r)``."""
         return kernel_integral(self.beta, r) / r ** (1 - s)
 
-    def radius_equation(self, x: float, tail_eps: float) -> float:
+    def radius_equation(self, x: float) -> float:
         """``(1-x)**beta (3 A(beta, x) - 2 A(beta+1, x))`` with ``A = kernel_integral``,
         at unit scale: ``3 (1-x) (1 - (1-x)**(beta-1))/(beta-1) - 2 (1 - (1-x)**beta)/beta``
         by ``expm1``/``log1p``, with the limit ``-3 (1-x) log(1-x) - 2x`` at beta = 1."""
@@ -167,7 +172,7 @@ class CesaroBeta(Unshifted):
         first = -math.expm1((beta - 1.0) * log_base) / (beta - 1.0)
         return 3.0 * (1.0 - x) * first + 2.0 * math.expm1(beta * log_base) / beta
 
-    def require_root_below(self, ladder: Sequence[float], tail_eps: float) -> None:
+    def require_root_below(self, ladder: Sequence[float]) -> None:
         """Every Cesaro root lies in (1/3, 0.59), far below any ladder top."""
 
 
@@ -260,11 +265,11 @@ class Bernardi(Unshifted):
         cap = MAX_SERIES_TERMS - 1
         return x**cap / ((cap + shift + self.gamma) * (1.0 - x)) <= eps
 
-    def _equation_cut(self, tail_eps: float) -> float:
+    def _equation_cut(self) -> float:
         """``radius_equation``'s term cut, relative to its scale ``1/(m+gamma)``."""
-        return 0.5 * tail_eps * min(1.0, 1.0 / (self.m + self.gamma))
+        return 0.5 * _RADIUS_EPS * min(1.0, 1.0 / (self.m + self.gamma))
 
-    def require_root_below(self, ladder: Sequence[float], tail_eps: float) -> None:
+    def require_root_below(self, ladder: Sequence[float]) -> None:
         """Refuse parameters whose radius-equation root is certified to lie
         above every ``ladder`` point where the equation's tail can be summed.
 
@@ -273,7 +278,7 @@ class Bernardi(Unshifted):
         at least ``1 - exp(-1/(2(m+gamma)))``.  If no ladder point from there
         passes the order-cap test at ``_equation_cut``, the solver would hit
         ``TruncationError`` before it brackets the root."""
-        s, cut = self.m + self.gamma, self._equation_cut(tail_eps)
+        s, cut = self.m + self.gamma, self._equation_cut()
         floor = -math.expm1(-0.5 / s)
         if not any(self._cap_fits(x, cut, self.m) for x in ladder if x >= floor):
             raise ParameterDomainError(
@@ -282,13 +287,13 @@ class Bernardi(Unshifted):
                 f"exp(-1/(2(m+gamma))) = exp({-0.5 / s:.4g}); refused"
             )
 
-    def radius_equation(self, x: float, tail_eps: float) -> float:
+    def radius_equation(self, x: float) -> float:
         """``1/(m+gamma) - 2 sum_{n>m} x**(n-m)/(n+gamma)``: the weight identity
         ``w_m - 2 sum_{k>m} w_k`` over ``x**m``, from the weights' own scan at
-        ``_equation_cut``, so the dropped doubled tail is at most ``tail_eps *
-        min(1, 1/(m+gamma))`` and a root moves by about ``tail_eps``.  Every
-        ``x`` is new, so the terms are not cached."""
-        w = self._terms(x, self._equation_cut(tail_eps), self.m)
+        ``_equation_cut``, so the dropped doubled tail is at most
+        ``_RADIUS_EPS * min(1, 1/(m+gamma))``.  Every ``x`` is new, so the
+        terms are not cached."""
+        w = self._terms(x, self._equation_cut(), self.m)
         return math.fsum([1.0 / (self.m + self.gamma)] + [-2.0 * v for v in w[1:]])
 
 
@@ -498,13 +503,7 @@ def bohr_majorant(f: CoefficientSequence, r: float) -> float:
     return math.fsum(f.abs_entries() * r ** np.arange(len(f)))
 
 
-def adaptive_simpson(
-    fn: Callable[[float], complex],
-    a: float,
-    b: float,
-    tol: float,
-    max_depth: int = 60,
-) -> complex:
+def adaptive_simpson(fn: Callable[[float], complex], a: float, b: float, tol: float) -> complex:
     """Adaptive Simpson quadrature with Richardson extrapolation.
 
     Works on complex-valued integrands of a real variable; the error
@@ -539,7 +538,7 @@ def adaptive_simpson(
         defect = left + right - whole
         if abs(defect) <= 15.0 * budget:
             return left + right + defect / 15.0
-        if depth >= max_depth:
+        if depth >= _SIMPSON_DEPTH:
             raise QuadratureError(
                 f"adaptive quadrature stalled on [{lo}, {hi}] at depth {depth}"
             )

@@ -18,55 +18,37 @@ equation:
 Neither factor moves the root, and both keep ITP's interpolation useful at
 every ``beta`` and ``m``; ``residual`` reports the unit-scale value.
 
-Both equations are positive for small x > 0 and negative past the root.
-The solver checks the sign at x = 1e-6, then searches a geometric ladder
-of (0, 1) from 0.5 for the adjacent pair where the sign changes: upward
-while the equation is positive, by galloping bisection of the ladder
-indices below 0.5 otherwise.  ITP narrows that pair to a bracket of width
-``tol``, and ``iterations`` counts its steps; the ladder search, a short
-regula-falsi polish that drives the residual to rounding level and the
-two evaluations that confirm the reported bracket are not counted.
-Bernardi parameters whose root is certified to lie above every ladder
-point the ``10**6``-term weight vector can reach (``m + gamma`` below about 0.048 at
-the default tail cut) are refused before any evaluation.
+Every root exceeds Bohr's 1/3, the identity's radius: with ``s = m+gamma``
+the Bernardi equation exceeds ``(1-3x)/((1-x)s) >= 0`` on ``(0, 1/3]``, and
+the Cesaro roots lie in (1/3, 0.59), tending to ``1/3 + 2/(3 beta)``.  So
+the solver searches only the ladder ``0.25, 1 - 2**-k (k = 1..19), 1 - 1e-6``
+for the adjacent pair where the sign changes: from 0.5 it walks upward
+while the equation is positive, and otherwise takes ``(0.25, 0.5)`` after
+checking that the equation is positive at 0.25.  ITP narrows that pair to
+a bracket of width ``tol``, and ``iterations`` counts its steps; the
+ladder search, a short regula-falsi polish that drives the residual to
+rounding level and the two evaluations that confirm the reported bracket
+are not counted.  Bernardi parameters whose root is certified to lie
+above every ladder point the ``10**6``-term weight vector can reach
+(``m + gamma`` below about 0.048) are refused before any evaluation.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence, Union
+from typing import Callable, Iterable, Union
 
 from .errors import BracketError, ContinuityError, ParameterDomainError
 from .operators import Bernardi, CesaroBeta
 
 __all__ = [
-    "RadiusFamily",
-    "RadiusProblem",
     "RadiusResult",
     "CurveRow",
     "radius_equation",
     "solve_radius",
     "radius_curve",
 ]
-
-RadiusFamily = Union[CesaroBeta, Bernardi]
-
-
-@dataclass(frozen=True)
-class RadiusProblem:
-    """A radius-equation instance for one operator family."""
-
-    family: RadiusFamily
-    series_tail_eps: float = 1e-14
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.family, (CesaroBeta, Bernardi)):
-            raise ParameterDomainError(
-                f"family must be a Cesaro or Bernardi kind, got {self.family!r}"
-            )
-        if self.series_tail_eps <= 0.0:
-            raise ParameterDomainError("series_tail_eps must be positive")
 
 
 @dataclass(frozen=True)
@@ -86,25 +68,16 @@ class CurveRow:
     residual: float
 
 
-def radius_equation(problem: RadiusProblem, x: float) -> float:
+def radius_equation(family: Union[CesaroBeta, Bernardi], x: float) -> float:
     """The family's radius equation, positive before the root, negative after."""
     if not 0.0 < x < 1.0:
         raise ParameterDomainError(f"x must lie in (0, 1), got {x}")
-    return problem.family.radius_equation(x, problem.series_tail_eps)
+    return family.radius_equation(x)
 
 
-# Candidate abscissas for the sign-change search: geometric ladders toward
-# both ends of (0, 1).  Roots lie in about [0.33, 0.98], so the search starts
-# at 0.5.
-_SCAN_LO = 1e-6
-_SCAN_HI = 1.0 - 1e-6
-_LADDER = tuple(
-    sorted(
-        {_SCAN_LO, _SCAN_HI}
-        | {x for k in range(1, 21) for x in (2.0**-k, 1.0 - 2.0**-k) if _SCAN_LO < x < _SCAN_HI}
-    )
-)
-_LADDER_START = _LADDER.index(0.5)
+# Candidate abscissas for the sign-change search: 0.25, below every root,
+# then a geometric ladder toward 1 from 0.5.
+_LADDER = (0.25,) + tuple(1.0 - 2.0**-k for k in range(1, 20)) + (1.0 - 1e-6,)
 
 # ITP parameters: kappa1 = 0.2 / (initial width), kappa2 = 2, and n0 extra
 # steps over bisection's count (n0 = 1 falls back to bisection on the
@@ -121,36 +94,23 @@ def _ladder_bracket(eq: Callable[[float], float]) -> tuple:
     ladder point where the equation is not positive, as a linear scan from
     the left finds them.
 
-    From 0.5 it walks upward while the equation is positive; otherwise it
-    searches the indices below 0.5, galloping down from 0.5 and then
-    bisecting.  Both assume the sign changes once along the ladder, and
-    neither evaluates above the first non-positive point, where the
-    Bernardi series grows long.
+    From 0.5 it walks upward while the equation is positive, so it never
+    evaluates above the first non-positive point, where the Bernardi series
+    grows long; otherwise the pair is ``(0.25, 0.5)``.
     """
-    f_first = eq(_LADDER[0])
-    if f_first <= 0.0:
-        raise BracketError(
-            f"equation is not positive at x={_LADDER[0]}; check the family parameters"
-        )
-    i = _LADDER_START
-    f_i = eq(_LADDER[i])
-    if f_i > 0.0:
-        for j in range(i + 1, len(_LADDER)):
-            f_j = eq(_LADDER[j])
-            if f_j <= 0.0:
-                return _LADDER[j - 1], f_i, _LADDER[j], f_j
-            f_i = f_j
-        raise BracketError("no sign change found in (0, 1); the root should satisfy R < 1")
-    lo, f_lo, hi, f_hi, step = 0, f_first, i, f_i, 1
-    while hi - lo > 1:
-        j = max(hi - step, (lo + hi) // 2)
-        f_j = eq(_LADDER[j])
-        if f_j > 0.0:
-            lo, f_lo = j, f_j
-        else:
-            hi, f_hi = j, f_j
-        step *= 2
-    return _LADDER[lo], f_lo, _LADDER[hi], f_hi
+    f_half = eq(0.5)
+    if f_half <= 0.0:
+        f_floor = eq(0.25)
+        if f_floor <= 0.0:
+            raise BracketError("equation is not positive at x=0.25; check the family parameters")
+        return 0.25, f_floor, 0.5, f_half
+    f_lo = f_half
+    for lo, hi in zip(_LADDER[1:], _LADDER[2:]):
+        f_hi = eq(hi)
+        if f_hi <= 0.0:
+            return lo, f_lo, hi, f_hi
+        f_lo = f_hi
+    raise BracketError("no sign change found in (0, 1); the root should satisfy R < 1")
 
 
 def _itp(eq: Callable[[float], float], lo: float, f_lo: float, hi: float, f_hi: float,
@@ -185,25 +145,28 @@ def _itp(eq: Callable[[float], float], lo: float, f_lo: float, hi: float, f_hi: 
     return lo, f_lo, hi, f_hi, steps
 
 
-def solve_radius(problem: RadiusProblem, tol: float = 1e-12) -> RadiusResult:
+def solve_radius(family: Union[CesaroBeta, Bernardi], tol: float = 1e-12) -> RadiusResult:
     """Locate the positive root by ITP on a ladder bracket plus a short polish.
 
-    The family first refuses parameters whose root is certified to lie
-    above every ladder point it can evaluate.  The ladder search finds a sign-change bracket, and
-    ITP (Oliveira and Takahashi, ACM TOMS 47(1), 2021) narrows it to width
-    ``tol`` in at most ``ceil(log2(width / tol)) + n0`` steps, the
-    ``iterations`` reported.  Regula falsi then polishes the residual inside
-    the final bracket until its step stalls on an endpoint; the root is the
-    evaluated point with the smallest residual.  The reported bracket is
-    ``root -+ tol/2`` when the equation's signs there confirm it, else the
-    ITP bracket.
+    ``family`` is a Cesaro or Bernardi family and ``tol`` a finite width of
+    at least 1e-14.  The family first refuses parameters whose root is
+    certified to lie above every ladder point it can evaluate.  The ladder
+    search finds a sign-change bracket, and ITP (Oliveira and Takahashi, ACM
+    TOMS 47(1), 2021) narrows it to width ``tol`` in at most
+    ``ceil(log2(width / tol)) + n0`` steps, the ``iterations`` reported.
+    Regula falsi then polishes the residual inside the final bracket until
+    its step stalls on an endpoint; the root is the evaluated point with the
+    smallest residual.  The reported bracket is ``root -+ tol/2`` when the
+    equation's signs there confirm it, else the ITP bracket.
     """
-    if tol < 1e-14:
-        raise ParameterDomainError(f"tol must be >= 1e-14, got {tol}")
-    problem.family.require_root_below(_LADDER, problem.series_tail_eps)
+    if not isinstance(family, (CesaroBeta, Bernardi)):
+        raise ParameterDomainError(f"family must be a Cesaro or Bernardi kind, got {family!r}")
+    if not 1e-14 <= tol < math.inf:
+        raise ParameterDomainError(f"tol must be finite and >= 1e-14, got {tol}")
+    family.require_root_below(_LADDER)
 
     def eq(x: float) -> float:
-        return radius_equation(problem, x)
+        return radius_equation(family, x)
 
     ladder_lo, f_lo, ladder_hi, f_hi = _ladder_bracket(eq)
     lo, f_lo, hi, f_hi, iterations = _itp(eq, ladder_lo, f_lo, ladder_hi, f_hi, tol)
@@ -240,14 +203,13 @@ def radius_curve(
 ) -> list:
     """Solve a parameter sweep and sanity-check root continuity.
 
-    ``entries`` yields ``(parameter, RadiusProblem)`` pairs in sweep order.
+    ``entries`` yields ``(parameter, family)`` pairs in sweep order.
     Adjacent roots must not jump by more than 10x the grid spacing times a
     local slope estimate (floored at 1), which catches branch jumps.
     """
     rows: list = []
-    problems: Sequence[tuple] = list(entries)
-    for param, problem in problems:
-        result = solve_radius(problem, tol)
+    for param, family in entries:
+        result = solve_radius(family, tol)
         rows.append(CurveRow(parameter=float(param), root=result.root, residual=result.residual))
     for i in range(1, len(rows)):
         dp = abs(rows[i].parameter - rows[i - 1].parameter)

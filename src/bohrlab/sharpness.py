@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -30,17 +30,16 @@ from .operators import (
     Bernardi,
     CesaroBeta,
     ClassicalBohr,
-    Shifted,
+    OperatorKind,
     _weights,
     majorant_value,
     required_origin_zeros,
     series_order,
     sup_bound,
 )
-from .radii import RadiusProblem, solve_radius
+from .radii import solve_radius
 
 __all__ = [
-    "SharpnessProblem",
     "Decomposition",
     "ViolationReport",
     "BOHR_BASELINE_RADIUS",
@@ -58,8 +57,8 @@ __all__ = [
 # every unit-ball member stays at most 1 up to radius 1/3, and no further.
 BOHR_BASELINE_RADIUS = 1.0 / 3.0
 
-
-SharpnessProblem = Union[CesaroBeta, Bernardi, ClassicalBohr, Shifted]
+# The witness scan tries a = 1 - 2**-k for k = 1 .. _WITNESS_DOUBLINGS.
+_WITNESS_DOUBLINGS = 40
 
 
 @dataclass(frozen=True)
@@ -103,15 +102,15 @@ def _check_a_r(a: float, r: float) -> None:
         raise ParameterDomainError(f"r must lie in (0, 1), got {r}")
 
 
-def critical_radius(problem: SharpnessProblem, tol: float = 1e-12) -> float:
+def critical_radius(problem: OperatorKind, tol: float = 1e-12) -> float:
     """Bohr's 1/3 for the identity baseline, the solved family radius otherwise."""
     if problem == ClassicalBohr():
         return BOHR_BASELINE_RADIUS
-    return solve_radius(RadiusProblem(problem), tol).root
+    return solve_radius(problem, tol).root
 
 
 def extremal_majorant(
-    problem: SharpnessProblem, a: float, r: float, eps: float = 1e-12
+    problem: OperatorKind, a: float, r: float, eps: float = 1e-12
 ) -> float:
     """Absolute series of the problem's extremal member at radius ``r``.
 
@@ -136,7 +135,7 @@ def _split_weights(family, r: float, eps: float) -> tuple:
 
 
 def decomposition(
-    problem: SharpnessProblem, a: float, r: float, eps: float = 1e-12
+    problem: OperatorKind, a: float, r: float, eps: float = 1e-12
 ) -> Decomposition:
     """Three-term split of the extremal absolute series from the family weights.
 
@@ -176,7 +175,7 @@ def decomposition_bernardi(
 
 
 def quadratic_remainder_check(
-    problem: SharpnessProblem,
+    problem: OperatorKind,
     r: float,
     a_list: Sequence[float],
     eps: float = 1e-12,
@@ -196,10 +195,9 @@ def quadratic_remainder_check(
 
 
 def violation_search(
-    problem: SharpnessProblem,
+    problem: OperatorKind,
     r: float,
     eps: float = 1e-12,
-    max_doublings: int = 40,
     critical: Optional[float] = None,
 ) -> ViolationReport:
     """Scan a = 1 - 2**-k for an extremal absolute series above the bound.
@@ -220,7 +218,7 @@ def violation_search(
     bound = sup_bound(problem, r)
     threshold = 1e-12 * min(1.0, bound)
     best_margin = best_value = -math.inf
-    for k in range(1, max_doublings + 1):
+    for k in range(1, _WITNESS_DOUBLINGS + 1):
         a = 1.0 - 2.0**-k
         value = extremal_majorant(problem, a, r, eps)
         margin = value - bound
@@ -231,12 +229,13 @@ def violation_search(
                 witness=a, majorant=value, bound=bound, margin=margin, attempts=k
             )
     return ViolationReport(
-        witness=None, majorant=best_value, bound=bound, margin=best_margin, attempts=max_doublings
+        witness=None, majorant=best_value, bound=bound, margin=best_margin,
+        attempts=_WITNESS_DOUBLINGS,
     )
 
 
 def concavity_check(
-    problem: SharpnessProblem, r: float, a_grid: Sequence[float]
+    problem: OperatorKind, r: float, a_grid: Sequence[float]
 ) -> float:
     """Max centered second difference of the proof's upper envelope in ``a``.
 

@@ -53,9 +53,9 @@ def test_criterion_02_libera_radius(tmp_path):
         tmp_path, "radius", "--op", "bernardi", "--gamma", "1", "--m", "0"
     )
     root = payload["results"]["root"]
-    problem = bl.RadiusProblem(bl.Bernardi(1.0, 0))
+    family = bl.Bernardi(1.0, 0)
     worst = max(
-        abs(bl.radius_equation(problem, x) - (3.0 * x + 2.0 * math.log(1.0 - x)) / x)
+        abs(bl.radius_equation(family, x) - (3.0 * x + 2.0 * math.log(1.0 - x)) / x)
         for x in np.linspace(0.05, 0.95, 50)
     )
     ok = (
@@ -82,7 +82,7 @@ def test_criterion_03_alexander_radius(tmp_path):
 
 def test_criterion_04_beta_limit_continuity():
     roots = [
-        bl.solve_radius(bl.RadiusProblem(bl.CesaroBeta(b))).root
+        bl.solve_radius(bl.CesaroBeta(b)).root
         for b in (1.0 - 1e-6, 1.0, 1.0 + 1e-6)
     ]
     spread = max(roots) - min(roots)

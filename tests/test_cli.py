@@ -93,6 +93,21 @@ class TestRadiusCommand:
         assert abs(results["root"] - (1.0 / 3.0 + 2.0 / (3.0 * beta))) <= 1e-12
         assert abs(results["residual"]) < 1e-12
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("radius", "--op", "cesaro", "--beta", "1"),
+            ("curve", "--op", "cesaro", "--grid-values", "1,2"),
+            ("verify", "--op", "cesaro", "--beta", "1", "--samples", "5"),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_nonfinite_tol_exits_2(self, capsys, argv, tol):
+        code, out, err = run_cli(capsys, *argv, "--tol", tol)
+        assert code == 2 and out == ""
+        assert err.startswith("parameter error:") and "tol must be finite" in err
+
     def test_csv_format(self, capsys):
         code, out, _ = run_cli(
             capsys, "radius", "--op", "cesaro", "--beta", "2", "--format", "csv"
@@ -380,6 +395,30 @@ class TestSharpnessCommand:
         rows = json.loads(out)["results"]["rows"]
         assert all(row["deficit_term"] > 0 for row in rows if row["a"] < 1.0)
 
+    def test_json_report_is_strict(self, capsys):
+        # the default a-grid ends at a = 1, where the remainder ratio is undefined
+        def reject(constant):
+            raise ValueError(f"non-JSON constant {constant}")
+
+        code, out, _ = run_cli(capsys, "sharpness", "--op", "cesaro", "--beta", "1", "--r", "0.5")
+        assert code == 0
+        rows = json.loads(out, parse_constant=reject)["results"]["rows"]
+        assert rows[-1]["a"] == 1.0 and rows[-1]["remainder_ratio"] is None
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("sharpness", "--op", "cesaro", "--beta", "1", "--r", "0.5", "--tol", "5"),
+            ("selftest", "--tol", "-1"),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_tol_is_not_a_flag(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(list(argv))
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --tol" in capsys.readouterr().err
+
     def test_requires_radius_flag(self, capsys):
         code, _, _ = run_cli(capsys, "sharpness", "--op", "cesaro", "--beta", "1")
         assert code == 2
@@ -533,7 +572,7 @@ class TestFailurePaths:
         # small, below the witness threshold, so the scan reports none
         import bohrlab as bl
 
-        root = bl.solve_radius(bl.RadiusProblem(bl.Bernardi(1.0, 0))).root
+        root = bl.solve_radius(bl.Bernardi(1.0, 0)).root
         code, _, err = run_cli(
             capsys,
             "verify",

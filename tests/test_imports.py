@@ -87,7 +87,7 @@ EXPORTS = [
     "BohrlabError", "BoundedFunction", "BracketError", "CBeta", "CesaroBeta", "ClassicalBohr",
     "CoefficientSequence", "Constant", "ContinuityError", "CurveRow", "Decomposition",
     "ExtremalPhi", "ExtremalPsi", "Libera", "OperatorKind", "ParameterDomainError",
-    "Polynomial", "PreconditionError", "PrimitiveI", "QuadratureError", "RadiusProblem",
+    "Polynomial", "PreconditionError", "PrimitiveI", "QuadratureError",
     "RadiusResult", "Shifted", "TruncationError", "ViolationReport", "adaptive_simpson",
     "binomial_coeffs", "bohr_majorant", "cauchy_product", "cesaro_series_order",
     "concavity_check", "corpus", "critical_radius", "cumulative_identity_residual",

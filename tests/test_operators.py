@@ -298,19 +298,19 @@ class TestBernardiEquation:
         cut = tol * min(1.0, lead)
         terms = bernardi_tail_reference(m + gamma, 0, x, cut, 2.0, MAX_SERIES_TERMS)
         assert len(family._terms(x, 0.5 * cut, m)) == 1 + len(terms)
-        # It is a difference of terms of the lead's size, so its rounding is
-        # counted in ulps of the lead.
-        ref = bernardi_equation_reference(gamma, m, x, tol, MAX_SERIES_TERMS)
-        assert abs(family.radius_equation(x, tol) - ref) <= 4.0 * math.ulp(lead)
+        # The equation itself always cuts at 1e-14.  It is a difference of
+        # terms of the lead's size, so its rounding is counted in ulps of the lead.
+        ref = bernardi_equation_reference(gamma, m, x, 1e-14, MAX_SERIES_TERMS)
+        assert abs(family.radius_equation(x) - ref) <= 4.0 * math.ulp(lead)
 
     def test_unreachable_cap_raises_without_building_the_weights(self):
         # `radius --op bernardi --gamma 0.04 --m 0` would walk its ladder up to
         # this point, just outside the corner refusal.
-        problem = bl.RadiusProblem(bl.Bernardi(0.04, 0))
+        family = bl.Bernardi(0.04, 0)
         tracemalloc.start()
         try:
             with pytest.raises(TruncationError):
-                bl.radius_equation(problem, 1.0 - 2.0**-16)
+                bl.radius_equation(family, 1.0 - 2.0**-16)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

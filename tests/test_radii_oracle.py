@@ -16,7 +16,7 @@ import pytest
 
 import bohrlab as bl
 from bohrlab import radii
-from bohrlab.errors import ParameterDomainError
+from bohrlab.errors import BracketError, ParameterDomainError
 
 ORACLE_BRACKET = ("0.3", "0.999999999")
 
@@ -66,7 +66,7 @@ def oracle_root(equation):
 
 @functools.lru_cache(maxsize=None)
 def solved(family):
-    return bl.solve_radius(bl.RadiusProblem(family))
+    return bl.solve_radius(family)
 
 
 def assert_bracket_contains(family, root):
@@ -144,20 +144,18 @@ class TestSolverContract:
     @pytest.mark.parametrize("tol", (1e-14, 1e-12, 1e-8, 1e-3))
     @pytest.mark.parametrize("family", CONTRACT_FAMILIES, ids=str)
     def test_sign_change_bracket_of_width_tol(self, family, tol):
-        problem = bl.RadiusProblem(family)
-        result = bl.solve_radius(problem, tol)
+        result = bl.solve_radius(family, tol)
         lo, hi = result.bracket
-        assert bl.radius_equation(problem, lo) > 0.0 >= bl.radius_equation(problem, hi)
+        assert bl.radius_equation(family, lo) > 0.0 >= bl.radius_equation(family, hi)
         assert hi - lo <= tol
         assert lo <= result.root <= hi
 
     @pytest.mark.parametrize("tol", (1e-14, 1e-12, 1e-8, 1e-3))
     @pytest.mark.parametrize("family", CONTRACT_FAMILIES, ids=str)
     def test_iterations_within_the_itp_bound(self, family, tol):
-        problem = bl.RadiusProblem(family)
-        lo, hi = linear_scan(lambda x: bl.radius_equation(problem, x))
+        lo, hi = linear_scan(lambda x: bl.radius_equation(family, x))
         bound = max(math.ceil(math.log2((hi - lo) / tol)), 0) + radii._ITP_N0
-        assert bl.solve_radius(problem, tol).iterations <= bound
+        assert bl.solve_radius(family, tol).iterations <= bound
 
     @pytest.mark.parametrize(
         "family",
@@ -168,21 +166,51 @@ class TestSolverContract:
     def test_unit_scale_lets_interpolation_work(self, family):
         # The raw equations span (1-x)**-beta or x**m over the ladder pair,
         # where ITP ran its full 42-43 step bound.
-        assert bl.solve_radius(bl.RadiusProblem(family)).iterations <= 12
+        assert bl.solve_radius(family).iterations <= 12
+
+    def test_ladder_starts_at_the_root_floor(self):
+        assert min(radii._LADDER) == 0.25
+
+    def test_equation_positive_at_the_ladder_floor(self):
+        # The ladder's first point lies below every root, which exceeds 1/3.
+        betas = [10.0 ** (k / 4.0) for k in range(-48, 33)]  # 1e-12 .. 1e8
+        for beta in betas:
+            assert bl.radius_equation(bl.CesaroBeta(beta), 0.25) > 0.0, beta
+        sums = [0.05] + [10.0 ** (k / 4.0) for k in range(-4, 53)]  # m + gamma, 0.05 .. 1e13
+        for m in (0, 1, 3, 100, 1000):
+            for s in sums:
+                family = bl.Bernardi(s - m, m)
+                assert bl.radius_equation(family, 0.25) > 0.0, family
+
+    def test_root_below_half_takes_the_floor_pair(self):
+        seen = []
+        family = bl.CesaroBeta(3.0)
+        eq = lambda x: seen.append(x) or bl.radius_equation(family, x)  # noqa: E731
+        lo, _, hi, _ = radii._ladder_bracket(eq)
+        assert (lo, hi) == (0.25, 0.5) and seen == [0.5, 0.25]
+
+    def test_root_above_half_evaluates_nothing_below_half(self, monkeypatch):
+        calls = []
+        equation = radii.radius_equation
+        monkeypatch.setattr(radii, "radius_equation", lambda p, x: calls.append(x) or equation(p, x))
+        bl.solve_radius(bl.Libera())
+        assert calls[0] == 0.5 and min(calls) >= 0.5
+
+    def test_nonpositive_floor_is_a_bracket_error(self):
+        with pytest.raises(BracketError, match="x=0.25"):
+            radii._ladder_bracket(lambda x: -1.0)
 
     @pytest.mark.parametrize("name", BENCHMARK_GRIDS)
     def test_ladder_search_matches_the_linear_scan(self, name):
         for family in BENCHMARK_GRIDS[name]:
-            problem = bl.RadiusProblem(family)
-            eq = lambda x: bl.radius_equation(problem, x)  # noqa: E731
+            eq = lambda x: bl.radius_equation(family, x)  # noqa: E731
             lo, _, hi, _ = radii._ladder_bracket(eq)
             assert (lo, hi) == linear_scan(eq), family
 
     def test_ladder_search_stays_below_the_first_nonpositive_point(self):
         for family in (bl.Bernardi(0.06, 0), bl.Bernardi(0.15, 0), bl.CesaroBeta(45.0)):
-            problem = bl.RadiusProblem(family)
             seen = []
-            eq = lambda x: seen.append(x) or bl.radius_equation(problem, x)  # noqa: E731
+            eq = lambda x: seen.append(x) or bl.radius_equation(family, x)  # noqa: E731
             _, _, hi, _ = radii._ladder_bracket(eq)
             assert max(seen) == hi
 
@@ -194,13 +222,13 @@ class TestSolverContract:
         equation = radii.radius_equation
         monkeypatch.setattr(radii, "radius_equation", lambda p, x: calls.append(x) or equation(p, x))
         with pytest.raises(ParameterDomainError, match="refused"):
-            bl.solve_radius(bl.RadiusProblem(bl.Bernardi(gamma, m)))
+            bl.solve_radius(bl.Bernardi(gamma, m))
         assert len(calls) < 3
 
     @pytest.mark.parametrize("name", BENCHMARK_GRIDS)
     def test_benchmark_grids_are_not_refused(self, name):
         for family in BENCHMARK_GRIDS[name]:
-            family.require_root_below(radii._LADDER, bl.RadiusProblem(family).series_tail_eps)
+            family.require_root_below(radii._LADDER)
 
     @pytest.mark.parametrize("gamma,m", CORNERS)
     def test_corner_refused_within_three_evaluations(self, gamma, m, monkeypatch):
@@ -208,5 +236,5 @@ class TestSolverContract:
         equation = radii.radius_equation
         monkeypatch.setattr(radii, "radius_equation", lambda p, x: calls.append(x) or equation(p, x))
         with pytest.raises(ParameterDomainError, match="refused"):
-            bl.solve_radius(bl.RadiusProblem(bl.Bernardi(gamma, m)))
+            bl.solve_radius(bl.Bernardi(gamma, m))
         assert len(calls) < 3

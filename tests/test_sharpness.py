@@ -203,13 +203,13 @@ class TestDeficitSign:
     negative above it."""
 
     def test_cesaro_flip(self):
-        root = bl.solve_radius(bl.RadiusProblem(bl.CesaroBeta(1.0))).root
+        root = bl.solve_radius(bl.CesaroBeta(1.0)).root
         below = bl.decomposition_cesaro(1.0, 0.5, 0.95 * root)
         above = bl.decomposition_cesaro(1.0, 0.5, min(1.05 * root, 0.99))
         assert below.deficit_term > 0.0 > above.deficit_term
 
     def test_bernardi_flip(self):
-        root = bl.solve_radius(bl.RadiusProblem(bl.Bernardi(1.0, 0))).root
+        root = bl.solve_radius(bl.Bernardi(1.0, 0)).root
         below = bl.decomposition_bernardi(1.0, 0, 0.5, 0.95 * root)
         above = bl.decomposition_bernardi(1.0, 0, 0.5, min(1.05 * root, 0.99))
         assert below.deficit_term > 0.0 > above.deficit_term
@@ -229,7 +229,7 @@ class TestBelowRadiusSafety:
         ids=str,
     )
     def test_extremal_series_below_bound(self, problem):
-        root = bl.solve_radius(bl.RadiusProblem(problem)).root
+        root = bl.solve_radius(problem).root
         r = 0.99 * root
         bound = bl.sup_bound(problem, r)
         for a in np.linspace(0.0, 1.0, 21):
