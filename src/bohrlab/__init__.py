@@ -26,10 +26,9 @@ _EXPORTS = {
         "horner",
     ),
     "corpus": (
-        "BLASCHKE_ZERO_CAP", "Blaschke", "BoundedFunction", "Constant", "ExtremalPhi",
-        "ExtremalPsi", "Polynomial", "derive_seed", "evaluate", "expand", "extremal_phi",
-        "extremal_psi", "multiply_by_z", "random_schur", "random_schur_block", "schwarz_shift",
-        "suggested_order", "taylor_coeffs", "taylor_matrix", "validate_membership",
+        "BLASCHKE_ZERO_CAP", "Blaschke", "Constant", "derive_seed", "evaluate", "expand",
+        "multiply_by_z", "random_schur", "random_schur_block", "schwarz_shift", "suggested_order",
+        "taylor_coeffs", "taylor_matrix",
     ),
     "operators": (
         "Alexander", "Bernardi", "CBeta", "CesaroBeta", "ClassicalBohr", "Libera", "OperatorKind",

@@ -10,8 +10,8 @@ sharpness  emit the three-term extremal decompositions over an a-grid
 selftest   run the built-in identity/concavity/coefficient/quadrature suites
 
 ``radius`` and ``curve`` need only the standard library; ``verify``,
-``sharpness`` and ``selftest`` import numpy and the corpus, series and
-sharpness modules when they run.
+``sharpness`` and ``selftest`` import numpy and the series and sharpness
+modules when they run, and ``verify`` and ``selftest`` the corpus too.
 
 Reports are JSON (default) or RFC-4180-style CSV with a header row; numbers
 are printed with 17 significant digits in CSV, and JSON uses shortest
@@ -235,6 +235,10 @@ def cmd_verify(args: argparse.Namespace) -> tuple:
 
     if args.samples < 1:
         raise ParameterDomainError(f"--samples must be >= 1, got {args.samples}")
+    if args.r is not None and args.r_mode != "above":
+        raise ParameterDomainError(
+            f"--r belongs to --r-mode above; --r-mode {args.r_mode} sets r from the critical radius"
+        )
 
     kind = _operator_kind(args)
     critical = critical_radius(kind.family, args.tol)
@@ -481,7 +485,7 @@ def _build_parser() -> argparse.ArgumentParser:
     operator_flags(p, all_ops + ("bohr",))
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--r-mode", choices=("below", "at", "above"), default="below")
-    p.add_argument("--r", type=float, default=None)
+    p.add_argument("--r", type=float, default=None, help="the radius of --r-mode above")
     p.add_argument("--max-factors", type=int, default=4)
     p.add_argument("--radius-cap", type=float, default=0.9)
     common(p, solves=True)

@@ -1,16 +1,13 @@
 """Concrete members of the unit ball of bounded analytic functions.
 
-Every function the paper needs is a scaled, rotated product
-``c * z**k * prod_j (z - a_j) / (1 - conj(a_j) z)``, stored in one of
-three forms: a polynomial; a finite Blaschke product with a rotation and a
-damping scale (a constant is the empty product, ``Constant(c)``); or the
-extremal family
-
-    psi_a_m(z) = z**m * phi_a(z),        phi_a(z) = (z - a) / (1 - a z),
-
-with ``ExtremalPhi(a)`` its ``m = 0`` case and ``a = 1`` the Blaschke
-product ``-z**m``.  Each form has an exact rational point evaluator and a
-coefficient producer that is exact up to rounding.
+Every member is one type, ``Blaschke``: a finite Blaschke product
+``u * c * prod_j (z - a_j) / (1 - conj(a_j) z)`` with a unimodular rotation
+``u`` and a damping scale ``|c| <= 1``.  A constant is the empty product,
+``Constant(c)``; ``z**m`` times a member is the member with ``m`` more zeros
+at the origin; and the paper's extremal ``z**m phi_a``, ``phi_a(z) = (z -
+a)/(1 - a z)``, is ``Blaschke((0j,) * m + (a,))``.  The constructor is the
+membership check.  A member has an exact rational point evaluator, and
+``expand`` gives its Taylor coefficients, exact up to rounding.
 
 Verification sweeps draw random members from one counter-based stream:
 uniform ``j`` of the member with seed ``s`` is ``(derive_seed(s, j) >> 11)
@@ -24,31 +21,23 @@ one-row case.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
 from .errors import ParameterDomainError, PreconditionError
-from .series import CoefficientSequence, horner
+from .series import CoefficientSequence
 
 __all__ = [
     "BLASCHKE_ZERO_CAP",
     "Constant",
-    "Polynomial",
     "Blaschke",
-    "ExtremalPhi",
-    "ExtremalPsi",
-    "BoundedFunction",
-    "extremal_phi",
-    "extremal_psi",
     "evaluate",
     "taylor_coeffs",
     "taylor_matrix",
     "suggested_order",
-    "validate_membership",
     "schwarz_shift",
     "multiply_by_z",
     "random_schur",
@@ -61,27 +50,6 @@ __all__ = [
 # for the truncation rules used downstream.
 BLASCHKE_ZERO_CAP = 0.95
 
-_MEMBERSHIP_TOL = 1e-9
-_VALIDATION_RADIUS = 1.0 - 1e-6
-
-
-@dataclass(frozen=True)
-class Polynomial:
-    """A polynomial, membership checked numerically on a boundary grid."""
-
-    coeffs: tuple
-
-    def __post_init__(self) -> None:
-        coeffs = tuple(complex(c) for c in self.coeffs)
-        if not coeffs:
-            raise ParameterDomainError("a polynomial needs at least one coefficient")
-        object.__setattr__(self, "coeffs", coeffs)
-        worst = validate_membership(self, 256)
-        if worst > 1.0 + _MEMBERSHIP_TOL:
-            raise ParameterDomainError(
-                f"polynomial exceeds the unit bound on the boundary grid: {worst}"
-            )
-
 
 @dataclass(frozen=True)
 class Blaschke:
@@ -90,6 +58,7 @@ class Blaschke:
     ``scale`` damps the product by a constant of modulus at most 1 so that
     randomly drawn members need not have sup norm exactly 1; it is 1 for a
     pure product.  With no zeros the product is the constant ``scale``.
+    Each check is written so that a NaN fails it.
     """
 
     zeros: tuple
@@ -102,31 +71,12 @@ class Blaschke:
         object.__setattr__(self, "unimodular_factor", complex(self.unimodular_factor))
         object.__setattr__(self, "scale", complex(self.scale))
         for a in zeros:
-            if abs(a) >= 1.0:
+            if not abs(a) < 1.0:
                 raise ParameterDomainError(f"Blaschke zero must lie in the disk, got |{a}|")
-        if abs(abs(self.unimodular_factor) - 1.0) > 1e-12:
+        if not abs(abs(self.unimodular_factor) - 1.0) <= 1e-12:
             raise ParameterDomainError("the rotation factor must be unimodular")
-        if abs(self.scale) > 1.0 + 1e-12:
+        if not abs(self.scale) <= 1.0 + 1e-12:
             raise ParameterDomainError(f"|scale| must be <= 1, got {abs(self.scale)}")
-
-
-@dataclass(frozen=True)
-class ExtremalPsi:
-    """psi_a_m(z) = z**m * phi_a(z): an m-fold zero at the origin, a in [0, 1)."""
-
-    a: float
-    m: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "a", float(self.a))
-        object.__setattr__(self, "m", int(self.m))
-        if not 0.0 <= self.a < 1.0:
-            raise ParameterDomainError(f"a must lie in [0, 1), got {self.a}")
-        if self.m < 0:
-            raise ParameterDomainError(f"m must be nonnegative, got {self.m}")
-
-
-BoundedFunction = Union[Polynomial, Blaschke, ExtremalPsi]
 
 
 def Constant(value: complex) -> Blaschke:
@@ -134,75 +84,26 @@ def Constant(value: complex) -> Blaschke:
     return Blaschke((), 1.0, value)
 
 
-def ExtremalPhi(a: float) -> ExtremalPsi:
-    """The disk automorphism phi_a(z) = (z - a)/(1 - a z), a in [0, 1): psi with m = 0."""
-    return ExtremalPsi(a, 0)
-
-
-def extremal_psi(a: float, m: int) -> BoundedFunction:
-    """z**m * phi_a for a in [0, 1]; a = 1 collapses to the monomial -z**m."""
-    if a == 1.0:
-        return Blaschke((0j,) * m, 1.0, -1.0)
-    return ExtremalPsi(a, m)
-
-
-def extremal_phi(a: float) -> BoundedFunction:
-    """phi_a for a in [0, 1]; the degenerate a = 1 collapses to the constant -1."""
-    return extremal_psi(a, 0)
-
-
-def evaluate(f: BoundedFunction, z: complex) -> complex:
+def evaluate(f: Blaschke, z: complex) -> complex:
     """Exact structural evaluation at a point of the open unit disk."""
     z = complex(z)
     if abs(z) >= 1.0:
         raise ParameterDomainError(f"|z| must be < 1, got {abs(z)}")
-    if isinstance(f, Polynomial):
-        return horner(f.coeffs, z)
-    if isinstance(f, Blaschke):
-        out = f.unimodular_factor * f.scale
-        for a in f.zeros:
-            out *= (z - a) / (1.0 - a.conjugate() * z)
-        return out
-    if isinstance(f, ExtremalPsi):
-        return z**f.m * (z - f.a) / (1.0 - f.a * z)
-    raise TypeError(f"not a bounded function: {f!r}")
+    out = f.unimodular_factor * f.scale
+    for a in f.zeros:
+        out *= (z - a) / (1.0 - a.conjugate() * z)
+    return out
 
 
-def taylor_coeffs(f: BoundedFunction, n_max: int) -> CoefficientSequence:
-    """The first ``n_max + 1`` Taylor coefficients of ``f`` at the origin.
-
-    A Blaschke product is the one-row case of ``taylor_matrix``.
-    """
-    if n_max < 0:
-        raise ParameterDomainError(f"n_max must be nonnegative, got {n_max}")
-    if isinstance(f, Blaschke):
-        return CoefficientSequence(taylor_matrix([f], n_max)[0])
-    if isinstance(f, Polynomial):
-        out = np.zeros(n_max + 1, dtype=np.complex128)
-        take = min(len(f.coeffs), n_max + 1)
-        out[:take] = f.coeffs[:take]
-        return CoefficientSequence(out)
-    if isinstance(f, ExtremalPsi):
-        # phi_a: -a, then (1 - a^2) a^(n-1) for n >= 1; scalar pow keeps the law exact
-        out = np.zeros(n_max + 1, dtype=np.complex128)
-        if n_max >= f.m:
-            out[f.m] = -f.a
-            slack = 1.0 - f.a * f.a
-            for n in range(1, n_max - f.m + 1):
-                out[f.m + n] = slack * f.a ** (n - 1)
-        return CoefficientSequence(out)
-    raise TypeError(f"not a bounded function: {f!r}")
+def taylor_coeffs(f: Blaschke, n_max: int) -> CoefficientSequence:
+    """The first ``n_max + 1`` Taylor coefficients of ``f`` at the origin:
+    the one-row case of ``taylor_matrix``."""
+    return CoefficientSequence(taylor_matrix([f], n_max)[0])
 
 
-def taylor_matrix(fs: Sequence[BoundedFunction], n_max: int) -> np.ndarray:
-    """Taylor coefficients ``a_0 .. a_{n_max}`` of each function, one row each.
-
-    Takes Blaschke products, constants included, the members
-    ``random_schur`` draws, and lays them out as the arrays ``expand`` reads.
-    """
-    for f in fs:
-        if not isinstance(f, Blaschke):
-            raise TypeError(f"expected a Blaschke product, got {f!r}")
+def taylor_matrix(fs: Sequence[Blaschke], n_max: int) -> np.ndarray:
+    """Taylor coefficients ``a_0 .. a_{n_max}`` of each member, one row each,
+    laid out as the arrays ``expand`` reads."""
     width = max((len(f.zeros) for f in fs), default=0)
     h0 = np.array([f.unimodular_factor * f.scale for f in fs], dtype=np.complex128)
     zeros = np.zeros((len(fs), width), dtype=np.complex128)
@@ -247,88 +148,46 @@ def expand(h0: np.ndarray, zeros: np.ndarray, live: np.ndarray, n_max: int) -> n
     return np.ascontiguousarray(h.T)
 
 
-def suggested_order(f: BoundedFunction, eps: float = 1e-15) -> int:
+def suggested_order(f: Blaschke, eps: float = 1e-15) -> int:
     """Truncation order from the geometric tail rule.
 
-    Per Blaschke-type factor with zero modulus ``q`` the rule is
+    Per factor with zero modulus ``q > 0`` the rule is
     ``N >= log(eps * (1 - q)) / log(q)``, which caps the factor's
-    coefficient tail by roughly ``2 * eps``.  A Blaschke product with ``k``
-    zeros at the origin, the monomial ``z**k`` times the other factors,
-    needs at least order ``k``.
+    coefficient tail by roughly ``2 * eps``.  A product with ``k`` zeros at
+    the origin, the monomial ``z**k`` times the other factors, needs at
+    least order ``k``.
     """
     if eps <= 0.0:
         raise ParameterDomainError("eps must be positive")
 
     def factor_order(q: float) -> int:
-        if q <= 0.0:
-            return 1
         return max(1, math.ceil(math.log(eps * (1.0 - q)) / math.log(q)))
 
-    if isinstance(f, Polynomial):
-        return len(f.coeffs) - 1
-    if isinstance(f, ExtremalPsi):
-        return factor_order(f.a) + f.m
-    if isinstance(f, Blaschke):
-        return max([f.zeros.count(0j)] + [factor_order(abs(a)) for a in f.zeros if a != 0])
-    raise TypeError(f"not a bounded function: {f!r}")
+    return max([f.zeros.count(0j)] + [factor_order(abs(a)) for a in f.zeros if a != 0])
 
 
-def validate_membership(f: BoundedFunction, grid_size: int) -> float:
-    """Max modulus over equispaced points on the circle of radius 1 - 1e-6."""
-    if grid_size < 16:
-        raise ParameterDomainError(f"grid_size must be >= 16, got {grid_size}")
-    return max(
-        abs(evaluate(f, _VALIDATION_RADIUS * cmath.exp(2j * math.pi * k / grid_size)))
-        for k in range(grid_size)
-    )
-
-
-def schwarz_shift(f: BoundedFunction, m: int) -> BoundedFunction:
+def schwarz_shift(f: Blaschke, m: int) -> Blaschke:
     """Divide out ``z**m`` structurally, preserving exact evaluation."""
     if m < 0:
         raise ParameterDomainError(f"m must be nonnegative, got {m}")
-    if m == 0:
-        return f
-    if isinstance(f, Polynomial):
-        if len(f.coeffs) <= m:
-            if all(c == 0 for c in f.coeffs):
-                return Constant(0.0)
-            raise PreconditionError("polynomial has fewer leading zeros than required")
-        if any(abs(c) > 1e-12 for c in f.coeffs[:m]):
-            raise PreconditionError("polynomial lacks the required zero at the origin")
-        return Polynomial(f.coeffs[m:])
-    if isinstance(f, Blaschke):
-        if f.scale == 0:
-            return f  # the zero function
-        at_origin = sum(1 for a in f.zeros if a == 0)
-        if at_origin < m:
-            raise PreconditionError(
-                f"Blaschke product has {at_origin} zeros at the origin, needs {m}"
-            )
-        remaining = list(f.zeros)
-        for _ in range(m):
-            remaining.remove(0j)
-        return Blaschke(tuple(remaining), f.unimodular_factor, f.scale)
-    if isinstance(f, ExtremalPsi):
-        if f.m < m:
-            raise PreconditionError(f"psi has an {f.m}-fold zero, needs {m}")
-        return ExtremalPsi(f.a, f.m - m)
-    raise TypeError(f"not a bounded function: {f!r}")
+    if m == 0 or f.scale == 0:
+        return f  # the zero function divides by any power of z
+    at_origin = f.zeros.count(0j)
+    if at_origin < m:
+        raise PreconditionError(
+            f"Blaschke product has {at_origin} zeros at the origin, needs {m}"
+        )
+    remaining = list(f.zeros)
+    for _ in range(m):
+        remaining.remove(0j)
+    return Blaschke(tuple(remaining), f.unimodular_factor, f.scale)
 
 
-def multiply_by_z(f: BoundedFunction, m: int = 1) -> BoundedFunction:
-    """Multiply by ``z**m`` structurally; the result stays in the unit ball."""
+def multiply_by_z(f: Blaschke, m: int = 1) -> Blaschke:
+    """Multiply by ``z**m`` structurally: ``m`` more zeros at the origin."""
     if m < 0:
         raise ParameterDomainError(f"m must be nonnegative, got {m}")
-    if m == 0:
-        return f
-    if isinstance(f, Polynomial):
-        return Polynomial((0.0,) * m + f.coeffs)
-    if isinstance(f, Blaschke):
-        return Blaschke(f.zeros + (0j,) * m, f.unimodular_factor, f.scale)
-    if isinstance(f, ExtremalPsi):
-        return ExtremalPsi(f.a, f.m + m)
-    raise TypeError(f"not a bounded function: {f!r}")
+    return Blaschke(f.zeros + (0j,) * m, f.unimodular_factor, f.scale)
 
 
 _MASK64 = (1 << 64) - 1

@@ -62,7 +62,7 @@ from .errors import (
 if TYPE_CHECKING:
     import numpy as np
 
-    from .corpus import BoundedFunction
+    from .corpus import Blaschke
     from .series import CoefficientSequence
 
 __all__ = [
@@ -150,7 +150,7 @@ class CesaroBeta(Unshifted):
         tails = range(n_stop + 1)
         return np.array([math.fsum(c[: n_stop + 1 - k] * r_pow[k:] / denom[k:]) for k in tails])
 
-    def integral(self, f: BoundedFunction, z: complex, tol: float) -> complex:
+    def integral(self, f: Blaschke, z: complex, tol: float) -> complex:
         from .corpus import evaluate
 
         beta = self.beta
@@ -230,7 +230,7 @@ class Bernardi(Unshifted):
             w.append(r_pow / denom)
         return w
 
-    def integral(self, f: BoundedFunction, z: complex, tol: float) -> complex:
+    def integral(self, f: Blaschke, z: complex, tol: float) -> complex:
         """Endpoint singularities of the kernel (gamma < 1) are removed by
         splitting off the m-fold zero of the operand and substituting
         ``u = t**(m + gamma)`` when the combined exponent stays below 1."""
@@ -554,7 +554,7 @@ def adaptive_simpson(fn: Callable[[float], complex], a: float, b: float, tol: fl
 
 
 def quadrature_value(
-    kind: OperatorKind, f: BoundedFunction, z: complex, tol: float = 1e-10
+    kind: OperatorKind, f: Blaschke, z: complex, tol: float = 1e-10
 ) -> complex:
     """The defining integral of the operator at ``z``, to absolute ``tol``."""
     from .corpus import schwarz_shift

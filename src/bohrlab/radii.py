@@ -145,6 +145,12 @@ def _itp(eq: Callable[[float], float], lo: float, f_lo: float, hi: float, f_hi: 
     return lo, f_lo, hi, f_hi, steps
 
 
+def _check_tol(tol: float) -> None:
+    """A solver tolerance is finite and at least 1e-14; NaN fails the check."""
+    if not 1e-14 <= tol < math.inf:
+        raise ParameterDomainError(f"tol must be finite and >= 1e-14, got {tol}")
+
+
 def solve_radius(family: Union[CesaroBeta, Bernardi], tol: float = 1e-12) -> RadiusResult:
     """Locate the positive root by ITP on a ladder bracket plus a short polish.
 
@@ -161,8 +167,7 @@ def solve_radius(family: Union[CesaroBeta, Bernardi], tol: float = 1e-12) -> Rad
     """
     if not isinstance(family, (CesaroBeta, Bernardi)):
         raise ParameterDomainError(f"family must be a Cesaro or Bernardi kind, got {family!r}")
-    if not 1e-14 <= tol < math.inf:
-        raise ParameterDomainError(f"tol must be finite and >= 1e-14, got {tol}")
+    _check_tol(tol)
     family.require_root_below(_LADDER)
 
     def eq(x: float) -> float:

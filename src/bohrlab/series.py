@@ -125,9 +125,8 @@ def cumulative_identity_residual(beta: float, n_max: int) -> float:
     return float(np.max(np.abs(running - bumped) / bumped))
 
 
-def horner(coeffs: CoefficientSequence | Sequence[complex], z: complex) -> complex:
-    """Evaluate ``sum coeffs[n] z**n`` by Horner's rule, in Python complex
-    arithmetic for a ``CoefficientSequence`` and a tuple alike."""
+def horner(coeffs: CoefficientSequence, z: complex) -> complex:
+    """Evaluate ``sum coeffs[n] z**n`` by Horner's rule in Python complex arithmetic."""
     z = complex(z)
     acc = 0.0 + 0.0j
     for c in reversed(coeffs):

@@ -1,7 +1,8 @@
 """Executable sharpness arguments for the radius results.
 
-The extremal families phi_a and psi_a_m attain the sup bounds in the limit
-a -> 1, and their absolute series split into three terms:
+The extremal members ``psi_a_m(z) = z**m phi_a(z)``, with the disk
+automorphism ``phi_a(z) = (z - a)/(1 - a z)``, attain the sup bounds in the
+limit a -> 1, and their absolute series split into three terms:
 
     total = bound - (1 - a) * [radius equation at r] + remainder,
 
@@ -11,9 +12,12 @@ absolute series eventually exceeds the bound; the witness search walks
 a = 1 - 2**-k until it finds such a violation.  For every family the deficit
 and remainder come from one identity in the family's majorant weights, the
 bound from its closed form, and ``total`` from the extremal member's Taylor
-coefficients; the remainder is never taken as a residual, which makes the
-three-term reconstruction a genuine cross-check.  The integral form of the
-Cesaro remainder is kept as an independent oracle in ``tests/oracles.py``.
+coefficients, which follow the closed law ``-a`` at index ``m`` and
+``(1 - a*a) * a**(n-1)`` at index ``m + n``; the remainder is never taken as
+a residual, which makes the three-term reconstruction a genuine cross-check.
+The law holds up to ``a = 1``, past the corpus's zero cap, so the member is
+this row and not a ``corpus`` product.  The integral form of the Cesaro
+remainder is kept as an independent oracle in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .corpus import extremal_psi, taylor_coeffs
 from .errors import ParameterDomainError
 from .operators import (
     Bernardi,
@@ -37,7 +40,8 @@ from .operators import (
     series_order,
     sup_bound,
 )
-from .radii import solve_radius
+from .radii import _check_tol, solve_radius
+from .series import CoefficientSequence
 
 __all__ = [
     "Decomposition",
@@ -103,7 +107,9 @@ def _check_a_r(a: float, r: float) -> None:
 
 
 def critical_radius(problem: OperatorKind, tol: float = 1e-12) -> float:
-    """Bohr's 1/3 for the identity baseline, the solved family radius otherwise."""
+    """Bohr's 1/3 for the identity baseline, the solved family radius otherwise;
+    ``tol`` is checked as the solver checks it for every kind."""
+    _check_tol(tol)
     if problem == ClassicalBohr():
         return BOHR_BASELINE_RADIUS
     return solve_radius(problem, tol).root
@@ -119,9 +125,24 @@ def extremal_majorant(
     coefficients whose order keeps the omitted tail below ``eps``.
     """
     _check_a_r(a, r)
-    f = extremal_psi(a, required_origin_zeros(problem))
     n_max = series_order(problem.family, r, eps) + problem.d
-    return majorant_value(problem, taylor_coeffs(f, n_max), r, eps)
+    row = _extremal_row(a, required_origin_zeros(problem), n_max)
+    return majorant_value(problem, row, r, eps)
+
+
+def _extremal_row(a: float, m: int, n_max: int) -> CoefficientSequence:
+    """Taylor coefficients ``0 .. n_max`` of ``z**m phi_a``, ``a`` in [0, 1].
+
+    phi_a has ``-a``, then ``(1 - a^2) a^(n-1)`` for ``n >= 1``; a scalar pow
+    keeps the law exact, and ``a = 1`` gives ``-z**m``.
+    """
+    out = np.zeros(n_max + 1, dtype=np.complex128)
+    if n_max >= m:
+        out[m] = -a
+        slack = 1.0 - a * a
+        for n in range(1, n_max - m + 1):
+            out[m + n] = slack * a ** (n - 1)
+    return CoefficientSequence(out)
 
 
 def _split_weights(family, r: float, eps: float) -> tuple:

@@ -12,10 +12,10 @@ their truncation cuts; and the Bernardi radius equation over ``x**m``
 summed by the plain tail loop.
 They take plain numpy arrays and nothing from the library.
 
-The two paper-claim checks at the end, the sampled sup bound and the
-index-shift relation between the Cesaro forms, are built from the
-library's public functions: they test what those functions assert about
-each other.
+The three checks at the end, the boundary-grid membership of a corpus
+member, the sampled sup bound and the index-shift relation between the
+Cesaro forms, are built from the library's public functions: they test
+what those functions assert about each other.
 """
 
 from __future__ import annotations
@@ -226,6 +226,18 @@ def bernardi_equation_reference(gamma: float, m: int, x: float, tail_eps: float,
     if terms is None:
         return None
     return math.fsum([lead] + [-2.0 * x_pow / (n + m + gamma) for n, x_pow in terms])
+
+
+def validate_membership(f, grid_size: int) -> float:
+    """Max modulus of a corpus member over equispaced points on the circle
+    of radius 1 - 1e-6."""
+    if grid_size < 16:
+        raise ParameterDomainError(f"grid_size must be >= 16, got {grid_size}")
+    radius = 1.0 - 1e-6
+    return max(
+        abs(bl.evaluate(f, radius * cmath.exp(2j * math.pi * k / grid_size)))
+        for k in range(grid_size)
+    )
 
 
 def sup_bound_check(kind, f, r: float, samples: int, tol: float = 1e-10) -> float:

@@ -197,10 +197,9 @@ def test_criterion_09_quadratic_remainder():
 def test_criterion_10_oracle_equivalence():
     corpus = (
         bl.Constant(0.6 - 0.2j),
-        bl.Polynomial((0.3, 0.25, 0.25)),
         bl.Blaschke((0.5, -0.3j), complex(math.cos(0.8), math.sin(0.8)), scale=0.9),
-        bl.ExtremalPhi(0.6),
-        bl.ExtremalPsi(0.5, 2),
+        bl.Blaschke((0.6,)),
+        bl.Blaschke((0j, 0j, 0.5)),
     )
     kinds = (
         bl.CesaroBeta(0.7),

@@ -53,10 +53,6 @@ class TestTaylorMatrix:
             row = bl.taylor_matrix([f], 60)[0]
             assert np.array_equal(bl.taylor_coeffs(f, 60).entries, row)
 
-    def test_only_constants_and_blaschke_products(self):
-        with pytest.raises(TypeError):
-            bl.taylor_matrix([bl.Constant(0.25j), bl.ExtremalPhi(0.7)], 30)
-
     def test_empty_block_and_order_zero(self):
         assert bl.taylor_matrix([], 5).shape == (0, 6)
         f = bl.Blaschke((0.5,), 1j)

@@ -74,13 +74,13 @@ class TestRadiusCommand:
         assert code == 2 and out == ""
         assert "refused" in err and len(err.strip().splitlines()) == 1
 
-    @pytest.mark.parametrize("command", ["verify", "sharpness"])
-    def test_large_beta_exits_2_with_one_line(self, capsys, command):
+    @pytest.mark.parametrize(
+        "argv", [("verify",), ("sharpness", "--r", "0.5")], ids=lambda argv: argv[0]
+    )
+    def test_large_beta_exits_2_with_one_line(self, capsys, argv):
         # the majorant weights and the sharp bound still overflow; the radius
         # equation, at unit scale, does not
-        code, out, err = run_cli(
-            capsys, command, "--op", "cesaro", "--beta", "1100", "--r", "0.5"
-        )
+        code, out, err = run_cli(capsys, *argv, "--op", "cesaro", "--beta", "1100")
         assert code == 2 and out == ""
         assert len(err.strip().splitlines()) == 1
         assert "beta=1100" in err and "r=" in err
@@ -99,10 +99,13 @@ class TestRadiusCommand:
             ("radius", "--op", "cesaro", "--beta", "1"),
             ("curve", "--op", "cesaro", "--grid-values", "1,2"),
             ("verify", "--op", "cesaro", "--beta", "1", "--samples", "5"),
+            # the baseline radius 1/3 is not solved, but its tol is checked
+            pytest.param(("verify", "--op", "bohr", "--samples", "5"), id="verify-bohr"),
+            pytest.param(("verify", "--op", "bohr", "--r-mode", "above"), id="verify-bohr-above"),
         ],
         ids=lambda argv: argv[0],
     )
-    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    @pytest.mark.parametrize("tol", ["nan", "inf", "1e-20"])
     def test_nonfinite_tol_exits_2(self, capsys, argv, tol):
         code, out, err = run_cli(capsys, *argv, "--tol", tol)
         assert code == 2 and out == ""
@@ -221,6 +224,15 @@ class TestVerifyCommand:
         results = json.loads(out)["results"]
         assert results["witness"] is not None and results["margin"] > 0
 
+    @pytest.mark.parametrize("mode", ["below", "at"])
+    def test_r_outside_above_mode_exits_2(self, capsys, mode):
+        code, out, err = run_cli(
+            capsys, "verify", "--op", "libera", "--r-mode", mode, "--r", "0.9", "--samples", "5"
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("parameter error: --r belongs to --r-mode above")
+        assert len(err.strip().splitlines()) == 1
+
     def test_baseline_op(self, capsys):
         code, out, _ = run_cli(
             capsys, "verify", "--op", "bohr", "--samples", "25", "--seed", "9"
@@ -259,7 +271,7 @@ class TestVerifyCommand:
         # the cut scales with a family bound below 1
         eps = 1e-12 * min(1.0, kind.family.bound(r))
         assert order == kind.d + len(kind.family.weights(r, eps)) - 1
-        psi = bl.ExtremalPsi(0.9, bl.required_origin_zeros(kind))
+        psi = bl.Blaschke((0j,) * bl.required_origin_zeros(kind) + (0.9,))
         sampled = bl.majorant_value(kind, bl.taylor_coeffs(psi, order), r)
         full = bl.majorant_value(kind, bl.taylor_coeffs(psi, 2000), r)
         assert sampled == full

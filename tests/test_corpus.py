@@ -1,5 +1,7 @@
-"""Corpus tests: extremal families, Blaschke expansion, membership
-validation, the coefficient slack estimate, and the seeded generator."""
+"""Corpus tests: the one member type, whose cases are the constants and
+the extremal ``z**m phi_a``; Blaschke expansion; membership on a boundary
+grid (``oracles.validate_membership``); the coefficient slack estimate; and
+the seeded generator."""
 
 import cmath
 import math
@@ -11,78 +13,72 @@ from hypothesis import strategies as st
 
 import bohrlab as bl
 from bohrlab.errors import ParameterDomainError, PreconditionError
-from oracles import phi_coeffs_direct, psi_coeffs_direct
+from bohrlab.sharpness import _extremal_row
+from oracles import phi_coeffs_direct, psi_coeffs_direct, validate_membership
+
+NAN = float("nan")
+
+
+def psi(a, m=0):
+    """The extremal z**m phi_a as a corpus member."""
+    return bl.Blaschke((0j,) * m + (a,))
 
 
 class TestExtremalFamilies:
     def test_phi_at_zero_parameter_is_identity_map(self):
-        assert bl.taylor_coeffs(bl.ExtremalPhi(0.0), 2).entries.tolist() == [0, 1, 0]
+        assert bl.taylor_coeffs(psi(0.0), 2).entries.tolist() == [0, 1, 0]
 
     def test_phi_half_coefficients(self):
-        out = bl.taylor_coeffs(bl.ExtremalPhi(0.5), 3).entries
+        out = bl.taylor_coeffs(psi(0.5), 3).entries
         assert np.allclose(out, [-0.5, 0.75, 0.375, 0.1875])
 
     def test_psi_is_shifted_phi(self):
-        out = bl.taylor_coeffs(bl.ExtremalPsi(0.5, 2), 3).entries
+        out = bl.taylor_coeffs(psi(0.5, 2), 3).entries
         assert np.allclose(out, [0.0, 0.0, -0.5, 0.75])
 
-    @given(a=st.floats(min_value=0.0, max_value=0.99))
-    @settings(max_examples=60, deadline=None)
-    def test_phi_coefficient_law(self, a):
-        out = bl.taylor_coeffs(bl.ExtremalPhi(a), 12).entries
-        assert out[0] == -a
-        for n in range(1, 13):
-            assert out[n] == (1.0 - a * a) * a ** (n - 1)
-
-    def test_phi_at_one_collapses_to_constant(self):
-        f = bl.extremal_phi(1.0)
-        assert f == bl.Constant(-1.0)
-
-    def test_psi_at_one_collapses_to_monomial(self):
-        f = bl.extremal_psi(1.0, 2)
-        out = bl.taylor_coeffs(f, 3).entries
-        assert out.tolist() == [0.0, 0.0, -1.0, 0.0]
-
-    def test_psi_zero_order_is_phi(self):
-        assert bl.extremal_psi(0.4, 0) == bl.ExtremalPhi(0.4)
-
     def test_evaluate_examples(self):
-        assert bl.evaluate(bl.ExtremalPhi(0.5), 0.0) == -0.5
+        assert bl.evaluate(psi(0.5), 0.0) == -0.5
         assert bl.evaluate(bl.Constant(1.0), 0.3 + 0.2j) == 1.0
-        assert bl.evaluate(bl.ExtremalPhi(0.5), 0.5) == 0.0
+        assert bl.evaluate(psi(0.5), 0.5) == 0.0
 
     def test_parameter_domains(self):
         with pytest.raises(ParameterDomainError):
-            bl.ExtremalPhi(1.0)
+            psi(1.0)
         with pytest.raises(ParameterDomainError):
-            bl.ExtremalPsi(0.5, -1)
+            bl.multiply_by_z(psi(0.5), -1)
         with pytest.raises(ParameterDomainError):
             bl.Constant(1.5)
+        # NaN fails every check: zero, rotation and scale
+        for build in (
+            lambda: bl.Constant(NAN),
+            lambda: bl.Blaschke((complex(NAN, 0.0),)),
+            lambda: bl.Blaschke((0.2,), complex(NAN, 0.0)),
+            lambda: bl.Blaschke((0.2,), 1.0, complex(0.5, NAN)),
+        ):
+            with pytest.raises(ParameterDomainError):
+                build()
 
 
 class TestOneMemberModel:
-    """Constants and phi_a are cases of the Blaschke and psi member types."""
+    """Constants and z**m phi_a are cases of the one Blaschke member type."""
 
     @pytest.mark.parametrize("c", [0.0, 0.5, -1.0, 0.3 - 0.4j])
     def test_constant_is_the_empty_blaschke_product(self, c):
         assert bl.Constant(c) == bl.Blaschke((), 1.0, c)
 
-    @pytest.mark.parametrize("a", [0.0, 0.4, 0.95])
-    def test_phi_is_psi_without_origin_zeros(self, a):
-        assert bl.ExtremalPhi(a) == bl.ExtremalPsi(a, 0)
-        assert bl.extremal_phi(a) == bl.extremal_psi(a, 0)
-
     @pytest.mark.parametrize("m", range(4))
     def test_psi_at_one_is_minus_z_to_the_m(self, m):
-        f = bl.extremal_psi(1.0, m)
-        assert f == bl.Blaschke((0j,) * m, 1.0, -1.0)
+        # the a = 1 end of the extremal law in sharpness is the member -z**m
+        f = bl.Blaschke((0j,) * m, 1.0, -1.0)
+        assert f == bl.multiply_by_z(bl.Constant(-1.0), m)
         expected = [0.0] * (m + 3)
         expected[m] = -1.0
         assert bl.taylor_coeffs(f, m + 2).entries.tolist() == expected
+        assert _extremal_row(1.0, m, m + 2).entries.tolist() == expected
 
     def test_origin_zeros_set_the_suggested_order(self):
         # the orders of the equal polynomials -z**3 and 0.5 z**2
-        assert bl.suggested_order(bl.extremal_psi(1.0, 3)) == 3
+        assert bl.suggested_order(bl.Blaschke((0j,) * 3, 1.0, -1.0)) == 3
         assert bl.suggested_order(bl.multiply_by_z(bl.Constant(0.5), 2)) == 2
         assert bl.suggested_order(bl.Constant(0.5)) == 0
 
@@ -93,30 +89,28 @@ class TestOneMemberModel:
         with pytest.raises(PreconditionError):
             bl.schwarz_shift(bl.Constant(0.5), 1)
 
-    def test_three_member_types(self):
+    def test_one_member_type(self):
         from bohrlab import corpus
 
         members = {name for name, obj in vars(corpus).items()
                    if isinstance(obj, type) and obj.__module__ == corpus.__name__}
-        assert members == {"Polynomial", "Blaschke", "ExtremalPsi"}
+        assert members == {"Blaschke"}
 
 
 class TestBlaschke:
     def test_single_factor_matches_phi(self):
-        # one real zero a gives -phi_a up to the sign convention of the factor
+        # one real zero a is the disk automorphism phi_a
         a = 0.4
-        blaschke = bl.Blaschke((a,))
-        phi = bl.ExtremalPhi(a)
         for z in (0.1, 0.3 + 0.2j, -0.5j):
-            assert bl.evaluate(blaschke, z) == pytest.approx(bl.evaluate(phi, z))
+            assert bl.evaluate(bl.Blaschke((a,)), z) == pytest.approx((z - a) / (1 - a * z))
 
     def test_unit_modulus_near_boundary(self):
         f = bl.Blaschke((0.3, -0.2 + 0.4j), cmath.exp(0.7j))
-        assert bl.validate_membership(f, 64) == pytest.approx(1.0, abs=1e-5)
+        assert validate_membership(f, 64) == pytest.approx(1.0, abs=1e-5)
 
     def test_scale_damps_modulus(self):
         f = bl.Blaschke((0.3,), 1.0, scale=0.5)
-        assert bl.validate_membership(f, 64) == pytest.approx(0.5, abs=1e-5)
+        assert validate_membership(f, 64) == pytest.approx(0.5, abs=1e-5)
 
     def test_coefficients_match_evaluation(self):
         f = bl.Blaschke((0.5, -0.3j, 0.2 + 0.1j), cmath.exp(1.2j), scale=0.8)
@@ -138,27 +132,16 @@ class TestBlaschke:
 
 class TestMembershipValidation:
     def test_constant(self):
-        assert bl.validate_membership(bl.Constant(0.3), 64) == pytest.approx(0.3)
-
-    def test_average_polynomial_stays_bounded(self):
-        assert bl.validate_membership(bl.Polynomial((0.5, 0.5)), 64) <= 1.0
-
-    def test_oversized_polynomial_rejected(self):
-        with pytest.raises(ParameterDomainError):
-            bl.Polynomial((0.9, 0.9))
+        assert validate_membership(bl.Constant(0.3), 64) == pytest.approx(0.3)
 
     def test_grid_floor(self):
         with pytest.raises(ParameterDomainError):
-            bl.validate_membership(bl.Constant(0.1), 8)
+            validate_membership(bl.Constant(0.1), 8)
 
 
 class TestSchwarz:
     def test_structural_shift_round_trip(self):
-        for f in (
-            bl.ExtremalPhi(0.3),
-            bl.Blaschke((0.2, -0.4j)),
-            bl.Polynomial((0.25, 0.25, 0.25)),
-        ):
+        for f in (psi(0.3), bl.Blaschke((0.2, -0.4j)), bl.Constant(0.25)):
             g = bl.multiply_by_z(f, 2)
             h = bl.schwarz_shift(g, 2)
             for z in (0.2, -0.3 + 0.4j):
@@ -166,7 +149,7 @@ class TestSchwarz:
 
     def test_structural_shift_needs_origin_zeros(self):
         with pytest.raises(PreconditionError):
-            bl.schwarz_shift(bl.ExtremalPhi(0.5), 1)
+            bl.schwarz_shift(psi(0.5), 1)
 
 
 class TestRandomCorpus:
@@ -177,14 +160,12 @@ class TestRandomCorpus:
     def test_zero_factor_cap_yields_constantlike_output(self):
         for seed in range(24):
             f = bl.random_schur(bl.derive_seed(11, seed), 0, 0.9)
-            assert isinstance(f, bl.Blaschke) and f.zeros == ()
-            if isinstance(f, bl.Blaschke):
-                assert f.zeros == ()
+            assert f.zeros == ()
 
     def test_membership_on_dense_grid(self):
         for seed in range(40):
             f = bl.random_schur(bl.derive_seed(101, seed), 4, 0.9)
-            assert bl.validate_membership(f, 4096) <= 1.0 + 1e-9
+            assert validate_membership(f, 4096) <= 1.0 + 1e-9
 
     def test_coefficient_slack_estimate(self):
         # members with |a_0| < 1 satisfy |a_n| <= 1 - |a_0|^2 for n >= 1
@@ -214,7 +195,7 @@ class TestRandomCorpus:
     @settings(max_examples=25, deadline=None)
     def test_membership_quick_grid(self, seed):
         f = bl.random_schur(seed, 3, 0.9)
-        assert bl.validate_membership(f, 256) <= 1.0 + 1e-9
+        assert validate_membership(f, 256) <= 1.0 + 1e-9
 
 
 class TestSeedDerivation:
@@ -229,9 +210,9 @@ class TestSeedDerivation:
 
 def test_direct_coefficient_oracles_agree():
     a = 0.62
-    ours = bl.taylor_coeffs(bl.ExtremalPhi(a), 9).entries
+    ours = bl.taylor_coeffs(psi(a), 9).entries
     assert np.allclose(ours, phi_coeffs_direct(a, 9))
-    ours = bl.taylor_coeffs(bl.ExtremalPsi(a, 3), 9).entries
+    ours = bl.taylor_coeffs(psi(a, 3), 9).entries
     assert np.allclose(ours, psi_coeffs_direct(a, 3, 9))
 
 

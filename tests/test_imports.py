@@ -81,23 +81,32 @@ def test_array_commands_still_run(argv, tmp_path):
     assert result == {"code": 0, "numpy": True}
 
 
-# The package's exports before they resolved lazily, submodules included.
+def test_sharpness_loads_no_corpus(tmp_path):
+    # the extremal row is built in sharpness, not drawn from the corpus
+    argv = ("sharpness", "--op", "alexander", "--r", "0.7", "--a-values", "0.5,0.999,1")
+    proc = fresh_python(PROBE + "print('bohrlab.corpus' in sys.modules)\n",
+                        *argv, "--out", str(tmp_path / "report"))
+    code, corpus_loaded = proc.stdout.splitlines()[-2:]
+    assert json.loads(code)["code"] == 0 and corpus_loaded == "False"
+
+
+# The package's exports, submodules included.
 EXPORTS = [
     "Alexander", "BLASCHKE_ZERO_CAP", "BOHR_BASELINE_RADIUS", "Bernardi", "Blaschke",
-    "BohrlabError", "BoundedFunction", "BracketError", "CBeta", "CesaroBeta", "ClassicalBohr",
-    "CoefficientSequence", "Constant", "ContinuityError", "CurveRow", "Decomposition",
-    "ExtremalPhi", "ExtremalPsi", "Libera", "OperatorKind", "ParameterDomainError",
-    "Polynomial", "PreconditionError", "PrimitiveI", "QuadratureError",
-    "RadiusResult", "Shifted", "TruncationError", "ViolationReport", "adaptive_simpson",
-    "binomial_coeffs", "bohr_majorant", "cauchy_product", "cesaro_series_order",
-    "concavity_check", "corpus", "critical_radius", "cumulative_identity_residual",
-    "decomposition", "decomposition_bernardi", "decomposition_cesaro", "derive_seed", "errors",
-    "evaluate", "expand", "extremal_majorant", "extremal_phi", "extremal_psi", "horner",
-    "kernel_integral", "majorant_value", "majorant_values", "multiply_by_z", "operator_coeffs",
-    "operators", "quadratic_remainder_check", "quadrature_value", "radii", "radius_curve",
-    "radius_equation", "random_schur", "random_schur_block", "required_origin_zeros",
-    "schwarz_shift", "series", "series_order", "sharpness", "solve_radius", "suggested_order",
-    "sup_bound", "taylor_coeffs", "taylor_matrix", "validate_membership", "violation_search",
+    "BohrlabError", "BracketError", "CBeta", "CesaroBeta", "ClassicalBohr",
+    "CoefficientSequence", "Constant", "ContinuityError", "CurveRow", "Decomposition", "Libera",
+    "OperatorKind", "ParameterDomainError", "PreconditionError", "PrimitiveI",
+    "QuadratureError", "RadiusResult", "Shifted", "TruncationError", "ViolationReport",
+    "adaptive_simpson", "binomial_coeffs", "bohr_majorant", "cauchy_product",
+    "cesaro_series_order", "concavity_check", "corpus", "critical_radius",
+    "cumulative_identity_residual", "decomposition", "decomposition_bernardi",
+    "decomposition_cesaro", "derive_seed", "errors", "evaluate", "expand", "extremal_majorant",
+    "horner", "kernel_integral", "majorant_value", "majorant_values", "multiply_by_z",
+    "operator_coeffs", "operators", "quadratic_remainder_check", "quadrature_value", "radii",
+    "radius_curve", "radius_equation", "random_schur", "random_schur_block",
+    "required_origin_zeros", "schwarz_shift", "series", "series_order", "sharpness",
+    "solve_radius", "suggested_order", "sup_bound", "taylor_coeffs", "taylor_matrix",
+    "violation_search",
 ]
 
 

@@ -52,27 +52,27 @@ class TestOperatorCoeffs:
         assert np.allclose(out, [1.0 / (n + 1) for n in range(9)])
 
     def test_libera_specializes_bernardi(self):
-        f = bl.taylor_coeffs(bl.ExtremalPhi(0.4), 12)
+        f = bl.taylor_coeffs(bl.Blaschke((0.4,)), 12)
         lhs = bl.operator_coeffs(bl.Libera(), f, 12).entries
         rhs = bl.operator_coeffs(bl.Bernardi(1.0, 0), f, 12).entries
         assert np.array_equal(lhs, rhs)
 
     def test_alexander_specializes_bernardi(self):
-        f = bl.taylor_coeffs(bl.ExtremalPsi(0.4, 1), 12)
+        f = bl.taylor_coeffs(bl.Blaschke((0j, 0.4)), 12)
         lhs = bl.operator_coeffs(bl.Alexander(), f, 12).entries
         rhs = bl.operator_coeffs(bl.Bernardi(0.0, 1), f, 12).entries
         assert np.array_equal(lhs, rhs)
 
     def test_primitive_is_shifted_libera(self):
-        f = bl.taylor_coeffs(bl.ExtremalPhi(0.3), 12)
+        f = bl.taylor_coeffs(bl.Blaschke((0.3,)), 12)
         shifted = bl.operator_coeffs(bl.PrimitiveI(), f, 12).entries
         libera = bl.operator_coeffs(bl.Libera(), f, 11).entries
         assert shifted[0] == 0.0
         assert np.array_equal(shifted[1:], libera)
 
     def test_cbeta_shifts_the_plain_image(self):
-        h = bl.taylor_coeffs(bl.ExtremalPhi(0.5), 12)
-        g = bl.taylor_coeffs(bl.ExtremalPsi(0.5, 1), 12)
+        h = bl.taylor_coeffs(bl.Blaschke((0.5,)), 12)
+        g = bl.taylor_coeffs(bl.Blaschke((0j, 0.5)), 12)
         lhs = bl.operator_coeffs(bl.CBeta(0.7), g, 12).entries
         rhs = bl.operator_coeffs(bl.CesaroBeta(0.7), h, 11).entries
         assert lhs[0] == 0.0
@@ -119,7 +119,7 @@ class TestMajorant:
     def test_cesaro_extremal_against_bruteforce(self):
         r, beta = 0.5, 1.0
         n_max = bl.cesaro_series_order(beta, r, 1e-13)
-        coeffs = bl.taylor_coeffs(bl.ExtremalPhi(0.5), n_max)
+        coeffs = bl.taylor_coeffs(bl.Blaschke((0.5,)), n_max)
         ours = bl.majorant_value(bl.CesaroBeta(beta), coeffs, r, 1e-13)
         ref = cesaro_abs_series_bruteforce(beta, phi_coeffs_direct(0.5, n_max), r, 400)
         assert ours == pytest.approx(ref, abs=1e-10)
@@ -143,7 +143,7 @@ class TestMajorant:
         assert ours == pytest.approx(ref, abs=1e-11)
 
     def test_primitive_majorant_scales_libera(self):
-        f = bl.taylor_coeffs(bl.ExtremalPhi(0.6), 120)
+        f = bl.taylor_coeffs(bl.Blaschke((0.6,)), 120)
         r = 0.55
         lhs = bl.majorant_value(bl.PrimitiveI(), f, r)
         rhs = r * bl.majorant_value(bl.Libera(), f, r)
@@ -183,7 +183,7 @@ class TestMajorant:
             bl.majorant_value(bl.CesaroBeta(1.0), too_big, 0.5)
 
     def test_bohr_majorant_matches_direct_sum(self):
-        coeffs = bl.taylor_coeffs(bl.ExtremalPhi(0.7), 300)
+        coeffs = bl.taylor_coeffs(bl.Blaschke((0.7,)), 300)
         r = 0.4
         direct = math.fsum(abs(coeffs[n]) * r**n for n in range(301))
         assert bl.bohr_majorant(coeffs, r) == pytest.approx(direct, abs=1e-14)
@@ -196,12 +196,12 @@ class TestCBetaRelation:
         res = cbeta_relation_residual(bl.Constant(1.0), 1.0, r, eps=1e-12)
         assert res <= 2e-12
         n = bl.cesaro_series_order(1.0, r, 1e-12)
-        g = bl.taylor_coeffs(bl.Polynomial((0.0, 1.0)), n + 1)  # z itself
+        g = bl.taylor_coeffs(bl.Blaschke((0j,)), n + 1)  # z itself
         lhs = bl.majorant_value(bl.CBeta(1.0), g, r, 1e-12)
         assert lhs == pytest.approx(2.0 * r * math.log(2.0), abs=1e-11)
 
     def test_extremal_input(self):
-        assert cbeta_relation_residual(bl.ExtremalPhi(0.5), 0.5, 0.3) <= 2e-12
+        assert cbeta_relation_residual(bl.Blaschke((0.5,)), 0.5, 0.3) <= 2e-12
 
     def test_zero_function(self):
         assert cbeta_relation_residual(bl.Constant(0.0), 1.0, 0.5) == 0.0
@@ -209,7 +209,7 @@ class TestCBetaRelation:
     def test_shift_against_double_sum_oracle(self):
         beta, r, a = 0.8, 0.45, 0.6
         n = bl.cesaro_series_order(beta, r, 1e-13)
-        g = bl.taylor_coeffs(bl.ExtremalPsi(a, 1), n + 1)
+        g = bl.taylor_coeffs(bl.Blaschke((0j, a)), n + 1)
         ours = bl.majorant_value(bl.CBeta(beta), g, r, 1e-13)
         ref = cbeta_abs_series_bruteforce(beta, g.entries, r, 400)
         assert ours == pytest.approx(ref, abs=1e-10)
@@ -232,7 +232,7 @@ class TestQuadrature:
     def test_singular_kernel_agrees_with_series(self):
         # gamma < 1 exercises the endpoint substitution
         kind = bl.Bernardi(0.5, 0)
-        f = bl.ExtremalPhi(0.45)
+        f = bl.Blaschke((0.45,))
         z = 0.5 * cmath.exp(0.6j)
         image = bl.operator_coeffs(kind, bl.taylor_coeffs(f, 160), 160)
         assert abs(
@@ -241,7 +241,7 @@ class TestQuadrature:
 
     def test_fractional_negative_gamma_with_zero(self):
         kind = bl.Bernardi(-0.5, 1)
-        f = bl.ExtremalPsi(0.3, 1)
+        f = bl.Blaschke((0j, 0.3))
         z = 0.4
         image = bl.operator_coeffs(kind, bl.taylor_coeffs(f, 160), 160)
         assert abs(
@@ -330,7 +330,7 @@ class TestSupBounds:
     def test_cbeta_extremal_below_log_bound(self):
         r = 0.5
         assert bl.sup_bound(bl.CBeta(1.0), r) == pytest.approx(math.log(1.0 / (1.0 - r)))
-        out = sup_bound_check(bl.CBeta(1.0), bl.ExtremalPsi(0.9, 1), r, 16)
+        out = sup_bound_check(bl.CBeta(1.0), bl.Blaschke((0j, 0.9)), r, 16)
         assert out <= 1e-9
 
     def test_closed_forms(self):

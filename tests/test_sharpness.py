@@ -6,9 +6,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bohrlab as bl
 from bohrlab.errors import ParameterDomainError
+from bohrlab.sharpness import _extremal_row
 from oracles import (
     bernardi_abs_series_bruteforce,
     cesaro_abs_series_bruteforce,
@@ -18,6 +21,32 @@ from oracles import (
 )
 
 A_TRIPLE = (0.9, 0.99, 0.999)
+
+
+class TestExtremalRow:
+    """The coefficients of z**m phi_a from the closed law, up to a = 1."""
+
+    @given(a=st.floats(min_value=0.0, max_value=0.99))
+    @settings(max_examples=60, deadline=None)
+    def test_phi_coefficient_law(self, a):
+        out = _extremal_row(a, 0, 12).entries
+        assert out[0] == -a
+        for n in range(1, 13):
+            assert out[n] == (1.0 - a * a) * a ** (n - 1)
+
+    @pytest.mark.parametrize("m", range(4))
+    def test_witness_scan_values_match_the_direct_law(self, m):
+        # the a = 1 - 2**-k of the witness scan, past the corpus's zero cap
+        for a in [1.0 - 2.0**-k for k in range(1, 41)] + [1.0]:
+            row = _extremal_row(a, m, 120).entries
+            assert row.tolist() == psi_coeffs_direct(a, m, 120)
+
+    @pytest.mark.parametrize("m", range(4))
+    @pytest.mark.parametrize("a", [0.0, 0.3, 0.62, 0.9])
+    def test_row_is_the_corpus_member(self, a, m):
+        row = _extremal_row(a, m, 80).entries
+        member = bl.taylor_coeffs(bl.Blaschke((0j,) * m + (a,)), 80).entries
+        assert np.max(np.abs(row - member)) <= 1e-15
 
 
 class TestDecompositionCesaro:
