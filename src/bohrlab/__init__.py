@@ -8,8 +8,9 @@ sharpness arguments through the extremal disk-automorphism families.
 
 Every export below resolves on first access (PEP 562), importing only its
 own submodule: ``bohrlab.solve_radius`` loads ``radii``, ``operators`` and
-``errors``, which need only the standard library, while the first name from
-``corpus``, ``series`` or ``sharpness`` loads numpy.
+``errors``, and ``bohrlab.decomposition`` adds ``sharpness``, all of which
+need only the standard library, while the first name from ``corpus`` or
+``series`` loads numpy.
 """
 
 import importlib
@@ -22,8 +23,7 @@ _EXPORTS = {
         "PreconditionError", "QuadratureError", "TruncationError",
     ),
     "series": (
-        "CoefficientSequence", "binomial_coeffs", "cauchy_product", "cumulative_identity_residual",
-        "horner",
+        "CoefficientSequence", "cauchy_product", "cumulative_identity_residual", "horner",
     ),
     "corpus": (
         "BLASCHKE_ZERO_CAP", "Blaschke", "Constant", "derive_seed", "evaluate", "expand",
@@ -32,7 +32,8 @@ _EXPORTS = {
     ),
     "operators": (
         "Alexander", "Bernardi", "CBeta", "CesaroBeta", "ClassicalBohr", "Libera", "OperatorKind",
-        "PrimitiveI", "Shifted", "adaptive_simpson", "bohr_majorant", "cesaro_series_order",
+        "PrimitiveI", "Shifted", "adaptive_simpson", "binomial_coeffs", "bohr_majorant",
+        "cesaro_series_order",
         "kernel_integral", "majorant_value", "majorant_values", "operator_coeffs",
         "quadrature_value", "required_origin_zeros", "series_order", "sup_bound",
     ),

@@ -9,9 +9,9 @@ verify     draw a seeded corpus and check the inequality direction, or hunt
 sharpness  emit the three-term extremal decompositions over an a-grid
 selftest   run the built-in identity/concavity/coefficient/quadrature suites
 
-``radius`` and ``curve`` need only the standard library; ``verify``,
-``sharpness`` and ``selftest`` import numpy and the series and sharpness
-modules when they run, and ``verify`` and ``selftest`` the corpus too.
+``radius``, ``curve``, ``sharpness`` and ``verify --r-mode above`` need only
+the standard library.  ``verify --r-mode below|at`` imports numpy and the
+corpus once it draws samples, and ``selftest`` imports both when it runs.
 
 Reports are JSON (default) or RFC-4180-style CSV with a header row; numbers
 are printed with 17 significant digits in CSV, and JSON uses shortest
@@ -228,9 +228,6 @@ def cmd_curve(args: argparse.Namespace) -> tuple:
 
 
 def cmd_verify(args: argparse.Namespace) -> tuple:
-    import numpy as np
-
-    from .corpus import derive_seed, expand, random_schur_block
     from .sharpness import critical_radius, violation_search
 
     if args.samples < 1:
@@ -279,6 +276,10 @@ def cmd_verify(args: argparse.Namespace) -> tuple:
             )
             return report, EXIT_VERIFY
         return report, EXIT_OK
+
+    import numpy as np
+
+    from .corpus import derive_seed, expand, random_schur_block
 
     bound = sup_bound(kind, r)
     eps, tol = DEFAULT_MAJORANT_EPS, _rounding_tol(bound)
@@ -345,7 +346,7 @@ def cmd_sharpness(args: argparse.Namespace) -> tuple:
     for a in a_values:
         dec = decomposition(kind, a, args.r, DEFAULT_MAJORANT_EPS)
         worst_recon = max(worst_recon, dec.reconstruction_error)
-        mismatched |= dec.reconstruction_error > _rounding_tol(dec.bound_term)
+        mismatched |= not dec.reconstruction_error <= _rounding_tol(dec.bound_term)
         ratio = dec.remainder / (1.0 - a) ** 2 if a < 1.0 else None
         rows.append(
             {

@@ -26,23 +26,25 @@ integral, sup bound and radius equation; the module functions below apply
 the shift rule once for all of them.  The absolute series of the image is
 linear in ``|a_k|``, so the majorant is a weight vector:
 ``M(f, r) = r**s * sum_k |a_{k+d}| w_k(r)``, built once per
-``(family, r, eps)`` and applied to a whole coefficient matrix.  The weight
-vector is the family's one truncation decision: it ends where the partial
-sum differs from the full absolute series of any unit-ball member by at
-most ``eps``, using the running-sum identity ``sum_{k<=n} c_k(b) =
-c_n(b+1)`` and a geometric envelope for the Cesaro family and the plain
-geometric bound for the Bernardi family and the identity.  Every series
-order (``series_order``, the coefficients ``verify`` samples, the extremal
-members' expansions) is read off its length, and the Bernardi radius
+``(family, r, eps)`` as a tuple of ``math`` floats and applied to a whole
+coefficient matrix.  The weight vector is the family's one truncation
+decision: it ends where the partial sum differs from the full absolute
+series of any unit-ball member by at most ``eps``, using the running-sum
+identity ``sum_{k<=n} c_k(b) = c_n(b+1)`` and a geometric envelope for the
+Cesaro family and the plain geometric bound for the Bernardi family and the
+identity.  Every series order (``series_order``, the coefficients ``verify``
+samples, the extremal sums) is read off its length, and the Bernardi radius
 equation is the identity ``w_m - 2 sum_{k>m} w_k`` in the same weights.
 One scale rule holds: each radius equation is evaluated at unit scale (the
 Cesaro one times ``(1-x)**beta``, the Bernardi one over ``x**m``), and every
 weight cut is ``eps * min(1, family.bound(r))``.
 
-The radius layer (``kernel_integral``, ``Bernardi.weights`` and both radius
-equations) needs only ``math``.  numpy, ``corpus`` and ``series`` are
-imported inside the functions that build arrays, so importing this module,
-and solving a radius, loads none of them.
+The radius layer (``kernel_integral`` and both radius equations), the binomial
+weights ``binomial_coeffs`` and every family's ``weights`` need only
+``math``.  numpy, ``corpus`` and ``series`` are imported inside the
+functions that build arrays (``image``, ``majorant_values``,
+``operator_coeffs``), so importing this module, solving a radius or building
+a weight vector loads none of them.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from operator import mul, truediv
 from typing import TYPE_CHECKING, Callable, Sequence, Union
 
 from .errors import (
@@ -76,6 +79,7 @@ __all__ = [
     "PrimitiveI",
     "OperatorKind",
     "kernel_integral",
+    "binomial_coeffs",
     "cesaro_series_order",
     "series_order",
     "required_origin_zeros",
@@ -132,23 +136,20 @@ class CesaroBeta(Unshifted):
     def image(self, a: np.ndarray, n_max: int) -> np.ndarray:
         import numpy as np
 
-        from .series import binomial_coeffs
-
         c = binomial_coeffs(self.beta, n_max)
         return np.convolve(c, a[: n_max + 1])[: n_max + 1] / np.arange(1, n_max + 2)
 
-    def weights(self, r: float, eps: float) -> np.ndarray:
+    def weights(self, r: float, eps: float) -> list:
         """``w_k = sum_j c_j(beta) r**(k+j) / (k+j+1)`` over ``k + j <= N``,
-        ``N = cesaro_series_order(beta, r, eps)``, for ``k <= N``."""
-        import numpy as np
-
-        from .series import binomial_coeffs
-
+        ``N = cesaro_series_order(beta, r, eps)``, for ``k <= N``: each term
+        ``c_j * r**i / (i+1)`` with ``i = k+j``, one ``fsum`` per ``k``."""
         n_stop = cesaro_series_order(self.beta, r, eps)
         c = binomial_coeffs(self.beta, n_stop)
-        r_pow, denom = r ** np.arange(n_stop + 1), np.arange(1, n_stop + 2)
-        tails = range(n_stop + 1)
-        return np.array([math.fsum(c[: n_stop + 1 - k] * r_pow[k:] / denom[k:]) for k in tails])
+        r_pow = [r**i for i in range(n_stop + 1)]
+        denom = range(1, n_stop + 2)
+        return [
+            math.fsum(map(truediv, map(mul, c, r_pow[k:]), denom[k:])) for k in range(n_stop + 1)
+        ]
 
     def integral(self, f: Blaschke, z: complex, tol: float) -> complex:
         from .corpus import evaluate
@@ -206,7 +207,7 @@ class Bernardi(Unshifted):
 
     def weights(self, r: float, eps: float) -> list:
         """``w_k = r**k / (k+gamma)`` for ``k >= m``, zero below ``m``: the
-        unshifted ``_terms``, a list of floats from ``math`` alone."""
+        unshifted ``_terms``."""
         return [0.0] * self.m + self._terms(r, eps, 0)
 
     def _terms(self, r: float, eps: float, shift: int) -> list:
@@ -303,13 +304,11 @@ class ClassicalBohr(Unshifted):
 
     m = 0  # no zero at the origin needed
 
-    def weights(self, r: float, eps: float) -> np.ndarray:
+    def weights(self, r: float, eps: float) -> list:
         """``w_k = r**k`` for ``k <= N``, cut where the tail ``r**(N+1)/(1-r)``
         of a unit-ball series is at most ``eps``."""
-        import numpy as np
-
         n_stop = max(1, math.ceil(math.log(eps * (1.0 - r)) / math.log(r)))
-        return r ** np.arange(n_stop + 1)
+        return [r**k for k in range(n_stop + 1)]
 
     def bound(self, r: float, s: int = 0) -> float:
         return 1.0
@@ -368,6 +367,23 @@ def kernel_integral(beta: float, r: float) -> float:
         raise ParameterDomainError(
             f"integral_0^r (1-t)**(-beta) dt overflows a float at beta={beta}, r={r}"
         ) from None
+
+
+def binomial_coeffs(beta: float, n_max: int) -> tuple:
+    """Weights ``c_n = Gamma(n+beta) / (Gamma(n+1) Gamma(beta))`` for ``n <= n_max``.
+
+    Built by the multiplicative recurrence ``c_n = c_{n-1} * ((n-1+beta)/n)``,
+    never by Gamma evaluation: the weights grow only like ``n**(beta-1)``, so
+    the recurrence stays finite for orders in the thousands.
+    """
+    if beta <= 0.0:
+        raise ParameterDomainError(f"beta must be positive, got {beta}")
+    if n_max < 0:
+        raise ParameterDomainError(f"n_max must be nonnegative, got {n_max}")
+    c = [1.0]
+    for n in range(1, n_max + 1):
+        c.append(c[-1] * ((n - 1.0 + beta) / n))
+    return tuple(c)
 
 
 def cesaro_series_order(beta: float, r: float, eps: float) -> int:
@@ -438,30 +454,29 @@ def operator_coeffs(
 
 
 @functools.lru_cache(maxsize=64)
-def _weights(family, r: float, eps: float) -> np.ndarray:
+def _weights(family, r: float, eps: float) -> tuple:
     """The family's weights cut at ``eps * min(1, family.bound(r))``, so they
-    never stop before ``w_m``, which is the bound or at least 1.  Built once
-    per argument tuple: a verify sweep or an a-grid reuses them."""
-    import numpy as np
-
+    never stop before ``w_m``, which is the bound or at least 1.  The bound
+    must be a normal float: below ``2**-1022`` the cut underflows, and an
+    infinite bound leaves no finite majorant to compare.  Built once per
+    argument tuple: a verify sweep or an a-grid reuses them."""
     if not 0.0 < r < 1.0:
         raise ParameterDomainError(f"r must lie in (0, 1), got {r}")
     if not 0.0 < eps < 1.0:
         raise ParameterDomainError(f"eps must lie in (0, 1), got {eps}")
     bound = family.bound(r)
-    if bound < 2.0**-1022:  # the smallest normal float
+    if not 2.0**-1022 <= bound < math.inf:  # the normal float range
+        side = "underflows" if bound < 1.0 else "overflows"
         raise ParameterDomainError(
-            f"the sharp bound {bound:g} at r={r} underflows the normal float range"
+            f"the sharp bound {bound:g} at r={r} {side} the normal float range"
         )
-    w = np.asarray(family.weights(r, eps * min(1.0, bound)), dtype=np.float64)
-    w.setflags(write=False)
-    return w
+    return tuple(family.weights(r, eps * min(1.0, bound)))
 
 
 def series_order(family, r: float, eps: float) -> int:
     """The family's truncation order at ``(r, eps)``: the last index of its
     certified weight vector, cut at ``eps`` relative to the family's bound."""
-    return _weights(family, r, eps).size - 1
+    return len(_weights(family, r, eps)) - 1
 
 
 def majorant_values(
@@ -482,7 +497,7 @@ def majorant_values(
             f"majorant tail bounds assume unit-ball coefficients; max |a_k| = {absf.max()}"
         )
     _require_leading_zeros(absf, kind)
-    w, scale = _weights(kind.family, r, eps), r**kind.s
+    w, scale = np.array(_weights(kind.family, r, eps)), r**kind.s
     shifted = absf[:, kind.d : kind.d + w.size]
     return [scale * math.fsum(row.tolist()) for row in shifted * w[: shifted.shape[1]]]
 

@@ -1,13 +1,11 @@
-"""Truncated power-series arithmetic and the binomial weight engine.
+"""Truncated power-series arithmetic and the running-sum check of the
+binomial weights.
 
 Coefficient sequences are dense complex vectors ``a_0 .. a_N`` with an
 explicit truncation order; nothing in this module resizes implicitly.  The
 weights ``c_n(beta)``, the Taylor coefficients of ``(1 - x)**(-beta)``,
-drive every integral operator in the package.  They are generated by the
-multiplicative recurrence ``c_n = c_{n-1} * (n - 1 + beta) / n`` rather
-than by Gamma-function quotients: the weights grow only like
-``n**(beta - 1)``, so the recurrence stays finite and accurate for orders
-in the thousands where naive Gamma evaluation would overflow.
+come from ``operators.binomial_coeffs``, the one recurrence the Cesaro
+weights use; this module re-exports it and checks its running-sum identity.
 
 All arithmetic is IEEE-754 binary64.  Long real sums go through
 ``math.fsum``, which is correctly rounded, so absolute-series values keep
@@ -22,6 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ParameterDomainError, TruncationError
+from .operators import binomial_coeffs
 
 __all__ = [
     "CoefficientSequence",
@@ -74,26 +73,6 @@ class CoefficientSequence:
         return f"CoefficientSequence(order={self.order}, entries={head}...)"
 
 
-def binomial_coeffs(beta: float, n_max: int) -> np.ndarray:
-    """Weights ``c_n = Gamma(n+beta) / (Gamma(n+1) Gamma(beta))`` for ``n <= n_max``,
-    as a read-only vector.
-
-    Built by the multiplicative recurrence ``c_n = c_{n-1} (n-1+beta)/n``,
-    never by Gamma evaluation.
-    """
-    if beta <= 0.0:
-        raise ParameterDomainError(f"beta must be positive, got {beta}")
-    if n_max < 0:
-        raise ParameterDomainError(f"n_max must be nonnegative, got {n_max}")
-    w = np.empty(n_max + 1, dtype=np.float64)
-    w[0] = 1.0
-    if n_max > 0:
-        n = np.arange(1, n_max + 1, dtype=np.float64)
-        w[1:] = np.cumprod((n - 1.0 + beta) / n)
-    w.setflags(write=False)
-    return w
-
-
 def cauchy_product(
     u: CoefficientSequence, v: CoefficientSequence, n_max: int
 ) -> CoefficientSequence:
@@ -121,8 +100,7 @@ def cumulative_identity_residual(beta: float, n_max: int) -> float:
     """
     base = binomial_coeffs(beta, n_max)
     bumped = binomial_coeffs(beta + 1.0, n_max)
-    running = np.array([math.fsum(base[: n + 1]) for n in range(n_max + 1)])
-    return float(np.max(np.abs(running - bumped) / bumped))
+    return max(abs(math.fsum(base[: n + 1]) - b) / b for n, b in enumerate(bumped))
 
 
 def horner(coeffs: CoefficientSequence, z: complex) -> complex:

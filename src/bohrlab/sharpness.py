@@ -12,12 +12,14 @@ absolute series eventually exceeds the bound; the witness search walks
 a = 1 - 2**-k until it finds such a violation.  For every family the deficit
 and remainder come from one identity in the family's majorant weights, the
 bound from its closed form, and ``total`` from the extremal member's Taylor
-coefficients, which follow the closed law ``-a`` at index ``m`` and
+coefficients, which follow the closed real law ``-a`` at index ``m`` and
 ``(1 - a*a) * a**(n-1)`` at index ``m + n``; the remainder is never taken as
 a residual, which makes the three-term reconstruction a genuine cross-check.
-The law holds up to ``a = 1``, past the corpus's zero cap, so the member is
-this row and not a ``corpus`` product.  The integral form of the Cesaro
-remainder is kept as an independent oracle in ``tests/oracles.py``.
+The law holds up to ``a = 1``, past the corpus's zero cap, so ``total`` sums
+it against the weights directly, with no coefficient array and no ``corpus``
+member.  Every sum here is a ``math.fsum`` over floats, so the module needs
+no numpy.  The integral form of the Cesaro remainder is kept as an
+independent oracle in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -26,8 +28,6 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .errors import ParameterDomainError
 from .operators import (
     Bernardi,
@@ -35,13 +35,9 @@ from .operators import (
     ClassicalBohr,
     OperatorKind,
     _weights,
-    majorant_value,
-    required_origin_zeros,
-    series_order,
     sup_bound,
 )
 from .radii import _check_tol, solve_radius
-from .series import CoefficientSequence
 
 __all__ = [
     "Decomposition",
@@ -121,28 +117,16 @@ def extremal_majorant(
     """Absolute series of the problem's extremal member at radius ``r``.
 
     The member is ``z**m phi_a`` with ``m`` the origin zeros the operand
-    needs; it is summed through the generic operator path on Taylor
-    coefficients whose order keeps the omitted tail below ``eps``.
+    needs.  Its coefficient moduli follow the closed law ``a``, then
+    ``(1 - a*a) * a**(n-1)``, and are summed against the family weights from
+    ``w_m`` on, ``r**s * fsum([a w_m] + [(1-a^2) a**(n-1) w_(m+n)])``; the
+    weight vector's cut keeps the omitted tail below ``eps``.
     """
     _check_a_r(a, r)
-    n_max = series_order(problem.family, r, eps) + problem.d
-    row = _extremal_row(a, required_origin_zeros(problem), n_max)
-    return majorant_value(problem, row, r, eps)
-
-
-def _extremal_row(a: float, m: int, n_max: int) -> CoefficientSequence:
-    """Taylor coefficients ``0 .. n_max`` of ``z**m phi_a``, ``a`` in [0, 1].
-
-    phi_a has ``-a``, then ``(1 - a^2) a^(n-1)`` for ``n >= 1``; a scalar pow
-    keeps the law exact, and ``a = 1`` gives ``-z**m``.
-    """
-    out = np.zeros(n_max + 1, dtype=np.complex128)
-    if n_max >= m:
-        out[m] = -a
-        slack = 1.0 - a * a
-        for n in range(1, n_max - m + 1):
-            out[m + n] = slack * a ** (n - 1)
-    return CoefficientSequence(out)
+    w = _weights(problem.family, r, eps)[problem.family.m :]
+    slack = 1.0 - a * a
+    terms = [a * w[0]] + [slack * a ** (n - 1) * w[n] for n in range(1, len(w))]
+    return r**problem.s * math.fsum(terms)
 
 
 def _split_weights(family, r: float, eps: float) -> tuple:
@@ -152,7 +136,7 @@ def _split_weights(family, r: float, eps: float) -> tuple:
     omitted tail well below the ``eps`` of the independently summed ``total``.
     """
     w = _weights(family, r, min(1e-15, eps / 8.0))[family.m :]
-    return float(w[0]), w[1:]
+    return w[0], w[1:]
 
 
 def decomposition(
@@ -174,11 +158,11 @@ def decomposition(
     _check_a_r(a, r)
     family, scale = problem.family, r**problem.s
     lead, tail = _split_weights(family, r, eps)
-    bracket = (1.0 + a) * a ** np.arange(tail.size) - 2.0
+    bracketed = [((1.0 + a) * a**k - 2.0) * w for k, w in enumerate(tail)]
     return Decomposition(
         bound_term=scale * sup_bound(family, r),
         deficit_term=scale * ((1.0 - a) * (lead - 2.0 * math.fsum(tail))),
-        remainder=scale * ((1.0 - a) * math.fsum(bracket * tail)),
+        remainder=scale * ((1.0 - a) * math.fsum(bracketed)),
         total=scale * extremal_majorant(family, a, r, eps),
     )
 
@@ -265,19 +249,20 @@ def concavity_check(
         r**s [ a lead + (1-a^2) sum tail ],
 
     so on a uniform grid every second difference is nonpositive up to
-    rounding; the returned maximum should not exceed 1e-10.
+    rounding; the returned maximum should not exceed 1e-10.  Every grid test
+    is written so that a NaN fails it.
     """
-    grid = np.asarray(list(a_grid), dtype=np.float64)
-    if grid.size < 3:
+    grid = [float(a) for a in a_grid]
+    if len(grid) < 3:
         raise ParameterDomainError("the a-grid needs at least three points")
-    if grid.min() < 0.0 or grid.max() >= 1.0:
+    if not all(0.0 <= a < 1.0 for a in grid):
         raise ParameterDomainError("the a-grid must lie in [0, 1)")
-    steps = np.diff(grid)
-    if steps.min() <= 0.0 or (steps.max() - steps.min()) > 1e-9 * max(steps.max(), 1e-30):
+    steps = [b - a for a, b in zip(grid, grid[1:])]
+    widest = max(steps)
+    if not (min(steps) > 0.0 and widest - min(steps) <= 1e-9 * max(widest, 1e-30)):
         raise ParameterDomainError("the a-grid must be uniform and increasing")
 
     lead, tail = _split_weights(problem.family, r, 1e-12)
-    tail_sum = math.fsum(tail)
-    values = r**problem.s * (grid * lead + (1.0 - grid * grid) * tail_sum)
-    second = values[2:] - 2.0 * values[1:-1] + values[:-2]
-    return float(second.max())
+    tail_sum, scale = math.fsum(tail), r**problem.s
+    v = [scale * (a * lead + (1.0 - a * a) * tail_sum) for a in grid]
+    return max((v[i + 2] - 2.0 * v[i + 1]) + v[i] for i in range(len(v) - 2))

@@ -1,6 +1,7 @@
 """Command-line surface tests: exit codes, report schemas, determinism."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -488,6 +489,31 @@ class TestSharpnessCommand:
         code, _, err = run_cli(capsys, "sharpness", "--op", "bernardi", "--gamma", "1",
                                "--m", "30", "--r", "0.5", "--a-values", "0.5")
         assert code == 5 and "min(1, bound)" in err
+
+    def test_nan_reconstruction_error_exits_5(self, capsys, monkeypatch):
+        import bohrlab as bl
+        from bohrlab import sharpness
+
+        decompose = sharpness.decomposition
+
+        def undefined(problem, a, r, eps=1e-12):
+            dec = decompose(problem, a, r, eps)
+            return bl.Decomposition(dec.bound_term, dec.deficit_term, dec.remainder, math.nan)
+
+        monkeypatch.setattr(sharpness, "decomposition", undefined)
+        code, out, _ = run_cli(capsys, "sharpness", "--op", "libera", "--r", "0.5",
+                               "--a-values", "0.5", "--format", "csv")
+        assert code == 5 and out.splitlines()[1].split(",")[4:6] == ["nan", "nan"]
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_overflowing_bound_is_refused(self, capsys, fmt):
+        # r**0 / (0 + 1e-320) overflows to inf: refused before any row is built
+        code, out, err = run_cli(capsys, "sharpness", "--op", "bernardi", "--gamma", "1e-320",
+                                 "--m", "0", "--r", "0.5", "--a-values", "0.5",
+                                 "--format", fmt)
+        assert code == 2 and out == ""
+        assert err.startswith("parameter error:") and len(err.strip().splitlines()) == 1
+        assert "bound inf" in err and "overflows" in err
 
 
 class TestShiftedOperators:

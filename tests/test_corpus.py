@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 import bohrlab as bl
 from bohrlab.errors import ParameterDomainError, PreconditionError
-from bohrlab.sharpness import _extremal_row
 from oracles import phi_coeffs_direct, psi_coeffs_direct, validate_membership
 
 NAN = float("nan")
@@ -68,13 +67,12 @@ class TestOneMemberModel:
 
     @pytest.mark.parametrize("m", range(4))
     def test_psi_at_one_is_minus_z_to_the_m(self, m):
-        # the a = 1 end of the extremal law in sharpness is the member -z**m
+        # the a = 1 end of the extremal law z**m phi_a is the member -z**m
         f = bl.Blaschke((0j,) * m, 1.0, -1.0)
         assert f == bl.multiply_by_z(bl.Constant(-1.0), m)
         expected = [0.0] * (m + 3)
         expected[m] = -1.0
         assert bl.taylor_coeffs(f, m + 2).entries.tolist() == expected
-        assert _extremal_row(1.0, m, m + 2).entries.tolist() == expected
 
     def test_origin_zeros_set_the_suggested_order(self):
         # the orders of the equal polynomials -z**3 and 0.5 z**2

@@ -4,11 +4,11 @@ Each command runs in process through ``cli.main`` with ``--out`` and its
 report is compared byte for byte with the committed file in ``golden/``.
 A refactor that changes a report must change the golden file in the same
 commit and say which field changed and why.  The goldens were written with
-numpy 2.4.6 under its full x86-64 dispatch, AVX-512 included: with
-``NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR"`` numpy's
-``power``, ``exp``, ``expm1`` and ``log1p`` round some values differently,
-and ``sharpness_cesaro.csv`` changes in its last bits.  The radius and
-curve reports use no numpy, so they do not depend on the dispatch.
+numpy 2.4.6.  The radius, curve and sharpness reports and the ``above``
+witness scan use no numpy, and the ``below`` sweep and selftest use only
+numpy operations that round the same under every dispatch, so every golden
+passes with ``NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR"``
+as well as under numpy's full x86-64 dispatch.
 
 To regenerate after an intended change, run from the repository root:
 

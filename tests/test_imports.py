@@ -1,6 +1,7 @@
-"""The import boundary: ``import bohrlab``, ``radius`` and ``curve`` run on
-the standard library alone, and the commands that build arrays load numpy
-themselves.  Each command runs in a fresh interpreter, because the test
+"""The import boundary: ``import bohrlab``, ``radius``, ``curve``,
+``sharpness`` and ``verify --r-mode above`` run on the standard library
+alone, and the commands that build arrays (``verify --r-mode below`` and
+``selftest``) load numpy themselves.  Each command runs in a fresh interpreter, because the test
 process has imported numpy long before."""
 
 import json
@@ -49,11 +50,16 @@ NUMPY_FREE = (
     ("radius", "--op", "bernardi", "--gamma", "1", "--m", "0"),
     ("curve", "--op", "cesaro", "--grid-min", "0.5", "--grid-max", "3", "--grid-points", "5"),
     ("curve", "--op", "bernardi", "--m", "1", "--grid-values", "0,0.5,2"),
+    ("sharpness", "--op", "cesaro", "--beta", "1", "--r", "0.5", "--a-values", "0,0.5,1"),
+    ("sharpness", "--op", "cbeta", "--beta", "2", "--r", "0.5", "--a-values", "0.5,0.9"),
+    ("sharpness", "--op", "libera", "--r", "0.5", "--a-values", "0.5,0.9"),
+    ("sharpness", "--op", "bernardi", "--gamma", "0.3", "--m", "2", "--r", "0.5"),
+    ("verify", "--op", "libera", "--r-mode", "above", "--r", "0.6"),
+    ("verify", "--op", "cesaro", "--beta", "1", "--r-mode", "above"),
 )
 
 ARRAY_COMMANDS = (
-    ("verify", "--op", "cesaro", "--beta", "2", "--samples", "20"),
-    ("sharpness", "--op", "libera", "--r", "0.5", "--a-values", "0.5,0.9"),
+    ("verify", "--op", "cesaro", "--beta", "2", "--samples", "20", "--r-mode", "below"),
     ("selftest",),
 )
 
@@ -64,7 +70,7 @@ def test_import_bohrlab_loads_no_numpy():
 
 
 @pytest.mark.parametrize("argv", NUMPY_FREE, ids=" ".join)
-def test_radius_and_curve_load_no_numpy(argv, tmp_path):
+def test_command_loads_no_numpy(argv, tmp_path):
     result, _ = probe(*argv, out=tmp_path / "report")
     assert result == {"code": 0, "numpy": False}
 
@@ -121,11 +127,13 @@ class TestLazyExports:
             assert namespace[name] is getattr(bohrlab, name)
 
     def test_names_are_the_submodules_bindings(self):
-        from bohrlab import operators, radii
+        from bohrlab import operators, radii, series
 
         assert bohrlab.solve_radius is radii.solve_radius
         assert bohrlab.Bernardi is operators.Bernardi
         assert bohrlab.radii is radii
+        # one recurrence, defined in operators and re-exported by series
+        assert bohrlab.binomial_coeffs is operators.binomial_coeffs is series.binomial_coeffs
 
     def test_unknown_attribute_raises(self):
         with pytest.raises(AttributeError, match="no_such_name"):

@@ -6,12 +6,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import bohrlab as bl
 from bohrlab.errors import ParameterDomainError
-from bohrlab.sharpness import _extremal_row
+from bohrlab.operators import _weights
 from oracles import (
     bernardi_abs_series_bruteforce,
     cesaro_abs_series_bruteforce,
@@ -23,30 +21,37 @@ from oracles import (
 A_TRIPLE = (0.9, 0.99, 0.999)
 
 
-class TestExtremalRow:
-    """The coefficients of z**m phi_a from the closed law, up to a = 1."""
+# Kinds whose operands need 0 to 3 origin zeros, shifted ones included.
+EXTREMAL_KINDS = [
+    bl.CesaroBeta(1.0), bl.Libera(), bl.PrimitiveI(), bl.CBeta(2.0), bl.Alexander(),
+    bl.Bernardi(0.5, 2), bl.Shifted(bl.Bernardi(1.0, 2), 1, 1), bl.Bernardi(2.0, 3),
+]
 
-    @given(a=st.floats(min_value=0.0, max_value=0.99))
-    @settings(max_examples=60, deadline=None)
-    def test_phi_coefficient_law(self, a):
-        out = _extremal_row(a, 0, 12).entries
-        assert out[0] == -a
-        for n in range(1, 13):
-            assert out[n] == (1.0 - a * a) * a ** (n - 1)
 
-    @pytest.mark.parametrize("m", range(4))
-    def test_witness_scan_values_match_the_direct_law(self, m):
+class TestExtremalMajorant:
+    """The absolute series of z**m phi_a, summed from the closed coefficient
+    law up to a = 1."""
+
+    @pytest.mark.parametrize("kind", EXTREMAL_KINDS, ids=repr)
+    def test_witness_scan_values_are_the_direct_law(self, kind):
         # the a = 1 - 2**-k of the witness scan, past the corpus's zero cap
+        r, eps = 0.5, 1e-12
+        m = bl.required_origin_zeros(kind)
+        w = _weights(kind.family, r, eps)
         for a in [1.0 - 2.0**-k for k in range(1, 41)] + [1.0]:
-            row = _extremal_row(a, m, 120).entries
-            assert row.tolist() == psi_coeffs_direct(a, m, 120)
+            c = psi_coeffs_direct(a, m, kind.d + len(w) - 1)
+            direct = r**kind.s * math.fsum(abs(c[k + kind.d]) * w[k] for k in range(len(w)))
+            assert bl.extremal_majorant(kind, a, r, eps) == direct
 
-    @pytest.mark.parametrize("m", range(4))
     @pytest.mark.parametrize("a", [0.0, 0.3, 0.62, 0.9])
-    def test_row_is_the_corpus_member(self, a, m):
-        row = _extremal_row(a, m, 80).entries
-        member = bl.taylor_coeffs(bl.Blaschke((0j,) * m + (a,)), 80).entries
-        assert np.max(np.abs(row - member)) <= 1e-15
+    @pytest.mark.parametrize("kind", EXTREMAL_KINDS, ids=repr)
+    def test_matches_the_corpus_member(self, kind, a):
+        r, eps = 0.5, 1e-12
+        m = bl.required_origin_zeros(kind)
+        order = kind.d + bl.series_order(kind.family, r, eps)
+        member = bl.taylor_coeffs(bl.Blaschke((0j,) * m + (a,)), order)
+        value = bl.extremal_majorant(kind, a, r, eps)
+        assert abs(value - bl.majorant_value(kind, member, r, eps)) <= 1e-15
 
 
 class TestDecompositionCesaro:
@@ -287,3 +292,10 @@ class TestConcavity:
     def test_rejects_nonuniform_grid(self):
         with pytest.raises(ParameterDomainError):
             bl.concavity_check(bl.CesaroBeta(1.0), 0.5, [0.0, 0.1, 0.3])
+
+    @pytest.mark.parametrize(
+        "grid", [[0.0, math.nan, 0.2], [math.nan, 0.1, 0.2], [0.0, 0.1, math.nan]], ids=str
+    )
+    def test_nan_grid_point_is_refused(self, grid):
+        with pytest.raises(ParameterDomainError):
+            bl.concavity_check(bl.Libera(), 0.5, grid)
