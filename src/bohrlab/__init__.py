@@ -23,7 +23,7 @@ _EXPORTS = {
         "PreconditionError", "QuadratureError", "TruncationError",
     ),
     "series": (
-        "CoefficientSequence", "cauchy_product", "cumulative_identity_residual", "horner",
+        "cauchy_product", "cumulative_identity_residual", "horner",
     ),
     "corpus": (
         "BLASCHKE_ZERO_CAP", "Blaschke", "Constant", "derive_seed", "evaluate", "expand",
@@ -43,7 +43,7 @@ _EXPORTS = {
     "sharpness": (
         "BOHR_BASELINE_RADIUS", "Decomposition", "ViolationReport", "concavity_check",
         "critical_radius", "decomposition", "decomposition_bernardi", "decomposition_cesaro",
-        "extremal_majorant", "quadratic_remainder_check", "violation_search",
+        "extremal_majorant", "violation_search",
     ),
 }
 

@@ -132,6 +132,20 @@ _FIXED_KINDS = {
 }
 
 
+# The operator flags each --op takes; the others are refused, not ignored.
+_OP_FLAGS = {"cesaro": ("beta",), "cbeta": ("beta",), "bernardi": ("gamma", "m")}
+
+
+def _refuse_foreign_flags(args: argparse.Namespace) -> None:
+    takes = _OP_FLAGS.get(getattr(args, "op", None), ())
+    for flag in ("beta", "gamma", "m"):
+        if getattr(args, flag, None) is not None and flag not in takes:
+            names = " and ".join(f"--{name}" for name in takes) or "no operator flag"
+            raise ParameterDomainError(
+                f"--{flag} does not apply to --op {args.op}, which takes {names}"
+            )
+
+
 def _rounding_tol(bound: float) -> float:
     """How far past ``bound`` a computed value may land by rounding alone:
     1e-9 of a bound below 1, 1e-9 up to 1000 and 1e-12 of a larger bound."""
@@ -520,6 +534,7 @@ def main(argv: Optional[list] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        _refuse_foreign_flags(args)
         report, code = _HANDLERS[args.command](args)
     except (ParameterDomainError, PreconditionError) as exc:
         print(f"parameter error: {exc}", file=sys.stderr)

@@ -7,7 +7,9 @@ Every member is one type, ``Blaschke``: a finite Blaschke product
 at the origin; and the paper's extremal ``z**m phi_a``, ``phi_a(z) = (z -
 a)/(1 - a z)``, is ``Blaschke((0j,) * m + (a,))``.  The constructor is the
 membership check.  A member has an exact rational point evaluator, and
-``expand`` gives its Taylor coefficients, exact up to rounding.
+``expand`` gives its Taylor coefficients, exact up to rounding, as a
+``complex128`` matrix with one row per member; ``taylor_coeffs`` is the
+one-row case, the plain array every series function takes.
 
 Verification sweeps draw random members from one counter-based stream:
 uniform ``j`` of the member with seed ``s`` is ``(derive_seed(s, j) >> 11)
@@ -28,7 +30,6 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ParameterDomainError, PreconditionError
-from .series import CoefficientSequence
 
 __all__ = [
     "BLASCHKE_ZERO_CAP",
@@ -95,10 +96,10 @@ def evaluate(f: Blaschke, z: complex) -> complex:
     return out
 
 
-def taylor_coeffs(f: Blaschke, n_max: int) -> CoefficientSequence:
-    """The first ``n_max + 1`` Taylor coefficients of ``f`` at the origin:
-    the one-row case of ``taylor_matrix``."""
-    return CoefficientSequence(taylor_matrix([f], n_max)[0])
+def taylor_coeffs(f: Blaschke, n_max: int) -> np.ndarray:
+    """The first ``n_max + 1`` Taylor coefficients of ``f`` at the origin, a
+    complex row: the one-row case of ``taylor_matrix``."""
+    return taylor_matrix([f], n_max)[0]
 
 
 def taylor_matrix(fs: Sequence[Blaschke], n_max: int) -> np.ndarray:

@@ -39,12 +39,15 @@ One scale rule holds: each radius equation is evaluated at unit scale (the
 Cesaro one times ``(1-x)**beta``, the Bernardi one over ``x**m``), and every
 weight cut is ``eps * min(1, family.bound(r))``.
 
+A Taylor series is a 1-D ``complex128`` array ``a_0 .. a_N``, a block of
+them a matrix with one row each; ``operator_coeffs`` refuses a non-finite
+image and ``majorant_values`` a row outside the unit ball, NaN included.
+
 The radius layer (``kernel_integral`` and both radius equations), the binomial
 weights ``binomial_coeffs`` and every family's ``weights`` need only
-``math``.  numpy, ``corpus`` and ``series`` are imported inside the
-functions that build arrays (``image``, ``majorant_values``,
-``operator_coeffs``), so importing this module, solving a radius or building
-a weight vector loads none of them.
+``math``.  numpy and ``corpus`` are imported inside the functions that use
+them, so importing this module, solving a radius or building a weight
+vector loads neither.
 """
 
 from __future__ import annotations
@@ -66,7 +69,6 @@ if TYPE_CHECKING:
     import numpy as np
 
     from .corpus import Blaschke
-    from .series import CoefficientSequence
 
 __all__ = [
     "CesaroBeta",
@@ -428,29 +430,29 @@ def required_origin_zeros(kind: OperatorKind) -> int:
 def _require_leading_zeros(coeffs: np.ndarray, kind: OperatorKind) -> None:
     m = required_origin_zeros(kind)
     worst = abs(coeffs[..., :m]).max(initial=0.0)
-    if worst > 1e-12:
+    if not worst <= 1e-12:
         raise PreconditionError(
             f"{kind!r} requires the first {m} coefficients to vanish, got modulus {worst}"
         )
 
 
-def operator_coeffs(
-    kind: OperatorKind, f: CoefficientSequence, n_max: int
-) -> CoefficientSequence:
-    """Taylor coefficients of the operator image, truncated at ``n_max``."""
+def operator_coeffs(kind: OperatorKind, a: np.ndarray, n_max: int) -> np.ndarray:
+    """Taylor coefficients of the operator image of ``a``, truncated at ``n_max``;
+    refused if the image is not finite or a required zero exceeds 1e-12."""
     import numpy as np
-
-    from .series import CoefficientSequence
 
     if n_max < 0:
         raise ParameterDomainError(f"n_max must be nonnegative, got {n_max}")
-    if f.order < n_max:
-        raise TruncationError(f"input order {f.order} is below the requested {n_max}")
-    _require_leading_zeros(f.entries, kind)
+    a = np.asarray(a, dtype=np.complex128)
+    if len(a) <= n_max:
+        raise TruncationError(f"input order {len(a) - 1} is below the requested {n_max}")
+    _require_leading_zeros(a, kind)
     out = np.zeros(n_max + 1, dtype=np.complex128)
     if n_max >= kind.s:
-        out[kind.s :] = kind.family.image(f.entries[kind.d :], n_max - kind.s)
-    return CoefficientSequence(out)
+        out[kind.s :] = kind.family.image(a[kind.d :], n_max - kind.s)
+    if not np.all(np.isfinite(out)):
+        raise ParameterDomainError("coefficient entries must be finite")
+    return out
 
 
 @functools.lru_cache(maxsize=64)
@@ -487,12 +489,12 @@ def majorant_values(
     sum_k |a_{k+d}| w_k`` with the family's weights.  Each row is summed by
     ``math.fsum``, so its value does not depend on the other rows.  The rows
     must be unit-ball members (``|a_k| <= 1``), which the weight cuts rely
-    on.  Columns past the weight vector's cut are not read; a shorter matrix
-    uses its own columns."""
+    on; a NaN entry fails that check.  Columns past the weight vector's cut
+    are not read; a shorter matrix uses its own columns."""
     import numpy as np
 
     absf = np.abs(coeffs)
-    if absf.max(initial=0.0) > 1.0 + 1e-9:
+    if not absf.max(initial=0.0) <= 1.0 + 1e-9:
         raise ParameterDomainError(
             f"majorant tail bounds assume unit-ball coefficients; max |a_k| = {absf.max()}"
         )
@@ -502,20 +504,18 @@ def majorant_values(
     return [scale * math.fsum(row.tolist()) for row in shifted * w[: shifted.shape[1]]]
 
 
-def majorant_value(
-    kind: OperatorKind, f: CoefficientSequence, r: float, eps: float = 1e-12
-) -> float:
+def majorant_value(kind: OperatorKind, a: np.ndarray, r: float, eps: float = 1e-12) -> float:
     """The one-row case of ``majorant_values``."""
-    return majorant_values(kind, f.entries[None, :], r, eps)[0]
+    return majorant_values(kind, a[None, :], r, eps)[0]
 
 
-def bohr_majorant(f: CoefficientSequence, r: float) -> float:
+def bohr_majorant(a: np.ndarray, r: float) -> float:
     """Plain absolute series ``sum |a_n| r**n`` of the coefficients themselves."""
     import numpy as np
 
     if not 0.0 < r < 1.0:
         raise ParameterDomainError(f"r must lie in (0, 1), got {r}")
-    return math.fsum(f.abs_entries() * r ** np.arange(len(f)))
+    return math.fsum(np.abs(a) * r ** np.arange(len(a)))
 
 
 def adaptive_simpson(fn: Callable[[float], complex], a: float, b: float, tol: float) -> complex:

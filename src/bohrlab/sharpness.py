@@ -48,7 +48,6 @@ __all__ = [
     "decomposition",
     "decomposition_cesaro",
     "decomposition_bernardi",
-    "quadratic_remainder_check",
     "violation_search",
     "concavity_check",
 ]
@@ -177,26 +176,6 @@ def decomposition_bernardi(
     gamma: float, m: int, a: float, r: float, eps: float = 1e-12
 ) -> Decomposition:
     return decomposition(Bernardi(gamma, m), a, r, eps)
-
-
-def quadratic_remainder_check(
-    problem: OperatorKind,
-    r: float,
-    a_list: Sequence[float],
-    eps: float = 1e-12,
-) -> list:
-    """Ratios ``remainder / (1-a)**2`` along ``a_list``.
-
-    The remainder vanishes quadratically as a -> 1, so the ratios should
-    stabilize; acceptance asks for max/min magnitude within a factor 4 over
-    a in {0.9, 0.99, 0.999}.
-    """
-    values = list(a_list)
-    if any(not 0.0 <= a < 1.0 for a in values):
-        raise ParameterDomainError("all a values must lie in [0, 1)")
-    if any(b <= a for a, b in zip(values, values[1:])):
-        raise ParameterDomainError("a_list must be strictly increasing")
-    return [decomposition(problem, a, r, eps).remainder / (1.0 - a) ** 2 for a in values]
 
 
 def violation_search(

@@ -12,10 +12,11 @@ their truncation cuts; and the Bernardi radius equation over ``x**m``
 summed by the plain tail loop.
 They take plain numpy arrays and nothing from the library.
 
-The three checks at the end, the boundary-grid membership of a corpus
-member, the sampled sup bound and the index-shift relation between the
-Cesaro forms, are built from the library's public functions: they test
-what those functions assert about each other.
+The four checks at the end, the boundary-grid membership of a corpus
+member, the sampled sup bound, the index-shift relation between the
+Cesaro forms and the quadratic decay of the sharpness remainder, are built
+from the library's public functions: they test what those functions
+assert about each other.
 """
 
 from __future__ import annotations
@@ -272,3 +273,18 @@ def cbeta_relation_residual(h, beta: float, r: float, eps: float = 1e-12) -> flo
     lhs = bl.majorant_value(bl.CBeta(beta), bl.taylor_coeffs(g, n_inner + 1), r, eps)
     rhs = r * bl.majorant_value(bl.CesaroBeta(beta), bl.taylor_coeffs(h, n_inner), r, eps)
     return abs(lhs - rhs)
+
+
+def quadratic_remainder_check(problem, r: float, a_list, eps: float = 1e-12) -> list:
+    """Ratios ``remainder / (1-a)**2`` of ``bl.decomposition`` along ``a_list``.
+
+    The remainder vanishes quadratically as a -> 1, so the ratios should
+    stabilize; acceptance asks for max/min magnitude within a factor 4 over
+    a in {0.9, 0.99, 0.999}.
+    """
+    values = list(a_list)
+    if any(not 0.0 <= a < 1.0 for a in values):
+        raise ParameterDomainError("all a values must lie in [0, 1)")
+    if any(b <= a for a, b in zip(values, values[1:])):
+        raise ParameterDomainError("a_list must be strictly increasing")
+    return [bl.decomposition(problem, a, r, eps).remainder / (1.0 - a) ** 2 for a in values]

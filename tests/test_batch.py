@@ -25,6 +25,7 @@ from oracles import (
 )
 
 MAJORANT_EPS = 1e-12
+NAN = float("nan")
 
 
 def _product_form(f):
@@ -51,7 +52,7 @@ class TestTaylorMatrix:
     def test_taylor_coeffs_is_the_one_row_case(self):
         for f in _corpus(5, 40, 4):
             row = bl.taylor_matrix([f], 60)[0]
-            assert np.array_equal(bl.taylor_coeffs(f, 60).entries, row)
+            assert np.array_equal(bl.taylor_coeffs(f, 60), row)
 
     def test_empty_block_and_order_zero(self):
         assert bl.taylor_matrix([], 5).shape == (0, 6)
@@ -77,13 +78,23 @@ class TestMajorantValues:
         coeffs[:, zeros:] = bl.taylor_matrix(_corpus(9, 30, 4), 80)
         values = bl.majorant_values(kind, coeffs, 0.4)
         for row, value in zip(coeffs, values):
-            assert bl.majorant_value(kind, bl.CoefficientSequence(row), 0.4) == value
+            assert bl.majorant_value(kind, np.array(row, dtype=complex), 0.4) == value
 
     def test_unit_ball_checked_over_the_block(self):
         coeffs = np.zeros((3, 5), dtype=np.complex128)
         coeffs[2, 1] = 1.5
         with pytest.raises(ParameterDomainError):
             bl.majorant_values(bl.CesaroBeta(1.0), coeffs, 0.5)
+
+    @pytest.mark.parametrize(
+        "kind,rows",
+        [(bl.Libera(), [[0.5, NAN]]), (bl.Alexander(), [[0.0, 0.5], [0.0, NAN]])],
+        ids=["libera", "alexander"],
+    )
+    def test_nan_coefficient_is_refused(self, kind, rows):
+        # NaN compares false with every bound, so the check must be written to fail on it
+        with pytest.raises(ParameterDomainError, match="unit-ball"):
+            bl.majorant_values(kind, np.array(rows), 0.5)
 
     def test_leading_zeros_checked_over_the_block(self):
         coeffs = np.zeros((3, 5), dtype=np.complex128)

@@ -652,6 +652,33 @@ class TestFailurePaths:
         assert code == 5 and "reconstruction" in err
 
 
+# (first refused flag, argv): an operator flag the chosen --op does not take.
+FOREIGN_FLAGS = [
+    ("gamma", ("radius", "--op", "libera", "--gamma", "5", "--m", "3")),
+    ("m", ("radius", "--op", "cesaro", "--beta", "1", "--m", "4")),
+    ("beta", ("radius", "--op", "bernardi", "--gamma", "1", "--beta", "3")),
+    ("beta", ("verify", "--op", "bohr", "--beta", "3")),
+    ("m", ("verify", "--op", "cbeta", "--beta", "2", "--m", "1", "--r-mode", "above")),
+    ("m", ("curve", "--op", "cesaro", "--m", "2", "--grid-values", "1")),
+    ("gamma", ("sharpness", "--op", "alexander", "--gamma", "0", "--r", "0.5")),
+]
+
+
+@pytest.mark.parametrize("flag,argv", FOREIGN_FLAGS, ids=[" ".join(a) for _, a in FOREIGN_FLAGS])
+def test_foreign_operator_flag_exits_2_before_any_solve(capsys, monkeypatch, flag, argv):
+    from bohrlab import sharpness
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved despite a refused flag")
+
+    for module, name in ((cli, "solve_radius"), (cli, "radius_curve"), (sharpness, "solve_radius")):
+        monkeypatch.setattr(module, name, no_solve)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"parameter error: --{flag} does not apply to --op {argv[2]}")
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_out_flag_writes_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     code, out, _ = run_cli(

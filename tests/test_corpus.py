@@ -25,14 +25,14 @@ def psi(a, m=0):
 
 class TestExtremalFamilies:
     def test_phi_at_zero_parameter_is_identity_map(self):
-        assert bl.taylor_coeffs(psi(0.0), 2).entries.tolist() == [0, 1, 0]
+        assert bl.taylor_coeffs(psi(0.0), 2).tolist() == [0, 1, 0]
 
     def test_phi_half_coefficients(self):
-        out = bl.taylor_coeffs(psi(0.5), 3).entries
+        out = bl.taylor_coeffs(psi(0.5), 3)
         assert np.allclose(out, [-0.5, 0.75, 0.375, 0.1875])
 
     def test_psi_is_shifted_phi(self):
-        out = bl.taylor_coeffs(psi(0.5, 2), 3).entries
+        out = bl.taylor_coeffs(psi(0.5, 2), 3)
         assert np.allclose(out, [0.0, 0.0, -0.5, 0.75])
 
     def test_evaluate_examples(self):
@@ -72,7 +72,7 @@ class TestOneMemberModel:
         assert f == bl.multiply_by_z(bl.Constant(-1.0), m)
         expected = [0.0] * (m + 3)
         expected[m] = -1.0
-        assert bl.taylor_coeffs(f, m + 2).entries.tolist() == expected
+        assert bl.taylor_coeffs(f, m + 2).tolist() == expected
 
     def test_origin_zeros_set_the_suggested_order(self):
         # the orders of the equal polynomials -z**3 and 0.5 z**2
@@ -173,7 +173,7 @@ class TestRandomCorpus:
             a0 = abs(coeffs[0])
             if a0 >= 1.0 - 1e-9:
                 continue  # full-modulus constants carry no slack
-            tail = coeffs.abs_entries()[1:]
+            tail = np.abs(coeffs)[1:]
             assert tail.max() <= 1.0 - a0 * a0 + 1e-12
 
     def test_evaluator_and_coefficients_agree(self):
@@ -208,9 +208,9 @@ class TestSeedDerivation:
 
 def test_direct_coefficient_oracles_agree():
     a = 0.62
-    ours = bl.taylor_coeffs(psi(a), 9).entries
+    ours = bl.taylor_coeffs(psi(a), 9)
     assert np.allclose(ours, phi_coeffs_direct(a, 9))
-    ours = bl.taylor_coeffs(psi(a, 3), 9).entries
+    ours = bl.taylor_coeffs(psi(a, 3), 9)
     assert np.allclose(ours, psi_coeffs_direct(a, 3, 9))
 
 

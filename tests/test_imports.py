@@ -100,7 +100,7 @@ def test_sharpness_loads_no_corpus(tmp_path):
 EXPORTS = [
     "Alexander", "BLASCHKE_ZERO_CAP", "BOHR_BASELINE_RADIUS", "Bernardi", "Blaschke",
     "BohrlabError", "BracketError", "CBeta", "CesaroBeta", "ClassicalBohr",
-    "CoefficientSequence", "Constant", "ContinuityError", "CurveRow", "Decomposition", "Libera",
+    "Constant", "ContinuityError", "CurveRow", "Decomposition", "Libera",
     "OperatorKind", "ParameterDomainError", "PreconditionError", "PrimitiveI",
     "QuadratureError", "RadiusResult", "Shifted", "TruncationError", "ViolationReport",
     "adaptive_simpson", "binomial_coeffs", "bohr_majorant", "cauchy_product",
@@ -108,7 +108,7 @@ EXPORTS = [
     "cumulative_identity_residual", "decomposition", "decomposition_bernardi",
     "decomposition_cesaro", "derive_seed", "errors", "evaluate", "expand", "extremal_majorant",
     "horner", "kernel_integral", "majorant_value", "majorant_values", "multiply_by_z",
-    "operator_coeffs", "operators", "quadratic_remainder_check", "quadrature_value", "radii",
+    "operator_coeffs", "operators", "quadrature_value", "radii",
     "radius_curve", "radius_equation", "random_schur", "random_schur_block",
     "required_origin_zeros", "schwarz_shift", "series", "series_order", "sharpness",
     "solve_radius", "suggested_order", "sup_bound", "taylor_coeffs", "taylor_matrix",
@@ -138,3 +138,9 @@ class TestLazyExports:
     def test_unknown_attribute_raises(self):
         with pytest.raises(AttributeError, match="no_such_name"):
             bohrlab.no_such_name
+
+
+def test_corpus_loads_no_series():
+    # a Taylor series is a plain complex array; the corpus needs no series type
+    proc = fresh_python("import sys, bohrlab.corpus; print('bohrlab.series' in sys.modules)")
+    assert proc.stdout.strip() == "False"

@@ -24,7 +24,7 @@ from oracles import (
     sup_bound_check,
 )
 
-DELTA = bl.CoefficientSequence([1.0] + [0.0] * 16)
+DELTA = np.array([1.0] + [0.0] * 16, dtype=complex)
 
 coeff_lists = st.lists(
     st.complex_numbers(max_magnitude=3.0, allow_nan=False, allow_infinity=False),
@@ -39,42 +39,42 @@ def _corpus(seed, count, max_factors=4):
 
 class TestOperatorCoeffs:
     def test_cesaro_one_on_delta(self):
-        out = bl.operator_coeffs(bl.CesaroBeta(1.0), DELTA, 8).entries.real
+        out = bl.operator_coeffs(bl.CesaroBeta(1.0), DELTA, 8).real
         assert np.allclose(out, [1.0 / (n + 1) for n in range(9)], rtol=0, atol=0)
 
     def test_cesaro_two_on_delta_is_constant(self):
-        out = bl.operator_coeffs(bl.CesaroBeta(2.0), DELTA, 8).entries.real
+        out = bl.operator_coeffs(bl.CesaroBeta(2.0), DELTA, 8).real
         assert np.allclose(out, np.ones(9), rtol=0, atol=0)
 
     def test_bernardi_on_all_ones(self):
-        f = bl.CoefficientSequence(np.ones(9))
-        out = bl.operator_coeffs(bl.Bernardi(1.0, 0), f, 8).entries.real
+        f = np.array(np.ones(9), dtype=complex)
+        out = bl.operator_coeffs(bl.Bernardi(1.0, 0), f, 8).real
         assert np.allclose(out, [1.0 / (n + 1) for n in range(9)])
 
     def test_libera_specializes_bernardi(self):
         f = bl.taylor_coeffs(bl.Blaschke((0.4,)), 12)
-        lhs = bl.operator_coeffs(bl.Libera(), f, 12).entries
-        rhs = bl.operator_coeffs(bl.Bernardi(1.0, 0), f, 12).entries
+        lhs = bl.operator_coeffs(bl.Libera(), f, 12)
+        rhs = bl.operator_coeffs(bl.Bernardi(1.0, 0), f, 12)
         assert np.array_equal(lhs, rhs)
 
     def test_alexander_specializes_bernardi(self):
         f = bl.taylor_coeffs(bl.Blaschke((0j, 0.4)), 12)
-        lhs = bl.operator_coeffs(bl.Alexander(), f, 12).entries
-        rhs = bl.operator_coeffs(bl.Bernardi(0.0, 1), f, 12).entries
+        lhs = bl.operator_coeffs(bl.Alexander(), f, 12)
+        rhs = bl.operator_coeffs(bl.Bernardi(0.0, 1), f, 12)
         assert np.array_equal(lhs, rhs)
 
     def test_primitive_is_shifted_libera(self):
         f = bl.taylor_coeffs(bl.Blaschke((0.3,)), 12)
-        shifted = bl.operator_coeffs(bl.PrimitiveI(), f, 12).entries
-        libera = bl.operator_coeffs(bl.Libera(), f, 11).entries
+        shifted = bl.operator_coeffs(bl.PrimitiveI(), f, 12)
+        libera = bl.operator_coeffs(bl.Libera(), f, 11)
         assert shifted[0] == 0.0
         assert np.array_equal(shifted[1:], libera)
 
     def test_cbeta_shifts_the_plain_image(self):
         h = bl.taylor_coeffs(bl.Blaschke((0.5,)), 12)
         g = bl.taylor_coeffs(bl.Blaschke((0j, 0.5)), 12)
-        lhs = bl.operator_coeffs(bl.CBeta(0.7), g, 12).entries
-        rhs = bl.operator_coeffs(bl.CesaroBeta(0.7), h, 11).entries
+        lhs = bl.operator_coeffs(bl.CBeta(0.7), g, 12)
+        rhs = bl.operator_coeffs(bl.CesaroBeta(0.7), h, 11)
         assert lhs[0] == 0.0
         assert np.allclose(lhs[1:], rhs)
 
@@ -82,23 +82,33 @@ class TestOperatorCoeffs:
         with pytest.raises(PreconditionError):
             bl.operator_coeffs(bl.Bernardi(0.0, 1), DELTA, 8)
 
+    def test_nonfinite_image_is_refused(self):
+        # c_n(400) overflows a float long before order 2999
+        delta = np.zeros(3000, dtype=complex)
+        delta[0] = 1.0
+        with pytest.raises(ParameterDomainError, match="must be finite"):
+            bl.operator_coeffs(bl.CesaroBeta(400.0), delta, 2999)
+
+    def test_nan_leading_zero_is_refused(self):
+        # Alexander's image never reads a_0, so only the leading-zero check sees the NaN
+        with pytest.raises(PreconditionError):
+            bl.operator_coeffs(bl.Alexander(), [float("nan"), 1.0, 0.0], 2)
+
     def test_order_shortfall_raises(self):
         with pytest.raises(TruncationError):
-            bl.operator_coeffs(bl.CesaroBeta(1.0), bl.CoefficientSequence([1.0]), 4)
+            bl.operator_coeffs(bl.CesaroBeta(1.0), np.array([1.0], dtype=complex), 4)
 
     @given(a=coeff_lists, b=coeff_lists, scale=st.complex_numbers(max_magnitude=2.0))
     @settings(max_examples=40, deadline=None)
     def test_linearity(self, a, b, scale):
         n = min(len(a), len(b)) - 1
-        u, v = bl.CoefficientSequence(a), bl.CoefficientSequence(b)
-        combo = bl.CoefficientSequence(
-            u.entries[: n + 1] * scale + v.entries[: n + 1]
-        )
+        u, v = np.array(a, dtype=complex), np.array(b, dtype=complex)
+        combo = np.array(u[: n + 1] * scale + v[: n + 1], dtype=complex)
         kind = bl.CesaroBeta(1.3)
-        lhs = bl.operator_coeffs(kind, combo, n).entries
+        lhs = bl.operator_coeffs(kind, combo, n)
         rhs = (
-            scale * bl.operator_coeffs(kind, u, n).entries
-            + bl.operator_coeffs(kind, v, n).entries
+            scale * bl.operator_coeffs(kind, u, n)
+            + bl.operator_coeffs(kind, v, n)
         )
         assert np.allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
 
@@ -131,7 +141,7 @@ class TestMajorant:
         n_max = bl.cesaro_series_order(beta, r, 1e-13)
         coeffs = bl.taylor_coeffs(f, n_max)
         ours = bl.majorant_value(bl.CesaroBeta(beta), coeffs, r, 1e-13)
-        ref = cesaro_abs_series_bruteforce(beta, coeffs.entries, r, 500)
+        ref = cesaro_abs_series_bruteforce(beta, coeffs, r, 500)
         assert ours == pytest.approx(ref, abs=1e-10)
 
     def test_bernardi_corpus_against_bruteforce(self):
@@ -139,7 +149,7 @@ class TestMajorant:
         f = bl.multiply_by_z(bl.random_schur(bl.derive_seed(18, 5), 4, 0.9))
         coeffs = bl.taylor_coeffs(f, bl.series_order(bl.Bernardi(gamma, m), r, 1e-14))
         ours = bl.majorant_value(bl.Bernardi(gamma, m), coeffs, r, 1e-14)
-        ref = bernardi_abs_series_bruteforce(gamma, m, coeffs.entries, r)
+        ref = bernardi_abs_series_bruteforce(gamma, m, coeffs, r)
         assert ours == pytest.approx(ref, abs=1e-11)
 
     def test_primitive_majorant_scales_libera(self):
@@ -164,7 +174,7 @@ class TestMajorant:
     def test_cut_is_relative_to_a_tiny_bound(self):
         # w_m = r**m/(m+gamma) is 7.8e-33 here; an absolute cut of 1e-12 drops it
         family, r = bl.Bernardi(1.0, 100), 0.5
-        z_m = bl.CoefficientSequence([0.0] * 100 + [1.0])
+        z_m = np.array([0.0] * 100 + [1.0], dtype=complex)
         assert bl.majorant_value(family, z_m, r) == bl.sup_bound(family, r) > 0.0
 
     def test_underflowing_bound_is_a_domain_error(self):
@@ -178,7 +188,7 @@ class TestMajorant:
             bl.series_order(bl.Bernardi(1.0, 3), 0.5, eps)
 
     def test_unit_ball_precondition(self):
-        too_big = bl.CoefficientSequence([1.5, 0.0])
+        too_big = np.array([1.5, 0.0], dtype=complex)
         with pytest.raises(ParameterDomainError):
             bl.majorant_value(bl.CesaroBeta(1.0), too_big, 0.5)
 
@@ -211,7 +221,7 @@ class TestCBetaRelation:
         n = bl.cesaro_series_order(beta, r, 1e-13)
         g = bl.taylor_coeffs(bl.Blaschke((0j, a)), n + 1)
         ours = bl.majorant_value(bl.CBeta(beta), g, r, 1e-13)
-        ref = cbeta_abs_series_bruteforce(beta, g.entries, r, 400)
+        ref = cbeta_abs_series_bruteforce(beta, g, r, 400)
         assert ours == pytest.approx(ref, abs=1e-10)
 
 
