@@ -12,6 +12,7 @@ selftest   run the built-in identity/concavity/coefficient/quadrature suites
 ``radius``, ``curve``, ``sharpness`` and ``verify --r-mode above`` need only
 the standard library.  ``verify --r-mode below|at`` imports numpy and the
 corpus once it draws samples, and ``selftest`` imports both when it runs.
+``main`` sets ``OPENBLAS_NUM_THREADS=1`` unless set: no command calls BLAS.
 
 Reports are JSON (default) or RFC-4180-style CSV with a header row; numbers
 are printed with 17 significant digits in CSV, and JSON uses shortest
@@ -28,6 +29,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 from dataclasses import asdict, dataclass, field
 from typing import Optional
@@ -531,6 +533,8 @@ _HANDLERS = {
 
 
 def main(argv: Optional[list] = None) -> int:
+    # Before the commands' lazy numpy import, which starts OpenBLAS's pool.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:

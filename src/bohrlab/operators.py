@@ -481,6 +481,18 @@ def series_order(family, r: float, eps: float) -> int:
     return len(_weights(family, r, eps)) - 1
 
 
+def _unit_ball_moduli(coeffs: np.ndarray) -> np.ndarray:
+    """``|coeffs|``, refused unless every entry is at most 1 (a NaN fails)."""
+    import numpy as np
+
+    absf = np.abs(coeffs)
+    if not absf.max(initial=0.0) <= 1.0 + 1e-9:
+        raise ParameterDomainError(
+            f"majorant tail bounds assume unit-ball coefficients; max |a_k| = {absf.max()}"
+        )
+    return absf
+
+
 def majorant_values(
     kind: OperatorKind, coeffs: np.ndarray, r: float, eps: float = 1e-12
 ) -> list:
@@ -493,11 +505,7 @@ def majorant_values(
     are not read; a shorter matrix uses its own columns."""
     import numpy as np
 
-    absf = np.abs(coeffs)
-    if not absf.max(initial=0.0) <= 1.0 + 1e-9:
-        raise ParameterDomainError(
-            f"majorant tail bounds assume unit-ball coefficients; max |a_k| = {absf.max()}"
-        )
+    absf = _unit_ball_moduli(coeffs)
     _require_leading_zeros(absf, kind)
     w, scale = np.array(_weights(kind.family, r, eps)), r**kind.s
     shifted = absf[:, kind.d : kind.d + w.size]
@@ -510,12 +518,13 @@ def majorant_value(kind: OperatorKind, a: np.ndarray, r: float, eps: float = 1e-
 
 
 def bohr_majorant(a: np.ndarray, r: float) -> float:
-    """Plain absolute series ``sum |a_n| r**n`` of the coefficients themselves."""
+    """Plain absolute series ``sum |a_n| r**n`` of the coefficients themselves,
+    which must be unit-ball coefficients as in ``majorant_values``."""
     import numpy as np
 
     if not 0.0 < r < 1.0:
         raise ParameterDomainError(f"r must lie in (0, 1), got {r}")
-    return math.fsum(np.abs(a) * r ** np.arange(len(a)))
+    return math.fsum(_unit_ball_moduli(a) * r ** np.arange(len(a)))
 
 
 def adaptive_simpson(fn: Callable[[float], complex], a: float, b: float, tol: float) -> complex:

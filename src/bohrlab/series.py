@@ -34,7 +34,8 @@ def cauchy_product(u: np.ndarray, v: np.ndarray, n_max: int) -> np.ndarray:
     """Coefficients of the product series, truncated at order ``n_max``.
 
     Both inputs must carry at least ``n_max + 1`` coefficients; product
-    coefficients up to ``n_max`` depend on nothing beyond that.
+    coefficients up to ``n_max`` depend on nothing beyond that.  A product
+    that is not finite is refused, as in ``operators.operator_coeffs``.
     """
     if n_max < 0:
         raise ParameterDomainError(f"n_max must be nonnegative, got {n_max}")
@@ -42,7 +43,10 @@ def cauchy_product(u: np.ndarray, v: np.ndarray, n_max: int) -> np.ndarray:
         raise TruncationError(
             f"inputs of order {len(u) - 1} and {len(v) - 1} cannot produce order {n_max}"
         )
-    return np.convolve(u[: n_max + 1], v[: n_max + 1])[: n_max + 1]
+    out = np.convolve(u[: n_max + 1], v[: n_max + 1])[: n_max + 1]
+    if not np.all(np.isfinite(out)):
+        raise ParameterDomainError("coefficient entries must be finite")
+    return out
 
 
 def cumulative_identity_residual(beta: float, n_max: int) -> float:

@@ -1,8 +1,9 @@
 """The import boundary: ``import bohrlab``, ``radius``, ``curve``,
 ``sharpness`` and ``verify --r-mode above`` run on the standard library
 alone, and the commands that build arrays (``verify --r-mode below`` and
-``selftest``) load numpy themselves.  Each command runs in a fresh interpreter, because the test
-process has imported numpy long before."""
+``selftest``) load numpy themselves, with OpenBLAS held to one thread.  Each
+command runs in a fresh interpreter, because the test process has imported
+numpy long before."""
 
 import json
 import os
@@ -26,9 +27,13 @@ print(json.dumps({"code": code, "numpy": "numpy" in sys.modules}))
 """
 
 
-def fresh_python(code, *args):
+def fresh_python(code, *args, **env_overrides):
+    # An in-process ``main`` call has set OPENBLAS_NUM_THREADS here already;
+    # each child starts without it unless the caller sets it.
     env = dict(os.environ)
+    env.pop("OPENBLAS_NUM_THREADS", None)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    env.update(env_overrides)
     proc = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
                           text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
@@ -94,6 +99,40 @@ def test_sharpness_loads_no_corpus(tmp_path):
                         *argv, "--out", str(tmp_path / "report"))
     code, corpus_loaded = proc.stdout.splitlines()[-2:]
     assert json.loads(code)["code"] == 0 and corpus_loaded == "False"
+
+
+# Runs ``bohrlab`` with the given arguments, then prints its exit code, the
+# OpenBLAS thread setting before and after ``main``, whether numpy was
+# imported, and the process's thread count.
+BLAS_PROBE = """
+import json, os, sys
+from bohrlab.cli import main
+before = os.environ.get("OPENBLAS_NUM_THREADS")
+code = main(sys.argv[1:])
+threads = len(os.listdir("/proc/self/task")) if sys.platform.startswith("linux") else None
+print(json.dumps({"code": code, "numpy": "numpy" in sys.modules, "before": before,
+                  "after": os.environ.get("OPENBLAS_NUM_THREADS"), "threads": threads}))
+"""
+
+
+def test_blas_is_single_threaded_unless_the_user_chose(tmp_path):
+    argv = ("verify", "--op", "libera", "--samples", "300")
+    default_out, chosen_out = tmp_path / "default", tmp_path / "chosen"
+    default = json.loads(
+        fresh_python(BLAS_PROBE, *argv, "--out", str(default_out)).stdout.splitlines()[-1]
+    )
+    chosen = json.loads(
+        fresh_python(BLAS_PROBE, *argv, "--out", str(chosen_out),
+                     OPENBLAS_NUM_THREADS="2").stdout.splitlines()[-1]
+    )
+    # importing bohrlab.cli leaves the environment alone; main sets the default
+    assert default["code"] == 0 and default["before"] is None and default["after"] == "1"
+    assert default["numpy"]
+    if sys.platform.startswith("linux"):
+        assert default["threads"] == 1  # no OpenBLAS worker beside the main thread
+    # a user-set value wins, and the report does not depend on it
+    assert chosen["code"] == 0 and chosen["before"] == chosen["after"] == "2"
+    assert chosen_out.read_bytes() == default_out.read_bytes()
 
 
 # The package's exports, submodules included.

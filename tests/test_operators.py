@@ -198,6 +198,11 @@ class TestMajorant:
         direct = math.fsum(abs(coeffs[n]) * r**n for n in range(301))
         assert bl.bohr_majorant(coeffs, r) == pytest.approx(direct, abs=1e-14)
 
+    @pytest.mark.parametrize("coeffs", [[math.nan, 0.5], [3.0]], ids=["nan", "outside"])
+    def test_bohr_majorant_refuses_non_unit_ball_coefficients(self, coeffs):
+        with pytest.raises(ParameterDomainError, match="unit-ball"):
+            bl.bohr_majorant(np.array(coeffs), 0.5)
+
 
 class TestCBetaRelation:
     def test_constant_input_closed_form(self):

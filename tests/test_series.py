@@ -93,6 +93,11 @@ class TestCauchyProduct:
         with pytest.raises(TruncationError):
             bl.cauchy_product(u, u, 5)
 
+    def test_overflowing_product_is_refused(self):
+        u = np.array([1e300, 1e300])
+        with pytest.raises(ParameterDomainError, match="finite"):
+            bl.cauchy_product(u, u, 1)
+
     @given(a=coeff_lists, b=coeff_lists)
     @settings(max_examples=60, deadline=None)
     def test_commutative(self, a, b):
