@@ -27,7 +27,7 @@ _EXPORTS = {
     ),
     "corpus": (
         "BLASCHKE_ZERO_CAP", "Blaschke", "Constant", "derive_seed", "evaluate", "expand",
-        "multiply_by_z", "random_schur", "random_schur_block", "schwarz_shift", "suggested_order",
+        "multiply_by_z", "random_schur", "random_schur_block", "schwarz_shift",
         "taylor_coeffs", "taylor_matrix",
     ),
     "operators": (

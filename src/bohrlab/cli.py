@@ -13,6 +13,9 @@ selftest   run the built-in identity/concavity/coefficient/quadrature suites
 the standard library.  ``verify --r-mode below|at`` imports numpy and the
 corpus once it draws samples, and ``selftest`` imports both when it runs.
 ``main`` sets ``OPENBLAS_NUM_THREADS=1`` unless set: no command calls BLAS.
+``verify`` and ``selftest``'s corpus suites take every operand from
+``_operands``, and every ``verify`` mode refuses the draw flags the corpus
+would, ``above`` included.
 
 Reports are JSON (default) or RFC-4180-style CSV with a header row; numbers
 are printed with 17 significant digits in CSV, and JSON uses shortest
@@ -52,6 +55,7 @@ from .operators import (
     Libera,
     OperatorKind,
     PrimitiveI,
+    check_draw,
     majorant_values,
     operator_coeffs,
     quadrature_value,
@@ -243,6 +247,21 @@ def cmd_curve(args: argparse.Namespace) -> tuple:
     return report, EXIT_OK
 
 
+def _operands(seeds, max_factors: int, radius_cap: float, origin_zeros: int, order: int) -> tuple:
+    """The corpus members of ``seeds`` times ``z**origin_zeros``, drawn and cut
+    as ``verify`` samples them: ``(coeffs, (h0, zeros, live))``, the Taylor
+    coefficients ``a_0 .. a_order`` of each member, one row each, and the
+    drawn block row.  The origin zeros are leading zero columns."""
+    import numpy as np
+
+    from .corpus import expand, random_schur_block
+
+    block = random_schur_block(seeds, max_factors, radius_cap)
+    coeffs = np.zeros((len(seeds), order + 1), dtype=np.complex128)
+    coeffs[:, origin_zeros:] = expand(*block, order - origin_zeros)
+    return coeffs, block
+
+
 def cmd_verify(args: argparse.Namespace) -> tuple:
     from .sharpness import critical_radius, violation_search
 
@@ -252,6 +271,7 @@ def cmd_verify(args: argparse.Namespace) -> tuple:
         raise ParameterDomainError(
             f"--r belongs to --r-mode above; --r-mode {args.r_mode} sets r from the critical radius"
         )
+    check_draw(args.max_factors, args.radius_cap)
 
     kind = _operator_kind(args)
     critical = critical_radius(kind.family, args.tol)
@@ -295,7 +315,7 @@ def cmd_verify(args: argparse.Namespace) -> tuple:
 
     import numpy as np
 
-    from .corpus import derive_seed, expand, random_schur_block
+    from .corpus import derive_seed
 
     bound = sup_bound(kind, r)
     eps, tol = DEFAULT_MAJORANT_EPS, _rounding_tol(bound)
@@ -306,10 +326,7 @@ def cmd_verify(args: argparse.Namespace) -> tuple:
     for start in range(0, args.samples, VERIFY_BLOCK):
         indices = np.arange(start, min(start + VERIFY_BLOCK, args.samples), dtype=np.uint64)
         seeds = derive_seed(args.seed, indices)
-        h0, zeros, live = random_schur_block(seeds, args.max_factors, args.radius_cap)
-        # The origin zeros the operand needs are leading zero columns.
-        coeffs = np.zeros((len(seeds), order + 1), dtype=np.complex128)
-        coeffs[:, zeros_needed:] = expand(h0, zeros, live, order - zeros_needed)
+        coeffs, _ = _operands(seeds, args.max_factors, args.radius_cap, zeros_needed, order)
         excesses = [v - bound for v in majorant_values(kind, coeffs, r, eps)]
         worst = max(worst, *excesses)
         over = [(i, e) for i, e in enumerate(excesses) if e > tol]
@@ -393,14 +410,7 @@ def cmd_sharpness(args: argparse.Namespace) -> tuple:
 def _selftest_suites(seed: int) -> list:
     import numpy as np
 
-    from .corpus import (
-        derive_seed,
-        multiply_by_z,
-        random_schur,
-        suggested_order,
-        taylor_coeffs,
-        taylor_matrix,
-    )
+    from .corpus import Blaschke, derive_seed
     from .series import cumulative_identity_residual, horner
     from .sharpness import concavity_check
 
@@ -421,8 +431,8 @@ def _selftest_suites(seed: int) -> list:
         {"suite": "envelope-concavity", "passed": bool(worst <= 1e-10), "detail": float(worst)}
     )
 
-    fs = [random_schur(derive_seed(seed, i), 4, 0.9) for i in range(24)]
-    rows = np.abs(taylor_matrix(fs, 200))
+    coeffs, _ = _operands(derive_seed(seed, np.arange(24, dtype=np.uint64)), 4, 0.9, 0, 200)
+    rows = np.abs(coeffs)
     slack = rows[:, 1:].max(axis=1) - (1.0 - rows[:, 0] ** 2 + 1e-12)
     # constants of full modulus carry no coefficient slack
     worst = max(0.0, slack[rows[:, 0] < 1.0 - 1e-9].max(initial=0.0))
@@ -435,11 +445,15 @@ def _selftest_suites(seed: int) -> list:
     for i, kind in enumerate(
         (CesaroBeta(0.5), CesaroBeta(1.0), CBeta(1.0), Bernardi(1.0, 0), Alexander(), PrimitiveI())
     ):
-        f = random_schur(derive_seed(seed, 100 + i), 3, 0.9)
-        f = multiply_by_z(f, required_origin_zeros(kind))
-        order = max(suggested_order(f, 1e-13), 160)
-        image = operator_coeffs(kind, taylor_coeffs(f, order), order)
-        series_val = horner(image, z)
+        # The image's order is the family's own cut at |z|, shifted by z**s.
+        order = kind.s + series_order(kind.family, abs(z), 1e-13)
+        origin_zeros = required_origin_zeros(kind)
+        (row,), ((h0,), (zeros,), (live,)) = _operands(
+            [derive_seed(seed, 100 + i)], 3, 0.9, origin_zeros, order
+        )
+        # The drawn zeros, then the origin zeros, in the order multiply_by_z appends them.
+        f = Blaschke(tuple(zeros[live]) + (0j,) * origin_zeros, h0)
+        series_val = horner(operator_coeffs(kind, row, order), z)
         quad_val = quadrature_value(kind, f, z, DEFAULT_QUAD_TOL)
         worst = max(worst, abs(series_val - quad_val))
     suites.append(

@@ -1,24 +1,25 @@
 """Concrete members of the unit ball of bounded analytic functions.
 
 Every member is one type, ``Blaschke``: a finite Blaschke product
-``u * c * prod_j (z - a_j) / (1 - conj(a_j) z)`` with a unimodular rotation
-``u`` and a damping scale ``|c| <= 1``.  A constant is the empty product,
-``Constant(c)``; ``z**m`` times a member is the member with ``m`` more zeros
-at the origin; and the paper's extremal ``z**m phi_a``, ``phi_a(z) = (z -
-a)/(1 - a z)``, is ``Blaschke((0j,) * m + (a,))``.  The constructor is the
-membership check.  A member has an exact rational point evaluator, and
-``expand`` gives its Taylor coefficients, exact up to rounding, as a
-``complex128`` matrix with one row per member; ``taylor_coeffs`` is the
-one-row case, the plain array every series function takes.
+``c * prod_j (z - a_j) / (1 - conj(a_j) z)`` with a lead ``|c| <= 1``, which
+is unimodular (a rotation) for a pure product and smaller for a damped one.
+A constant is the empty product, ``Constant(c)``; ``z**m`` times a member is
+the member with ``m`` more zeros at the origin; and the paper's extremal
+``z**m phi_a``, ``phi_a(z) = (z - a)/(1 - a z)``, is ``Blaschke((0j,) * m +
+(a,))``.  The constructor is the membership check.  A member has an exact
+rational point evaluator, and ``expand`` gives its Taylor coefficients,
+exact up to rounding, as a ``complex128`` matrix with one row per member;
+``taylor_coeffs`` is the one-row case, the plain array every series
+function takes.
 
 Verification sweeps draw random members from one counter-based stream:
 uniform ``j`` of the member with seed ``s`` is ``(derive_seed(s, j) >> 11)
 * 2**-53``, splitmix64 (Steele, Lea & Flood, OOPSLA 2014) at position ``j``.
 The members are constants, finite Blaschke products (sup norm exactly 1 on
 the circle), and Blaschke products damped by a constant of modulus at most
-1.  ``random_schur_block`` draws a whole block of seeds as the arrays
-``expand`` turns into Taylor coefficients, and ``random_schur`` is its
-one-row case.
+1.  ``random_schur_block`` draws a whole block of seeds as the block row
+``(lead, zeros, live)`` that ``expand`` turns into Taylor coefficients, and
+``random_schur`` is the ``Blaschke`` of its one-row block.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ParameterDomainError, PreconditionError
+from .operators import BLASCHKE_ZERO_CAP, check_draw
 
 __all__ = [
     "BLASCHKE_ZERO_CAP",
@@ -38,7 +40,6 @@ __all__ = [
     "evaluate",
     "taylor_coeffs",
     "taylor_matrix",
-    "suggested_order",
     "schwarz_shift",
     "multiply_by_z",
     "random_schur",
@@ -47,42 +48,33 @@ __all__ = [
     "derive_seed",
 ]
 
-# Zeros at or beyond this modulus make Taylor coefficients decay too slowly
-# for the truncation rules used downstream.
-BLASCHKE_ZERO_CAP = 0.95
-
-
 @dataclass(frozen=True)
 class Blaschke:
-    """A finite Blaschke product times a unimodular rotation.
+    """A finite Blaschke product times a lead ``scale`` of modulus at most 1.
 
-    ``scale`` damps the product by a constant of modulus at most 1 so that
-    randomly drawn members need not have sup norm exactly 1; it is 1 for a
-    pure product.  With no zeros the product is the constant ``scale``.
-    Each check is written so that a NaN fails it.
+    The lead is unimodular, a rotation, for a pure product, and smaller for
+    a damped one, so that randomly drawn members need not have sup norm
+    exactly 1.  With no zeros the product is the constant ``scale``.  Each
+    check is written so that a NaN fails it.
     """
 
     zeros: tuple
-    unimodular_factor: complex = 1.0 + 0.0j
     scale: complex = 1.0 + 0.0j
 
     def __post_init__(self) -> None:
         zeros = tuple(complex(a) for a in self.zeros)
         object.__setattr__(self, "zeros", zeros)
-        object.__setattr__(self, "unimodular_factor", complex(self.unimodular_factor))
         object.__setattr__(self, "scale", complex(self.scale))
         for a in zeros:
             if not abs(a) < 1.0:
                 raise ParameterDomainError(f"Blaschke zero must lie in the disk, got |{a}|")
-        if not abs(abs(self.unimodular_factor) - 1.0) <= 1e-12:
-            raise ParameterDomainError("the rotation factor must be unimodular")
         if not abs(self.scale) <= 1.0 + 1e-12:
             raise ParameterDomainError(f"|scale| must be <= 1, got {abs(self.scale)}")
 
 
 def Constant(value: complex) -> Blaschke:
     """The constant ``value``, ``|value| <= 1``: the empty Blaschke product scaled by it."""
-    return Blaschke((), 1.0, value)
+    return Blaschke((), value)
 
 
 def evaluate(f: Blaschke, z: complex) -> complex:
@@ -90,7 +82,7 @@ def evaluate(f: Blaschke, z: complex) -> complex:
     z = complex(z)
     if abs(z) >= 1.0:
         raise ParameterDomainError(f"|z| must be < 1, got {abs(z)}")
-    out = f.unimodular_factor * f.scale
+    out = f.scale
     for a in f.zeros:
         out *= (z - a) / (1.0 - a.conjugate() * z)
     return out
@@ -106,7 +98,7 @@ def taylor_matrix(fs: Sequence[Blaschke], n_max: int) -> np.ndarray:
     """Taylor coefficients ``a_0 .. a_{n_max}`` of each member, one row each,
     laid out as the arrays ``expand`` reads."""
     width = max((len(f.zeros) for f in fs), default=0)
-    h0 = np.array([f.unimodular_factor * f.scale for f in fs], dtype=np.complex128)
+    h0 = np.array([f.scale for f in fs], dtype=np.complex128)
     zeros = np.zeros((len(fs), width), dtype=np.complex128)
     live = np.zeros((len(fs), width), dtype=bool)
     for i, f in enumerate(fs):
@@ -149,24 +141,6 @@ def expand(h0: np.ndarray, zeros: np.ndarray, live: np.ndarray, n_max: int) -> n
     return np.ascontiguousarray(h.T)
 
 
-def suggested_order(f: Blaschke, eps: float = 1e-15) -> int:
-    """Truncation order from the geometric tail rule.
-
-    Per factor with zero modulus ``q > 0`` the rule is
-    ``N >= log(eps * (1 - q)) / log(q)``, which caps the factor's
-    coefficient tail by roughly ``2 * eps``.  A product with ``k`` zeros at
-    the origin, the monomial ``z**k`` times the other factors, needs at
-    least order ``k``.
-    """
-    if eps <= 0.0:
-        raise ParameterDomainError("eps must be positive")
-
-    def factor_order(q: float) -> int:
-        return max(1, math.ceil(math.log(eps * (1.0 - q)) / math.log(q)))
-
-    return max([f.zeros.count(0j)] + [factor_order(abs(a)) for a in f.zeros if a != 0])
-
-
 def schwarz_shift(f: Blaschke, m: int) -> Blaschke:
     """Divide out ``z**m`` structurally, preserving exact evaluation."""
     if m < 0:
@@ -181,14 +155,14 @@ def schwarz_shift(f: Blaschke, m: int) -> Blaschke:
     remaining = list(f.zeros)
     for _ in range(m):
         remaining.remove(0j)
-    return Blaschke(tuple(remaining), f.unimodular_factor, f.scale)
+    return Blaschke(tuple(remaining), f.scale)
 
 
 def multiply_by_z(f: Blaschke, m: int = 1) -> Blaschke:
     """Multiply by ``z**m`` structurally: ``m`` more zeros at the origin."""
     if m < 0:
         raise ParameterDomainError(f"m must be nonnegative, got {m}")
-    return Blaschke(f.zeros + (0j,) * m, f.unimodular_factor, f.scale)
+    return Blaschke(f.zeros + (0j,) * m, f.scale)
 
 
 _MASK64 = (1 << 64) - 1
@@ -210,17 +184,6 @@ def derive_seed(master_seed, index):
     x = (x * 0x94D049BB133111EB) & _MASK64
     x ^= x >> 31
     return x
-
-
-def _check_draw(max_factors: int, radius_cap: float) -> None:
-    if max_factors < 0:
-        raise ParameterDomainError(f"max_factors must be nonnegative, got {max_factors}")
-    if max_factors >= 2**32 - 1:
-        raise ParameterDomainError(f"max_factors must be below 2**32 - 1, got {max_factors}")
-    if not 0.0 < radius_cap <= BLASCHKE_ZERO_CAP:
-        raise ParameterDomainError(
-            f"radius_cap must lie in (0, {BLASCHKE_ZERO_CAP}], got {radius_cap}"
-        )
 
 
 def _complex(re, im) -> np.ndarray:
@@ -247,18 +210,34 @@ def _disk_points(u_radius: np.ndarray, u_angle: np.ndarray, radius: float) -> np
     return _complex(length * unit.real, length * unit.imag)
 
 
-def _draw(seeds: Sequence[int], max_factors: int, radius_cap: float) -> tuple:
-    """The corpus members of a block of seeds: ``(rotation, scale, zeros, live)``.
+def random_schur(seed: int, max_factors: int, radius_cap: float) -> Blaschke:
+    """Deterministically draw a member of the unit ball: the ``Blaschke`` of
+    the one-row ``random_schur_block``.
+
+    Mixture: 1/4 constants uniform on the closed disk, 3/4 Blaschke-based
+    (split evenly between pure products and products damped by a uniform
+    disk constant), with ``0 .. max_factors`` factors, uniformly.  Zeros
+    are uniform on the disk of radius ``radius_cap``; the rotation is
+    uniform on the circle.
+    """
+    (h0,), (zeros,), (live,) = random_schur_block([seed], max_factors, radius_cap)
+    return Blaschke(tuple(zeros[live]), h0)
+
+
+def random_schur_block(seeds: Sequence[int], max_factors: int, radius_cap: float) -> tuple:
+    """The corpus members of a block of seeds as the block row ``(h0, zeros,
+    live)`` that ``expand`` reads; ``seeds`` is a list of ints or a uint64 array.
 
     Uniform ``j`` of the member with seed ``s`` is ``(derive_seed(s, j) >>
     11) * 2**-53``.  Column 0 picks the branch, column 1 the factor count
     ``floor(u * (max_factors + 1))``, columns 2 and 3 the constant or the
     damping point (length, angle), column 4 the rotation and columns
-    ``5 + 2j`` and ``6 + 2j`` zero ``j``.  A constant has rotation 1 and
-    no zeros, a pure product scale 1.  Zeros come first in a row; the
-    padding is 0 and not ``live``.
+    ``5 + 2j`` and ``6 + 2j`` zero ``j``.  The lead ``h0`` is the rotation
+    times the scale, rounded as Python's complex product: a constant has
+    rotation 1 and no zeros, a pure product scale 1.  Zeros come first in a
+    row; the padding is 0 and not ``live``.
     """
-    _check_draw(max_factors, radius_cap)
+    check_draw(max_factors, radius_cap)
     if not isinstance(seeds, np.ndarray):
         seeds = np.array([seed & _MASK64 for seed in seeds], dtype=np.uint64)
     columns = np.arange(5 + 2 * max_factors, dtype=np.uint64)
@@ -270,29 +249,4 @@ def _draw(seeds: Sequence[int], max_factors: int, radius_cap: float) -> tuple:
     zeros = _disk_points(u[:, 5 : 5 + 2 * width : 2], u[:, 6 : 6 + 2 * width : 2], radius_cap)
     rotation = np.where(constant, 1.0, _unit(u[:, 4]))
     scale = np.where(pure, 1.0, _disk_points(u[:, 2], u[:, 3], 1.0))
-    return rotation, scale, np.where(live, zeros, 0.0), live
-
-
-def random_schur(seed: int, max_factors: int, radius_cap: float) -> Blaschke:
-    """Deterministically draw a member of the unit ball: the one-row block.
-
-    Mixture: 1/4 constants uniform on the closed disk, 3/4 Blaschke-based
-    (split evenly between pure products and products damped by a uniform
-    disk constant), with ``0 .. max_factors`` factors, uniformly.  Zeros
-    are uniform on the disk of radius ``radius_cap``; the rotation is
-    uniform on the circle.  ``_draw`` lays out the stream.
-    """
-    (rotation,), (scale,), (zeros,), (live,) = _draw([seed], max_factors, radius_cap)
-    return Blaschke(tuple(zeros[live]), rotation, scale)
-
-
-def random_schur_block(seeds: Sequence[int], max_factors: int, radius_cap: float) -> tuple:
-    """``random_schur`` over a block of seeds, as the arrays ``expand`` reads.
-
-    Returns ``(h0, zeros, live)``, equal bit for bit to the arrays
-    ``taylor_matrix`` builds from ``random_schur(seed, ...)`` for each seed,
-    without a per-seed member.  ``seeds`` is a list of ints or a uint64
-    array.
-    """
-    rotation, scale, zeros, live = _draw(seeds, max_factors, radius_cap)
-    return _cmul(rotation, scale), zeros, live
+    return _cmul(rotation, scale), np.where(live, zeros, 0.0), live

@@ -33,8 +33,9 @@ series of any unit-ball member by at most ``eps``, using the running-sum
 identity ``sum_{k<=n} c_k(b) = c_n(b+1)`` and a geometric envelope for the
 Cesaro family and the plain geometric bound for the Bernardi family and the
 identity.  Every series order (``series_order``, the coefficients ``verify``
-samples, the extremal sums) is read off its length, and the Bernardi radius
-equation is the identity ``w_m - 2 sum_{k>m} w_k`` in the same weights.
+samples, the images ``selftest`` checks against quadrature, the extremal
+sums) is read off its length, and the Bernardi radius equation is the
+identity ``w_m - 2 sum_{k>m} w_k`` in the same weights.
 One scale rule holds: each radius equation is evaluated at unit scale (the
 Cesaro one times ``(1-x)**beta``, the Bernardi one over ``x**m``), and every
 weight cut is ``eps * min(1, family.bound(r))``.
@@ -44,10 +45,11 @@ them a matrix with one row each; ``operator_coeffs`` refuses a non-finite
 image and ``majorant_values`` a row outside the unit ball, NaN included.
 
 The radius layer (``kernel_integral`` and both radius equations), the binomial
-weights ``binomial_coeffs`` and every family's ``weights`` need only
-``math``.  numpy and ``corpus`` are imported inside the functions that use
-them, so importing this module, solving a radius or building a weight
-vector loads neither.
+weights ``binomial_coeffs``, every family's ``weights`` and ``check_draw``,
+the rule on the corpus draw's parameters that ``verify`` applies in every
+mode, need only ``math``.  numpy and ``corpus`` are imported inside the
+functions that use them, so importing this module, solving a radius or
+building a weight vector loads neither.
 """
 
 from __future__ import annotations
@@ -92,6 +94,7 @@ __all__ = [
     "quadrature_value",
     "sup_bound",
     "adaptive_simpson",
+    "check_draw",
     "MAX_SERIES_TERMS",
 ]
 
@@ -102,6 +105,22 @@ MAX_SERIES_TERMS = 10**6
 _RADIUS_EPS = 1e-14
 # Subdivision depth at which adaptive quadrature gives up.
 _SIMPSON_DEPTH = 60
+# Zeros at or beyond this modulus make Taylor coefficients decay too slowly
+# for the truncation rules used downstream; ``corpus`` exports it.
+BLASCHKE_ZERO_CAP = 0.95
+
+
+def check_draw(max_factors: int, radius_cap: float) -> None:
+    """Refuse corpus draw parameters: a factor count outside ``[0, 2**32 - 1)``
+    or a zero radius outside ``(0, BLASCHKE_ZERO_CAP]``."""
+    if max_factors < 0:
+        raise ParameterDomainError(f"max_factors must be nonnegative, got {max_factors}")
+    if max_factors >= 2**32 - 1:
+        raise ParameterDomainError(f"max_factors must be below 2**32 - 1, got {max_factors}")
+    if not 0.0 < radius_cap <= BLASCHKE_ZERO_CAP:
+        raise ParameterDomainError(
+            f"radius_cap must lie in (0, {BLASCHKE_ZERO_CAP}], got {radius_cap}"
+        )
 
 
 class Unshifted:
@@ -358,7 +377,7 @@ def kernel_integral(beta: float, r: float) -> float:
     """
     if not 0.0 < r < 1.0:
         raise ParameterDomainError(f"r must lie in (0, 1), got {r}")
-    if beta <= 0.0:
+    if not beta > 0.0:
         raise ParameterDomainError(f"beta must be positive, got {beta}")
     log_base = math.log1p(-r)
     if abs(1.0 - beta) < 1e-8:
@@ -378,7 +397,7 @@ def binomial_coeffs(beta: float, n_max: int) -> tuple:
     never by Gamma evaluation: the weights grow only like ``n**(beta-1)``, so
     the recurrence stays finite for orders in the thousands.
     """
-    if beta <= 0.0:
+    if not beta > 0.0:
         raise ParameterDomainError(f"beta must be positive, got {beta}")
     if n_max < 0:
         raise ParameterDomainError(f"n_max must be nonnegative, got {n_max}")
@@ -400,7 +419,7 @@ def cesaro_series_order(beta: float, r: float, eps: float) -> int:
     """
     if not 0.0 < r < 1.0:
         raise ParameterDomainError(f"r must lie in (0, 1), got {r}")
-    if eps <= 0.0:
+    if not eps > 0.0:
         raise ParameterDomainError("eps must be positive")
     c_next = 1.0  # c_0(beta + 1)
     r_pow = r  # r**(n+1) while scanning n
@@ -502,14 +521,18 @@ def majorant_values(
     ``math.fsum``, so its value does not depend on the other rows.  The rows
     must be unit-ball members (``|a_k| <= 1``), which the weight cuts rely
     on; a NaN entry fails that check.  Columns past the weight vector's cut
-    are not read; a shorter matrix uses its own columns."""
+    are not read, and a matrix that stops before it is refused with
+    ``TruncationError``: its missing tail would go uncounted."""
     import numpy as np
 
     absf = _unit_ball_moduli(coeffs)
     _require_leading_zeros(absf, kind)
     w, scale = np.array(_weights(kind.family, r, eps)), r**kind.s
-    shifted = absf[:, kind.d : kind.d + w.size]
-    return [scale * math.fsum(row.tolist()) for row in shifted * w[: shifted.shape[1]]]
+    if absf.shape[1] < kind.d + w.size:
+        raise TruncationError(
+            f"the weights read {kind.d + w.size} coefficients, the rows carry {absf.shape[1]}"
+        )
+    return [scale * math.fsum(row.tolist()) for row in absf[:, kind.d : kind.d + w.size] * w]
 
 
 def majorant_value(kind: OperatorKind, a: np.ndarray, r: float, eps: float = 1e-12) -> float:
@@ -534,7 +557,7 @@ def adaptive_simpson(fn: Callable[[float], complex], a: float, b: float, tol: fl
     estimate uses the modulus of the panel defect.  Raises
     ``QuadratureError`` when the subdivision budget runs out.
     """
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ParameterDomainError("tol must be positive")
     if a == b:
         return 0.0 + 0.0j

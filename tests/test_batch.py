@@ -30,7 +30,7 @@ NAN = float("nan")
 
 def _product_form(f):
     """``(zeros, lead)`` of a member drawn by ``random_schur``."""
-    return f.zeros, f.unimodular_factor * f.scale
+    return f.zeros, f.scale
 
 
 def _corpus(seed, count, max_factors):

@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 import bohrlab as bl
-from bohrlab import cli, corpus
+from bohrlab import cli
 from bohrlab.errors import ParameterDomainError
 from oracles import corpus_member_reference, splitmix64_reference
 
@@ -99,17 +99,20 @@ def test_negative_seed_is_its_residue():
 def test_mixture_statistics(max_factors):
     n, cap = 2**17, 0.9
     seeds = bl.derive_seed(99 + max_factors, np.arange(n, dtype=np.uint64))
-    rotation, scale, zeros, live = corpus._draw(seeds, max_factors, cap)
-    constant, pure = rotation == 1.0, scale == 1.0
-    fractions = (constant.mean(), pure.mean(), (~constant & ~pure).mean())
-    for got, p in zip(fractions, (0.25, 0.375, 0.375)):
+    h0, zeros, live = bl.random_schur_block(seeds, max_factors, cap)
+    # Stream column 0 picks the branch: a constant, a pure or a damped product.
+    u0 = (bl.derive_seed(seeds, np.uint64(0)) >> 11).astype(np.float64) * 2.0**-53
+    constant, pure = u0 < 0.25, (0.25 <= u0) & (u0 < 0.625)
+    damped = ~constant & ~pure
+    for got, p in zip((constant.mean(), pure.mean(), damped.mean()), (0.25, 0.375, 0.375)):
         assert abs(got - p) <= 5.0 * np.sqrt(p * (1.0 - p) / n)
     assert not live[constant].any()
+    assert np.abs(np.abs(h0[pure]) - 1.0).max() <= 1e-15
+    assert np.abs(h0[damped]).max() <= 1.0
     counts = np.bincount(live[~constant].sum(axis=1), minlength=max_factors + 1)
     p, rows = 1.0 / (max_factors + 1), counts.sum()
     assert counts.size == max_factors + 1
     assert np.all(np.abs(counts / rows - p) <= 5.0 * np.sqrt(p * (1.0 - p) / rows))
-    h0, _, _ = bl.random_schur_block(seeds, max_factors, cap)
     assert np.abs(zeros).max() <= cap
     assert np.abs(h0).max() <= 1.0 + 1e-12
 

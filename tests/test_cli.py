@@ -234,6 +234,23 @@ class TestVerifyCommand:
         assert err.startswith("parameter error: --r belongs to --r-mode above")
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (("--max-factors", "-1"), "max_factors must be nonnegative, got -1"),
+            (("--radius-cap", "5"), "radius_cap must lie in (0, 0.95], got 5.0"),
+        ],
+        ids=["max-factors", "radius-cap"],
+    )
+    def test_draw_flags_are_refused_in_every_mode(self, capsys, flags, message):
+        # the above mode draws no corpus, but it echoes the draw flags
+        for mode in (("below",), ("at",), ("above", "--r", "0.6")):
+            code, out, err = run_cli(
+                capsys, "verify", "--op", "libera", "--r-mode", *mode, *flags, "--samples", "5"
+            )
+            assert code == 2 and out == ""
+            assert err == f"parameter error: {message}\n"
+
     def test_baseline_op(self, capsys):
         code, out, _ = run_cli(
             capsys, "verify", "--op", "bohr", "--samples", "25", "--seed", "9"
@@ -312,7 +329,9 @@ class TestVerifyCommand:
 
         # A unimodular constant attains the bound: sweep up to the first one.
         members = (bl.random_schur(bl.derive_seed(0, i), 4, 0.9) for i in range(1000))
-        first = next(i for i, f in enumerate(members) if not f.zeros and f.scale == 1.0)
+        first = next(
+            i for i, f in enumerate(members) if not f.zeros and abs(abs(f.scale) - 1.0) <= 1e-12
+        )
         bound = cli.sup_bound
         monkeypatch.setattr(cli, "sup_bound", lambda kind, r: bound(kind, r) * (1.0 - 1e-9))
         code, out, _ = run_cli(
@@ -578,6 +597,24 @@ class TestSelftestCommand:
         code, out, _ = run_cli(capsys, "selftest", "--seed", "777")
         assert code == 0
         assert json.loads(out)["seed"] == 777
+
+    def test_quadrature_suite_orders_each_image_at_the_family_cut(self, capsys, monkeypatch):
+        import bohrlab as bl
+
+        calls, image = [], cli.operator_coeffs
+
+        def recording(kind, a, n_max):
+            calls.append((kind, n_max, len(a)))
+            return image(kind, a, n_max)
+
+        monkeypatch.setattr(cli, "operator_coeffs", recording)
+        code, _, _ = run_cli(capsys, "selftest")
+        assert code == 0
+        r = abs(0.5 * complex(math.cos(0.7), math.sin(0.7)))
+        assert len(calls) == 6
+        for kind, n_max, width in calls:
+            assert n_max == kind.s + bl.series_order(kind.family, r, 1e-13)
+            assert width == n_max + 1
 
 
 class TestFailurePaths:

@@ -56,6 +56,21 @@ def test_readme_report_is_byte_identical(name, argv, tmp_path):
     assert out.read_bytes() == (GOLDEN / name).read_bytes()
 
 
+def test_selftest_draws_and_truncates_as_verify_does(tmp_path, monkeypatch):
+    # Both corpus suites build their operands from the block draw, as verify
+    # does; the one-member path is not needed.
+    from bohrlab import corpus
+
+    def unused(*args, **kwargs):
+        raise AssertionError("selftest left the block draw")
+
+    for name in ("random_schur", "multiply_by_z", "taylor_coeffs"):
+        monkeypatch.setattr(corpus, name, unused)
+    out = tmp_path / "selftest.json"
+    assert cli.main(["selftest", "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / "selftest.json").read_bytes()
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for name, argv in README_COMMANDS:

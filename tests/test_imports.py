@@ -86,6 +86,12 @@ def test_refused_corner_loads_no_numpy():
     assert len(err.splitlines()) == 1
 
 
+def test_refused_draw_flag_loads_no_numpy():
+    result, err = probe("verify", "--op", "libera", "--r-mode", "above", "--max-factors", "-1")
+    assert result == {"code": 2, "numpy": False}
+    assert len(err.splitlines()) == 1
+
+
 @pytest.mark.parametrize("argv", ARRAY_COMMANDS, ids=" ".join)
 def test_array_commands_still_run(argv, tmp_path):
     result, _ = probe(*argv, out=tmp_path / "report")
@@ -150,7 +156,7 @@ EXPORTS = [
     "operator_coeffs", "operators", "quadrature_value", "radii",
     "radius_curve", "radius_equation", "random_schur", "random_schur_block",
     "required_origin_zeros", "schwarz_shift", "series", "series_order", "sharpness",
-    "solve_radius", "suggested_order", "sup_bound", "taylor_coeffs", "taylor_matrix",
+    "solve_radius", "sup_bound", "taylor_coeffs", "taylor_matrix",
     "violation_search",
 ]
 

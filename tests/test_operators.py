@@ -25,6 +25,8 @@ from oracles import (
 )
 
 DELTA = np.array([1.0] + [0.0] * 16, dtype=complex)
+# The delta row padded past every weight vector the majorant tests read.
+DELTA_ROW = np.pad(DELTA, (0, 400))
 
 coeff_lists = st.lists(
     st.complex_numbers(max_magnitude=3.0, allow_nan=False, allow_infinity=False),
@@ -118,13 +120,13 @@ class TestMajorant:
         # image of the delta sequence sums to (1/r) log(1/(1-r))
         for r in (0.25, 0.5, 0.75):
             expected = math.log(1.0 / (1.0 - r)) / r
-            assert bl.majorant_value(bl.CesaroBeta(1.0), DELTA, r, 1e-12) == pytest.approx(
+            assert bl.majorant_value(bl.CesaroBeta(1.0), DELTA_ROW, r, 1e-12) == pytest.approx(
                 expected, abs=5e-12
             )
 
     def test_bernardi_delta_is_one(self):
         for r in (0.1, 0.5, 0.9):
-            assert bl.majorant_value(bl.Bernardi(1.0, 0), DELTA, r) == 1.0
+            assert bl.majorant_value(bl.Bernardi(1.0, 0), DELTA_ROW, r) == 1.0
 
     def test_cesaro_extremal_against_bruteforce(self):
         r, beta = 0.5, 1.0
@@ -174,7 +176,7 @@ class TestMajorant:
     def test_cut_is_relative_to_a_tiny_bound(self):
         # w_m = r**m/(m+gamma) is 7.8e-33 here; an absolute cut of 1e-12 drops it
         family, r = bl.Bernardi(1.0, 100), 0.5
-        z_m = np.array([0.0] * 100 + [1.0], dtype=complex)
+        z_m = np.array([0.0] * 100 + [1.0] + [0.0] * 40, dtype=complex)
         assert bl.majorant_value(family, z_m, r) == bl.sup_bound(family, r) > 0.0
 
     def test_underflowing_bound_is_a_domain_error(self):
@@ -186,6 +188,14 @@ class TestMajorant:
         # a cut of eps >= 1 times the bound could drop w_m itself
         with pytest.raises(ParameterDomainError, match="eps must lie in"):
             bl.series_order(bl.Bernardi(1.0, 3), 0.5, eps)
+
+    @pytest.mark.parametrize("kind", [bl.CesaroBeta(1.0), bl.CBeta(1.0), bl.Libera()], ids=str)
+    def test_short_row_is_refused(self, kind):
+        # Blaschke((0.9,)) at r = 0.58: the weights read more columns than 6,
+        # and the row's cut-off tail would go uncounted.
+        row = bl.taylor_coeffs(bl.multiply_by_z(bl.Blaschke((0.9,)), kind.d), 5 + kind.d)
+        with pytest.raises(TruncationError, match="the weights read"):
+            bl.majorant_value(kind, row, 0.58)
 
     def test_unit_ball_precondition(self):
         too_big = np.array([1.5, 0.0], dtype=complex)
@@ -286,7 +296,7 @@ class TestQuadrature:
         z = 0.5 * cmath.exp(1.1j)
         for i, f in enumerate(_corpus(7070, 4)):
             f = bl.multiply_by_z(f, bl.required_origin_zeros(kind))
-            order = max(bl.suggested_order(f, 1e-13), 160)
+            order = kind.s + bl.series_order(kind.family, abs(z), 1e-13)
             image = bl.operator_coeffs(kind, bl.taylor_coeffs(f, order), order)
             series_val = bl.horner(image, z)
             quad_val = bl.quadrature_value(kind, f, z, 1e-10)
@@ -359,6 +369,22 @@ class TestSupBounds:
         assert math.isfinite(bl.kernel_integral(1e3, 0.5))
         with pytest.raises(ParameterDomainError, match=r"beta=1100\.0, r=0\.5"):
             bl.kernel_integral(1100.0, 0.5)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: bl.kernel_integral(math.nan, 0.5),
+            lambda: bl.binomial_coeffs(math.nan, 3),
+            lambda: bl.cesaro_series_order(1.0, 0.5, math.nan),
+            lambda: bl.adaptive_simpson(lambda t: t * t, 0.0, 1.0, math.nan),
+        ],
+        ids=["kernel_integral-beta", "binomial_coeffs-beta", "cesaro_series_order-eps",
+             "adaptive_simpson-tol"],
+    )
+    def test_nan_fails_the_positivity_check(self, call):
+        # refused at once, not after a 1e6-term scan or a depth-60 subdivision
+        with pytest.raises(ParameterDomainError, match="must be positive"):
+            call()
 
     def test_cesaro_order_stops_where_the_weights_overflow(self):
         assert bl.cesaro_series_order(400.0, 0.3322, 1e-12) == 649
