@@ -9,6 +9,13 @@ verify     draw a seeded corpus and check the inequality direction, or hunt
 sharpness  emit the three-term extremal decompositions over an a-grid
 selftest   run the built-in identity/concavity/coefficient/quadrature suites
 
+One table, ``_OPS``, maps each ``--op`` to the operator flags it takes (the
+first one required, any other refused) and to the operator they build; the
+parser's choices, the flag checks, every command's operator and ``curve``'s
+grid (each value in place of the first flag) all read it.  Every handler
+returns ``(params, results, csv_header, csv_rows)`` and an exit code, and
+``_emit`` writes them as the one report.
+
 ``radius``, ``curve``, ``sharpness`` and ``verify --r-mode above`` need only
 the standard library.  ``verify --r-mode below|at`` imports numpy and the
 corpus once it draws samples, and ``selftest`` imports both when it runs.
@@ -34,7 +41,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict
 from typing import Optional
 
 from . import __version__
@@ -82,37 +89,6 @@ DEFAULT_QUAD_TOL = 1e-10
 VERIFY_BLOCK = 256
 
 
-@dataclass
-class RunReport:
-    """One command invocation: parameters in, structured results out."""
-
-    command: str
-    params: dict
-    results: dict
-    seed: int
-    version: str = __version__
-    csv_header: tuple = field(default=(), repr=False)
-    csv_rows: list = field(default_factory=list, repr=False)  # dicts keyed by the header
-
-    def to_json(self) -> str:
-        payload = {
-            "command": self.command,
-            "params": self.params,
-            "results": self.results,
-            "seed": self.seed,
-            "version": self.version,
-        }
-        return json.dumps(payload, indent=2, allow_nan=False)
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(self.csv_header)
-        for row in self.csv_rows:
-            writer.writerow([_csv_cell(row[key]) for key in self.csv_header])
-        return buf.getvalue()
-
-
 def _csv_cell(value) -> str:
     if value is None:  # an undefined number, null in JSON
         return "nan"
@@ -121,8 +97,26 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def _emit(report: RunReport, args: argparse.Namespace) -> None:
-    text = report.to_csv() if args.format == "csv" else report.to_json() + "\n"
+def _emit(
+    args: argparse.Namespace, params: dict, results: dict, csv_header: tuple, csv_rows: list
+) -> None:
+    """Write one command's report: JSON of the parameters and results, or a CSV
+    table of ``csv_rows`` (dicts keyed by ``csv_header``)."""
+    if args.format == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(csv_header)
+        writer.writerows([_csv_cell(row[key]) for key in csv_header] for row in csv_rows)
+        text = buf.getvalue()
+    else:
+        payload = {
+            "command": args.command,
+            "params": params,
+            "results": results,
+            "seed": args.seed,
+            "version": __version__,
+        }
+        text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
@@ -130,20 +124,21 @@ def _emit(report: RunReport, args: argparse.Namespace) -> None:
         sys.stdout.write(text)
 
 
-_FIXED_KINDS = {
-    "libera": Libera,
-    "alexander": Alexander,
-    "primitive": PrimitiveI,
-    "bohr": ClassicalBohr,
+# Each --op: the operator flags it takes, the first one required, and the
+# operator they build.  Every other operator flag is refused, not ignored.
+_OPS = {
+    "cesaro": (("beta",), CesaroBeta),
+    "cbeta": (("beta",), CBeta),
+    "bernardi": (("gamma", "m"), lambda gamma, m: Bernardi(gamma, m or 0)),
+    "libera": ((), Libera),
+    "alexander": ((), Alexander),
+    "primitive": ((), PrimitiveI),
+    "bohr": ((), ClassicalBohr),
 }
 
 
-# The operator flags each --op takes; the others are refused, not ignored.
-_OP_FLAGS = {"cesaro": ("beta",), "cbeta": ("beta",), "bernardi": ("gamma", "m")}
-
-
 def _refuse_foreign_flags(args: argparse.Namespace) -> None:
-    takes = _OP_FLAGS.get(getattr(args, "op", None), ())
+    takes = _OPS[args.op][0] if hasattr(args, "op") else ()
     for flag in ("beta", "gamma", "m"):
         if getattr(args, flag, None) is not None and flag not in takes:
             names = " and ".join(f"--{name}" for name in takes) or "no operator flag"
@@ -159,18 +154,10 @@ def _rounding_tol(bound: float) -> float:
 
 
 def _operator_kind(args: argparse.Namespace) -> OperatorKind:
-    op = args.op
-    if op in ("cesaro", "cbeta"):
-        if args.beta is None:
-            raise ParameterDomainError(f"--beta is required for the {op} operator")
-        return CesaroBeta(args.beta) if op == "cesaro" else CBeta(args.beta)
-    if op == "bernardi":
-        if args.gamma is None:
-            raise ParameterDomainError("--gamma is required for the bernardi operator")
-        return Bernardi(args.gamma, args.m or 0)
-    if op in _FIXED_KINDS:
-        return _FIXED_KINDS[op]()
-    raise ParameterDomainError(f"unknown operator {op!r}")
+    flags, build = _OPS[args.op]
+    if flags and getattr(args, flags[0]) is None:
+        raise ParameterDomainError(f"--{flags[0]} is required for the {args.op} operator")
+    return build(*(getattr(args, flag) for flag in flags))
 
 
 def _operator_params(args: argparse.Namespace) -> dict:
@@ -182,15 +169,9 @@ def cmd_radius(args: argparse.Namespace) -> tuple:
     result = solve_radius(family, args.tol)
     results = asdict(result)
     lo, hi = result.bracket
-    report = RunReport(
-        command="radius",
-        params={**_operator_params(args), "tol": args.tol},
-        results=results,
-        seed=args.seed,
-        csv_header=("root", "residual", "bracket_lo", "bracket_hi", "iterations"),
-        csv_rows=[{**results, "bracket_lo": lo, "bracket_hi": hi}],
-    )
-    return report, EXIT_OK
+    params = {**_operator_params(args), "tol": args.tol}
+    header = ("root", "residual", "bracket_lo", "bracket_hi", "iterations")
+    return (params, results, header, [{**results, "bracket_lo": lo, "bracket_hi": hi}]), EXIT_OK
 
 
 def _parse_floats(flag: str, tokens: list) -> list:
@@ -222,29 +203,15 @@ def _parse_grid(args: argparse.Namespace) -> list:
 
 def cmd_curve(args: argparse.Namespace) -> tuple:
     grid = _parse_grid(args)
-    if args.op == "cesaro":
-        entries = [(b, CesaroBeta(b)) for b in grid]
-    else:
-        m = args.m or 0
-        entries = [(g, Bernardi(g, m)) for g in grid]
+    # Each grid value stands in for the operator's first flag.
+    flags, build = _OPS[args.op]
+    rest = [getattr(args, flag) for flag in flags[1:]]
     rows = [
         {"param": row.parameter, "root": row.root, "residual": row.residual}
-        for row in radius_curve(entries, args.tol)
+        for row in radius_curve([(v, build(v, *rest)) for v in grid], args.tol)
     ]
-    report = RunReport(
-        command="curve",
-        params={
-            "op": args.op,
-            "m": args.m,
-            "grid": grid,
-            "tol": args.tol,
-        },
-        results={"rows": rows},
-        seed=args.seed,
-        csv_header=("param", "root", "residual"),
-        csv_rows=rows,
-    )
-    return report, EXIT_OK
+    params = {"op": args.op, "m": args.m, "grid": grid, "tol": args.tol}
+    return (params, {"rows": rows}, ("param", "root", "residual"), rows), EXIT_OK
 
 
 def _operands(seeds, max_factors: int, radius_cap: float, origin_zeros: int, order: int) -> tuple:
@@ -297,14 +264,8 @@ def cmd_verify(args: argparse.Namespace) -> tuple:
         outcome = violation_search(kind, r, eps=DEFAULT_MAJORANT_EPS, critical=critical)
         results = asdict(outcome)
         witness = "" if outcome.witness is None else outcome.witness
-        report = RunReport(
-            command="verify",
-            params=params,
-            results=results,
-            seed=args.seed,
-            csv_header=("r", "bound", "witness", "majorant", "margin", "attempts"),
-            csv_rows=[{**results, "r": r, "witness": witness}],
-        )
+        header = ("r", "bound", "witness", "majorant", "margin", "attempts")
+        report = (params, results, header, [{**results, "r": r, "witness": witness}])
         if not outcome.found:
             print(
                 f"no violation witness for {args.op} at r={r} (margin {outcome.margin})",
@@ -342,14 +303,8 @@ def cmd_verify(args: argparse.Namespace) -> tuple:
         "coefficient_order": order,
         "first_violation": first_violation,
     }
-    report = RunReport(
-        command="verify",
-        params=params,
-        results=results,
-        seed=args.seed,
-        csv_header=("r", "bound", "samples", "violations", "max_excess"),
-        csv_rows=[{**results, "r": r, "samples": args.samples}],
-    )
+    header = ("r", "bound", "samples", "violations", "max_excess")
+    report = (params, results, header, [{**results, "r": r, "samples": args.samples}])
     if violations:
         print(
             f"{violations} majorant violations; first at sample "
@@ -389,13 +344,11 @@ def cmd_sharpness(args: argparse.Namespace) -> tuple:
                 "remainder_ratio": ratio,
             }
         )
-    report = RunReport(
-        command="sharpness",
-        params={**_operator_params(args), "r": args.r, "a_values": a_values},
-        results={"rows": rows, "max_reconstruction_error": worst_recon},
-        seed=args.seed,
-        csv_header=tuple(rows[0]),
-        csv_rows=rows,
+    report = (
+        {**_operator_params(args), "r": args.r, "a_values": a_values},
+        {"rows": rows, "max_reconstruction_error": worst_recon},
+        tuple(rows[0]),
+        rows,
     )
     if mismatched:
         print(
@@ -465,14 +418,7 @@ def _selftest_suites(seed: int) -> list:
 def cmd_selftest(args: argparse.Namespace) -> tuple:
     suites = _selftest_suites(args.seed)
     all_pass = all(s["passed"] for s in suites)
-    report = RunReport(
-        command="selftest",
-        params={},
-        results={"suites": suites, "all_passed": all_pass},
-        seed=args.seed,
-        csv_header=("suite", "passed", "detail"),
-        csv_rows=suites,
-    )
+    report = ({}, {"suites": suites, "all_passed": all_pass}, ("suite", "passed", "detail"), suites)
     return report, EXIT_OK if all_pass else EXIT_SELFTEST
 
 
@@ -497,10 +443,11 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--gamma", type=float, default=None)
         p.add_argument("--m", type=int, default=None)
 
-    all_ops = ("cesaro", "cbeta", "bernardi", "libera", "alexander", "primitive")
+    # The identity baseline has no radius equation; only verify takes it.
+    radius_ops = tuple(op for op in _OPS if op != "bohr")
 
     p = sub.add_parser("radius", help="solve the radius equation")
-    operator_flags(p, all_ops)
+    operator_flags(p, radius_ops)
     common(p, solves=True)
 
     p = sub.add_parser("curve", help="radius sweep over a parameter grid")
@@ -513,7 +460,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p, solves=True)
 
     p = sub.add_parser("verify", help="inequality sweep over a seeded corpus")
-    operator_flags(p, all_ops + ("bohr",))
+    operator_flags(p, tuple(_OPS))
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--r-mode", choices=("below", "at", "above"), default="below")
     p.add_argument("--r", type=float, default=None, help="the radius of --r-mode above")
@@ -522,7 +469,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p, solves=True)
 
     p = sub.add_parser("sharpness", help="extremal decompositions over an a-grid")
-    operator_flags(p, all_ops)
+    operator_flags(p, radius_ops)
     p.add_argument("--r", type=float, default=None)
     p.add_argument(
         "--a-values",
@@ -560,7 +507,7 @@ def main(argv: Optional[list] = None) -> int:
     except _SOLVER_ERRORS as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    _emit(report, args)
+    _emit(args, *report)
     return code
 
 

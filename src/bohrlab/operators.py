@@ -22,9 +22,10 @@ Bernardi(1, 0)).  ``ClassicalBohr()`` is the identity operator, the
 baseline with bound 1.
 
 Each family supplies its coefficient image, majorant weights, defining
-integral, sup bound and radius equation; the module functions below apply
-the shift rule once for all of them.  The absolute series of the image is
-linear in ``|a_k|``, so the majorant is a weight vector:
+integral, sup bound and radius equation, and knows nothing of the shift;
+the module functions below apply the shift rule once for all of them
+(``sup_bound`` is ``r**s`` times the family's bound).  The absolute series
+of the image is linear in ``|a_k|``, so the majorant is a weight vector:
 ``M(f, r) = r**s * sum_k |a_{k+d}| w_k(r)``, built once per
 ``(family, r, eps)`` as a tuple of ``math`` floats and applied to a whole
 coefficient matrix.  The weight vector is the family's one truncation
@@ -108,15 +109,18 @@ _SIMPSON_DEPTH = 60
 # Zeros at or beyond this modulus make Taylor coefficients decay too slowly
 # for the truncation rules used downstream; ``corpus`` exports it.
 BLASCHKE_ZERO_CAP = 0.95
+# Most Blaschke factors a corpus member may draw: a block of draws holds
+# ``5 + 2 * max_factors`` uniforms per member, so the cap bounds its memory.
+MAX_FACTORS = 1000
 
 
 def check_draw(max_factors: int, radius_cap: float) -> None:
-    """Refuse corpus draw parameters: a factor count outside ``[0, 2**32 - 1)``
+    """Refuse corpus draw parameters: a factor count outside ``[0, MAX_FACTORS]``
     or a zero radius outside ``(0, BLASCHKE_ZERO_CAP]``."""
     if max_factors < 0:
         raise ParameterDomainError(f"max_factors must be nonnegative, got {max_factors}")
-    if max_factors >= 2**32 - 1:
-        raise ParameterDomainError(f"max_factors must be below 2**32 - 1, got {max_factors}")
+    if max_factors > MAX_FACTORS:
+        raise ParameterDomainError(f"max_factors must be at most {MAX_FACTORS}, got {max_factors}")
     if not 0.0 < radius_cap <= BLASCHKE_ZERO_CAP:
         raise ParameterDomainError(
             f"radius_cap must lie in (0, {BLASCHKE_ZERO_CAP}], got {radius_cap}"
@@ -127,11 +131,12 @@ class Unshifted:
     """A family used as an operator on its own: ``(s, d) = (0, 0)``.
 
     A family provides ``m`` (the origin zeros its operand needs) and the
-    methods ``image``, ``weights(r, eps)`` and ``bound``; the two radius
+    methods ``image``, ``weights(r, eps)`` and ``bound(r)``; the two radius
     families add ``integral``, ``radius_equation`` and
-    ``require_root_below``.  A family has no order method of its own:
-    ``series_order`` reads every truncation order off the length of its
-    weight vector.
+    ``require_root_below``.  A family knows nothing of the shift: its bound
+    is that of the unshifted family, and ``sup_bound`` applies ``r**s``
+    once.  A family has no order method of its own: ``series_order`` reads
+    every truncation order off the length of its weight vector.
     """
 
     s = 0
@@ -180,9 +185,9 @@ class CesaroBeta(Unshifted):
             lambda t: evaluate(f, t * z) * (1.0 - t * z) ** (-beta), 0.0, 1.0, tol
         )
 
-    def bound(self, r: float, s: int = 0) -> float:
-        """Sharp bound of ``z**s T_beta[f]`` on ``|z| = r``: ``r**(s-1) A(beta, r)``."""
-        return kernel_integral(self.beta, r) / r ** (1 - s)
+    def bound(self, r: float) -> float:
+        """Sharp bound of ``T_beta[f]`` on ``|z| = r``: ``A(beta, r) / r``."""
+        return kernel_integral(self.beta, r) / r
 
     def radius_equation(self, x: float) -> float:
         """``(1-x)**beta (3 A(beta, x) - 2 A(beta+1, x))`` with ``A = kernel_integral``,
@@ -278,9 +283,9 @@ class Bernardi(Unshifted):
             * adaptive_simpson(lambda u: evaluate(h, u**inv_s * z), 0.0, 1.0, tol * s)
         )
 
-    def bound(self, r: float, s: int = 0) -> float:
-        """Sharp bound of ``z**s L_gamma[f]`` on ``|z| = r``: ``r**(m+s) / (m+gamma)``."""
-        return r ** (self.m + s) / (self.m + self.gamma)
+    def bound(self, r: float) -> float:
+        """Sharp bound of ``L_gamma[f]`` on ``|z| = r``: ``r**m / (m+gamma)``."""
+        return r**self.m / (self.m + self.gamma)
 
     def _cap_fits(self, x: float, eps: float, shift: int) -> bool:
         """Whether ``_terms(x, eps, shift)``'s tail bound at its order cap is at most ``eps``."""
@@ -331,7 +336,7 @@ class ClassicalBohr(Unshifted):
         n_stop = max(1, math.ceil(math.log(eps * (1.0 - r)) / math.log(r)))
         return [r**k for k in range(n_stop + 1)]
 
-    def bound(self, r: float, s: int = 0) -> float:
+    def bound(self, r: float) -> float:
         return 1.0
 
 
@@ -618,8 +623,8 @@ def sup_bound(kind: OperatorKind, r: float) -> float:
     Over the unit ball (with the required origin zeros) and ``|z| = r``:
     the Cesaro family is bounded by ``kernel_integral(beta, r) / r``, the
     Bernardi family by ``r**m / (m + gamma)``, and a shift ``z**s`` adds
-    the factor ``r**s``.
+    the factor ``r**s``, applied here and nowhere else.
     """
     if not 0.0 < r < 1.0:
         raise ParameterDomainError(f"r must lie in (0, 1), got {r}")
-    return kind.family.bound(r, kind.s)
+    return r**kind.s * kind.family.bound(r)

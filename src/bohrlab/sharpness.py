@@ -159,7 +159,7 @@ def decomposition(
     lead, tail = _split_weights(family, r, eps)
     bracketed = [((1.0 + a) * a**k - 2.0) * w for k, w in enumerate(tail)]
     return Decomposition(
-        bound_term=scale * sup_bound(family, r),
+        bound_term=sup_bound(problem, r),
         deficit_term=scale * ((1.0 - a) * (lead - 2.0 * math.fsum(tail))),
         remainder=scale * ((1.0 - a) * math.fsum(bracketed)),
         total=scale * extremal_majorant(family, a, r, eps),

@@ -132,7 +132,7 @@ def test_empty_block():
 
 
 def test_parameter_domain():
-    for max_factors, radius_cap in ((-1, 0.9), (4, 0.96), (4, 0.0), (2**32 - 1, 0.9)):
+    for max_factors, radius_cap in ((-1, 0.9), (4, 0.96), (4, 0.0), (1001, 0.9), (2**32 - 1, 0.9)):
         with pytest.raises(ParameterDomainError):
             bl.random_schur_block([1, 2], max_factors, radius_cap)
         with pytest.raises(ParameterDomainError):

@@ -50,9 +50,15 @@ class TestRadiusCommand:
         assert code == 0
         assert 0.0 < json.loads(out)["results"]["root"] < 1.0
 
-    def test_missing_beta_exits_2(self, capsys):
-        code, _, _ = run_cli(capsys, "radius", "--op", "cesaro")
-        assert code == 2
+    @pytest.mark.parametrize("command", ["radius", "verify", "sharpness"])
+    @pytest.mark.parametrize(
+        "op,flag", [("cesaro", "beta"), ("cbeta", "beta"), ("bernardi", "gamma")]
+    )
+    def test_missing_beta_exits_2(self, capsys, command, op, flag):
+        # an operator's first flag is required; the message names it
+        code, out, err = run_cli(capsys, command, "--op", op)
+        assert code == 2 and out == ""
+        assert err == f"parameter error: --{flag} is required for the {op} operator\n"
 
     @pytest.mark.parametrize("flags", [("cesaro", "--beta"), ("bernardi", "--gamma")], ids=" ".join)
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -238,9 +244,10 @@ class TestVerifyCommand:
         "flags,message",
         [
             (("--max-factors", "-1"), "max_factors must be nonnegative, got -1"),
+            (("--max-factors", "1001"), "max_factors must be at most 1000, got 1001"),
             (("--radius-cap", "5"), "radius_cap must lie in (0, 0.95], got 5.0"),
         ],
-        ids=["max-factors", "radius-cap"],
+        ids=["max-factors", "max-factors-cap", "radius-cap"],
     )
     def test_draw_flags_are_refused_in_every_mode(self, capsys, flags, message):
         # the above mode draws no corpus, but it echoes the draw flags
@@ -554,6 +561,19 @@ class TestShiftedOperators:
 
         assert code == 0
         assert json.loads(out)["results"]["bound"] == bl.sup_bound(bl.CBeta(2.0), 0.55)
+
+    def test_verify_and_sharpness_report_one_shifted_bound(self, capsys):
+        # both are r times the family's bound, the same float
+        code, out, _ = run_cli(
+            capsys, "verify", "--op", "cbeta", "--beta", "1", "--r-mode", "above", "--r", "0.56"
+        )
+        assert code == 0
+        bound = json.loads(out)["results"]["bound"]
+        code, out, _ = run_cli(
+            capsys, "sharpness", "--op", "cbeta", "--beta", "1", "--r", "0.56", "--a-values", "0.5"
+        )
+        assert code == 0
+        assert json.loads(out)["results"]["rows"][0]["bound_term"] == bound
 
     def test_sharpness_sums_one_extremal_series_per_row(self, capsys, monkeypatch):
         from bohrlab import sharpness
