@@ -41,7 +41,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict
 from typing import Optional
 
 from . import __version__
@@ -167,7 +166,7 @@ def _operator_params(args: argparse.Namespace) -> dict:
 def cmd_radius(args: argparse.Namespace) -> tuple:
     family = _operator_kind(args).family
     result = solve_radius(family, args.tol)
-    results = asdict(result)
+    results = result._asdict()
     lo, hi = result.bracket
     params = {**_operator_params(args), "tol": args.tol}
     header = ("root", "residual", "bracket_lo", "bracket_hi", "iterations")
@@ -183,6 +182,9 @@ def _parse_floats(flag: str, tokens: list) -> list:
 
 def _parse_grid(args: argparse.Namespace) -> list:
     if args.grid_values is not None:
+        for bound in ("min", "max", "points"):
+            if getattr(args, f"grid_{bound}") is not None:
+                raise ParameterDomainError(f"--grid-{bound} does not apply with --grid-values")
         text = args.grid_values.strip()
         if not text:
             return []
@@ -262,7 +264,7 @@ def cmd_verify(args: argparse.Namespace) -> tuple:
 
     if args.r_mode == "above":
         outcome = violation_search(kind, r, eps=DEFAULT_MAJORANT_EPS, critical=critical)
-        results = asdict(outcome)
+        results = outcome._asdict()
         witness = "" if outcome.witness is None else outcome.witness
         header = ("r", "bound", "witness", "majorant", "margin", "attempts")
         report = (params, results, header, [{**results, "r": r, "witness": witness}])
@@ -339,7 +341,7 @@ def cmd_sharpness(args: argparse.Namespace) -> tuple:
         rows.append(
             {
                 "a": a,
-                **asdict(dec),
+                **dec._asdict(),
                 "reconstruction_error": dec.reconstruction_error,
                 "remainder_ratio": ratio,
             }

@@ -25,13 +25,12 @@ the circle), and Blaschke products damped by a constant of modulus at most
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import ParameterDomainError, PreconditionError
-from .operators import BLASCHKE_ZERO_CAP, check_draw
+from .operators import BLASCHKE_ZERO_CAP, Record, check_draw
 
 __all__ = [
     "BLASCHKE_ZERO_CAP",
@@ -48,8 +47,7 @@ __all__ = [
     "derive_seed",
 ]
 
-@dataclass(frozen=True)
-class Blaschke:
+class Blaschke(Record):
     """A finite Blaschke product times a lead ``scale`` of modulus at most 1.
 
     The lead is unimodular, a rotation, for a pure product, and smaller for
@@ -58,18 +56,16 @@ class Blaschke:
     check is written so that a NaN fails it.
     """
 
-    zeros: tuple
-    scale: complex = 1.0 + 0.0j
+    __slots__ = ("zeros", "scale")
 
-    def __post_init__(self) -> None:
-        zeros = tuple(complex(a) for a in self.zeros)
-        object.__setattr__(self, "zeros", zeros)
-        object.__setattr__(self, "scale", complex(self.scale))
+    def __init__(self, zeros: Sequence[complex], scale: complex = 1.0 + 0.0j) -> None:
+        zeros, scale = tuple(complex(a) for a in zeros), complex(scale)
         for a in zeros:
             if not abs(a) < 1.0:
                 raise ParameterDomainError(f"Blaschke zero must lie in the disk, got |{a}|")
-        if not abs(self.scale) <= 1.0 + 1e-12:
-            raise ParameterDomainError(f"|scale| must be <= 1, got {abs(self.scale)}")
+        if not abs(scale) <= 1.0 + 1e-12:
+            raise ParameterDomainError(f"|scale| must be <= 1, got {abs(scale)}")
+        super().__init__(zeros, scale)
 
 
 def Constant(value: complex) -> Blaschke:

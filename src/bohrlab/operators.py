@@ -41,6 +41,10 @@ One scale rule holds: each radius equation is evaluated at unit scale (the
 Cesaro one times ``(1-x)**beta``, the Bernardi one over ``x**m``), and every
 weight cut is ``eps * min(1, family.bound(r))``.
 
+Every operator kind, like every result record and the corpus member, is a
+``Record``: an immutable ``__slots__`` value that compares and hashes by its
+type and fields, so an equal family built anew is the same weight-cache key.
+
 A Taylor series is a 1-D ``complex128`` array ``a_0 .. a_N``, a block of
 them a matrix with one row each; ``operator_coeffs`` refuses a non-finite
 image and ``majorant_values`` a row outside the unit ball, NaN included.
@@ -57,7 +61,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from operator import mul, truediv
 from typing import TYPE_CHECKING, Callable, Sequence, Union
 
@@ -127,7 +130,41 @@ def check_draw(max_factors: int, radius_cap: float) -> None:
         )
 
 
-class Unshifted:
+class Record:
+    """An immutable value with the fields ``__slots__``, built by position or
+    name and printed as ``Type(field=value, ...)``; never equal to a tuple."""
+
+    __slots__ = ()
+
+    def __init__(self, *values, **named) -> None:
+        fields = dict(zip(self.__slots__, values), **named)
+        if fields.keys() != set(self.__slots__) or len(fields) != len(values) + len(named):
+            raise TypeError(f"{type(self).__qualname__} takes the fields {self.__slots__}")
+        for name in self.__slots__:
+            object.__setattr__(self, name, fields[name])
+
+    def _asdict(self) -> dict:
+        return {name: getattr(self, name) for name in self.__slots__}
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._asdict() == other._asdict()
+
+    def __hash__(self) -> int:
+        return hash(tuple(self._asdict().values()))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in self._asdict().items())
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError(f"{type(self).__qualname__} is immutable: cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class Unshifted(Record):
     """A family used as an operator on its own: ``(s, d) = (0, 0)``.
 
     A family provides ``m`` (the origin zeros its operand needs) and the
@@ -139,6 +176,7 @@ class Unshifted:
     every truncation order off the length of its weight vector.
     """
 
+    __slots__ = ()
     s = 0
     d = 0
 
@@ -147,17 +185,17 @@ class Unshifted:
         return self
 
 
-@dataclass(frozen=True)
 class CesaroBeta(Unshifted):
     """The generalized Cesaro family ``T_beta``; its operand needs no zero at 0."""
 
-    beta: float
+    __slots__ = ("beta",)
     m = 0  # no zero at the origin needed
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "beta", float(self.beta))
-        if not (self.beta > 0.0 and math.isfinite(self.beta)):
-            raise ParameterDomainError(f"beta must be positive and finite, got {self.beta}")
+    def __init__(self, beta: float) -> None:
+        beta = float(beta)
+        if not (beta > 0.0 and math.isfinite(beta)):
+            raise ParameterDomainError(f"beta must be positive and finite, got {beta}")
+        super().__init__(beta)
 
     def image(self, a: np.ndarray, n_max: int) -> np.ndarray:
         import numpy as np
@@ -203,24 +241,20 @@ class CesaroBeta(Unshifted):
         """Every Cesaro root lies in (1/3, 0.59), far below any ladder top."""
 
 
-@dataclass(frozen=True)
 class Bernardi(Unshifted):
     """The Bernardi family ``L_gamma`` on operands with an ``m``-fold zero at 0."""
 
-    gamma: float
-    m: int = 0
+    __slots__ = ("gamma", "m")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "gamma", float(self.gamma))
-        object.__setattr__(self, "m", int(self.m))
-        if self.m < 0:
-            raise ParameterDomainError(f"m must be nonnegative, got {self.m}")
-        if not math.isfinite(self.gamma):
-            raise ParameterDomainError(f"gamma must be finite, got {self.gamma}")
-        if self.gamma <= -self.m:
-            raise ParameterDomainError(
-                f"gamma must exceed -m, got gamma={self.gamma}, m={self.m}"
-            )
+    def __init__(self, gamma: float, m: int = 0) -> None:
+        gamma, m = float(gamma), int(m)
+        if m < 0:
+            raise ParameterDomainError(f"m must be nonnegative, got {m}")
+        if not math.isfinite(gamma):
+            raise ParameterDomainError(f"gamma must be finite, got {gamma}")
+        if gamma <= -m:
+            raise ParameterDomainError(f"gamma must exceed -m, got gamma={gamma}, m={m}")
+        super().__init__(gamma, m)
 
     def image(self, a: np.ndarray, n_max: int) -> np.ndarray:
         import numpy as np
@@ -324,10 +358,10 @@ class Bernardi(Unshifted):
         return math.fsum([1.0 / (self.m + self.gamma)] + [-2.0 * v for v in w[1:]])
 
 
-@dataclass(frozen=True)
 class ClassicalBohr(Unshifted):
     """The identity operator: Bohr's baseline, coefficients against the bound 1."""
 
+    __slots__ = ()
     m = 0  # no zero at the origin needed
 
     def weights(self, r: float, eps: float) -> list:
@@ -340,17 +374,15 @@ class ClassicalBohr(Unshifted):
         return 1.0
 
 
-@dataclass(frozen=True)
-class Shifted:
+class Shifted(Record):
     """The operator ``K[f] = z**s * F[f / z**d]`` over a radius family ``F``."""
 
-    family: Union[CesaroBeta, Bernardi]
-    s: int
-    d: int
+    __slots__ = ("family", "s", "d")
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.d <= self.s:
-            raise ParameterDomainError(f"need 0 <= d <= s, got s={self.s}, d={self.d}")
+    def __init__(self, family: Union[CesaroBeta, Bernardi], s: int, d: int) -> None:
+        if not 0 <= d <= s:
+            raise ParameterDomainError(f"need 0 <= d <= s, got s={s}, d={d}")
+        super().__init__(family, s, d)
 
 
 def CBeta(beta: float) -> Shifted:

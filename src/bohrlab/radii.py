@@ -36,11 +36,10 @@ above every ladder point the ``10**6``-term weight vector can reach
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Iterable, Union
 
 from .errors import BracketError, ContinuityError, ParameterDomainError
-from .operators import Bernardi, CesaroBeta
+from .operators import Bernardi, CesaroBeta, Record
 
 __all__ = [
     "RadiusResult",
@@ -51,21 +50,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RadiusResult:
+class RadiusResult(Record):
     """A certified root: value, residual, sign-change bracket, ITP step count."""
 
-    root: float
-    residual: float
-    bracket: tuple
-    iterations: int
+    __slots__ = ("root", "residual", "bracket", "iterations")
 
 
-@dataclass(frozen=True)
-class CurveRow:
-    parameter: float
-    root: float
-    residual: float
+class CurveRow(Record):
+    __slots__ = ("parameter", "root", "residual")
 
 
 def radius_equation(family: Union[CesaroBeta, Bernardi], x: float) -> float:

@@ -25,7 +25,6 @@ independent oracle in ``tests/oracles.py``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import ParameterDomainError
@@ -34,6 +33,7 @@ from .operators import (
     CesaroBeta,
     ClassicalBohr,
     OperatorKind,
+    Record,
     _weights,
     sup_bound,
 )
@@ -60,8 +60,7 @@ BOHR_BASELINE_RADIUS = 1.0 / 3.0
 _WITNESS_DOUBLINGS = 40
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(Record):
     """Three-term split of an extremal absolute series.
 
     ``total`` is summed independently of the other three fields, so
@@ -69,25 +68,17 @@ class Decomposition:
     numerical defect reported by ``reconstruction_error``.
     """
 
-    bound_term: float
-    deficit_term: float
-    remainder: float
-    total: float
+    __slots__ = ("bound_term", "deficit_term", "remainder", "total")
 
     @property
     def reconstruction_error(self) -> float:
         return abs(self.total - (self.bound_term - self.deficit_term + self.remainder))
 
 
-@dataclass(frozen=True)
-class ViolationReport:
+class ViolationReport(Record):
     """Outcome of the extremal witness scan at a fixed radius."""
 
-    witness: Optional[float]
-    majorant: float
-    bound: float
-    margin: float
-    attempts: int
+    __slots__ = ("witness", "majorant", "bound", "margin", "attempts")
 
     @property
     def found(self) -> bool:
@@ -209,13 +200,8 @@ def violation_search(
         if margin > best_margin:
             best_margin, best_value = margin, value
         if margin > threshold:
-            return ViolationReport(
-                witness=a, majorant=value, bound=bound, margin=margin, attempts=k
-            )
-    return ViolationReport(
-        witness=None, majorant=best_value, bound=bound, margin=best_margin,
-        attempts=_WITNESS_DOUBLINGS,
-    )
+            return ViolationReport(a, value, bound, margin, k)
+    return ViolationReport(None, best_value, bound, best_margin, _WITNESS_DOUBLINGS)
 
 
 def concavity_check(

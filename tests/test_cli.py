@@ -178,6 +178,20 @@ class TestCurveCommand:
         assert code == 2 and out == ""
         assert err.startswith("parameter error:") and len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "flag,value", [("min", "0.5"), ("max", "3"), ("points", "26")], ids=["min", "max", "points"]
+    )
+    def test_grid_values_refuse_the_linspace_flags(self, capsys, monkeypatch, flag, value):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved despite a refused flag")
+
+        monkeypatch.setattr(cli, "radius_curve", no_solve)
+        code, out, err = run_cli(
+            capsys, "curve", "--op", "cesaro", "--grid-values", "1,2", f"--grid-{flag}", value
+        )
+        assert code == 2 and out == ""
+        assert err == f"parameter error: --grid-{flag} does not apply with --grid-values\n"
+
     def test_linspace_grid(self, capsys):
         code, out, _ = run_cli(
             capsys,

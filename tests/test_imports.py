@@ -1,9 +1,10 @@
 """The import boundary: ``import bohrlab``, ``radius``, ``curve``,
 ``sharpness`` and ``verify --r-mode above`` run on the standard library
-alone, and the commands that build arrays (``verify --r-mode below`` and
-``selftest``) load numpy themselves, with OpenBLAS held to one thread.  Each
-command runs in a fresh interpreter, because the test process has imported
-numpy long before."""
+alone, without ``dataclasses`` or ``inspect`` (which cost more start-up
+than the commands' own work), and the commands that build arrays
+(``verify --r-mode below`` and ``selftest``) load numpy themselves, with
+OpenBLAS held to one thread.  Each command runs in a fresh interpreter,
+because the test process has imported numpy long before."""
 
 import json
 import os
@@ -18,13 +19,15 @@ import bohrlab
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 # Runs ``bohrlab`` with the given arguments, then prints its exit code and
-# whether numpy was imported; the report goes to --out, not stdout.
+# whether numpy, dataclasses and inspect were imported; the report goes to
+# --out, not stdout.
 PROBE = """
 import json, sys
 from bohrlab.cli import main
 code = main(sys.argv[1:])
-print(json.dumps({"code": code, "numpy": "numpy" in sys.modules}))
+print(json.dumps({"code": code, **{m: m in sys.modules for m in ("numpy", "dataclasses", "inspect")}}))
 """
+STDLIB_ONLY = {"numpy": False, "dataclasses": False, "inspect": False}
 
 
 def fresh_python(code, *args, **env_overrides):
@@ -77,25 +80,26 @@ def test_import_bohrlab_loads_no_numpy():
 @pytest.mark.parametrize("argv", NUMPY_FREE, ids=" ".join)
 def test_command_loads_no_numpy(argv, tmp_path):
     result, _ = probe(*argv, out=tmp_path / "report")
-    assert result == {"code": 0, "numpy": False}
+    assert result == {"code": 0, **STDLIB_ONLY}
 
 
 def test_refused_corner_loads_no_numpy():
     result, err = probe("radius", "--op", "bernardi", "--gamma", "1e-9", "--m", "0")
-    assert result == {"code": 2, "numpy": False}
+    assert result == {"code": 2, **STDLIB_ONLY}
     assert len(err.splitlines()) == 1
 
 
 def test_refused_draw_flag_loads_no_numpy():
     result, err = probe("verify", "--op", "libera", "--r-mode", "above", "--max-factors", "-1")
-    assert result == {"code": 2, "numpy": False}
+    assert result == {"code": 2, **STDLIB_ONLY}
     assert len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("argv", ARRAY_COMMANDS, ids=" ".join)
 def test_array_commands_still_run(argv, tmp_path):
     result, _ = probe(*argv, out=tmp_path / "report")
-    assert result == {"code": 0, "numpy": True}
+    # numpy imports inspect itself; bohrlab adds no dataclasses
+    assert (result["code"], result["numpy"], result["dataclasses"]) == (0, True, False)
 
 
 def test_sharpness_loads_no_corpus(tmp_path):

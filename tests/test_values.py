@@ -129,32 +129,50 @@ def _report(tmp_path, *argv):
     return json.loads(out.read_text())["results"]
 
 
-def _fields(record, names):
-    """The record's fields as the JSON report writes them, in ``names``' order."""
-    return json.loads(json.dumps({name: getattr(record, name) for name in names}))
+def _as_reported(record):
+    """The record's fields as the JSON report writes them."""
+    return json.loads(json.dumps(record._asdict()))
 
 
-def test_radius_report_keys_follow_the_result_fields(tmp_path):
+def test_radius_report_is_the_result_record(tmp_path):
     results = _report(tmp_path, "radius", "--op", "cesaro", "--beta", "1")
     record = bl.solve_radius(bl.CesaroBeta(1.0), cli.DEFAULT_SOLVER_TOL)
-    names = ("root", "residual", "bracket", "iterations")
-    assert list(results) == list(names)
-    assert results == _fields(record, names)
+    assert list(record._asdict()) == ["root", "residual", "bracket", "iterations"]
+    assert list(results) == list(record._asdict())
+    assert results == _as_reported(record)
 
 
-def test_witness_report_keys_follow_the_report_fields(tmp_path):
+def test_witness_report_is_the_violation_record(tmp_path):
     results = _report(tmp_path, "verify", "--op", "libera", "--r-mode", "above", "--r", "0.6")
     record = bl.violation_search(bl.Libera(), 0.6, cli.DEFAULT_MAJORANT_EPS)
-    names = ("witness", "majorant", "bound", "margin", "attempts")
-    assert list(results) == list(names)
-    assert results == _fields(record, names)
+    assert list(record._asdict()) == ["witness", "majorant", "bound", "margin", "attempts"]
+    assert list(results) == list(record._asdict())
+    assert results == _as_reported(record)
 
 
-def test_sharpness_row_keys_follow_the_decomposition_fields(tmp_path):
+def test_sharpness_row_holds_the_decomposition_record(tmp_path):
     rows = _report(
         tmp_path, "sharpness", "--op", "cesaro", "--beta", "1", "--r", "0.5", "--a-values", "0.5"
     )["rows"]
     record = bl.decomposition(bl.CesaroBeta(1.0), 0.5, 0.5, cli.DEFAULT_MAJORANT_EPS)
-    names = ("bound_term", "deficit_term", "remainder", "total")
+    names = list(record._asdict())
+    assert names == ["bound_term", "deficit_term", "remainder", "total"]
     assert list(rows[0]) == ["a", *names, "reconstruction_error", "remainder_ratio"]
-    assert {name: rows[0][name] for name in names} == _fields(record, names)
+    assert {name: rows[0][name] for name in names} == _as_reported(record)
+
+
+def test_records_are_built_by_position_or_by_field_name():
+    assert bl.CurveRow(1.0, 0.5, 0.0) == bl.CurveRow(residual=0.0, parameter=1.0, root=0.5)
+    assert bl.Bernardi(m=1, gamma=0) == bl.Alexander()
+    assert bl.Blaschke(zeros=(0.5,)) == bl.Blaschke((0.5,), 1)
+
+
+@pytest.mark.parametrize(
+    "args,named",
+    [((1.0, 0.5), {}), ((1.0, 0.5, 0.0, 1.0), {}), ((1.0, 0.5, 0.0), {"root": 0.5}),
+     ((1.0, 0.5), {"residual": 0.0, "order": 3})],
+    ids=["missing", "extra", "twice", "unknown"],
+)
+def test_wrong_fields_are_refused(args, named):
+    with pytest.raises(TypeError, match="CurveRow takes the fields"):
+        bl.CurveRow(*args, **named)
