@@ -158,6 +158,9 @@ class Record:
         fields = ", ".join(f"{name}={value!r}" for name, value in self._asdict().items())
         return f"{type(self).__qualname__}({fields})"
 
+    def __reduce__(self) -> tuple:  # copy and pickle rebuild through __init__'s checks
+        return type(self), tuple(self._asdict().values())
+
     def __setattr__(self, name: str, value=None) -> None:
         raise AttributeError(f"{type(self).__qualname__} is immutable: cannot change {name!r}")
 

@@ -1,7 +1,7 @@
 """The import boundary: ``import bohrlab``, ``radius``, ``curve``,
 ``sharpness`` and ``verify --r-mode above`` run on the standard library
-alone, without ``dataclasses`` or ``inspect`` (which cost more start-up
-than the commands' own work), and the commands that build arrays
+alone, without ``dataclasses`` or ``inspect`` (which would only add
+start-up time), and the commands that build arrays
 (``verify --r-mode below`` and ``selftest``) load numpy themselves, with
 OpenBLAS held to one thread.  Each command runs in a fresh interpreter,
 because the test process has imported numpy long before."""

@@ -7,7 +7,9 @@ hashed by those fields (the ``_weights`` cache key and the baseline test
 ``Type(field=value, ...)``, which error messages and test ids show.  A
 report's keys follow the record's field order."""
 
+import copy
 import json
+import pickle
 
 import pytest
 
@@ -54,6 +56,12 @@ def test_fields_cannot_be_assigned_or_deleted(record, text):
     with pytest.raises(AttributeError):
         delattr(record, name)
     assert repr(record) == text
+
+
+@pytest.mark.parametrize("record,text", RECORDS, ids=RECORD_IDS)
+def test_copies_and_pickles_are_equal_records(record, text):
+    for clone in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+        assert type(clone) is type(record) and clone == record and repr(clone) == text
 
 
 class TestEquality:
@@ -174,5 +182,5 @@ def test_records_are_built_by_position_or_by_field_name():
     ids=["missing", "extra", "twice", "unknown"],
 )
 def test_wrong_fields_are_refused(args, named):
-    with pytest.raises(TypeError, match="CurveRow takes the fields"):
+    with pytest.raises(TypeError, match="CurveRow"):
         bl.CurveRow(*args, **named)
