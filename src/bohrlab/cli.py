@@ -59,6 +59,7 @@ from .operators import (
     CesaroBeta,
     ClassicalBohr,
     Libera,
+    MAX_GRID_POINTS,
     OperatorKind,
     PrimitiveI,
     check_draw,
@@ -181,6 +182,9 @@ def _parse_floats(flag: str, tokens: list) -> list:
 
 
 def _parse_grid(args: argparse.Namespace) -> list:
+    points = args.grid_points if args.grid_values is None else args.grid_values.count(",") + 1
+    if points is not None and points > MAX_GRID_POINTS:  # refused before the list is built
+        raise ParameterDomainError(f"a grid holds at most {MAX_GRID_POINTS} points, got {points}")
     if args.grid_values is not None:
         for bound in ("min", "max", "points"):
             if getattr(args, f"grid_{bound}") is not None:

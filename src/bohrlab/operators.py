@@ -61,7 +61,8 @@ from __future__ import annotations
 
 import functools
 import math
-from operator import mul, truediv
+from bisect import bisect_left
+from operator import attrgetter, mul, truediv
 from typing import TYPE_CHECKING, Callable, Sequence, Union
 
 from .errors import (
@@ -115,6 +116,8 @@ BLASCHKE_ZERO_CAP = 0.95
 # Most Blaschke factors a corpus member may draw: a block of draws holds
 # ``5 + 2 * max_factors`` uniforms per member, so the cap bounds its memory.
 MAX_FACTORS = 1000
+# Most points a ``curve`` grid may hold: ``cli`` refuses a larger one unbuilt.
+MAX_GRID_POINTS = 100_000
 
 
 def check_draw(max_factors: int, radius_cap: float) -> None:
@@ -143,16 +146,23 @@ class Record:
         for name in self.__slots__:
             object.__setattr__(self, name, fields[name])
 
+    def __init_subclass__(cls, **kwargs) -> None:
+        # A C-level field-tuple getter; attrgetter of one name returns the bare value.
+        super().__init_subclass__(**kwargs)
+        names = cls.__slots__
+        get = attrgetter(*names) if names else (lambda self: ())
+        cls._values = staticmethod(get if len(names) != 1 else lambda self: (get(self),))
+
     def _asdict(self) -> dict:
         return {name: getattr(self, name) for name in self.__slots__}
 
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
             return NotImplemented
-        return self._asdict() == other._asdict()
+        return self._values(self) == other._values(other)
 
     def __hash__(self) -> int:
-        return hash(tuple(self._asdict().values()))
+        return hash(self._values(self))
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={value!r}" for name, value in self._asdict().items())
@@ -278,21 +288,20 @@ class Bernardi(Unshifted):
         with powers counted from ``shift``, cut before the first ``j`` with
         ``r**j / ((j+shift+gamma)(1-r)) <= eps``, at most ``max(ceil(log(eps
         (1-r)) / log r), m - shift) + 1`` as the denominator exceeds 1 past ``k =
-        m``.  At the order cap ``TruncationError`` is raised at once, unless
-        ``_cap_fits`` says the cut is reached by then."""
+        m``.  The test is monotone in ``j`` (``r**j`` falls as the denominator
+        grows), so bisection finds that ``j``.  At the order cap
+        ``TruncationError`` is raised at once, unless ``_cap_fits`` says the cut
+        is reached by then."""
         cap = MAX_SERIES_TERMS - 1
         top = max(math.ceil(math.log(eps * (1.0 - r)) / math.log(r)), self.m - shift) + 1
         if top > cap and not self._cap_fits(r, eps, shift):
             raise TruncationError(
                 f"Bernardi weights will not reach {eps} within {MAX_SERIES_TERMS} terms at r={r}"
             )
-        w, scale, offset = [], 1.0 - r, shift + self.gamma
-        for j in range(self.m - shift, min(top, cap) + 1):
-            r_pow, denom = r**j, j + offset
-            if r_pow / (denom * scale) <= eps:
-                break
-            w.append(r_pow / denom)
-        return w
+        scale, offset, first = 1.0 - r, shift + self.gamma, self.m - shift
+        stop = first + bisect_left(range(first, min(top, cap) + 1), True,
+                                   key=lambda j: r**j / ((j + offset) * scale) <= eps)
+        return [r**i / (i + offset) for i in range(first, stop)]
 
     def integral(self, f: Blaschke, z: complex, tol: float) -> complex:
         """Endpoint singularities of the kernel (gamma < 1) are removed by
@@ -358,7 +367,8 @@ class Bernardi(Unshifted):
         ``_RADIUS_EPS * min(1, 1/(m+gamma))``.  Every ``x`` is new, so the
         terms are not cached."""
         w = self._terms(x, self._equation_cut(), self.m)
-        return math.fsum([1.0 / (self.m + self.gamma)] + [-2.0 * v for v in w[1:]])
+        w[:1] = [-0.5 / (self.m + self.gamma)]  # exact halves of normal floats: same bits
+        return -2.0 * math.fsum(w)
 
 
 class ClassicalBohr(Unshifted):

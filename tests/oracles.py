@@ -10,7 +10,10 @@ of Cauchy products, the corpus member of a seed drawn one uniform at a
 time from splitmix64 on Python ints, and the three absolute series with
 their truncation cuts; and the Bernardi radius equation over ``x**m``
 summed by the plain tail loop.
-They take plain numpy arrays and nothing from the library.
+They take plain numpy arrays and nothing from the library.  The one
+exception is the Bernardi term loop that the library's bisection scan
+replaced: it reads the family's order-cap test and raises the library's
+``TruncationError``, so the two can be compared refusal for refusal.
 
 The four checks at the end, the boundary-grid membership of a corpus
 member, the sampled sup bound, the index-shift relation between the
@@ -29,7 +32,8 @@ import mpmath
 import numpy as np
 
 import bohrlab as bl
-from bohrlab.errors import ParameterDomainError
+from bohrlab.errors import ParameterDomainError, TruncationError
+from bohrlab.operators import MAX_SERIES_TERMS
 
 
 def binomial_weight_lgamma(beta: float, n: int) -> float:
@@ -227,6 +231,33 @@ def bernardi_equation_reference(gamma: float, m: int, x: float, tail_eps: float,
     if terms is None:
         return None
     return math.fsum([lead] + [-2.0 * x_pow / (n + m + gamma) for n, x_pow in terms])
+
+
+def bernardi_terms_reference(family, r: float, eps: float, shift: int) -> list:
+    """``Bernardi._terms`` as the plain loop it replaced, which tests each
+    term's cut before appending it: ``r**j / (j+shift+gamma)`` from ``j = m -
+    shift`` until ``r**j / ((j+shift+gamma)(1-r)) <= eps``, with the same
+    order cap and the same ``TruncationError``."""
+    cap = MAX_SERIES_TERMS - 1
+    top = max(math.ceil(math.log(eps * (1.0 - r)) / math.log(r)), family.m - shift) + 1
+    if top > cap and not family._cap_fits(r, eps, shift):
+        raise TruncationError(
+            f"Bernardi weights will not reach {eps} within {MAX_SERIES_TERMS} terms at r={r}"
+        )
+    w, scale, offset = [], 1.0 - r, shift + family.gamma
+    for j in range(family.m - shift, min(top, cap) + 1):
+        r_pow, denom = r**j, j + offset
+        if r_pow / (denom * scale) <= eps:
+            break
+        w.append(r_pow / denom)
+    return w
+
+
+def bernardi_radius_equation_loop(family, x: float) -> float:
+    """``Bernardi.radius_equation`` as it was summed over the loop's terms:
+    ``1/(m+gamma)`` plus each term past the first times -2, in one ``fsum``."""
+    w = bernardi_terms_reference(family, x, family._equation_cut(), family.m)
+    return math.fsum([1.0 / (family.m + family.gamma)] + [-2.0 * v for v in w[1:]])
 
 
 def validate_membership(f, grid_size: int) -> float:

@@ -192,6 +192,29 @@ class TestCurveCommand:
         assert code == 2 and out == ""
         assert err == f"parameter error: --grid-{flag} does not apply with --grid-values\n"
 
+    @pytest.mark.parametrize(
+        "grid",
+        [("--grid-min", "1", "--grid-max", "2", "--grid-points", "100001"),
+         ("--grid-values", ",".join(["1"] * 100_001))],
+        ids=["points", "values"],
+    )
+    def test_grid_past_the_cap_is_refused_before_any_solve(self, capsys, monkeypatch, grid):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved a grid past the cap")
+
+        monkeypatch.setattr(cli, "radius_curve", no_solve)
+        code, out, err = run_cli(capsys, "curve", "--op", "cesaro", *grid)
+        assert code == 2 and out == ""
+        assert err == "parameter error: a grid holds at most 100000 points, got 100001\n"
+
+    def test_grid_at_the_cap_is_solved(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_GRID_POINTS", 3)
+        for points, code in (("3", 0), ("4", 2)):
+            argv = ("curve", "--op", "cesaro", "--grid-min", "1", "--grid-max", "2")
+            assert run_cli(capsys, *argv, "--grid-points", points)[0] == code
+        assert run_cli(capsys, "curve", "--op", "cesaro", "--grid-values", "1,2,3")[0] == 0
+        assert run_cli(capsys, "curve", "--op", "cesaro", "--grid-values", "1,2,3,4")[0] == 2
+
     def test_linspace_grid(self, capsys):
         code, out, _ = run_cli(
             capsys,

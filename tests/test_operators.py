@@ -3,6 +3,7 @@ oracles, quadrature of the defining integrals, and the sharp sup bounds."""
 
 import cmath
 import math
+import random
 import tracemalloc
 
 import numpy as np
@@ -16,7 +17,9 @@ from bohrlab.operators import MAX_SERIES_TERMS
 from oracles import (
     bernardi_abs_series_bruteforce,
     bernardi_equation_reference,
+    bernardi_radius_equation_loop,
     bernardi_tail_reference,
+    bernardi_terms_reference,
     cbeta_abs_series_bruteforce,
     cbeta_relation_residual,
     cesaro_abs_series_bruteforce,
@@ -340,6 +343,50 @@ class TestBernardiEquation:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+
+
+def _scan_cases(count, seed=21):
+    """Seeded ``(family, r, eps, shift)`` cases for the term scan: m in
+    {0, 1, 3, 52} with gamma down to -m + 1e-3, shift 0 or m, r uniform in
+    (0.01, 0.99) or 1 - 2**-k for k <= 10, eps log-uniform in [1e-16, 1e-9]."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        m = rng.choice((0, 1, 3, 52))
+        gamma = -m + 1e-3 + rng.random() ** 3 * (m + 30.0)
+        r = rng.uniform(0.01, 0.99) if rng.random() < 0.7 else 1.0 - 2.0 ** -rng.randint(1, 10)
+        yield bl.Bernardi(gamma, m), r, 10.0 ** rng.uniform(-16.0, -9.0), rng.choice((0, m))
+
+
+class TestTermScan:
+    """The bisection scan of ``Bernardi._terms`` against the loop it replaced."""
+
+    def test_terms_and_equation_match_the_loop_bit_for_bit(self):
+        for family, r, eps, shift in _scan_cases(1500):
+            assert family._terms(r, eps, shift) == bernardi_terms_reference(family, r, eps, shift)
+            x = 0.26 + 0.73 * r  # an abscissa in (0.26, 0.99)
+            assert family.radius_equation(x) == bernardi_radius_equation_loop(family, x)
+
+    @pytest.mark.parametrize("j", (0, 1, 10, 40))
+    def test_a_term_whose_test_equals_eps_is_cut(self, j):
+        family, r, shift = bl.Bernardi(1.0, 3), 0.5, 3
+        eps = r**j / ((j + shift + family.gamma) * (1.0 - r))  # the cut test's own value
+        assert len(family._terms(r, eps, shift)) == j
+        assert family._terms(r, eps, shift) == bernardi_terms_reference(family, r, eps, shift)
+
+    def test_past_the_order_cap_where_the_cap_fits(self):
+        family, r, eps = bl.Bernardi(1.0, 0), 1.0 - 2.5e-5, 1e-9
+        assert math.log(eps * (1.0 - r)) / math.log(r) > MAX_SERIES_TERMS
+        assert family._cap_fits(r, eps, 0)
+        assert family._terms(r, eps, 0) == bernardi_terms_reference(family, r, eps, 0)
+
+    def test_past_the_order_cap_where_it_does_not_fit(self):
+        family, r, eps = bl.Bernardi(1.0, 0), 1.0 - 1e-6, 1e-9
+        with pytest.raises(TruncationError) as scan:
+            family._terms(r, eps, 0)
+        with pytest.raises(TruncationError) as loop:
+            bernardi_terms_reference(family, r, eps, 0)
+        assert str(scan.value) == str(loop.value)
 
 
 class TestSupBounds:
