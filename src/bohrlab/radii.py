@@ -35,8 +35,9 @@ above every ladder point the ``10**6``-term weight vector can reach
 ``radius_curve`` solves its first two rows so.  Each later row brackets the
 root extrapolated from the two rows before it, and Illinois regula falsi
 narrows that to width ``tol`` before the same polish: about 6 evaluations,
-not 14.  The row is certified by a sign change of width ``tol`` too, and
-agrees with ``solve_radius`` to within ``tol``, not bit for bit.
+not 14, on a long grid.  The row is certified by a sign change of width
+``tol`` too, and agrees with ``solve_radius`` to within ``tol``, not bit
+for bit.
 """
 
 from __future__ import annotations
