@@ -24,20 +24,20 @@ the Cesaro roots lie in (1/3, 0.59), tending to ``1/3 + 2/(3 beta)``.  So
 ``solve_radius`` searches only the ladder ``0.25, 1 - 2**-k (k = 1..19),
 1 - 1e-6`` for the adjacent pair where the sign changes: from 0.5 it walks
 upward while the equation is positive, and otherwise takes ``(0.25, 0.5)``
-after checking that the equation is positive at 0.25.  ITP narrows that
-pair to a bracket of width ``tol``, and ``iterations`` counts its steps; the
-ladder search, a short regula-falsi polish that drives the residual to
-rounding level and the two evaluations that confirm the reported bracket
-are not counted.  Bernardi parameters whose root is certified to lie
-above every ladder point the ``10**6``-term weight vector can reach
-(``m + gamma`` below about 0.048) are refused before any evaluation.
+after checking that the equation is positive at 0.25.  One loop,
+``_narrow``, takes that pair to a bracket of width ``tol``, and
+``iterations`` counts its steps; the ladder search, a short regula-falsi
+polish that drives the residual to rounding level and the two evaluations
+that confirm the reported bracket are not counted.  Bernardi parameters
+whose root is certified to lie above every ladder point the ``10**6``-term
+weight vector can reach (``m + gamma`` below about 0.048) are refused
+before any evaluation.
 
 ``radius_curve`` solves its first two rows so.  Each later row brackets the
-root extrapolated from the two rows before it, and Illinois regula falsi
-narrows that to width ``tol`` before the same polish: about 6 evaluations,
-not 14, on a long grid.  The row is certified by a sign change of width
-``tol`` too, and agrees with ``solve_radius`` to within ``tol``, not bit
-for bit.
+root extrapolated from the two rows before it, and the same loop narrows
+that to width ``tol`` before the same polish: about 6 evaluations, not 14,
+on a long grid.  The row is certified by a sign change of width ``tol``
+too, and agrees with ``solve_radius`` to within ``tol``, not bit for bit.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ __all__ = [
 
 
 class RadiusResult(Record):
-    """A certified root: value, residual, sign-change bracket, ITP step count."""
+    """A certified root: value, residual, sign-change bracket, narrowing steps."""
 
     __slots__ = ("root", "residual", "bracket", "iterations")
 
@@ -80,11 +80,8 @@ def radius_equation(family: Union[CesaroBeta, Bernardi], x: float) -> float:
 # then a geometric ladder toward 1 from 0.5.
 _LADDER = (0.25,) + tuple(1.0 - 2.0**-k for k in range(1, 20)) + (1.0 - 1e-6,)
 
-# ITP parameters: kappa1 = 0.2 / (initial width), kappa2 = 2, and n0 extra
-# steps over bisection's count (n0 = 1 falls back to bisection on the
-# Bernardi m = 3 and large-beta Cesaro grids).
-_ITP_K1 = 0.2
-_ITP_N0 = 4
+# Narrowing steps allowed over bisection's count.
+_N0 = 4
 # Regula-falsi polish steps inside the final bracket at most; the polish
 # stops earlier once a step no longer lands strictly inside the bracket.
 _POLISH_STEPS = 8
@@ -114,35 +111,32 @@ def _ladder_bracket(eq: Callable[[float], float]) -> tuple:
     raise BracketError("no sign change found in (0, 1); the root should satisfy R < 1")
 
 
-def _itp(eq: Callable[[float], float], lo: float, f_lo: float, hi: float, f_hi: float,
-         tol: float) -> tuple:
-    """ITP steps from ``f(lo) > 0 >= f(hi)`` until ``hi - lo <= tol``:
-    ``(lo, f_lo, hi, f_hi, steps)`` with the same sign pattern.
+def _narrow(eq: Callable[[float], float], lo: float, f_lo: float, hi: float, f_hi: float,
+            tol: float) -> tuple:
+    """Steps from ``f(lo) > 0 >= f(hi)`` until ``hi - lo <= tol``:
+    ``(lo, f_lo, hi, f_hi, steps)`` with the same sign pattern, within
+    ``ceil(log2(width / tol)) + n0`` steps.
 
-    Each step moves the regula-falsi point toward the midpoint by
-    ``max(kappa1 * width**2, tol/2)`` and projects it into the interval
-    around the midpoint that keeps the bracket on bisection's schedule plus
-    n0 steps.  The ``tol/2`` floor is what ends the run once the
-    interpolation has hit the root: a bare ``kappa1 * width**2`` is below
-    an ulp by then and would evaluate the same endpoint again.
+    Each step takes the Illinois regula-falsi point (Dowell and Jarratt, BIT
+    11, 1971), which halves the weight of an end kept twice in a row, held
+    ``tol/2`` inside the bracket so a step beside the root closes it.  ITP's
+    projection (Oliveira and Takahashi, ACM TOMS 47(1), 2021) then clamps it
+    around the midpoint to keep the bracket on bisection's schedule plus
+    ``n0 - 1`` steps; the last step absorbs the midpoints' rounding.
     """
-    half_tol, k1 = 0.5 * tol, _ITP_K1 / (hi - lo)
-    n_max = math.ceil(math.log2((hi - lo) / tol)) + _ITP_N0
-    steps = 0
+    half_tol, w_lo, w_hi, side, steps = 0.5 * tol, f_lo, f_hi, 0, 0
+    n_max = math.ceil(math.log2((hi - lo) / tol)) + _N0
     while hi - lo > tol:
         mid, width = 0.5 * (lo + hi), hi - lo
-        reach = max(half_tol * 2.0 ** (n_max - steps) - 0.5 * width, 0.0)
-        x_f = (f_hi * lo - f_lo * hi) / (f_hi - f_lo)
-        sigma = math.copysign(1.0, mid - x_f)
-        delta = max(k1 * width * width, half_tol)
-        x_t = x_f + sigma * delta if delta <= abs(mid - x_f) else mid
-        x = x_t if abs(x_t - mid) <= reach else mid - sigma * reach
+        reach = max(half_tol * 2.0 ** (n_max - 1 - steps) - 0.5 * width, 0.0)
+        x = min(max(hi - w_hi * width / (w_hi - w_lo), lo + half_tol), hi - half_tol)
+        x = min(max(x, mid - reach), mid + reach)
         f_x = eq(x)
         steps += 1
         if f_x > 0.0:
-            lo, f_lo = x, f_x
+            lo, f_lo, w_lo, w_hi, side = x, f_x, f_x, w_hi * (0.5 if side > 0 else 1.0), 1
         else:
-            hi, f_hi = x, f_x
+            hi, f_hi, w_hi, w_lo, side = x, f_x, f_x, w_lo * (0.5 if side < 0 else 1.0), -1
     return lo, f_lo, hi, f_hi, steps
 
 
@@ -166,14 +160,11 @@ def _polish(eq: Callable[[float], float], lo: float, f_lo: float, hi: float, f_h
 
 
 def _warm_root(eq: Callable[[float], float], guess: float, half: float, tol: float):
-    """``_polish`` of a bracket of width ``tol`` near ``guess``, or None once
-    widening reaches a ladder end or narrowing passes ITP's step bound.
+    """``_polish`` of the ``_narrow`` bracket of a sign change near ``guess``,
+    or None if widening reaches a ladder end before the sign changes.
 
     The ends ``guess -+ half``, the lower first, widen outward in steps
     doubling from ``2 half``, upward never past the next ladder point.
-    Illinois regula falsi (Dowell and Jarratt, BIT 11, 1971) halves the weight
-    of an end kept twice in a row, and moves a point within ``tol/2`` of an end
-    to ``tol/2`` from it, so a step beside the root closes the bracket.
     """
     lo = hi = max(guess - half, _LADDER[0])
     f_lo = f_hi = eq(lo)
@@ -189,17 +180,7 @@ def _warm_root(eq: Callable[[float], float], guess: float, half: float, tol: flo
             return None
         lo, f_lo, hi, step = hi, f_hi, min(hi + step, rung), 2.0 * step
         f_hi = eq(hi)
-    w_lo, w_hi, side = f_lo, f_hi, 0
-    for _ in range(math.ceil(math.log2(max((hi - lo) / tol, 1.0))) + _ITP_N0):
-        if hi - lo <= tol:
-            break
-        x = min(max(hi - w_hi * (hi - lo) / (w_hi - w_lo), lo + 0.5 * tol), hi - 0.5 * tol)
-        f_x = eq(x)
-        if f_x > 0.0:
-            lo, f_lo, w_lo, w_hi, side = x, f_x, f_x, w_hi * (0.5 if side > 0 else 1.0), 1
-        else:
-            hi, f_hi, w_hi, w_lo, side = x, f_x, f_x, w_lo * (0.5 if side < 0 else 1.0), -1
-    return _polish(eq, lo, f_lo, hi, f_hi) if hi - lo <= tol else None
+    return _polish(eq, *_narrow(eq, lo, f_lo, hi, f_hi, tol)[:4])
 
 
 def _check_tol(tol: float) -> None:
@@ -209,14 +190,14 @@ def _check_tol(tol: float) -> None:
 
 
 def solve_radius(family: Union[CesaroBeta, Bernardi], tol: float = 1e-12) -> RadiusResult:
-    """Locate the positive root by ITP on a ladder bracket plus a short polish.
+    """Locate the positive root by ``_narrow`` on a ladder bracket plus a
+    short polish.
 
     ``family`` is a Cesaro or Bernardi family and ``tol`` a finite width of
-    at least 1e-14.  ITP (Oliveira and Takahashi, ACM TOMS 47(1), 2021) takes
-    at most ``ceil(log2(width / tol)) + n0`` steps, the ``iterations``
-    reported.  The root is the polish's point with the smallest residual.
-    The reported bracket is ``root -+ tol/2`` when the equation's signs there
-    confirm it, else the ITP bracket.
+    at least 1e-14.  ``iterations`` counts the narrowing steps, at most
+    ``ceil(log2(width / tol)) + n0``.  The root is the polish's point with
+    the smallest residual.  The reported bracket is ``root -+ tol/2`` when
+    the equation's signs there confirm it, else the narrowed bracket.
     """
     if not isinstance(family, (CesaroBeta, Bernardi)):
         raise ParameterDomainError(f"family must be a Cesaro or Bernardi kind, got {family!r}")
@@ -224,12 +205,12 @@ def solve_radius(family: Union[CesaroBeta, Bernardi], tol: float = 1e-12) -> Rad
     family.require_root_below(_LADDER)
     eq = functools.partial(radius_equation, family)
     ladder_lo, f_lo, ladder_hi, f_hi = _ladder_bracket(eq)
-    lo, f_lo, hi, f_hi, iterations = _itp(eq, ladder_lo, f_lo, ladder_hi, f_hi, tol)
+    lo, f_lo, hi, f_hi, iterations = _narrow(eq, ladder_lo, f_lo, ladder_hi, f_hi, tol)
     bracket = (lo, hi)
     best_x, best_f = _polish(eq, lo, f_lo, hi, f_hi)
 
-    # ITP often ends with an endpoint a few ulps from the root, where the
-    # sign of the computed equation is rounding noise; half a tolerance
+    # Narrowing often ends with an endpoint a few ulps from the root, where
+    # the sign of the computed equation is rounding noise; half a tolerance
     # away it is not.
     half = 0.5 * tol - math.ulp(best_x)
     lo, hi = max(best_x - half, ladder_lo), min(best_x + half, ladder_hi)

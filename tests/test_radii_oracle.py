@@ -139,6 +139,14 @@ CONTRACT_FAMILIES = (
     bl.Bernardi(8.0, 3),
 )
 
+# Equations with a root at c on which plain regula falsi keeps one end for
+# many steps: a step, a saturated tanh, and one flat before c and steep after.
+HARD_EQUATIONS = {
+    "step": lambda c, x: 1.0 if x < c else -1.0,
+    "tanh": lambda c, x: math.tanh(1e6 * (c - x)),
+    "flat-then-steep": lambda c, x: -math.expm1(60.0 * (x - c)),
+}
+
 
 class TestSolverContract:
     @pytest.mark.parametrize("tol", (1e-14, 1e-12, 1e-8, 1e-3))
@@ -152,10 +160,22 @@ class TestSolverContract:
 
     @pytest.mark.parametrize("tol", (1e-14, 1e-12, 1e-8, 1e-3))
     @pytest.mark.parametrize("family", CONTRACT_FAMILIES, ids=str)
-    def test_iterations_within_the_itp_bound(self, family, tol):
+    def test_iterations_within_the_step_bound(self, family, tol):
         lo, hi = linear_scan(lambda x: bl.radius_equation(family, x))
-        bound = max(math.ceil(math.log2((hi - lo) / tol)), 0) + radii._ITP_N0
+        bound = max(math.ceil(math.log2((hi - lo) / tol)), 0) + radii._N0
         assert bl.solve_radius(family, tol).iterations <= bound
+
+    @pytest.mark.parametrize("tol", (1e-14, 1e-12, 1e-8, 1e-3))
+    @pytest.mark.parametrize("c", (0.3, 0.5 + 1e-9, 0.7))
+    @pytest.mark.parametrize("kind", HARD_EQUATIONS)
+    def test_narrowing_keeps_the_step_bound_where_regula_falsi_stalls(self, kind, c, tol):
+        eq = functools.partial(HARD_EQUATIONS[kind], c)
+        lo, hi = 0.25, 0.75
+        lo2, f_lo, hi2, f_hi, steps = radii._narrow(eq, lo, eq(lo), hi, eq(hi), tol)
+        assert (f_lo, f_hi) == (eq(lo2), eq(hi2))
+        assert f_lo > 0.0 >= f_hi
+        assert lo <= lo2 < hi2 <= hi and hi2 - lo2 <= tol
+        assert steps <= math.ceil(math.log2((hi - lo) / tol)) + radii._N0
 
     @pytest.mark.parametrize(
         "family",
