@@ -20,29 +20,25 @@ Neither factor moves the root, and both keep interpolation useful at every
 
 Every root exceeds Bohr's 1/3, the identity's radius: with ``s = m+gamma``
 the Bernardi equation exceeds ``(1-3x)/((1-x)s) >= 0`` on ``(0, 1/3]``, and
-the Cesaro roots lie in (1/3, 0.59), tending to ``1/3 + 2/(3 beta)``.  So
-``solve_radius`` searches only the ladder ``0.25, 1 - 2**-k (k = 1..19),
-1 - 1e-6`` for the adjacent pair where the sign changes: from 0.5 it walks
-upward while the equation is positive, and otherwise takes ``(0.25, 0.5)``
-after checking that the equation is positive at 0.25.  One loop,
-``_narrow``, takes that pair to a bracket of width ``tol``, and
-``iterations`` counts its steps; the ladder search, a short regula-falsi
-polish that drives the residual to rounding level and the two evaluations
-that confirm the reported bracket are not counted.  Bernardi parameters
-whose root is certified to lie above every ladder point the ``10**6``-term
-weight vector can reach (``m + gamma`` below about 0.048) are refused
-before any evaluation.
+the Cesaro roots lie in (1/3, 0.59), tending to ``1/3 + 2/(3 beta)``.  So one
+search, ``_bracket``, finds a sign change on the ladder ``0.25, 1 - 2**-k
+(k = 1..19), 1 - 1e-6``: from a start it widens down while the equation is
+not positive, no lower than 0.25, then up while it is positive, never past
+the next ladder point.  One loop, ``_narrow``, takes the pair to a bracket
+of width ``tol``, and a short regula-falsi polish drives the residual to
+rounding level.  Bernardi parameters whose root is certified to lie above
+every ladder point the ``10**6``-term weight vector can reach (``m + gamma``
+below about 0.048) are refused before any evaluation.
 
-``radius_curve`` solves its first two rows so.  Each later row brackets the
-root extrapolated from the two rows before it, and the same loop narrows
-that to width ``tol`` before the same polish: about 6 evaluations, not 14,
-on a long grid.  The row is certified by a sign change of width ``tol``
-too, and agrees with ``solve_radius`` to within ``tol``, not bit for bit.
+``solve_radius`` starts the search at 0.5, which walks the ladder up from
+0.5 or checks 0.25 below it.  ``radius_curve`` does so for its first two
+rows, and starts each later row around the root extrapolated from the two
+rows before it: about 6 evaluations, not 14, on a long grid, and a root
+within ``tol`` of ``solve_radius``'s, not bit for bit.
 """
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import math
 from typing import Callable, Iterable, Union
@@ -87,28 +83,31 @@ _N0 = 4
 _POLISH_STEPS = 8
 
 
-def _ladder_bracket(eq: Callable[[float], float]) -> tuple:
-    """Adjacent ladder points ``(lo, f_lo, hi, f_hi)`` with ``hi`` the first
-    ladder point where the equation is not positive, as a linear scan from
-    the left finds them.
+def _bracket(eq: Callable[[float], float], start: float, step: float) -> tuple:
+    """Ends ``(lo, f_lo, hi, f_hi)`` of a sign change ``f(lo) > 0 >= f(hi)``
+    found by widening outward from ``start``, no lower than 0.25.
 
-    From 0.5 it walks upward while the equation is positive, so it never
-    evaluates above the first non-positive point, where the Bernardi series
-    grows long; otherwise the pair is ``(0.25, 0.5)``.
+    The ends widen down in steps doubling from ``step`` while the equation is
+    not positive at ``lo``, then up while it is positive at ``hi``, never past
+    the next ladder point, so nothing is evaluated above the first
+    non-positive ladder point, where the Bernardi series grows long.  From
+    ``(0.5, 0.25)`` the points are the ladder's from 0.5 upward, or 0.5 then
+    0.25, and the pair is the one a linear scan from the left finds.
     """
-    f_half = eq(0.5)
-    if f_half <= 0.0:
-        f_floor = eq(0.25)
-        if f_floor <= 0.0:
+    lo = hi = max(start, _LADDER[0])
+    f_lo = f_hi = eq(lo)
+    while f_lo <= 0.0:  # the root lies at or below lo
+        if lo == _LADDER[0]:
             raise BracketError("equation is not positive at x=0.25; check the family parameters")
-        return 0.25, f_floor, 0.5, f_half
-    f_lo = f_half
-    for lo, hi in zip(_LADDER[1:], _LADDER[2:]):
+        hi, f_hi, lo, step = lo, f_lo, max(lo - step, _LADDER[0]), 2.0 * step
+        f_lo = eq(lo)
+    while f_hi > 0.0:  # the root lies above hi
+        rung = next((x for x in _LADDER if x > hi), None)
+        if rung is None:
+            raise BracketError("no sign change found in (0, 1); the root should satisfy R < 1")
+        lo, f_lo, hi, step = hi, f_hi, min(hi + step, rung), 2.0 * step
         f_hi = eq(hi)
-        if f_hi <= 0.0:
-            return lo, f_lo, hi, f_hi
-        f_lo = f_hi
-    raise BracketError("no sign change found in (0, 1); the root should satisfy R < 1")
+    return lo, f_lo, hi, f_hi
 
 
 def _narrow(eq: Callable[[float], float], lo: float, f_lo: float, hi: float, f_hi: float,
@@ -159,30 +158,6 @@ def _polish(eq: Callable[[float], float], lo: float, f_lo: float, hi: float, f_h
     return best_x, best_f
 
 
-def _warm_root(eq: Callable[[float], float], guess: float, half: float, tol: float):
-    """``_polish`` of the ``_narrow`` bracket of a sign change near ``guess``,
-    or None if widening reaches a ladder end before the sign changes.
-
-    The ends ``guess -+ half``, the lower first, widen outward in steps
-    doubling from ``2 half``, upward never past the next ladder point.
-    """
-    lo = hi = max(guess - half, _LADDER[0])
-    f_lo = f_hi = eq(lo)
-    step = 2.0 * half
-    while f_lo <= 0.0:  # the root lies at or below lo
-        if lo == _LADDER[0]:
-            return None
-        hi, f_hi, lo, step = lo, f_lo, max(lo - step, _LADDER[0]), 2.0 * step
-        f_lo = eq(lo)
-    while f_hi > 0.0:  # the root lies above hi
-        rung = next((x for x in _LADDER if x > hi), None)
-        if rung is None:
-            return None
-        lo, f_lo, hi, step = hi, f_hi, min(hi + step, rung), 2.0 * step
-        f_hi = eq(hi)
-    return _polish(eq, *_narrow(eq, lo, f_lo, hi, f_hi, tol)[:4])
-
-
 def _check_tol(tol: float) -> None:
     """A solver tolerance is finite and at least 1e-14; NaN fails the check."""
     if not 1e-14 <= tol < math.inf:
@@ -190,8 +165,8 @@ def _check_tol(tol: float) -> None:
 
 
 def solve_radius(family: Union[CesaroBeta, Bernardi], tol: float = 1e-12) -> RadiusResult:
-    """Locate the positive root by ``_narrow`` on a ladder bracket plus a
-    short polish.
+    """Locate the positive root by ``_narrow`` on the ladder pair ``_bracket``
+    finds from 0.5, plus a short polish.
 
     ``family`` is a Cesaro or Bernardi family and ``tol`` a finite width of
     at least 1e-14.  ``iterations`` counts the narrowing steps, at most
@@ -204,7 +179,7 @@ def solve_radius(family: Union[CesaroBeta, Bernardi], tol: float = 1e-12) -> Rad
     _check_tol(tol)
     family.require_root_below(_LADDER)
     eq = functools.partial(radius_equation, family)
-    ladder_lo, f_lo, ladder_hi, f_hi = _ladder_bracket(eq)
+    ladder_lo, f_lo, ladder_hi, f_hi = _bracket(eq, 0.5, 0.25)
     lo, f_lo, hi, f_hi, iterations = _narrow(eq, ladder_lo, f_lo, ladder_hi, f_hi, tol)
     bracket = (lo, hi)
     best_x, best_f = _polish(eq, lo, f_lo, hi, f_hi)
@@ -228,42 +203,42 @@ def radius_curve(
     """Solve a parameter sweep and sanity-check root continuity.
 
     ``entries`` yields ``(parameter, family)`` pairs in sweep order.  A warm
-    row's bracket starts at ``guess -+`` twice the last guess's miss (1e-3 for
-    the third row, at least ``tol/2``); where the warm path fails or meets
-    ``TruncationError``, ``solve_radius`` solves the row.  Adjacent roots must
-    not jump by more than 10x the grid spacing times a local slope estimate
-    (floored at 1), which catches branch jumps.
+    row's search starts at ``guess - half`` with step ``2 half``, ``half``
+    twice the last guess's miss (1e-3 for the third row, at least ``tol/2``);
+    where that search reaches a ladder end or meets ``TruncationError``, it
+    starts again as ``solve_radius``'s does.  Adjacent roots must not jump by
+    more than 10x the grid spacing times a local slope estimate (floored at
+    1), which catches branch jumps as soon as they occur.
     """
+    _check_tol(tol)
     rows: list = []
     for param, family in entries:
-        solved, param = None, float(param)
-        if len(rows) > 1 and isinstance(family, (CesaroBeta, Bernardi)):
-            family.require_root_below(_LADDER)  # tol passed the first row's check
+        param = float(param)
+        if not isinstance(family, (CesaroBeta, Bernardi)):
+            raise ParameterDomainError(f"family must be a Cesaro or Bernardi kind, got {family!r}")
+        family.require_root_below(_LADDER)
+        eq, slope = functools.partial(radius_equation, family), 1.0
+        if len(rows) < 2:
+            root, residual = _polish(eq, *_narrow(eq, *_bracket(eq, 0.5, 0.25), tol)[:4])
+        else:
             before, last = rows[-2], rows[-1]
             # inf for a repeated parameter: the guess is then the last root
             slope = (last.root - before.root) / (last.parameter - before.parameter or math.inf)
             guess = last.root + slope * (param - last.parameter)
             # no higher than the ladder point at or above the last root
             guess = min(guess, next(x for x in _LADDER if x >= last.root))
-            with contextlib.suppress(TruncationError):
-                solved = _warm_root(functools.partial(radius_equation, family), guess, half, tol)
-        if solved is None:
-            result = solve_radius(family, tol)
-            solved = result.root, result.residual
-        half = max(2.0 * abs(solved[0] - guess), 0.5 * tol) if len(rows) > 1 else 1e-3
-        rows.append(CurveRow(param, *solved))
-    for i in range(1, len(rows)):
-        dp = abs(rows[i].parameter - rows[i - 1].parameter)
-        if dp == 0.0:
-            continue
-        slope = 1.0
-        if i >= 2:
-            dp_prev = abs(rows[i - 1].parameter - rows[i - 2].parameter)
-            if dp_prev > 0.0:
-                slope = max(slope, abs(rows[i - 1].root - rows[i - 2].root) / dp_prev)
-        if abs(rows[i].root - rows[i - 1].root) >= 10.0 * dp * slope:
-            raise ContinuityError(
-                f"root jump between parameters {rows[i-1].parameter} and "
-                f"{rows[i].parameter}: {rows[i-1].root} -> {rows[i].root}"
-            )
+            try:
+                warm = _bracket(eq, guess - half, 2.0 * half)
+                root, residual = _polish(eq, *_narrow(eq, *warm, tol)[:4])
+            except (BracketError, TruncationError):
+                root, residual = _polish(eq, *_narrow(eq, *_bracket(eq, 0.5, 0.25), tol)[:4])
+        half = max(2.0 * abs(root - guess), 0.5 * tol) if len(rows) > 1 else 1e-3
+        if rows:
+            dp = abs(param - rows[-1].parameter)
+            if dp and abs(root - rows[-1].root) >= 10.0 * dp * max(1.0, abs(slope)):
+                raise ContinuityError(
+                    f"root jump between parameters {rows[-1].parameter} and "
+                    f"{param}: {rows[-1].root} -> {root}"
+                )
+        rows.append(CurveRow(param, root, residual))
     return rows

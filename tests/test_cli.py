@@ -162,6 +162,18 @@ class TestCurveCommand:
         assert code == 0
         assert out.strip() == "param,root,residual"
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize(
+        "grid,tol", [(("--grid-points", "0"), "nan"), (("--grid-values", ""), "-1")],
+        ids=["points-0", "values-empty"],
+    )
+    def test_empty_grid_still_checks_tol(self, capsys, grid, tol, fmt):
+        code, out, err = run_cli(
+            capsys, "curve", "--op", "cesaro", *grid, "--tol", tol, "--format", fmt
+        )
+        assert code == 2 and out == ""
+        assert err == f"parameter error: tol must be finite and >= 1e-14, got {float(tol)}\n"
+
     @pytest.mark.parametrize(
         "argv",
         [

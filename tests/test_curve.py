@@ -7,6 +7,8 @@ extrapolated from the two rows before, so they agree with ``solve_radius``
 to within ``tol``, not bit for bit.
 """
 
+import math
+
 import pytest
 
 import bohrlab as bl
@@ -98,18 +100,30 @@ class TestAgreement:
              (1.002, bl.CesaroBeta(50.0))],
             [(1.0, bl.Bernardi(1.0)), (1.01, bl.Bernardi(1.01)), (1.02, bl.Bernardi(1.02)),
              (1.03, bl.Bernardi(8.0))],
+            # the jump is raised before the later refused row is reached
+            [(1.0, bl.Bernardi(1.0)), (1.01, bl.Bernardi(1.01)), (1.02, bl.Bernardi(1.02)),
+             (1.03, bl.Bernardi(8.0)), (1.04, bl.Bernardi(1e-9))],
         ],
-        ids=["cesaro", "bernardi"],
+        ids=["cesaro", "bernardi", "bernardi-then-refused"],
     )
     def test_jumping_grid_raises_continuity_error(self, pairs):
-        # the last family's root lies far from the line through the rows before
+        # the jumping family's root lies far from the line through the rows before
         with pytest.raises(ContinuityError, match="root jump"):
             bl.radius_curve(pairs)
 
     def test_warm_failure_falls_back_to_the_ladder_solve(self, monkeypatch):
-        monkeypatch.setattr(radii, "_warm_root", lambda *args: None)
+        bracket, refused = radii._bracket, []
+
+        def ladder_only(eq, start, step):
+            if (start, step) != (0.5, 0.25):
+                refused.append(start)
+                raise bl.errors.BracketError("refused warm start")
+            return bracket(eq, start, step)
+
+        monkeypatch.setattr(radii, "_bracket", ladder_only)
         families = AGREEMENT_GRIDS["cesaro"][:10]
         rows = bl.radius_curve(entries(families))
+        assert len(refused) == len(families) - 2
         for family, row in zip(families, rows):
             result = bl.solve_radius(family)
             assert (row.root, row.residual) == (result.root, result.residual)
@@ -134,6 +148,11 @@ class TestAgreement:
         assert refused
         result = bl.solve_radius(families[-1])
         assert (rows[-1].root, rows[-1].residual) == (result.root, result.residual)
+
+    @pytest.mark.parametrize("tol", (math.nan, -1.0, 1e-15, math.inf))
+    def test_tol_is_checked_before_any_row(self, tol):
+        with pytest.raises(bl.errors.ParameterDomainError, match="tol must be finite and >= 1e-14"):
+            bl.radius_curve([], tol)
 
     @pytest.mark.parametrize("gamma,m", [(1e-9, 0), (-0.999, 1)])
     def test_refused_corner_is_refused_on_the_warm_path_too(self, gamma, m, evaluations):

@@ -206,7 +206,7 @@ class TestSolverContract:
         seen = []
         family = bl.CesaroBeta(3.0)
         eq = lambda x: seen.append(x) or bl.radius_equation(family, x)  # noqa: E731
-        lo, _, hi, _ = radii._ladder_bracket(eq)
+        lo, _, hi, _ = radii._bracket(eq, 0.5, 0.25)
         assert (lo, hi) == (0.25, 0.5) and seen == [0.5, 0.25]
 
     def test_root_above_half_evaluates_nothing_below_half(self, monkeypatch):
@@ -218,20 +218,25 @@ class TestSolverContract:
 
     def test_nonpositive_floor_is_a_bracket_error(self):
         with pytest.raises(BracketError, match="x=0.25"):
-            radii._ladder_bracket(lambda x: -1.0)
+            radii._bracket(lambda x: -1.0, 0.5, 0.25)
 
     @pytest.mark.parametrize("name", BENCHMARK_GRIDS)
     def test_ladder_search_matches_the_linear_scan(self, name):
         for family in BENCHMARK_GRIDS[name]:
-            eq = lambda x: bl.radius_equation(family, x)  # noqa: E731
-            lo, _, hi, _ = radii._ladder_bracket(eq)
+            seen = []
+            eq = lambda x: seen.append(x) or bl.radius_equation(family, x)  # noqa: E731
+            lo, _, hi, _ = radii._bracket(eq, 0.5, 0.25)
+            searched = seen[:]
+            seen.clear()
             assert (lo, hi) == linear_scan(eq), family
+            # the same points in the same order, plus the floor's check
+            assert searched == seen + [0.25] * (lo == 0.25), family
 
     def test_ladder_search_stays_below_the_first_nonpositive_point(self):
         for family in (bl.Bernardi(0.06, 0), bl.Bernardi(0.15, 0), bl.CesaroBeta(45.0)):
             seen = []
             eq = lambda x: seen.append(x) or bl.radius_equation(family, x)  # noqa: E731
-            _, _, hi, _ = radii._ladder_bracket(eq)
+            _, _, hi, _ = radii._bracket(eq, 0.5, 0.25)
             assert max(seen) == hi
 
     @pytest.mark.parametrize("gamma,m", [(0.04, 0), (-0.96, 1), (-2.96, 3)])
