@@ -35,7 +35,7 @@ _EXPORTS = {
         "PrimitiveI", "Shifted", "adaptive_simpson", "binomial_coeffs", "bohr_majorant",
         "cesaro_series_order",
         "kernel_integral", "majorant_value", "majorant_values", "operator_coeffs",
-        "quadrature_value", "required_origin_zeros", "series_order", "sup_bound",
+        "quadrature_value", "series_order", "sup_bound",
     ),
     "radii": (
         "CurveRow", "RadiusResult", "radius_curve", "radius_equation", "solve_radius",

@@ -66,7 +66,6 @@ from .operators import (
     majorant_values,
     operator_coeffs,
     quadrature_value,
-    required_origin_zeros,
     series_order,
     sup_bound,
 )
@@ -201,6 +200,9 @@ def _parse_grid(args: argparse.Namespace) -> list:
         return []
     if args.grid_min is None or (args.grid_max is None and args.grid_points > 1):
         raise ParameterDomainError("--grid-points needs --grid-min and --grid-max")
+    for flag, value in (("--grid-min", args.grid_min), ("--grid-max", args.grid_max)):
+        if value is not None and not math.isfinite(value):
+            raise ParameterDomainError(f"{flag} must be finite, got {value}")
     if args.grid_points == 1:
         return [args.grid_min]
     step = (args.grid_max - args.grid_min) / (args.grid_points - 1)
@@ -214,7 +216,7 @@ def cmd_curve(args: argparse.Namespace) -> tuple:
     rest = [getattr(args, flag) for flag in flags[1:]]
     rows = [
         {"param": row.parameter, "root": row.root, "residual": row.residual}
-        for row in radius_curve([(v, build(v, *rest)) for v in grid], args.tol)
+        for row in radius_curve([(v, build(v, *rest).family) for v in grid], args.tol)
     ]
     params = {"op": args.op, "m": args.m, "grid": grid, "tol": args.tol}
     return (params, {"rows": rows}, ("param", "root", "residual"), rows), EXIT_OK
@@ -255,6 +257,8 @@ def cmd_verify(args: argparse.Namespace) -> tuple:
         r = critical
     else:
         r = args.r if args.r is not None else min(critical + max(0.02, 20 * args.tol), 0.98)
+        if args.r is None and r <= critical:  # a root at or above 0.98: halfway to 1
+            r = 0.5 * (critical + 1.0)
 
     params = {
         **_operator_params(args),
@@ -286,14 +290,13 @@ def cmd_verify(args: argparse.Namespace) -> tuple:
 
     bound = sup_bound(kind, r)
     eps, tol = DEFAULT_MAJORANT_EPS, _rounding_tol(bound)
-    zeros_needed = required_origin_zeros(kind)
     # Sample every coefficient the family's weight vector reads, no more.
     order = kind.d + series_order(kind.family, r, eps)
     violations, first_violation, worst = 0, None, -math.inf
     for start in range(0, args.samples, VERIFY_BLOCK):
         indices = np.arange(start, min(start + VERIFY_BLOCK, args.samples), dtype=np.uint64)
         seeds = derive_seed(args.seed, indices)
-        coeffs, _ = _operands(seeds, args.max_factors, args.radius_cap, zeros_needed, order)
+        coeffs, _ = _operands(seeds, args.max_factors, args.radius_cap, kind.d, order)
         excesses = [v - bound for v in majorant_values(kind, coeffs, r, eps)]
         worst = max(worst, *excesses)
         over = [(i, e) for i, e in enumerate(excesses) if e > tol]
@@ -406,12 +409,11 @@ def _selftest_suites(seed: int) -> list:
     ):
         # The image's order is the family's own cut at |z|, shifted by z**s.
         order = kind.s + series_order(kind.family, abs(z), 1e-13)
-        origin_zeros = required_origin_zeros(kind)
         (row,), ((h0,), (zeros,), (live,)) = _operands(
-            [derive_seed(seed, 100 + i)], 3, 0.9, origin_zeros, order
+            [derive_seed(seed, 100 + i)], 3, 0.9, kind.d, order
         )
         # The drawn zeros, then the origin zeros, in the order multiply_by_z appends them.
-        f = Blaschke(tuple(zeros[live]) + (0j,) * origin_zeros, h0)
+        f = Blaschke(tuple(zeros[live]) + (0j,) * kind.d, h0)
         series_val = horner(operator_coeffs(kind, row, order), z)
         quad_val = quadrature_value(kind, f, z, DEFAULT_QUAD_TOL)
         worst = max(worst, abs(series_val - quad_val))

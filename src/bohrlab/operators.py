@@ -10,22 +10,24 @@ where F is one of two families acting on f(z) = sum a_n z^n:
 
 * ``CesaroBeta(beta)``  T_b[f](z) = integral_0^1 f(tz) (1-tz)**(-b) dt,
   with series coefficients ``(1/(n+1)) sum_{k<=n} c_{n-k}(b) a_k``.
-* ``Bernardi(gamma, m)``  L_g[f](z) = integral_0^1 f(zt) t**(gamma-1) dt
-  = sum_{n>=m} a_n/(n+gamma) z^n, for f with an m-fold zero and gamma > -m.
+* ``Bernardi(gamma)``  L_g[f](z) = integral_0^1 f(zt) t**(gamma-1) dt
+  = sum_n a_n/(n+gamma) z^n, for gamma > 0.
 
-A family used on its own has ``(s, d) = (0, 0)``.  The named operators are
-``Libera()`` = Bernardi(1, 0), ``Alexander()`` = Bernardi(0, 1),
-``CBeta(beta)`` = ``z * T_b[f / z]`` (the variant for functions vanishing
-at 0, shift (1, 1) over CesaroBeta) and ``PrimitiveI()`` = the
-antiderivative ``integral_0^z f = z * L_1[f]`` (shift (1, 0) over
-Bernardi(1, 0)).  ``ClassicalBohr()`` is the identity operator, the
-baseline with bound 1.
+A family used on its own has ``(s, d) = (0, 0)``, and shifts compose.  On
+f with an m-fold zero at 0 and gamma > -m, L_gamma is the origin shift
+``z**m L_(m+gamma)[f / z**m]``: ``Bernardi(gamma, m)`` with ``m >= 1`` builds
+``Shifted(Bernardi(m + gamma), m, m)`` and ``Alexander()`` = Bernardi(0, 1)
+is ``z * L_1[f / z]``.  ``Libera()`` = Bernardi(1), ``CBeta(beta)`` = ``z *
+T_b[f / z]`` and ``PrimitiveI()`` = ``integral_0^z f = z * L_1[f]``;
+``ClassicalBohr()`` is the identity operator, the baseline with bound 1.
 
 Each family supplies its coefficient image, majorant weights, defining
 integral, sup bound and radius equation, and knows nothing of the shift;
-the module functions below apply the shift rule once for all of them
-(``sup_bound`` is ``r**s`` times the family's bound).  The absolute series
-of the image is linear in ``|a_k|``, so the majorant is a weight vector:
+the module functions below apply the shift rule once for all of them:
+``sup_bound`` is ``r**s`` times the family's bound, so ``alexander`` and
+``bernardi --m >= 1`` report ``r**m`` times it, as ``cbeta`` and
+``primitive`` do.  The absolute series of the image is linear in ``|a_k|``,
+so the majorant is a weight vector:
 ``M(f, r) = r**s * sum_k |a_{k+d}| w_k(r)``, built once per
 ``(family, r, eps)`` as a tuple of ``math`` floats and applied to a whole
 coefficient matrix.  The weight vector is the family's one truncation
@@ -36,10 +38,11 @@ Cesaro family and the plain geometric bound for the Bernardi family and the
 identity.  Every series order (``series_order``, the coefficients ``verify``
 samples, the images ``selftest`` checks against quadrature, the extremal
 sums) is read off its length, and the Bernardi radius equation is the
-identity ``w_m - 2 sum_{k>m} w_k`` in the same weights.
+identity ``w_0 - 2 sum_{k>0} w_k`` in the same weights.
 One scale rule holds: each radius equation is evaluated at unit scale (the
-Cesaro one times ``(1-x)**beta``, the Bernardi one over ``x**m``), and every
-weight cut is ``eps * min(1, family.bound(r))``.
+Cesaro one times ``(1-x)**beta``), every weight cut is ``eps * min(1,
+family.bound(r))``, and a kind's weights are used only where its bound
+``sup_bound(kind, r)`` is a normal float.
 
 Every operator kind, like every result record and the corpus member, is a
 ``Record``: an immutable ``__slots__`` value that compares and hashes by its
@@ -91,7 +94,6 @@ __all__ = [
     "binomial_coeffs",
     "cesaro_series_order",
     "series_order",
-    "required_origin_zeros",
     "operator_coeffs",
     "majorant_value",
     "majorant_values",
@@ -105,7 +107,9 @@ __all__ = [
 
 # Order cap for adaptive series truncation.
 MAX_SERIES_TERMS = 10**6
-# The Bernardi radius equation's tail cut, relative to its lead 1/(m+gamma):
+# Most products (N+1)(N+2)/2 a Cesaro weight vector may take: order 4470, ~1 s.
+_MAX_CESARO_PRODUCTS = 10 * MAX_SERIES_TERMS
+# The Bernardi radius equation's tail cut, relative to its lead 1/gamma:
 # a root moves by about this much.
 _RADIUS_EPS = 1e-14
 # Subdivision depth at which adaptive quadrature gives up.
@@ -180,13 +184,13 @@ class Record:
 class Unshifted(Record):
     """A family used as an operator on its own: ``(s, d) = (0, 0)``.
 
-    A family provides ``m`` (the origin zeros its operand needs) and the
-    methods ``image``, ``weights(r, eps)`` and ``bound(r)``; the two radius
-    families add ``integral``, ``radius_equation`` and
-    ``require_root_below``.  A family knows nothing of the shift: its bound
-    is that of the unshifted family, and ``sup_bound`` applies ``r**s``
-    once.  A family has no order method of its own: ``series_order`` reads
-    every truncation order off the length of its weight vector.
+    A family provides the methods ``image``, ``weights(r, eps)`` and
+    ``bound(r)``; the two radius families add ``integral``,
+    ``radius_equation`` and ``require_root_below``.  A family knows nothing
+    of the shift: its operand needs no zero at 0, its bound is that of the
+    unshifted family, and ``sup_bound`` applies ``r**s`` once.  A family has
+    no order method of its own: ``series_order`` reads every truncation
+    order off the length of its weight vector.
     """
 
     __slots__ = ()
@@ -199,10 +203,9 @@ class Unshifted(Record):
 
 
 class CesaroBeta(Unshifted):
-    """The generalized Cesaro family ``T_beta``; its operand needs no zero at 0."""
+    """The generalized Cesaro family ``T_beta``."""
 
     __slots__ = ("beta",)
-    m = 0  # no zero at the origin needed
 
     def __init__(self, beta: float) -> None:
         beta = float(beta)
@@ -219,8 +222,16 @@ class CesaroBeta(Unshifted):
     def weights(self, r: float, eps: float) -> list:
         """``w_k = sum_j c_j(beta) r**(k+j) / (k+j+1)`` over ``k + j <= N``,
         ``N = cesaro_series_order(beta, r, eps)``, for ``k <= N``: each term
-        ``c_j * r**i / (i+1)`` with ``i = k+j``, one ``fsum`` per ``k``."""
+        ``c_j * r**i / (i+1)`` with ``i = k+j``, one ``fsum`` per ``k``.  An
+        order whose ``(N+1)(N+2)/2`` products exceed ``_MAX_CESARO_PRODUCTS``
+        is refused with ``TruncationError`` before any is taken."""
         n_stop = cesaro_series_order(self.beta, r, eps)
+        products = (n_stop + 1) * (n_stop + 2) // 2
+        if products > _MAX_CESARO_PRODUCTS:
+            raise TruncationError(
+                f"Cesaro weights of order {n_stop} take {products} products, more than "
+                f"{_MAX_CESARO_PRODUCTS}, at beta={self.beta}, r={r}; refused"
+            )
         c = binomial_coeffs(self.beta, n_stop)
         r_pow = [r**i for i in range(n_stop + 1)]
         denom = range(1, n_stop + 2)
@@ -255,11 +266,13 @@ class CesaroBeta(Unshifted):
 
 
 class Bernardi(Unshifted):
-    """The Bernardi family ``L_gamma`` on operands with an ``m``-fold zero at 0."""
+    """The Bernardi family ``L_gamma``, ``gamma > 0``.  ``Bernardi(gamma, m)``
+    is ``L_gamma`` on operands with an ``m``-fold zero, ``gamma > -m``: for
+    ``m >= 1``, ``Shifted(Bernardi(m + gamma), m, m)``."""
 
-    __slots__ = ("gamma", "m")
+    __slots__ = ("gamma",)
 
-    def __init__(self, gamma: float, m: int = 0) -> None:
+    def __new__(cls, gamma: float, m: int = 0):
         gamma, m = float(gamma), int(m)
         if m < 0:
             raise ParameterDomainError(f"m must be nonnegative, got {m}")
@@ -267,93 +280,71 @@ class Bernardi(Unshifted):
             raise ParameterDomainError(f"gamma must be finite, got {gamma}")
         if gamma <= -m:
             raise ParameterDomainError(f"gamma must exceed -m, got gamma={gamma}, m={m}")
-        super().__init__(gamma, m)
+        if m:
+            return Shifted(Bernardi(m + gamma), m, m)
+        return super().__new__(cls)
+
+    def __init__(self, gamma: float, m: int = 0) -> None:
+        super().__init__(float(gamma))
 
     def image(self, a: np.ndarray, n_max: int) -> np.ndarray:
         import numpy as np
 
-        out = np.zeros(n_max + 1, dtype=np.complex128)
-        if n_max >= self.m:
-            n = np.arange(self.m, n_max + 1, dtype=np.float64)
-            out[self.m :] = a[self.m : n_max + 1] / (n + self.gamma)
-        return out
+        return a[: n_max + 1] / (np.arange(n_max + 1, dtype=np.float64) + self.gamma)
 
     def weights(self, r: float, eps: float) -> list:
-        """``w_k = r**k / (k+gamma)`` for ``k >= m``, zero below ``m``: the
-        unshifted ``_terms``."""
-        return [0.0] * self.m + self._terms(r, eps, 0)
-
-    def _terms(self, r: float, eps: float, shift: int) -> list:
-        """``r**j / (j+shift+gamma)`` for ``j = k - shift``, ``k >= m``: the weights
-        with powers counted from ``shift``, cut before the first ``j`` with
-        ``r**j / ((j+shift+gamma)(1-r)) <= eps``, at most ``max(ceil(log(eps
-        (1-r)) / log r), m - shift) + 1`` as the denominator exceeds 1 past ``k =
-        m``.  The test is monotone in ``j`` (``r**j`` falls as the denominator
-        grows), so bisection finds that ``j``.  At the order cap
-        ``TruncationError`` is raised at once, unless ``_cap_fits`` says the cut
-        is reached by then."""
+        """``w_k = r**k / (k+gamma)``, cut before the first ``k`` with ``r**k /
+        ((k+gamma)(1-r)) <= eps``, at most ``ceil(log(eps (1-r)) / log r) + 1``
+        as ``k + gamma > 1`` from ``k = 1``; the test is monotone in ``k``, so
+        bisection finds it.  At the order cap ``TruncationError`` is raised at
+        once, unless ``_cap_fits`` says the cut is reached by then."""
         cap = MAX_SERIES_TERMS - 1
-        top = max(math.ceil(math.log(eps * (1.0 - r)) / math.log(r)), self.m - shift) + 1
-        if top > cap and not self._cap_fits(r, eps, shift):
+        top = math.ceil(math.log(eps * (1.0 - r)) / math.log(r)) + 1
+        if top > cap and not self._cap_fits(r, eps):
             raise TruncationError(
                 f"Bernardi weights will not reach {eps} within {MAX_SERIES_TERMS} terms at r={r}"
             )
-        scale, offset, first = 1.0 - r, shift + self.gamma, self.m - shift
-        stop = first + bisect_left(range(first, min(top, cap) + 1), True,
-                                   key=lambda j: r**j / ((j + offset) * scale) <= eps)
-        return [r**i / (i + offset) for i in range(first, stop)]
+        scale, gamma = 1.0 - r, self.gamma
+        stop = bisect_left(range(min(top, cap) + 1), True,
+                           key=lambda k: r**k / ((k + gamma) * scale) <= eps)
+        return [r**k / (k + gamma) for k in range(stop)]
 
     def integral(self, f: Blaschke, z: complex, tol: float) -> complex:
-        """Endpoint singularities of the kernel (gamma < 1) are removed by
-        splitting off the m-fold zero of the operand and substituting
-        ``u = t**(m + gamma)`` when the combined exponent stays below 1."""
-        from .corpus import evaluate, schwarz_shift
+        """The endpoint singularity of the kernel (gamma < 1) is removed by
+        substituting ``u = t**gamma``."""
+        from .corpus import evaluate
 
-        gamma, m = self.gamma, self.m
+        gamma, inv = self.gamma, 1.0 / self.gamma
         if gamma >= 1.0:
-            return adaptive_simpson(
-                lambda t: evaluate(f, t * z) * t ** (gamma - 1.0), 0.0, 1.0, tol
-            )
-        h = schwarz_shift(f, m)
-        s = m + gamma
-        zm = z**m
-        if s >= 1.0:
-            return zm * adaptive_simpson(
-                lambda t: evaluate(h, t * z) * t ** (s - 1.0), 0.0, 1.0, tol
-            )
-        # 0 < s < 1: substitute u = t**s, which flattens the endpoint.
-        inv_s = 1.0 / s
-        return (
-            zm
-            / s
-            * adaptive_simpson(lambda u: evaluate(h, u**inv_s * z), 0.0, 1.0, tol * s)
-        )
+            return adaptive_simpson(lambda t: evaluate(f, t * z) * t ** (gamma - 1), 0.0, 1.0, tol)
+        return inv * adaptive_simpson(lambda u: evaluate(f, u**inv * z), 0.0, 1.0, tol * gamma)
 
     def bound(self, r: float) -> float:
-        """Sharp bound of ``L_gamma[f]`` on ``|z| = r``: ``r**m / (m+gamma)``."""
-        return r**self.m / (self.m + self.gamma)
+        """Sharp bound of ``L_gamma[f]`` on ``|z| = r``: ``1 / gamma``."""
+        return 1.0 / self.gamma
 
-    def _cap_fits(self, x: float, eps: float, shift: int) -> bool:
-        """Whether ``_terms(x, eps, shift)``'s tail bound at its order cap is at most ``eps``."""
+    def _cap_fits(self, x: float, eps: float) -> bool:
+        """Whether ``weights(x, eps)``'s tail bound at its order cap is at most ``eps``."""
         cap = MAX_SERIES_TERMS - 1
-        return x**cap / ((cap + shift + self.gamma) * (1.0 - x)) <= eps
+        return x**cap / ((cap + self.gamma) * (1.0 - x)) <= eps
 
     def _equation_cut(self) -> float:
-        """``radius_equation``'s term cut, relative to its scale ``1/(m+gamma)``."""
-        return 0.5 * _RADIUS_EPS * min(1.0, 1.0 / (self.m + self.gamma))
+        """``radius_equation``'s term cut, relative to its scale ``1/gamma``."""
+        return 0.5 * _RADIUS_EPS * min(1.0, 1.0 / self.gamma)
 
     def require_root_below(self, ladder: Sequence[float]) -> None:
         """Refuse parameters whose radius-equation root is certified to lie
         above every ``ladder`` point where the equation's tail can be summed.
 
-        As ``sum_{n>m} x**(n-m)/(n+gamma) <= -log(1-x)`` for ``m + gamma > 0``,
-        the equation is at least ``1/(m+gamma) + 2 log(1-x)``, so the root is
-        at least ``1 - exp(-1/(2(m+gamma)))``.  If no ladder point from there
-        passes the order-cap test at ``_equation_cut``, the solver would hit
-        ``TruncationError`` before it brackets the root."""
-        s, cut = self.m + self.gamma, self._equation_cut()
+        As ``sum_{n>0} x**n/(n+gamma) <= -log(1-x)``, the equation is at least
+        ``1/gamma + 2 log(1-x)``, so the root is at least ``1 -
+        exp(-1/(2 gamma))``.  If no ladder point from there passes the
+        order-cap test at ``_equation_cut``, the solver would hit
+        ``TruncationError`` before it brackets the root.  The message calls
+        ``gamma`` ``m+gamma``, as ``Bernardi(gamma, m)`` builds it."""
+        s, cut = self.gamma, self._equation_cut()
         floor = -math.expm1(-0.5 / s)
-        if not any(self._cap_fits(x, cut, self.m) for x in ladder if x >= floor):
+        if not any(self._cap_fits(x, cut) for x in ladder if x >= floor):
             raise ParameterDomainError(
                 f"m+gamma={s:g}: the radius equation's root R lies above every ladder "
                 f"point its {MAX_SERIES_TERMS}-term tail can reach, since 1 - R <= "
@@ -361,13 +352,12 @@ class Bernardi(Unshifted):
             )
 
     def radius_equation(self, x: float) -> float:
-        """``1/(m+gamma) - 2 sum_{n>m} x**(n-m)/(n+gamma)``: the weight identity
-        ``w_m - 2 sum_{k>m} w_k`` over ``x**m``, from the weights' own scan at
-        ``_equation_cut``, so the dropped doubled tail is at most
-        ``_RADIUS_EPS * min(1, 1/(m+gamma))``.  Every ``x`` is new, so the
-        terms are not cached."""
-        w = self._terms(x, self._equation_cut(), self.m)
-        w[:1] = [-0.5 / (self.m + self.gamma)]  # exact halves of normal floats: same bits
+        """``1/gamma - 2 sum_{n>0} x**n/(n+gamma)``: the weight identity ``w_0 - 2
+        sum_{k>0} w_k``, from the weights' own scan at ``_equation_cut``, so
+        the dropped doubled tail is at most ``_RADIUS_EPS * min(1, 1/gamma)``.
+        Every ``x`` is new, so the terms are not cached."""
+        w = self.weights(x, self._equation_cut())
+        w[:1] = [-0.5 / self.gamma]  # exact halves of normal floats: same bits
         return -2.0 * math.fsum(w)
 
 
@@ -375,7 +365,6 @@ class ClassicalBohr(Unshifted):
     """The identity operator: Bohr's baseline, coefficients against the bound 1."""
 
     __slots__ = ()
-    m = 0  # no zero at the origin needed
 
     def weights(self, r: float, eps: float) -> list:
         """``w_k = r**k`` for ``k <= N``, cut where the tail ``r**(N+1)/(1-r)``
@@ -388,14 +377,17 @@ class ClassicalBohr(Unshifted):
 
 
 class Shifted(Record):
-    """The operator ``K[f] = z**s * F[f / z**d]`` over a radius family ``F``."""
+    """The operator ``K[f] = z**s * F[f / z**d]`` over a radius family ``F``.
+
+    Shifts compose: over a shifted kind ``k`` it is ``Shifted(k.family, s +
+    k.s, d + k.d)``."""
 
     __slots__ = ("family", "s", "d")
 
-    def __init__(self, family: Union[CesaroBeta, Bernardi], s: int, d: int) -> None:
+    def __init__(self, family: OperatorKind, s: int, d: int) -> None:
         if not 0 <= d <= s:
             raise ParameterDomainError(f"need 0 <= d <= s, got s={s}, d={d}")
-        super().__init__(family, s, d)
+        super().__init__(family.family, s + family.s, d + family.d)
 
 
 def CBeta(beta: float) -> Shifted:
@@ -405,15 +397,16 @@ def CBeta(beta: float) -> Shifted:
 
 def PrimitiveI() -> Shifted:
     """The antiderivative ``integral_0^z f = z * L_1[f]``."""
-    return Shifted(Bernardi(1.0, 0), 1, 0)
+    return Shifted(Bernardi(1.0), 1, 0)
 
 
 def Libera() -> Bernardi:
-    return Bernardi(1.0, 0)
+    return Bernardi(1.0)
 
 
-def Alexander() -> Bernardi:
-    return Bernardi(0.0, 1)
+def Alexander() -> Shifted:
+    """``L_0`` on functions vanishing at 0: ``z * L_1[f / z]``."""
+    return Shifted(Libera(), 1, 1)
 
 
 OperatorKind = Union[CesaroBeta, Bernardi, ClassicalBohr, Shifted]
@@ -491,17 +484,11 @@ def cesaro_series_order(beta: float, r: float, eps: float) -> int:
     )
 
 
-def required_origin_zeros(kind: OperatorKind) -> int:
-    """How many leading zero coefficients the operand must carry."""
-    return kind.d + kind.family.m
-
-
 def _require_leading_zeros(coeffs: np.ndarray, kind: OperatorKind) -> None:
-    m = required_origin_zeros(kind)
-    worst = abs(coeffs[..., :m]).max(initial=0.0)
+    worst = abs(coeffs[..., : kind.d]).max(initial=0.0)
     if not worst <= 1e-12:
         raise PreconditionError(
-            f"{kind!r} requires the first {m} coefficients to vanish, got modulus {worst}"
+            f"{kind!r} requires the first {kind.d} coefficients to vanish, got modulus {worst}"
         )
 
 
@@ -527,21 +514,21 @@ def operator_coeffs(kind: OperatorKind, a: np.ndarray, n_max: int) -> np.ndarray
 @functools.lru_cache(maxsize=64)
 def _weights(family, r: float, eps: float) -> tuple:
     """The family's weights cut at ``eps * min(1, family.bound(r))``, so they
-    never stop before ``w_m``, which is the bound or at least 1.  The bound
-    must be a normal float: below ``2**-1022`` the cut underflows, and an
-    infinite bound leaves no finite majorant to compare.  Built once per
-    argument tuple: a verify sweep or an a-grid reuses them."""
+    never stop before ``w_0``, which is the bound or at least 1; the bound is
+    checked as ``sup_bound`` checks it.  Built once per argument tuple: a
+    verify sweep or an a-grid reuses them."""
     if not 0.0 < r < 1.0:
         raise ParameterDomainError(f"r must lie in (0, 1), got {r}")
     if not 0.0 < eps < 1.0:
         raise ParameterDomainError(f"eps must lie in (0, 1), got {eps}")
-    bound = family.bound(r)
-    if not 2.0**-1022 <= bound < math.inf:  # the normal float range
-        side = "underflows" if bound < 1.0 else "overflows"
-        raise ParameterDomainError(
-            f"the sharp bound {bound:g} at r={r} {side} the normal float range"
-        )
-    return tuple(family.weights(r, eps * min(1.0, bound)))
+    return tuple(family.weights(r, eps * min(1.0, sup_bound(family, r))))
+
+
+def _kind_weights(kind: OperatorKind, r: float, eps: float) -> tuple:
+    """``_weights`` of the kind's family, refused where ``sup_bound(kind, r)`` is."""
+    w = _weights(kind.family, r, eps)
+    sup_bound(kind, r)
+    return w
 
 
 def series_order(family, r: float, eps: float) -> int:
@@ -577,7 +564,7 @@ def majorant_values(
 
     absf = _unit_ball_moduli(coeffs)
     _require_leading_zeros(absf, kind)
-    w, scale = np.array(_weights(kind.family, r, eps)), r**kind.s
+    w, scale = np.array(_kind_weights(kind, r, eps)), r**kind.s
     if absf.shape[1] < kind.d + w.size:
         raise TruncationError(
             f"the weights read {kind.d + w.size} coefficients, the rows carry {absf.shape[1]}"
@@ -667,9 +654,18 @@ def sup_bound(kind: OperatorKind, r: float) -> float:
 
     Over the unit ball (with the required origin zeros) and ``|z| = r``:
     the Cesaro family is bounded by ``kernel_integral(beta, r) / r``, the
-    Bernardi family by ``r**m / (m + gamma)``, and a shift ``z**s`` adds
-    the factor ``r**s``, applied here and nowhere else.
+    Bernardi family ``L_gamma`` by ``1 / gamma``, and a shift ``z**s`` adds
+    the factor ``r**s``, applied here and nowhere else: ``Alexander()`` and
+    ``Bernardi(gamma, m)`` give ``r**m / (m + gamma)``.  The bound must be a
+    normal float: below ``2**-1022`` a cut or threshold relative to it
+    underflows, and an infinite bound leaves no finite majorant to compare.
     """
     if not 0.0 < r < 1.0:
         raise ParameterDomainError(f"r must lie in (0, 1), got {r}")
-    return r**kind.s * kind.family.bound(r)
+    bound = r**kind.s * kind.family.bound(r)
+    if not 2.0**-1022 <= bound < math.inf:  # the normal float range
+        side = "underflows" if bound < 1.0 else "overflows"
+        raise ParameterDomainError(
+            f"the sharp bound {bound:g} at r={r} {side} the normal float range"
+        )
+    return bound

@@ -34,7 +34,7 @@ from .operators import (
     ClassicalBohr,
     OperatorKind,
     Record,
-    _weights,
+    _kind_weights,
     sup_bound,
 )
 from .radii import _check_tol, solve_radius
@@ -106,26 +106,26 @@ def extremal_majorant(
 ) -> float:
     """Absolute series of the problem's extremal member at radius ``r``.
 
-    The member is ``z**m phi_a`` with ``m`` the origin zeros the operand
+    The member is ``z**d phi_a`` with ``d`` the origin zeros the operand
     needs.  Its coefficient moduli follow the closed law ``a``, then
-    ``(1 - a*a) * a**(n-1)``, and are summed against the family weights from
-    ``w_m`` on, ``r**s * fsum([a w_m] + [(1-a^2) a**(n-1) w_(m+n)])``; the
-    weight vector's cut keeps the omitted tail below ``eps``.
+    ``(1 - a*a) * a**(n-1)``, and are summed against the family weights,
+    ``r**s * fsum([a w_0] + [(1-a^2) a**(n-1) w_n])``; the weight vector's
+    cut keeps the omitted tail below ``eps``.
     """
     _check_a_r(a, r)
-    w = _weights(problem.family, r, eps)[problem.family.m :]
+    w = _kind_weights(problem, r, eps)
     slack = 1.0 - a * a
     terms = [a * w[0]] + [slack * a ** (n - 1) * w[n] for n in range(1, len(w))]
     return r**problem.s * math.fsum(terms)
 
 
-def _split_weights(family, r: float, eps: float) -> tuple:
-    """The family's majorant weights split as ``(w_m, [w_{m+1}, ...])``.
+def _split_weights(problem: OperatorKind, r: float, eps: float) -> tuple:
+    """The problem's family weights split as ``(w_0, [w_1, ...])``.
 
     The cut ``min(1e-15, eps/8)`` (relative, as every weight cut) keeps the
     omitted tail well below the ``eps`` of the independently summed ``total``.
     """
-    w = _weights(family, r, min(1e-15, eps / 8.0))[family.m :]
+    w = _kind_weights(problem, r, min(1e-15, eps / 8.0))
     return w[0], w[1:]
 
 
@@ -134,8 +134,8 @@ def decomposition(
 ) -> Decomposition:
     """Three-term split of the extremal absolute series from the family weights.
 
-    With ``lead = w_m`` and ``tail = w_{m+1}, w_{m+2}, ...``, the extremal
-    ``z**m phi_a`` has ``|a_m| = a`` and ``|a_{m+k}| = (1-a^2) a**(k-1)``, so
+    With ``lead = w_0`` and ``tail = w_1, w_2, ...``, the extremal ``z**d
+    phi_a`` has ``|a_d| = a`` and ``|a_{d+k}| = (1-a^2) a**(k-1)``, so
 
         deficit   = (1-a) (lead - 2 sum tail),
         remainder = (1-a) sum_k ((1+a) a**(k-1) - 2) tail_k,
@@ -147,7 +147,7 @@ def decomposition(
     """
     _check_a_r(a, r)
     family, scale = problem.family, r**problem.s
-    lead, tail = _split_weights(family, r, eps)
+    lead, tail = _split_weights(problem, r, eps)
     bracketed = [((1.0 + a) * a**k - 2.0) * w for k, w in enumerate(tail)]
     return Decomposition(
         bound_term=sup_bound(problem, r),
@@ -227,7 +227,7 @@ def concavity_check(
     if not (min(steps) > 0.0 and widest - min(steps) <= 1e-9 * max(widest, 1e-30)):
         raise ParameterDomainError("the a-grid must be uniform and increasing")
 
-    lead, tail = _split_weights(problem.family, r, 1e-12)
+    lead, tail = _split_weights(problem, r, 1e-12)
     tail_sum, scale = math.fsum(tail), r**problem.s
     v = [scale * (a * lead + (1.0 - a * a) * tail_sum) for a in grid]
     return max((v[i + 2] - 2.0 * v[i + 1]) + v[i] for i in range(len(v) - 2))

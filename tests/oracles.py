@@ -233,20 +233,20 @@ def bernardi_equation_reference(gamma: float, m: int, x: float, tail_eps: float,
     return math.fsum([lead] + [-2.0 * x_pow / (n + m + gamma) for n, x_pow in terms])
 
 
-def bernardi_terms_reference(family, r: float, eps: float, shift: int) -> list:
-    """``Bernardi._terms`` as the plain loop it replaced, which tests each
-    term's cut before appending it: ``r**j / (j+shift+gamma)`` from ``j = m -
-    shift`` until ``r**j / ((j+shift+gamma)(1-r)) <= eps``, with the same
+def bernardi_terms_reference(family, r: float, eps: float) -> list:
+    """``Bernardi.weights`` as the plain loop its bisection scan replaced,
+    which tests each term's cut before appending it: ``r**k / (k+gamma)``
+    from ``k = 0`` until ``r**k / ((k+gamma)(1-r)) <= eps``, with the same
     order cap and the same ``TruncationError``."""
     cap = MAX_SERIES_TERMS - 1
-    top = max(math.ceil(math.log(eps * (1.0 - r)) / math.log(r)), family.m - shift) + 1
-    if top > cap and not family._cap_fits(r, eps, shift):
+    top = math.ceil(math.log(eps * (1.0 - r)) / math.log(r)) + 1
+    if top > cap and not family._cap_fits(r, eps):
         raise TruncationError(
             f"Bernardi weights will not reach {eps} within {MAX_SERIES_TERMS} terms at r={r}"
         )
-    w, scale, offset = [], 1.0 - r, shift + family.gamma
-    for j in range(family.m - shift, min(top, cap) + 1):
-        r_pow, denom = r**j, j + offset
+    w, scale, gamma = [], 1.0 - r, family.gamma
+    for k in range(min(top, cap) + 1):
+        r_pow, denom = r**k, k + gamma
         if r_pow / (denom * scale) <= eps:
             break
         w.append(r_pow / denom)
@@ -255,9 +255,9 @@ def bernardi_terms_reference(family, r: float, eps: float, shift: int) -> list:
 
 def bernardi_radius_equation_loop(family, x: float) -> float:
     """``Bernardi.radius_equation`` as it was summed over the loop's terms:
-    ``1/(m+gamma)`` plus each term past the first times -2, in one ``fsum``."""
-    w = bernardi_terms_reference(family, x, family._equation_cut(), family.m)
-    return math.fsum([1.0 / (family.m + family.gamma)] + [-2.0 * v for v in w[1:]])
+    ``1/gamma`` plus each term past the first times -2, in one ``fsum``."""
+    w = bernardi_terms_reference(family, x, family._equation_cut())
+    return math.fsum([1.0 / family.gamma] + [-2.0 * v for v in w[1:]])
 
 
 def validate_membership(f, grid_size: int) -> float:

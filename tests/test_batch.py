@@ -73,7 +73,7 @@ class TestMajorantValues:
         ids=["cesaro-1", "cbeta-2", "libera", "bernardi-2-1", "primitive", "bohr"],
     )
     def test_rows_are_the_one_row_values(self, kind):
-        zeros = bl.required_origin_zeros(kind)
+        zeros = kind.d
         coeffs = np.zeros((30, 81 + zeros), dtype=np.complex128)
         coeffs[:, zeros:] = bl.taylor_matrix(_corpus(9, 30, 4), 80)
         values = bl.majorant_values(kind, coeffs, 0.4)
@@ -110,7 +110,7 @@ def _reference_majorant(kind, absf, r):
         n_stop = bl.cesaro_series_order(family.beta, r, MAJORANT_EPS)
         value = cesaro_abs_series_reference(family.beta, shifted, r, n_stop)
     elif isinstance(family, bl.Bernardi):
-        value = bernardi_abs_series_reference(family.gamma, family.m, shifted, r, MAJORANT_EPS)
+        value = bernardi_abs_series_reference(family.gamma, 0, shifted, r, MAJORANT_EPS)
     else:
         value = bohr_abs_series_bruteforce(shifted, r)
     return r**kind.s * value
@@ -120,7 +120,7 @@ def _reference_verify(kind, report):
     """The per-sample verify loop: one draw, expansion and majorant each."""
     params, results = report["params"], report["results"]
     r, order = params["r"], results["coefficient_order"]
-    zeros = bl.required_origin_zeros(kind)
+    zeros = kind.d
     bound = bl.sup_bound(kind, r)
     violations, first_violation, worst = 0, None, -math.inf
     for i in range(params["samples"]):

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -174,6 +175,19 @@ class TestCurveCommand:
         assert code == 2 and out == ""
         assert err == f"parameter error: tol must be finite and >= 1e-14, got {float(tol)}\n"
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("flag", ["min", "max"])
+    def test_nonfinite_grid_bound_is_refused_by_name(self, capsys, flag, value, fmt):
+        # an infinite step makes 0 * step NaN, which the first row used to blame on beta
+        bounds = {"min": "1", "max": "2", flag: value}
+        code, out, err = run_cli(
+            capsys, "curve", "--op", "cesaro", f"--grid-min={bounds['min']}",
+            f"--grid-max={bounds['max']}", "--grid-points", "3", "--format", fmt,
+        )
+        assert code == 2 and out == ""
+        assert err == f"parameter error: --grid-{flag} must be finite, got {float(value)}\n"
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -332,8 +346,8 @@ class TestVerifyCommand:
     def test_negative_gamma_order_covers_the_tail(self, capsys, flags):
         # verify samples exactly the coefficients the family's weight vector
         # reads, so the sampled extremal majorant is the full one.  With
-        # gamma < 0 the tail bounds r**n/((n+gamma)(1-r)) below n = m are
-        # negative or divide by zero; the cut must start past them.
+        # gamma < 0 the tail bounds r**n/((n+gamma)(1-r)) below n = m would be
+        # negative or divide by zero; the family L_(m+gamma) starts past them.
         import bohrlab as bl
 
         code, out, _ = run_cli(capsys, "verify", "--op", *flags, "--samples", "5")
@@ -345,7 +359,7 @@ class TestVerifyCommand:
         # the cut scales with a family bound below 1
         eps = 1e-12 * min(1.0, kind.family.bound(r))
         assert order == kind.d + len(kind.family.weights(r, eps)) - 1
-        psi = bl.Blaschke((0j,) * bl.required_origin_zeros(kind) + (0.9,))
+        psi = bl.Blaschke((0j,) * kind.d + (0.9,))
         sampled = bl.majorant_value(kind, bl.taylor_coeffs(psi, order), r)
         full = bl.majorant_value(kind, bl.taylor_coeffs(psi, 2000), r)
         assert sampled == full
@@ -437,6 +451,42 @@ class TestVerifyCommand:
         assert code == 0, err
         assert results["witness"] is not None
         assert results["margin"] > 1e-12 * results["bound"]
+
+    def test_above_mode_default_r_clears_a_root_near_one(self, capsys):
+        # R = 0.99978 lies above the default cap 0.98: r is halfway from R to 1
+        code, out, _ = run_cli(
+            capsys, "verify", "--op", "bernardi", "--gamma", "0.06", "--m", "0", "--r-mode", "above"
+        )
+        assert code == 0
+        params = json.loads(out)["params"]
+        assert params["r"] == (params["critical_radius"] + 1.0) / 2.0
+
+    def test_above_mode_default_r_below_the_cap_is_unchanged(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--op", "libera", "--r-mode", "above")
+        assert code == 0
+        params = json.loads(out)["params"]
+        assert params["r"] == params["critical_radius"] + 0.02
+
+    @pytest.mark.parametrize(
+        "argv,order",
+        [
+            (("sharpness", "--op", "cesaro", "--beta", "1", "--r", "0.9999", "--a-values", "0.5"),
+             437469),
+            (("verify", "--op", "cesaro", "--beta", "1", "--r-mode", "above", "--r", "0.9999"),
+             368395),
+        ],
+        ids=["sharpness", "verify-above"],
+    )
+    def test_cesaro_weights_past_the_product_cap_exit_3_at_once(self, capsys, argv, order):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 5.0
+        assert code == 3 and out == ""
+        products = (order + 1) * (order + 2) // 2
+        assert err == (
+            f"solver error: Cesaro weights of order {order} take {products} products, "
+            "more than 10000000, at beta=1.0, r=0.9999; refused\n"
+        )
 
     def test_underflowing_bound_is_refused_at_once(self, capsys):
         # r**1000/1001 underflows at r = 0.99 R, so no cut relative to it exists.

@@ -30,7 +30,7 @@ def cesaro(*betas):
 
 
 def bernardi(m, *gammas):
-    return [bl.Bernardi(g, m) for g in gammas]
+    return [bl.Bernardi(g, m).family for g in gammas]
 
 
 @pytest.fixture
@@ -72,7 +72,7 @@ class TestOracle:
             if isinstance(family, bl.CesaroBeta):
                 root = oracle_root(cesaro_scaled(family.beta))
             else:
-                root = oracle_root(bernardi_scaled(family.gamma, family.m))
+                root = oracle_root(bernardi_scaled(family.gamma, 0))
             assert abs(row.root - root) <= 1e-12, (family, row)
 
 
@@ -156,10 +156,10 @@ class TestAgreement:
 
     @pytest.mark.parametrize("gamma,m", [(1e-9, 0), (-0.999, 1)])
     def test_refused_corner_is_refused_on_the_warm_path_too(self, gamma, m, evaluations):
-        families = bernardi(m, 1.0, 0.5) + [bl.Bernardi(gamma, m)]
+        families = bernardi(m, 1.0, 0.5, gamma)
         with pytest.raises(bl.errors.ParameterDomainError, match="refused"):
             bl.radius_curve(entries(families))
-        assert bl.Bernardi(gamma, m) not in evaluations  # refused before any evaluation
+        assert families[-1] not in evaluations  # refused before any evaluation
 
 
 class TestEvaluations:

@@ -159,7 +159,7 @@ EXPORTS = [
     "horner", "kernel_integral", "majorant_value", "majorant_values", "multiply_by_z",
     "operator_coeffs", "operators", "quadrature_value", "radii",
     "radius_curve", "radius_equation", "random_schur", "random_schur_block",
-    "required_origin_zeros", "schwarz_shift", "series", "series_order", "sharpness",
+    "schwarz_shift", "series", "series_order", "sharpness",
     "solve_radius", "sup_bound", "taylor_coeffs", "taylor_matrix",
     "violation_search",
 ]

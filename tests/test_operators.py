@@ -4,6 +4,7 @@ oracles, quadrature of the defining integrals, and the sharp sup bounds."""
 import cmath
 import math
 import random
+import time
 import tracemalloc
 
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bohrlab as bl
+from bohrlab import operators
 from bohrlab.errors import ParameterDomainError, PreconditionError, TruncationError
 from bohrlab.operators import MAX_SERIES_TERMS
 from oracles import (
@@ -152,9 +154,26 @@ class TestMajorant:
     def test_bernardi_corpus_against_bruteforce(self):
         r, gamma, m = 0.6, 0.5, 1
         f = bl.multiply_by_z(bl.random_schur(bl.derive_seed(18, 5), 4, 0.9))
-        coeffs = bl.taylor_coeffs(f, bl.series_order(bl.Bernardi(gamma, m), r, 1e-14))
-        ours = bl.majorant_value(bl.Bernardi(gamma, m), coeffs, r, 1e-14)
+        kind = bl.Bernardi(gamma, m)
+        coeffs = bl.taylor_coeffs(f, kind.d + bl.series_order(kind.family, r, 1e-14))
+        ours = bl.majorant_value(kind, coeffs, r, 1e-14)
         ref = bernardi_abs_series_bruteforce(gamma, m, coeffs, r)
+        assert ours == pytest.approx(ref, abs=1e-11)
+
+    @pytest.mark.parametrize(
+        "gamma,m,s",
+        [(0.0, 1, 0), (-0.5, 2, 0), (2.0, 3, 0), (-2.85, 3, 0), (1.0, 2, 1), (0.5, 40, 0)],
+    )
+    def test_shifted_bernardi_corpus_against_bruteforce(self, gamma, m, s):
+        # z**m L_(m+gamma)[f / z**m] is L_gamma on f, and a further shift
+        # (s, s) composes with it: the majorant is r**s times L_gamma's on f / z**s.
+        r = 0.6
+        f = bl.multiply_by_z(bl.random_schur(bl.derive_seed(18, m), 4, 0.9), m + s)
+        kind = bl.Shifted(bl.Bernardi(gamma, m), s, s)
+        assert kind == bl.Shifted(bl.Bernardi(m + gamma), m + s, m + s)
+        coeffs = bl.taylor_coeffs(f, kind.d + bl.series_order(kind.family, r, 1e-14))
+        ours = bl.majorant_value(kind, coeffs, r, 1e-14)
+        ref = r**s * bernardi_abs_series_bruteforce(gamma, m, coeffs[s:], r)
         assert ours == pytest.approx(ref, abs=1e-11)
 
     def test_primitive_majorant_scales_libera(self):
@@ -183,16 +202,27 @@ class TestMajorant:
         assert bl.majorant_value(family, z_m, r) == bl.sup_bound(family, r) > 0.0
 
     def test_underflowing_bound_is_a_domain_error(self):
+        # The family bound 1/1101 is normal; the operator's r**1100 / 1101 is not.
+        kind, row = bl.Bernardi(1.0, 1100), np.zeros(1200, dtype=complex)
         with pytest.raises(ParameterDomainError, match="bound 0 .* underflows"):
-            bl.series_order(bl.Bernardi(1.0, 1100), 0.5, 1e-12)
+            bl.sup_bound(kind, 0.5)
+        with pytest.raises(ParameterDomainError, match="bound 0 .* underflows"):
+            bl.majorant_value(kind, row, 0.5)
+        with pytest.raises(ParameterDomainError, match="bound 0 .* underflows"):
+            bl.extremal_majorant(kind, 0.5, 0.5)
 
     @pytest.mark.parametrize("eps", [0.0, 1.0, 2.0])
     def test_cut_outside_the_unit_interval_is_a_domain_error(self, eps):
         # a cut of eps >= 1 times the bound could drop w_m itself
         with pytest.raises(ParameterDomainError, match="eps must lie in"):
-            bl.series_order(bl.Bernardi(1.0, 3), 0.5, eps)
+            bl.series_order(bl.Bernardi(1.0, 3).family, 0.5, eps)
 
-    @pytest.mark.parametrize("kind", [bl.CesaroBeta(1.0), bl.CBeta(1.0), bl.Libera()], ids=str)
+    @pytest.mark.parametrize(
+        "kind",
+        [bl.CesaroBeta(1.0), bl.CBeta(1.0),
+         pytest.param(bl.Libera(), id="Bernardi(gamma=1.0, m=0)")],
+        ids=str,
+    )
     def test_short_row_is_refused(self, kind):
         # Blaschke((0.9,)) at r = 0.58: the weights read more columns than 6,
         # and the row's cut-off tail would go uncounted.
@@ -287,8 +317,8 @@ class TestQuadrature:
             bl.CesaroBeta(1.0),
             bl.CesaroBeta(2.0),
             pytest.param(bl.CBeta(1.0), id="CBeta(beta=1.0)"),
-            bl.Bernardi(1.0, 0),
-            bl.Bernardi(0.5, 1),
+            pytest.param(bl.Bernardi(1.0, 0), id="Bernardi(gamma=1.0, m=0)"),
+            pytest.param(bl.Bernardi(0.5, 1), id="Bernardi(gamma=0.5, m=1)"),
             pytest.param(bl.Libera(), id="Libera()"),
             pytest.param(bl.Alexander(), id="Alexander()"),
             pytest.param(bl.PrimitiveI(), id="PrimitiveI()"),
@@ -298,7 +328,7 @@ class TestQuadrature:
     def test_series_image_matches_integral(self, kind):
         z = 0.5 * cmath.exp(1.1j)
         for i, f in enumerate(_corpus(7070, 4)):
-            f = bl.multiply_by_z(f, bl.required_origin_zeros(kind))
+            f = bl.multiply_by_z(f, kind.d)
             order = kind.s + bl.series_order(kind.family, abs(z), 1e-13)
             image = bl.operator_coeffs(kind, bl.taylor_coeffs(f, order), order)
             series_val = bl.horner(image, z)
@@ -319,13 +349,13 @@ class TestBernardiEquation:
         ],
     )
     def test_weight_identity_matches_the_plain_loop(self, gamma, m, x, tol):
-        family, lead = bl.Bernardi(gamma, m), 1.0 / (m + gamma)
-        # The equation over x**m sums the weight scan's terms past the lead
+        family, lead = bl.Bernardi(gamma, m).family, 1.0 / (m + gamma)
+        # The equation sums L_(m+gamma)'s weight scan's terms past the lead
         # at the halved cut, one per term the plain loop takes at the full
         # cut, which is relative to the unit-scale lead 1/(m+gamma).
         cut = tol * min(1.0, lead)
         terms = bernardi_tail_reference(m + gamma, 0, x, cut, 2.0, MAX_SERIES_TERMS)
-        assert len(family._terms(x, 0.5 * cut, m)) == 1 + len(terms)
+        assert len(family.weights(x, 0.5 * cut)) == 1 + len(terms)
         # The equation itself always cuts at 1e-14.  It is a difference of
         # terms of the lead's size, so its rounding is counted in ulps of the lead.
         ref = bernardi_equation_reference(gamma, m, x, 1e-14, MAX_SERIES_TERMS)
@@ -347,45 +377,53 @@ class TestBernardiEquation:
 
 
 def _scan_cases(count, seed=21):
-    """Seeded ``(family, r, eps, shift)`` cases for the term scan: m in
-    {0, 1, 3, 52} with gamma down to -m + 1e-3, shift 0 or m, r uniform in
-    (0.01, 0.99) or 1 - 2**-k for k <= 10, eps log-uniform in [1e-16, 1e-9]."""
+    """Seeded ``(family, r, eps)`` cases for the weight scan: the family of
+    ``Bernardi(gamma, m)`` for m in {0, 1, 3, 52} with gamma down to -m +
+    1e-3, r uniform in (0.01, 0.99) or 1 - 2**-k for k <= 10, eps
+    log-uniform in [1e-16, 1e-9]."""
     rng = random.Random(seed)
     for _ in range(count):
         m = rng.choice((0, 1, 3, 52))
         gamma = -m + 1e-3 + rng.random() ** 3 * (m + 30.0)
         r = rng.uniform(0.01, 0.99) if rng.random() < 0.7 else 1.0 - 2.0 ** -rng.randint(1, 10)
-        yield bl.Bernardi(gamma, m), r, 10.0 ** rng.uniform(-16.0, -9.0), rng.choice((0, m))
+        yield bl.Bernardi(gamma, m).family, r, 10.0 ** rng.uniform(-16.0, -9.0)
 
 
 class TestTermScan:
-    """The bisection scan of ``Bernardi._terms`` against the loop it replaced."""
+    """The bisection scan of ``Bernardi.weights`` against the loop it replaced."""
 
     def test_terms_and_equation_match_the_loop_bit_for_bit(self):
-        for family, r, eps, shift in _scan_cases(1500):
-            assert family._terms(r, eps, shift) == bernardi_terms_reference(family, r, eps, shift)
+        for family, r, eps in _scan_cases(1500):
+            assert family.weights(r, eps) == bernardi_terms_reference(family, r, eps)
             x = 0.26 + 0.73 * r  # an abscissa in (0.26, 0.99)
+            assert family.radius_equation(x) == bernardi_radius_equation_loop(family, x)
+
+    @pytest.mark.parametrize("gamma,m", [(1.0, 1), (-0.85, 1), (0.5, 3), (-2.85, 3), (1.0, 52)])
+    def test_shifted_equation_is_the_family_loop_bit_for_bit(self, gamma, m):
+        family = bl.Bernardi(gamma, m).family
+        for k in range(1, 200):
+            x = 0.26 + 0.73 * k / 200.0
             assert family.radius_equation(x) == bernardi_radius_equation_loop(family, x)
 
     @pytest.mark.parametrize("j", (0, 1, 10, 40))
     def test_a_term_whose_test_equals_eps_is_cut(self, j):
-        family, r, shift = bl.Bernardi(1.0, 3), 0.5, 3
-        eps = r**j / ((j + shift + family.gamma) * (1.0 - r))  # the cut test's own value
-        assert len(family._terms(r, eps, shift)) == j
-        assert family._terms(r, eps, shift) == bernardi_terms_reference(family, r, eps, shift)
+        family, r = bl.Bernardi(1.0, 3).family, 0.5
+        eps = r**j / ((j + family.gamma) * (1.0 - r))  # the cut test's own value
+        assert len(family.weights(r, eps)) == j
+        assert family.weights(r, eps) == bernardi_terms_reference(family, r, eps)
 
     def test_past_the_order_cap_where_the_cap_fits(self):
         family, r, eps = bl.Bernardi(1.0, 0), 1.0 - 2.5e-5, 1e-9
         assert math.log(eps * (1.0 - r)) / math.log(r) > MAX_SERIES_TERMS
-        assert family._cap_fits(r, eps, 0)
-        assert family._terms(r, eps, 0) == bernardi_terms_reference(family, r, eps, 0)
+        assert family._cap_fits(r, eps)
+        assert family.weights(r, eps) == bernardi_terms_reference(family, r, eps)
 
     def test_past_the_order_cap_where_it_does_not_fit(self):
         family, r, eps = bl.Bernardi(1.0, 0), 1.0 - 1e-6, 1e-9
         with pytest.raises(TruncationError) as scan:
-            family._terms(r, eps, 0)
+            family.weights(r, eps)
         with pytest.raises(TruncationError) as loop:
-            bernardi_terms_reference(family, r, eps, 0)
+            bernardi_terms_reference(family, r, eps)
         assert str(scan.value) == str(loop.value)
 
 
@@ -437,6 +475,23 @@ class TestSupBounds:
         assert bl.cesaro_series_order(400.0, 0.3322, 1e-12) == 649
         with pytest.raises(ParameterDomainError, match=r"beta=450\.0, r=0\.3322"):
             bl.cesaro_series_order(450.0, 0.3322, 1e-12)
+
+    def test_cesaro_weights_past_the_product_cap_are_refused_unbuilt(self):
+        # order 437,469 at the sharpness split's cut: about 1e11 products
+        start = time.perf_counter()
+        with pytest.raises(TruncationError, match="order 437469 take .* products"):
+            bl.decomposition(bl.CesaroBeta(1.0), 0.5, 0.9999)
+        assert time.perf_counter() - start < 5.0
+
+    @pytest.mark.parametrize("beta", (0.25, 1.0, 3.0))
+    def test_cesaro_product_cap_admits_its_own_order(self, beta, monkeypatch):
+        r, eps = 0.9, 1e-12
+        order = bl.cesaro_series_order(beta, r, eps)
+        monkeypatch.setattr(operators, "_MAX_CESARO_PRODUCTS", (order + 1) * (order + 2) // 2)
+        assert len(bl.CesaroBeta(beta).weights(r, eps)) == order + 1
+        monkeypatch.setattr(operators, "_MAX_CESARO_PRODUCTS", (order + 1) * (order + 2) // 2 - 1)
+        with pytest.raises(TruncationError, match=f"order {order} take"):
+            bl.CesaroBeta(beta).weights(r, eps)
 
     def test_sample_floor(self):
         with pytest.raises(ParameterDomainError):

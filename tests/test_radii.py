@@ -9,6 +9,7 @@ from scipy.optimize import brentq
 
 import bohrlab as bl
 from bohrlab.errors import BracketError, ParameterDomainError
+from test_radii_oracle import solved_family
 
 
 def _libera_equation(x: float) -> float:
@@ -50,15 +51,15 @@ class TestRadiusEquation:
             assert summed == pytest.approx(closed, abs=1e-10)
 
     def test_alexander_form_matches_closed_log(self):
-        # the equation over x**m, here x: the same closed form as Libera's
-        family = bl.Bernardi(0.0, 1)
+        # Alexander's family is Libera's: the same closed form
+        family = bl.Bernardi(0.0, 1).family
         for x in np.linspace(0.05, 0.95, 25):
             closed = (3.0 * x + 2.0 * math.log(1.0 - x)) / x
             assert bl.radius_equation(family, x) == pytest.approx(closed, abs=1e-10)
 
     @pytest.mark.parametrize(
         "family",
-        [bl.CesaroBeta(0.5), bl.CesaroBeta(1.0), bl.CesaroBeta(3.0), bl.Bernardi(1.0, 0)],
+        [bl.CesaroBeta(0.5), bl.CesaroBeta(1.0), bl.CesaroBeta(3.0), solved_family(1.0, 0)],
         ids=str,
     )
     def test_positive_near_origin(self, family):
@@ -106,7 +107,7 @@ class TestSolveRadius:
         assert abs(result.root - 0.5828) <= 1e-3
 
     def test_alexander_shares_the_libera_root(self):
-        result = bl.solve_radius(bl.Bernardi(0.0, 1))
+        result = bl.solve_radius(bl.Bernardi(0.0, 1).family)
         assert result.root == pytest.approx(LIBERA_ROOT, abs=1e-10)
 
     def test_quadratic_beta_root_is_half(self):
@@ -131,10 +132,10 @@ class TestSolveRadius:
             bl.CesaroBeta(0.25),
             bl.CesaroBeta(1.0),
             bl.CesaroBeta(4.0),
-            bl.Bernardi(1.0, 0),
-            bl.Bernardi(0.0, 1),
-            bl.Bernardi(2.0, 1),
-            bl.Bernardi(-0.5, 1),
+            solved_family(1.0, 0),
+            solved_family(0.0, 1),
+            solved_family(2.0, 1),
+            solved_family(-0.5, 1),
         ],
         ids=str,
     )
@@ -208,11 +209,11 @@ class TestBoundConsistency:
 
     @pytest.mark.parametrize("gamma,m", [(1.0, 0), (0.0, 1)])
     def test_bernardi_corpus_below_bound(self, gamma, m):
-        family = bl.Bernardi(gamma, m)
-        root = bl.solve_radius(family).root
+        kind = bl.Bernardi(gamma, m)
+        root = bl.solve_radius(kind.family).root
         r = 0.99 * root
-        bound = bl.sup_bound(family, r)
+        bound = bl.sup_bound(kind, r)
         for i in range(12):
             f = bl.multiply_by_z(bl.random_schur(bl.derive_seed(556, i), 4, 0.9), m)
             coeffs = bl.taylor_coeffs(f, 160)
-            assert bl.majorant_value(family, coeffs, r) <= bound + 1e-9
+            assert bl.majorant_value(kind, coeffs, r) <= bound + 1e-9

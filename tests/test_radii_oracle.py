@@ -83,7 +83,8 @@ class TestOracle:
 
     @pytest.mark.parametrize("gamma,m", BERNARDI)
     def test_bernardi_bracket_contains_the_root(self, gamma, m):
-        assert_bracket_contains(bl.Bernardi(gamma, m), oracle_root(bernardi_scaled(gamma, m)))
+        family = bl.Bernardi(gamma, m).family
+        assert_bracket_contains(family, oracle_root(bernardi_scaled(gamma, m)))
 
     def test_gamma_006_root_is_near_one(self):
         assert abs(oracle_root(bernardi_scaled(0.06, 0)) - 0.99978) < 1e-5
@@ -107,7 +108,7 @@ class TestOracle:
     @pytest.mark.parametrize("gamma,m", [gm for gm in BERNARDI if gm[0] + gm[1] < 1.0])
     def test_refusal_floor_holds_where_the_solver_works(self, gamma, m):
         # the bound behind the corner refusal: R >= 1 - exp(-1/(2(m+gamma)))
-        assert solved(bl.Bernardi(gamma, m)).root >= 1.0 - math.exp(-0.5 / (m + gamma))
+        assert solved(bl.Bernardi(gamma, m).family).root >= 1.0 - math.exp(-0.5 / (m + gamma))
 
 
 def linear_scan(eq):
@@ -124,19 +125,25 @@ def grid(lo, hi, points):
     return [lo + i * step for i in range(points)]
 
 
-# The radius-sweep benchmark grids.
+def solved_family(gamma, m):
+    """The family ``L_(m+gamma)`` the solver takes for ``Bernardi(gamma, m)``,
+    as a test parameter named by that call."""
+    return pytest.param(bl.Bernardi(gamma, m).family, id=f"Bernardi(gamma={float(gamma)!r}, m={m})")
+
+
+# The radius-sweep benchmark grids, as the families ``curve`` solves.
 BENCHMARK_GRIDS = {
     "cesaro": [bl.CesaroBeta(b) for b in grid(0.05, 50.0, 2000)],
     "bernardi-m0": [bl.Bernardi(g, 0) for g in grid(0.15, 8.0, 600)],
-    "bernardi-m1": [bl.Bernardi(g, 1) for g in grid(-0.85, 8.0, 600)],
-    "bernardi-m3": [bl.Bernardi(g, 3) for g in grid(-2.85, 8.0, 600)],
+    "bernardi-m1": [bl.Bernardi(g, 1).family for g in grid(-0.85, 8.0, 600)],
+    "bernardi-m3": [bl.Bernardi(g, 3).family for g in grid(-2.85, 8.0, 600)],
 }
 
 CONTRACT_FAMILIES = (
     bl.CesaroBeta(0.05), bl.CesaroBeta(1.0), bl.CesaroBeta(2.0), bl.CesaroBeta(50.0),
-    bl.CesaroBeta(1e3), bl.Bernardi(0.15, 0), bl.Bernardi(1.0, 0),
-    bl.Bernardi(8.0, 0), bl.Bernardi(-0.85, 1), bl.Bernardi(0.0, 1), bl.Bernardi(-2.85, 3),
-    bl.Bernardi(8.0, 3),
+    bl.CesaroBeta(1e3), solved_family(0.15, 0), solved_family(1.0, 0),
+    solved_family(8.0, 0), solved_family(-0.85, 1), solved_family(0.0, 1),
+    solved_family(-2.85, 3), solved_family(8.0, 3),
 )
 
 # Equations with a root at c on which plain regula falsi keeps one end for
@@ -180,7 +187,7 @@ class TestSolverContract:
     @pytest.mark.parametrize(
         "family",
         [bl.CesaroBeta(b) for b in (100.0, 300.0, 2000.0)]
-        + [bl.Bernardi(1.0, m) for m in (50, 300, 600)],
+        + [solved_family(1.0, m) for m in (50, 300, 600)],
         ids=str,
     )
     def test_unit_scale_lets_interpolation_work(self, family):
@@ -199,7 +206,7 @@ class TestSolverContract:
         sums = [0.05] + [10.0 ** (k / 4.0) for k in range(-4, 53)]  # m + gamma, 0.05 .. 1e13
         for m in (0, 1, 3, 100, 1000):
             for s in sums:
-                family = bl.Bernardi(s - m, m)
+                family = bl.Bernardi(s - m, m).family
                 assert bl.radius_equation(family, 0.25) > 0.0, family
 
     def test_root_below_half_takes_the_floor_pair(self):
@@ -247,7 +254,7 @@ class TestSolverContract:
         equation = radii.radius_equation
         monkeypatch.setattr(radii, "radius_equation", lambda p, x: calls.append(x) or equation(p, x))
         with pytest.raises(ParameterDomainError, match="refused"):
-            bl.solve_radius(bl.Bernardi(gamma, m))
+            bl.solve_radius(bl.Bernardi(gamma, m).family)
         assert len(calls) < 3
 
     @pytest.mark.parametrize("name", BENCHMARK_GRIDS)
@@ -261,5 +268,5 @@ class TestSolverContract:
         equation = radii.radius_equation
         monkeypatch.setattr(radii, "radius_equation", lambda p, x: calls.append(x) or equation(p, x))
         with pytest.raises(ParameterDomainError, match="refused"):
-            bl.solve_radius(bl.Bernardi(gamma, m))
+            bl.solve_radius(bl.Bernardi(gamma, m).family)
         assert len(calls) < 3

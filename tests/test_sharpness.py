@@ -22,10 +22,21 @@ from oracles import (
 A_TRIPLE = (0.9, 0.99, 0.999)
 
 
-# Kinds whose operands need 0 to 3 origin zeros, shifted ones included.
+# Kinds whose operands need 0 to 3 origin zeros, shifted ones included,
+# each under its test id.
 EXTREMAL_KINDS = [
-    bl.CesaroBeta(1.0), bl.Libera(), bl.PrimitiveI(), bl.CBeta(2.0), bl.Alexander(),
-    bl.Bernardi(0.5, 2), bl.Shifted(bl.Bernardi(1.0, 2), 1, 1), bl.Bernardi(2.0, 3),
+    pytest.param(kind, id=name)
+    for kind, name in (
+        (bl.CesaroBeta(1.0), "CesaroBeta(beta=1.0)"),
+        (bl.Libera(), "Bernardi(gamma=1.0, m=0)"),
+        (bl.PrimitiveI(), "Shifted(family=Bernardi(gamma=1.0, m=0), s=1, d=0)"),
+        (bl.CBeta(2.0), "Shifted(family=CesaroBeta(beta=2.0), s=1, d=1)"),
+        (bl.Alexander(), "Bernardi(gamma=0.0, m=1)"),
+        (bl.Bernardi(0.5, 2), "Bernardi(gamma=0.5, m=2)"),
+        (bl.Shifted(bl.Bernardi(1.0, 2), 1, 1),
+         "Shifted(family=Bernardi(gamma=1.0, m=2), s=1, d=1)"),
+        (bl.Bernardi(2.0, 3), "Bernardi(gamma=2.0, m=3)"),
+    )
 ]
 
 
@@ -33,11 +44,11 @@ class TestExtremalMajorant:
     """The absolute series of z**m phi_a, summed from the closed coefficient
     law up to a = 1."""
 
-    @pytest.mark.parametrize("kind", EXTREMAL_KINDS, ids=repr)
+    @pytest.mark.parametrize("kind", EXTREMAL_KINDS)
     def test_witness_scan_values_are_the_direct_law(self, kind):
         # the a = 1 - 2**-k of the witness scan, past the corpus's zero cap
         r, eps = 0.5, 1e-12
-        m = bl.required_origin_zeros(kind)
+        m = kind.d
         w = _weights(kind.family, r, eps)
         for a in [1.0 - 2.0**-k for k in range(1, 41)] + [1.0]:
             c = psi_coeffs_direct(a, m, kind.d + len(w) - 1)
@@ -45,10 +56,10 @@ class TestExtremalMajorant:
             assert bl.extremal_majorant(kind, a, r, eps) == direct
 
     @pytest.mark.parametrize("a", [0.0, 0.3, 0.62, 0.9])
-    @pytest.mark.parametrize("kind", EXTREMAL_KINDS, ids=repr)
+    @pytest.mark.parametrize("kind", EXTREMAL_KINDS)
     def test_matches_the_corpus_member(self, kind, a):
         r, eps = 0.5, 1e-12
-        m = bl.required_origin_zeros(kind)
+        m = kind.d
         order = kind.d + bl.series_order(kind.family, r, eps)
         member = bl.taylor_coeffs(bl.Blaschke((0j,) * m + (a,)), order)
         value = bl.extremal_majorant(kind, a, r, eps)
@@ -261,10 +272,11 @@ class TestBelowRadiusSafety:
     @pytest.mark.parametrize(
         "problem",
         [bl.CesaroBeta(0.5), bl.CesaroBeta(1.0), bl.Bernardi(1.0, 0), bl.Bernardi(0.0, 1)],
-        ids=str,
+        ids=["CesaroBeta(beta=0.5)", "CesaroBeta(beta=1.0)", "Bernardi(gamma=1.0, m=0)",
+             "Bernardi(gamma=0.0, m=1)"],
     )
     def test_extremal_series_below_bound(self, problem):
-        root = bl.solve_radius(problem).root
+        root = bl.solve_radius(problem.family).root
         r = 0.99 * root
         bound = bl.sup_bound(problem, r)
         for a in np.linspace(0.0, 1.0, 21):
@@ -283,10 +295,13 @@ class TestConcavity:
     def test_bernardi_envelope(self, gamma, m):
         assert bl.concavity_check(bl.Bernardi(gamma, m), 0.5, self.GRID) <= 1e-10
 
-    @pytest.mark.parametrize("problem", [bl.CesaroBeta(1.0), bl.Bernardi(0.0, 3)], ids=str)
+    @pytest.mark.parametrize(
+        "problem", [bl.CesaroBeta(1.0), bl.Bernardi(0.0, 3)],
+        ids=["CesaroBeta(beta=1.0)", "Bernardi(gamma=0.0, m=3)"],
+    )
     def test_degenerate_small_radius(self, problem):
         # as r -> 0 the envelope flattens and second differences vanish;
-        # Bernardi(0, 3) has every weight below the cut there
+        # Bernardi(0, 3) scales its envelope by r**3
         value = bl.concavity_check(problem, 1e-6, self.GRID)
         assert abs(value) <= 1e-10
 

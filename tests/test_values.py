@@ -11,6 +11,7 @@ import copy
 import json
 import pickle
 
+import numpy as np
 import pytest
 
 import bohrlab as bl
@@ -20,10 +21,10 @@ from bohrlab.errors import ParameterDomainError
 # (record, its repr): one of every record type.
 RECORDS = [
     (bl.CesaroBeta(2), "CesaroBeta(beta=2.0)"),
-    (bl.Bernardi(1, 0), "Bernardi(gamma=1.0, m=0)"),
+    (bl.Bernardi(1, 0), "Bernardi(gamma=1.0)"),
     (bl.ClassicalBohr(), "ClassicalBohr()"),
     (bl.CBeta(2.0), "Shifted(family=CesaroBeta(beta=2.0), s=1, d=1)"),
-    (bl.PrimitiveI(), "Shifted(family=Bernardi(gamma=1.0, m=0), s=1, d=0)"),
+    (bl.PrimitiveI(), "Shifted(family=Bernardi(gamma=1.0), s=1, d=0)"),
     (bl.Blaschke((0.5,)), "Blaschke(zeros=((0.5+0j),), scale=(1+0j))"),
     (
         bl.RadiusResult(0.5, -0.0, (0.25, 0.75), 3),
@@ -50,7 +51,7 @@ def test_repr_names_every_field(record, text):
 @pytest.mark.parametrize("record,text", RECORDS, ids=RECORD_IDS)
 def test_fields_cannot_be_assigned_or_deleted(record, text):
     fields = text[text.index("(") + 1 : -1]
-    name = fields.split("=")[0] if fields else "m"  # ClassicalBohr's m is a class constant
+    name = fields.split("=")[0] if fields else "s"  # ClassicalBohr's s is a class constant
     with pytest.raises(AttributeError):
         setattr(record, name, 0)
     with pytest.raises(AttributeError):
@@ -108,6 +109,29 @@ def test_equal_family_hits_the_weight_cache():
     hits = operators._weights.cache_info().hits
     # A freshly built, equal family is the same cache key.
     operators._weights(bl.CesaroBeta(1.5), 0.4375, 1e-12)
+    assert operators._weights.cache_info().hits == hits + 1
+
+
+@pytest.mark.parametrize("gamma,m", [(0.0, 1), (-0.5, 1), (2.0, 1), (-2.85, 3), (1.0, 52)])
+def test_origin_zeros_are_a_shift_of_the_one_parameter_family(gamma, m):
+    kind = bl.Bernardi(gamma, m)
+    assert kind == bl.Shifted(bl.Bernardi(m + gamma), m, m)
+    assert hash(kind) == hash(bl.Shifted(bl.Bernardi(m + gamma), m, m))
+    assert (kind.family, kind.s, kind.d) == (bl.Bernardi(m + gamma, 0), m, m)
+    # shifts compose
+    assert bl.Shifted(kind, 1, 1) == bl.Shifted(bl.Bernardi(m + gamma), m + 1, m + 1)
+    assert bl.Shifted(kind, 2, 0) == bl.Shifted(bl.Bernardi(m + gamma), m + 2, m)
+
+
+def test_alexander_and_libera_share_one_weight_vector():
+    assert bl.Alexander() == bl.Shifted(bl.Libera(), 1, 1)
+    assert hash(bl.Alexander().family) == hash(bl.Libera())
+    r = 0.40625
+    libera = operators._weights(bl.Libera(), r, 1e-12)
+    hits = operators._weights.cache_info().hits
+    rows = np.zeros((1, 80), dtype=complex)
+    rows[0, 1] = 1.0
+    assert bl.majorant_values(bl.Alexander(), rows, r) == [r * libera[0]]
     assert operators._weights.cache_info().hits == hits + 1
 
 
