@@ -14,7 +14,7 @@ first one required, any other refused) and to the operator they build; the
 parser's choices, the flag checks, every command's operator and ``curve``'s
 grid (each value in place of the first flag) all read it.  Every handler
 returns ``(params, results, csv_header, csv_rows)`` and an exit code, and
-``_emit`` writes them as the one report.
+``_emit`` streams them as the one report.
 
 ``radius``, ``curve``, ``sharpness`` and ``verify --r-mode above`` need only
 the standard library.  ``verify --r-mode below|at`` imports numpy and the
@@ -24,17 +24,18 @@ corpus once it draws samples, and ``selftest`` imports both when it runs.
 ``_operands``, and every ``verify`` mode refuses the draw flags the corpus
 would, ``above`` included.
 
-Reports are JSON (default) or RFC-4180-style CSV with a header row; numbers
-are printed with 17 significant digits in CSV, and JSON uses shortest
-round-trip floats.  Identical flags and seed reproduce byte-identical
-output.  Exit codes: 0 ok, 1 a failed selftest suite, 2 parameter-domain
-error, 3 solver/summation failure, 4 verification failure, 5 sharpness
-reconstruction mismatch.
+Reports are JSON (default) or RFC-4180-style CSV with a header row (17
+significant digits; JSON uses shortest round-trip floats), streamed into
+``--out`` or stdout once the command has run: a parameter or solver error
+writes nothing.  Identical flags and seed reproduce byte-identical output.
+Exit codes: 0 ok, 1 a failed selftest suite, 2 parameter-domain error, 3
+solver/summation failure, 4 verification failure, 5 reconstruction mismatch.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -99,28 +100,25 @@ def _csv_cell(value) -> str:
 def _emit(
     args: argparse.Namespace, params: dict, results: dict, csv_header: tuple, csv_rows: list
 ) -> None:
-    """Write one command's report: JSON of the parameters and results, or a CSV
-    table of ``csv_rows`` (dicts keyed by ``csv_header``)."""
-    if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(csv_header)
-        writer.writerows([_csv_cell(row[key]) for key in csv_header] for row in csv_rows)
-        text = buf.getvalue()
-    else:
-        payload = {
-            "command": args.command,
-            "params": params,
-            "results": results,
-            "seed": args.seed,
-            "version": __version__,
-        }
-        text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    """Stream one command's report into ``--out`` or stdout: JSON of the parameters
+    and results, or a CSV table of ``csv_rows`` (dicts keyed by ``csv_header``)."""
+    with open(args.out, "wb") if args.out else contextlib.nullcontext(sys.stdout.buffer) as sink:
+        fh = io.TextIOWrapper(sink, encoding="utf-8", newline="")  # few writes to any stdout
+        if args.format == "csv":
+            writer = csv.writer(fh)
+            writer.writerow(csv_header)
+            writer.writerows([_csv_cell(row[key]) for key in csv_header] for row in csv_rows)
+        else:
+            payload = {
+                "command": args.command,
+                "params": params,
+                "results": results,
+                "seed": args.seed,
+                "version": __version__,
+            }
+            json.dump(payload, fh, indent=2, allow_nan=False)
+            fh.write("\n")
+        fh.detach()  # flushes into the sink; stdout's stays open
 
 
 # Each --op: the operator flags it takes, the first one required, and the
@@ -206,6 +204,8 @@ def _parse_grid(args: argparse.Namespace) -> list:
     if args.grid_points == 1:
         return [args.grid_min]
     step = (args.grid_max - args.grid_min) / (args.grid_points - 1)
+    if not math.isfinite(args.grid_min + (args.grid_points - 1) * step):  # the last, extreme point
+        raise ParameterDomainError("the grid from --grid-min to --grid-max overflows")
     return [args.grid_min + i * step for i in range(args.grid_points)]
 
 

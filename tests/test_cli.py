@@ -1,11 +1,14 @@
 """Command-line surface tests: exit codes, report schemas, determinism."""
 
+import argparse
+import io
 import json
 import math
 import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -187,6 +190,22 @@ class TestCurveCommand:
         )
         assert code == 2 and out == ""
         assert err == f"parameter error: --grid-{flag} must be finite, got {float(value)}\n"
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize(
+        "bounds,points",
+        [(("-1e308", "1e308"), "3"), (("1", "1.7976931348623157e308"), "4")],
+        ids=["span-overflows", "last-point-rounds-up"],
+    )
+    def test_overflowing_grid_is_refused_by_both_bounds(self, capsys, bounds, points, fmt):
+        # finite bounds, but max - min is inf (0 * inf is NaN at the first row),
+        # or the rounded last point min + 3 * step lands past the largest float
+        code, out, err = run_cli(
+            capsys, "curve", "--op", "cesaro", f"--grid-min={bounds[0]}",
+            f"--grid-max={bounds[1]}", "--grid-points", points, "--format", fmt,
+        )
+        assert code == 2 and out == ""
+        assert err == "parameter error: the grid from --grid-min to --grid-max overflows\n"
 
     @pytest.mark.parametrize(
         "argv",
@@ -843,6 +862,74 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert code == 0 and out == ""
     payload = json.loads(target.read_text())
     assert payload["command"] == "radius"
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize(
+    "argv,expected",
+    [
+        (("radius", "--op", "cesaro", "--beta", "-1"), 2),
+        (("sharpness", "--op", "cesaro", "--beta", "1", "--r", "0.9999", "--a-values", "0.5"), 3),
+    ],
+    ids=["domain-error", "solver-error"],
+)
+def test_failed_command_leaves_no_file(tmp_path, capsys, argv, expected, fmt):
+    target = tmp_path / f"report.{fmt}"
+    code, out, _ = run_cli(capsys, *argv, "--format", fmt, "--out", str(target))
+    assert code == expected and out == ""
+    assert not target.exists()
+
+
+def _curve_report(points: int) -> tuple:
+    """A ``curve`` report of ``points`` rows, as its handler returns it."""
+    grid = [0.05 + i * 0.0025 for i in range(points)]
+    rows = [{"param": v, "root": 1 / 3 + 2 / (3 * v), "residual": -1.1e-16} for v in grid]
+    return {"op": "cesaro", "grid": grid}, {"rows": rows}, tuple(rows[0]), rows
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_report_streams_in_bounded_memory(tmp_path, fmt):
+    # A 20,000-row curve report is about 0.9 MB in CSV and 2.3 MB in JSON;
+    # writing it allocates a bounded buffer, not a copy of its text.
+    report = _curve_report(20_000)
+    args = argparse.Namespace(
+        command="curve", format=fmt, out=str(tmp_path / f"curve.{fmt}"), seed=0
+    )
+    tracemalloc.start()
+    try:
+        cli._emit(args, *report)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    with open(args.out, encoding="utf-8", newline="") as fh:
+        written = fh.read()
+    rows = report[-1]
+    if fmt == "json":
+        assert json.loads(written)["results"]["rows"] == rows
+    else:
+        assert written.count("\r\n") == len(rows) + 1
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_unbuffered_stdout_takes_the_report_in_blocks(monkeypatch, fmt):
+    # Under PYTHONUNBUFFERED every write to sys.stdout reaches its byte layer
+    # at once; the report's many small pieces must not each become one write.
+    class CountingBytes(io.BytesIO):
+        writes = 0
+
+        def write(self, data):
+            self.writes += 1
+            return super().write(data)
+
+    raw = CountingBytes()
+    stdout = io.TextIOWrapper(raw, encoding="utf-8", newline="", write_through=True)
+    monkeypatch.setattr(sys, "stdout", stdout)
+    args = argparse.Namespace(command="curve", format=fmt, out=None, seed=0)
+    cli._emit(args, *_curve_report(2000))
+    assert not stdout.closed
+    size = len(raw.getvalue())
+    assert size > 1 << 16 and raw.writes <= size // 8192 + 2
 
 
 def test_csv_uses_17_significant_digits(capsys):

@@ -1,7 +1,8 @@
 """Golden reports: the README commands must keep writing the same bytes.
 
-Each command runs in process through ``cli.main`` with ``--out`` and its
-report is compared byte for byte with the committed file in ``golden/``.
+Each command runs in process through ``cli.main``, once with ``--out`` and
+once writing to stdout, and each report is compared byte for byte with the
+committed file in ``golden/``.
 A refactor that changes a report must change the golden file in the same
 commit and say which field changed and why.  The goldens were written with
 numpy 2.4.6 on x86-64 with AVX2.  The radius, curve and sharpness reports
@@ -57,10 +58,13 @@ README_COMMANDS = (
 
 
 @pytest.mark.parametrize("name,argv", README_COMMANDS, ids=[n for n, _ in README_COMMANDS])
-def test_readme_report_is_byte_identical(name, argv, tmp_path):
+def test_readme_report_is_byte_identical(name, argv, tmp_path, capsysbinary):
     out = tmp_path / name
     assert cli.main([*argv, "--out", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / name).read_bytes()
+    # Without --out the same bytes stream into stdout, which stays open.
+    assert cli.main(list(argv)) == 0
+    assert capsysbinary.readouterr().out == out.read_bytes()
 
 
 def test_selftest_draws_and_truncates_as_verify_does(tmp_path, monkeypatch):
