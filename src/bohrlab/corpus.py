@@ -125,13 +125,12 @@ def expand(h0: np.ndarray, zeros: np.ndarray, live: np.ndarray, n_max: int) -> n
     h = np.zeros((n_max + 1, len(h0)), dtype=np.complex128)
     h[0] = h0
     # A row without this zero skips the multiply; its padding a = 0 makes the divide exact.
+    # In place: each masked read on the right copies before its write.
     for a, a_bar, on in zip(zeros.T, zeros.conj().T, live.T):
-        g = h.copy()
-        g[1:, on] = h[:-1, on] - a[on] * h[1:, on]
-        g[0, on] = -a[on] * h[0, on]
+        h[1:, on] = h[:-1, on] - a[on] * h[1:, on]
+        h[0, on] = -a[on] * h[0, on]
         for n in range(1, n_max + 1):
-            g[n] += a_bar * g[n - 1]
-        h = g
+            h[n] += a_bar * h[n - 1]
     if not np.all(np.isfinite(h)):
         raise ParameterDomainError("coefficient entries must be finite")
     return np.ascontiguousarray(h.T)

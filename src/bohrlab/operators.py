@@ -31,14 +31,14 @@ so the majorant is a weight vector:
 ``M(f, r) = r**s * sum_k |a_{k+d}| w_k(r)``, built once per
 ``(family, r, eps)`` as a tuple of ``math`` floats and applied to a whole
 coefficient matrix.  The weight vector is the family's one truncation
-decision: it ends where the partial sum differs from the full absolute
-series of any unit-ball member by at most ``eps``, using the running-sum
-identity ``sum_{k<=n} c_k(b) = c_n(b+1)`` and a geometric envelope for the
-Cesaro family and the plain geometric bound for the Bernardi family and the
-identity.  Every series order (``series_order``, the coefficients ``verify``
-samples, the images ``selftest`` checks against quadrature, the extremal
-sums) is read off its length, and the Bernardi radius equation is the
-identity ``w_0 - 2 sum_{k>0} w_k`` in the same weights.
+decision: it ends where the partial sum is within ``eps`` of the absolute
+series of every unit-ball member, by the running-sum identity ``sum_{k<=n}
+c_k(b) = c_n(b+1)`` and a geometric envelope for Cesaro and a plain
+geometric bound for the others, under one cap tested before any weight is
+built: Cesaro order 4470, or 10**6 Bernardi or identity terms.  Every series
+order (``series_order``, the coefficients ``verify`` samples, the images
+``selftest`` checks against quadrature, the extremal sums) is read off its
+length, and the Bernardi radius equation is ``w_0 - 2 sum_{k>0} w_k``.
 One scale rule holds: each radius equation is evaluated at unit scale (the
 Cesaro one times ``(1-x)**beta``), every weight cut is ``eps * min(1,
 family.bound(r))``, and a kind's weights are used only where its bound
@@ -105,10 +105,10 @@ __all__ = [
     "MAX_SERIES_TERMS",
 ]
 
-# Order cap for adaptive series truncation.
+# Term cap of the Bernardi and identity weight vectors.
 MAX_SERIES_TERMS = 10**6
-# Most products (N+1)(N+2)/2 a Cesaro weight vector may take: order 4470, ~1 s.
-_MAX_CESARO_PRODUCTS = 10 * MAX_SERIES_TERMS
+# Cesaro order cap: the largest N with (N+1)(N+2)/2 <= 10**7 products, ~1 s.
+_MAX_CESARO_ORDER = 4470
 # The Bernardi radius equation's tail cut, relative to its lead 1/gamma:
 # a root moves by about this much.
 _RADIUS_EPS = 1e-14
@@ -222,16 +222,10 @@ class CesaroBeta(Unshifted):
     def weights(self, r: float, eps: float) -> list:
         """``w_k = sum_j c_j(beta) r**(k+j) / (k+j+1)`` over ``k + j <= N``,
         ``N = cesaro_series_order(beta, r, eps)``, for ``k <= N``: each term
-        ``c_j * r**i / (i+1)`` with ``i = k+j``, one ``fsum`` per ``k``.  An
-        order whose ``(N+1)(N+2)/2`` products exceed ``_MAX_CESARO_PRODUCTS``
-        is refused with ``TruncationError`` before any is taken."""
+        ``c_j * r**i / (i+1)`` with ``i = k+j``, one ``fsum`` per ``k``.  The
+        order's cap, and so the ``(N+1)(N+2)/2`` products' cap, is
+        ``cesaro_series_order``'s: past it no product is taken."""
         n_stop = cesaro_series_order(self.beta, r, eps)
-        products = (n_stop + 1) * (n_stop + 2) // 2
-        if products > _MAX_CESARO_PRODUCTS:
-            raise TruncationError(
-                f"Cesaro weights of order {n_stop} take {products} products, more than "
-                f"{_MAX_CESARO_PRODUCTS}, at beta={self.beta}, r={r}; refused"
-            )
         c = binomial_coeffs(self.beta, n_stop)
         r_pow = [r**i for i in range(n_stop + 1)]
         denom = range(1, n_stop + 2)
@@ -281,7 +275,13 @@ class Bernardi(Unshifted):
         if gamma <= -m:
             raise ParameterDomainError(f"gamma must exceed -m, got gamma={gamma}, m={m}")
         if m:
-            return Shifted(Bernardi(m + gamma), m, m)
+            try:
+                shifted = m + gamma
+            except OverflowError:  # an int m past the float range
+                shifted = math.inf
+            if math.isinf(shifted):
+                raise ParameterDomainError(f"m+gamma must be finite, got m={m}, gamma={gamma}")
+            return Shifted(Bernardi(shifted), m, m)
         return super().__new__(cls)
 
     def __init__(self, gamma: float, m: int = 0) -> None:
@@ -296,17 +296,16 @@ class Bernardi(Unshifted):
         """``w_k = r**k / (k+gamma)``, cut before the first ``k`` with ``r**k /
         ((k+gamma)(1-r)) <= eps``, at most ``ceil(log(eps (1-r)) / log r) + 1``
         as ``k + gamma > 1`` from ``k = 1``; the test is monotone in ``k``, so
-        bisection finds it.  At the order cap ``TruncationError`` is raised at
-        once, unless ``_cap_fits`` says the cut is reached by then."""
-        cap = MAX_SERIES_TERMS - 1
+        bisection finds it.  The same bisection refuses a cut past
+        ``MAX_SERIES_TERMS - 1`` with ``TruncationError``, unbuilt."""
         top = math.ceil(math.log(eps * (1.0 - r)) / math.log(r)) + 1
-        if top > cap and not self._cap_fits(r, eps):
+        cap, scale, gamma = MAX_SERIES_TERMS - 1, 1.0 - r, self.gamma
+        stop = bisect_left(range(min(top, cap) + 1), True,
+                           key=lambda k: r**k / ((k + gamma) * scale) <= eps)
+        if stop > cap:
             raise TruncationError(
                 f"Bernardi weights will not reach {eps} within {MAX_SERIES_TERMS} terms at r={r}"
             )
-        scale, gamma = 1.0 - r, self.gamma
-        stop = bisect_left(range(min(top, cap) + 1), True,
-                           key=lambda k: r**k / ((k + gamma) * scale) <= eps)
         return [r**k / (k + gamma) for k in range(stop)]
 
     def integral(self, f: Blaschke, z: complex, tol: float) -> complex:
@@ -323,11 +322,6 @@ class Bernardi(Unshifted):
         """Sharp bound of ``L_gamma[f]`` on ``|z| = r``: ``1 / gamma``."""
         return 1.0 / self.gamma
 
-    def _cap_fits(self, x: float, eps: float) -> bool:
-        """Whether ``weights(x, eps)``'s tail bound at its order cap is at most ``eps``."""
-        cap = MAX_SERIES_TERMS - 1
-        return x**cap / ((cap + self.gamma) * (1.0 - x)) <= eps
-
     def _equation_cut(self) -> float:
         """``radius_equation``'s term cut, relative to its scale ``1/gamma``."""
         return 0.5 * _RADIUS_EPS * min(1.0, 1.0 / self.gamma)
@@ -338,13 +332,14 @@ class Bernardi(Unshifted):
 
         As ``sum_{n>0} x**n/(n+gamma) <= -log(1-x)``, the equation is at least
         ``1/gamma + 2 log(1-x)``, so the root is at least ``1 -
-        exp(-1/(2 gamma))``.  If no ladder point from there passes the
-        order-cap test at ``_equation_cut``, the solver would hit
-        ``TruncationError`` before it brackets the root.  The message calls
-        ``gamma`` ``m+gamma``, as ``Bernardi(gamma, m)`` builds it."""
-        s, cut = self.gamma, self._equation_cut()
+        exp(-1/(2 gamma))``.  The cap test of ``weights`` at ``_equation_cut``
+        grows with ``x``: if the first ladder point from there fails it, the
+        solver would hit ``TruncationError`` before a bracket.  The message
+        calls ``gamma`` ``m+gamma``, as ``Bernardi(gamma, m)`` builds it."""
+        s, cut, cap = self.gamma, self._equation_cut(), MAX_SERIES_TERMS - 1
         floor = -math.expm1(-0.5 / s)
-        if not any(self._cap_fits(x, cut) for x in ladder if x >= floor):
+        x = next((x for x in ladder if x >= floor), None)
+        if x is None or x**cap / ((cap + s) * (1.0 - x)) > cut:
             raise ParameterDomainError(
                 f"m+gamma={s:g}: the radius equation's root R lies above every ladder "
                 f"point its {MAX_SERIES_TERMS}-term tail can reach, since 1 - R <= "
@@ -368,8 +363,13 @@ class ClassicalBohr(Unshifted):
 
     def weights(self, r: float, eps: float) -> list:
         """``w_k = r**k`` for ``k <= N``, cut where the tail ``r**(N+1)/(1-r)``
-        of a unit-ball series is at most ``eps``."""
+        of a unit-ball series is at most ``eps``; refused unbuilt with
+        ``TruncationError`` past Bernardi's ``MAX_SERIES_TERMS - 1`` weights."""
         n_stop = max(1, math.ceil(math.log(eps * (1.0 - r)) / math.log(r)))
+        if n_stop >= MAX_SERIES_TERMS - 1:
+            raise TruncationError(
+                f"Bohr weights will not reach {eps} within {MAX_SERIES_TERMS} terms at r={r}"
+            )
         return [r**k for k in range(n_stop + 1)]
 
     def bound(self, r: float) -> float:
@@ -456,9 +456,9 @@ def cesaro_series_order(beta: float, r: float, eps: float) -> int:
     Terms with unit-ball coefficients are dominated by
     ``t_n = c_n(beta+1) r**n / (n+1)``; past N the ratio of consecutive
     dominating terms never exceeds ``q = r * max(1, (N+1+beta)/(N+2))``, so
-    the tail is at most ``t_{N+1} / (1 - q)``.  Once ``c_n(beta+1)``
-    overflows a float no later term is finite, so the scan stops there with
-    ``ParameterDomainError``.
+    the tail is at most ``t_{N+1} / (1 - q)``.  The scan stops with
+    ``ParameterDomainError`` once ``c_n(beta+1)`` overflows (no later term
+    is finite) and with ``TruncationError`` past ``_MAX_CESARO_ORDER``.
     """
     if not 0.0 < r < 1.0:
         raise ParameterDomainError(f"r must lie in (0, 1), got {r}")
@@ -466,7 +466,7 @@ def cesaro_series_order(beta: float, r: float, eps: float) -> int:
         raise ParameterDomainError("eps must be positive")
     c_next = 1.0  # c_0(beta + 1)
     r_pow = r  # r**(n+1) while scanning n
-    for n in range(MAX_SERIES_TERMS):
+    for n in range(_MAX_CESARO_ORDER + 1):
         c_np1 = c_next * (n + beta + 1.0) / (n + 1.0)
         if math.isinf(c_np1):
             raise ParameterDomainError(
@@ -480,7 +480,7 @@ def cesaro_series_order(beta: float, r: float, eps: float) -> int:
         c_next = c_np1
         r_pow *= r
     raise TruncationError(
-        f"Cesaro majorant tail will not reach eps={eps} within {MAX_SERIES_TERMS} terms"
+        f"Cesaro weights need an order past {_MAX_CESARO_ORDER} at beta={beta}, r={r}, eps={eps}"
     )
 
 

@@ -236,21 +236,27 @@ def bernardi_equation_reference(gamma: float, m: int, x: float, tail_eps: float,
 def bernardi_terms_reference(family, r: float, eps: float) -> list:
     """``Bernardi.weights`` as the plain loop its bisection scan replaced,
     which tests each term's cut before appending it: ``r**k / (k+gamma)``
-    from ``k = 0`` until ``r**k / ((k+gamma)(1-r)) <= eps``, with the same
-    order cap and the same ``TruncationError``."""
-    cap = MAX_SERIES_TERMS - 1
-    top = math.ceil(math.log(eps * (1.0 - r)) / math.log(r)) + 1
-    if top > cap and not family._cap_fits(r, eps):
-        raise TruncationError(
-            f"Bernardi weights will not reach {eps} within {MAX_SERIES_TERMS} terms at r={r}"
-        )
+    from ``k = 0`` until ``r**k / ((k+gamma)(1-r)) <= eps``.  A loop that
+    tests every ``k <= MAX_SERIES_TERMS - 1`` without a cut raises the same
+    ``TruncationError``."""
     w, scale, gamma = [], 1.0 - r, family.gamma
-    for k in range(min(top, cap) + 1):
+    for k in range(MAX_SERIES_TERMS):
         r_pow, denom = r**k, k + gamma
         if r_pow / (denom * scale) <= eps:
-            break
+            return w
         w.append(r_pow / denom)
-    return w
+    raise TruncationError(
+        f"Bernardi weights will not reach {eps} within {MAX_SERIES_TERMS} terms at r={r}"
+    )
+
+
+def bernardi_root_reachable_reference(family, ladder) -> bool:
+    """The scan ``Bernardi.require_root_below`` made before it tested one
+    point: whether any ``ladder`` point at or above the root floor ``1 -
+    exp(-1/(2 gamma))`` passes the weights' cap test at the equation's cut."""
+    cap, gamma, cut = MAX_SERIES_TERMS - 1, family.gamma, family._equation_cut()
+    floor = -math.expm1(-0.5 / gamma)
+    return any(x**cap / ((cap + gamma) * (1.0 - x)) <= cut for x in ladder if x >= floor)
 
 
 def bernardi_radius_equation_loop(family, x: float) -> float:

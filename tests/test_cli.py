@@ -78,6 +78,20 @@ class TestRadiusCommand:
         assert code == 2 and out == ""
         assert "refused" in err and "exp(-1/(2(m+gamma)))" in err
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize(
+        "argv",
+        [("radius", "--op", "bernardi", "--gamma", "1"), ("curve", "--op", "bernardi",
+                                                          "--grid-values", "1")],
+        ids=lambda argv: argv[0],
+    )
+    def test_m_past_the_float_range_exits_2(self, capsys, argv, fmt):
+        # m + gamma overflows converting m to a float: a domain error, no traceback
+        m = str(10**400)
+        code, out, err = run_cli(capsys, *argv, "--m", m, "--format", fmt)
+        assert code == 2 and out == ""
+        assert err == f"parameter error: m+gamma must be finite, got m={m}, gamma=1.0\n"
+
     def test_gamma_above_the_old_limit_refused_with_exit_2(self, capsys):
         # root >= 1 - exp(-12.5), above 1 - 2**-15, the last ladder point the
         # 10**6-term tail reaches
@@ -487,24 +501,38 @@ class TestVerifyCommand:
         assert params["r"] == params["critical_radius"] + 0.02
 
     @pytest.mark.parametrize(
-        "argv,order",
+        "argv,eps",
         [
             (("sharpness", "--op", "cesaro", "--beta", "1", "--r", "0.9999", "--a-values", "0.5"),
-             437469),
+             "1e-15"),
             (("verify", "--op", "cesaro", "--beta", "1", "--r-mode", "above", "--r", "0.9999"),
-             368395),
+             "1e-12"),
         ],
         ids=["sharpness", "verify-above"],
     )
-    def test_cesaro_weights_past_the_product_cap_exit_3_at_once(self, capsys, argv, order):
+    def test_cesaro_weights_past_the_product_cap_exit_3_at_once(self, capsys, argv, eps):
+        # the orders would be 437,469 and 368,395: past the order cap 4470,
+        # whose (N+1)(N+2)/2 products are the most within 10**7
         start = time.perf_counter()
         code, out, err = run_cli(capsys, *argv)
         assert time.perf_counter() - start < 5.0
         assert code == 3 and out == ""
-        products = (order + 1) * (order + 2) // 2
         assert err == (
-            f"solver error: Cesaro weights of order {order} take {products} products, "
-            "more than 10000000, at beta=1.0, r=0.9999; refused\n"
+            f"solver error: Cesaro weights need an order past 4470 at beta=1.0, r=0.9999, "
+            f"eps={eps}\n"
+        )
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_bohr_weights_past_the_term_cap_exit_3_at_once(self, capsys, tmp_path, fmt):
+        # 1.6e8 weights at this r: refused unbuilt, not after a MemoryError
+        target = tmp_path / f"report.{fmt}"
+        argv = ("verify", "--op", "bohr", "--r-mode", "above", "--r", "0.9999999")
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv, "--format", fmt, "--out", str(target))
+        assert time.perf_counter() - start < 5.0
+        assert code == 3 and out == "" and not target.exists()
+        assert err == (
+            "solver error: Bohr weights will not reach 1e-12 within 1000000 terms at r=0.9999999\n"
         )
 
     def test_underflowing_bound_is_refused_at_once(self, capsys):

@@ -413,18 +413,60 @@ class TestTermScan:
         assert family.weights(r, eps) == bernardi_terms_reference(family, r, eps)
 
     def test_past_the_order_cap_where_the_cap_fits(self):
+        # the log bound lies past the cap, the cut test at the cap passes
         family, r, eps = bl.Bernardi(1.0, 0), 1.0 - 2.5e-5, 1e-9
+        cap = MAX_SERIES_TERMS - 1
         assert math.log(eps * (1.0 - r)) / math.log(r) > MAX_SERIES_TERMS
-        assert family._cap_fits(r, eps)
+        assert r**cap / ((cap + 1.0) * (1.0 - r)) <= eps
         assert family.weights(r, eps) == bernardi_terms_reference(family, r, eps)
 
     def test_past_the_order_cap_where_it_does_not_fit(self):
         family, r, eps = bl.Bernardi(1.0, 0), 1.0 - 1e-6, 1e-9
+        start = time.perf_counter()
         with pytest.raises(TruncationError) as scan:
             family.weights(r, eps)
+        assert time.perf_counter() - start < 0.25  # refused unbuilt
         with pytest.raises(TruncationError) as loop:
             bernardi_terms_reference(family, r, eps)
-        assert str(scan.value) == str(loop.value)
+        assert str(scan.value) == str(loop.value) == (
+            "Bernardi weights will not reach 1e-09 within 1000000 terms at r=0.999999"
+        )
+
+    @pytest.mark.parametrize("gamma", (0.05, 1.0, 30.0))
+    def test_the_term_cap_admits_a_cut_at_its_own_index(self, gamma, monkeypatch):
+        family, r, eps = bl.Bernardi(gamma, 0), 0.9, 1e-12
+        stop = len(family.weights(r, eps))
+        monkeypatch.setattr(operators, "MAX_SERIES_TERMS", stop + 1)  # the cap is stop
+        assert len(family.weights(r, eps)) == stop
+        monkeypatch.setattr(operators, "MAX_SERIES_TERMS", stop)
+        with pytest.raises(TruncationError) as refused:
+            family.weights(r, eps)
+        assert str(refused.value) == (
+            f"Bernardi weights will not reach 1e-12 within {stop} terms at r=0.9"
+        )
+
+
+class TestBohrWeights:
+    def test_the_term_cap_is_bernardis(self, monkeypatch):
+        # at most MAX_SERIES_TERMS - 1 weights, as for Bernardi
+        family, r, eps = bl.ClassicalBohr(), 0.9, 1e-12
+        n = len(family.weights(r, eps))
+        monkeypatch.setattr(operators, "MAX_SERIES_TERMS", n + 1)
+        assert family.weights(r, eps) == [r**k for k in range(n)]
+        monkeypatch.setattr(operators, "MAX_SERIES_TERMS", n)
+        with pytest.raises(TruncationError) as refused:
+            family.weights(r, eps)
+        assert str(refused.value) == f"Bohr weights will not reach 1e-12 within {n} terms at r=0.9"
+
+    def test_refused_unbuilt_near_one(self):
+        # at eps = 1e-12 the cap falls near r = 0.9999622
+        family = bl.ClassicalBohr()
+        assert len(family.weights(0.99996, 1e-12)) == 943_924
+        for r in (0.99997, 0.999999, 1.0 - 1e-12):
+            start = time.perf_counter()
+            with pytest.raises(TruncationError, match=f"within 1000000 terms at r={r}$"):
+                family.weights(r, 1e-12)
+            assert time.perf_counter() - start < 0.25
 
 
 class TestSupBounds:
@@ -467,7 +509,7 @@ class TestSupBounds:
              "adaptive_simpson-tol"],
     )
     def test_nan_fails_the_positivity_check(self, call):
-        # refused at once, not after a 1e6-term scan or a depth-60 subdivision
+        # refused at once, not after a full order scan or a depth-60 subdivision
         with pytest.raises(ParameterDomainError, match="must be positive"):
             call()
 
@@ -479,19 +521,62 @@ class TestSupBounds:
     def test_cesaro_weights_past_the_product_cap_are_refused_unbuilt(self):
         # order 437,469 at the sharpness split's cut: about 1e11 products
         start = time.perf_counter()
-        with pytest.raises(TruncationError, match="order 437469 take .* products"):
+        with pytest.raises(TruncationError) as refused:
             bl.decomposition(bl.CesaroBeta(1.0), 0.5, 0.9999)
         assert time.perf_counter() - start < 5.0
+        assert str(refused.value) == (
+            "Cesaro weights need an order past 4470 at beta=1.0, r=0.9999, eps=1e-15"
+        )
 
     @pytest.mark.parametrize("beta", (0.25, 1.0, 3.0))
     def test_cesaro_product_cap_admits_its_own_order(self, beta, monkeypatch):
         r, eps = 0.9, 1e-12
         order = bl.cesaro_series_order(beta, r, eps)
-        monkeypatch.setattr(operators, "_MAX_CESARO_PRODUCTS", (order + 1) * (order + 2) // 2)
+        monkeypatch.setattr(operators, "_MAX_CESARO_ORDER", order)
         assert len(bl.CesaroBeta(beta).weights(r, eps)) == order + 1
-        monkeypatch.setattr(operators, "_MAX_CESARO_PRODUCTS", (order + 1) * (order + 2) // 2 - 1)
-        with pytest.raises(TruncationError, match=f"order {order} take"):
+        monkeypatch.setattr(operators, "_MAX_CESARO_ORDER", order - 1)
+        with pytest.raises(TruncationError) as refused:
             bl.CesaroBeta(beta).weights(r, eps)
+        assert str(refused.value) == (
+            f"Cesaro weights need an order past {order - 1} at beta={beta}, r=0.9, eps=1e-12"
+        )
+
+    def test_cesaro_order_cap_is_the_last_order_within_the_product_cap(self):
+        # beta = 1: the tail bound r**(N+1)/(1-r) falls with N, so the order
+        # steps by one as r grows, and adjacent r straddle the cap
+        cap = operators._MAX_CESARO_ORDER
+        assert (cap + 1) * (cap + 2) // 2 <= 10**7 < (cap + 2) * (cap + 3) // 2
+
+        def order(r):
+            try:
+                return bl.cesaro_series_order(1.0, r, 1e-12)
+            except TruncationError:
+                return None
+
+        lo, hi = 0.99, 0.9999
+        while math.nextafter(lo, 1.0) < hi:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (lo, mid) if order(mid) is None else (mid, hi)
+        assert order(lo) == cap
+        assert len(bl.CesaroBeta(1.0).weights(lo, 1e-12)) == cap + 1
+        with pytest.raises(TruncationError) as refused:
+            bl.CesaroBeta(1.0).weights(hi, 1e-12)
+        assert str(refused.value) == (
+            f"Cesaro weights need an order past 4470 at beta=1.0, r={hi}, eps=1e-12"
+        )
+
+    @pytest.mark.parametrize("r,eps", [(0.9999, 1e-15), (0.99999999, 1e-12)])
+    def test_cesaro_order_past_the_cap_is_refused_in_milliseconds(self, r, eps):
+        # the scan stops at order 4470, not at 437,469 or 10**6
+        start = time.perf_counter()
+        with pytest.raises(TruncationError, match="order past 4470"):
+            bl.cesaro_series_order(1.0, r, eps)
+        assert time.perf_counter() - start < 0.25
+
+    def test_cesaro_cap_comes_before_a_later_overflow(self):
+        # c_n(151) would overflow at n = 5973, past the cap
+        with pytest.raises(TruncationError, match="order past 4470 at beta=150.0, r=0.97"):
+            bl.cesaro_series_order(150.0, 0.97, 1e-15)
 
     def test_sample_floor(self):
         with pytest.raises(ParameterDomainError):

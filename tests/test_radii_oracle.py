@@ -17,6 +17,7 @@ import pytest
 import bohrlab as bl
 from bohrlab import radii
 from bohrlab.errors import BracketError, ParameterDomainError
+from oracles import bernardi_root_reachable_reference
 
 ORACLE_BRACKET = ("0.3", "0.999999999")
 
@@ -261,6 +262,22 @@ class TestSolverContract:
     def test_benchmark_grids_are_not_refused(self, name):
         for family in BENCHMARK_GRIDS[name]:
             family.require_root_below(radii._LADDER)
+
+    @pytest.mark.parametrize("m", (0, 1, 3))
+    def test_first_reachable_point_decides_as_every_point_did(self, m):
+        # m + gamma in [0.03, 0.07] holds the switch from refused to solved
+        decisions = set()
+        for k in range(2001):
+            family = bl.Bernardi(0.03 + 0.04 * k / 2000 - m, m).family
+            reachable = bernardi_root_reachable_reference(family, radii._LADDER)
+            try:
+                family.require_root_below(radii._LADDER)
+            except ParameterDomainError:
+                assert not reachable, family
+            else:
+                assert reachable, family
+            decisions.add(reachable)
+        assert decisions == {False, True}
 
     @pytest.mark.parametrize("gamma,m", CORNERS)
     def test_corner_refused_within_three_evaluations(self, gamma, m, monkeypatch):

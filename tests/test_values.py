@@ -155,6 +155,15 @@ def test_constructor_refuses_with_the_first_failed_check(build, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("gamma,m", [(1.0, 10**400), (1e308, 10**308)],
+                         ids=["m-past-the-float-range", "sum-past-the-float-range"])
+def test_m_plus_gamma_past_the_float_range_is_refused(gamma, m):
+    # 10**400 cannot convert to a float; 10**308 + 1e308 rounds to inf
+    with pytest.raises(ParameterDomainError) as info:
+        bl.Bernardi(gamma, m)
+    assert str(info.value) == f"m+gamma must be finite, got m={m}, gamma={gamma}"
+
+
 def _report(tmp_path, *argv):
     out = tmp_path / "report.json"
     assert cli.main([*argv, "--out", str(out)]) == 0
