@@ -43,7 +43,7 @@ _EXPORTS = {
     "sharpness": (
         "BOHR_BASELINE_RADIUS", "Decomposition", "ViolationReport", "concavity_check",
         "critical_radius", "decomposition", "decomposition_bernardi", "decomposition_cesaro",
-        "extremal_majorant", "violation_search",
+        "decompositions", "extremal_majorant", "violation_search",
     ),
 }
 

@@ -171,27 +171,33 @@ def cmd_radius(args: argparse.Namespace) -> tuple:
     return (params, results, header, [{**results, "bracket_lo": lo, "bracket_hi": hi}]), EXIT_OK
 
 
-def _parse_floats(flag: str, tokens: list) -> list:
+def _check_grid_size(points: int) -> None:
+    if points > MAX_GRID_POINTS:  # refused before the list is built
+        raise ParameterDomainError(f"a grid holds at most {MAX_GRID_POINTS} points, got {points}")
+
+
+def _parse_floats(flag: str, text: str) -> list:
+    """The comma-separated floats of ``text``, each token read by ``float``:
+    blank text is the empty list, and an empty token is refused, not dropped."""
+    _check_grid_size(text.count(",") + 1)
+    text = text.strip()
+    if not text:
+        return []
     try:
-        return [float(tok) for tok in tokens]
+        return [float(tok) for tok in text.split(",")]
     except ValueError as exc:
         raise ParameterDomainError(f"{flag}: {exc}") from None
 
 
 def _parse_grid(args: argparse.Namespace) -> list:
-    points = args.grid_points if args.grid_values is None else args.grid_values.count(",") + 1
-    if points is not None and points > MAX_GRID_POINTS:  # refused before the list is built
-        raise ParameterDomainError(f"a grid holds at most {MAX_GRID_POINTS} points, got {points}")
     if args.grid_values is not None:
         for bound in ("min", "max", "points"):
             if getattr(args, f"grid_{bound}") is not None:
                 raise ParameterDomainError(f"--grid-{bound} does not apply with --grid-values")
-        text = args.grid_values.strip()
-        if not text:
-            return []
-        return _parse_floats("--grid-values", text.split(","))
+        return _parse_floats("--grid-values", args.grid_values)
     if args.grid_points is None:
         raise ParameterDomainError("provide --grid-values or --grid-min/max/points")
+    _check_grid_size(args.grid_points)
     if args.grid_points < 0:
         raise ParameterDomainError("--grid-points must be nonnegative")
     if args.grid_points == 0:
@@ -324,42 +330,30 @@ def cmd_verify(args: argparse.Namespace) -> tuple:
     return report, EXIT_OK
 
 
-def _parse_a_values(text: str) -> list:
-    values = _parse_floats("--a-values", [tok for tok in text.split(",") if tok.strip()])
-    if not values:
-        raise ParameterDomainError("the a-grid is empty")
-    return values
-
-
 def cmd_sharpness(args: argparse.Namespace) -> tuple:
-    from .sharpness import decomposition
+    from .sharpness import decompositions
 
     kind = _operator_kind(args)
     if args.r is None:
         raise ParameterDomainError("--r is required for the sharpness command")
-    a_values = _parse_a_values(args.a_values)
-    rows = []
-    worst_recon, mismatched = 0.0, False
-    for a in a_values:
-        dec = decomposition(kind, a, args.r, DEFAULT_MAJORANT_EPS)
-        worst_recon = max(worst_recon, dec.reconstruction_error)
-        mismatched |= not dec.reconstruction_error <= _rounding_tol(dec.bound_term)
-        ratio = dec.remainder / (1.0 - a) ** 2 if a < 1.0 else None
-        rows.append(
-            {
-                "a": a,
-                **dec._asdict(),
-                "reconstruction_error": dec.reconstruction_error,
-                "remainder_ratio": ratio,
-            }
-        )
+    a_values = _parse_floats("--a-values", args.a_values)
+    if not a_values:
+        raise ParameterDomainError("the a-grid is empty")
+    splits = decompositions(kind, a_values, args.r, DEFAULT_MAJORANT_EPS)
+    tol = _rounding_tol(splits[0].bound_term)  # one bound for every row
+    rows = [
+        {"a": a, **dec._asdict(), "reconstruction_error": dec.reconstruction_error,
+         "remainder_ratio": dec.remainder / (1.0 - a) ** 2 if a < 1.0 else None}
+        for a, dec in zip(a_values, splits)
+    ]
+    worst_recon = max(0.0, *(row["reconstruction_error"] for row in rows))
     report = (
         {**_operator_params(args), "r": args.r, "a_values": a_values},
         {"rows": rows, "max_reconstruction_error": worst_recon},
         tuple(rows[0]),
         rows,
     )
-    if mismatched:
+    if not all(row["reconstruction_error"] <= tol for row in rows):
         print(
             f"reconstruction mismatch {worst_recon} exceeds the rounding allowance "
             "max(1e-9 * min(1, bound), 1e-12 * bound) of its row's bound",

@@ -17,9 +17,10 @@ coefficients, which follow the closed real law ``-a`` at index ``m`` and
 a residual, which makes the three-term reconstruction a genuine cross-check.
 The law holds up to ``a = 1``, past the corpus's zero cap, so ``total`` sums
 it against the weights directly, with no coefficient array and no ``corpus``
-member.  Every sum here is a ``math.fsum`` over floats, so the module needs
-no numpy.  The integral form of the Cesaro remainder is kept as an
-independent oracle in ``tests/oracles.py``.
+member.  An a-grid shares one split weight vector and one bound.  Every sum
+here is a ``math.fsum`` over floats, so the module needs no numpy.  The
+integral form of the Cesaro remainder is kept as an independent oracle in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ __all__ = [
     "critical_radius",
     "extremal_majorant",
     "decomposition",
+    "decompositions",
     "decomposition_cesaro",
     "decomposition_bernardi",
     "violation_search",
@@ -119,20 +121,10 @@ def extremal_majorant(
     return r**problem.s * math.fsum(terms)
 
 
-def _split_weights(problem: OperatorKind, r: float, eps: float) -> tuple:
-    """The problem's family weights split as ``(w_0, [w_1, ...])``.
-
-    The cut ``min(1e-15, eps/8)`` (relative, as every weight cut) keeps the
-    omitted tail well below the ``eps`` of the independently summed ``total``.
-    """
-    w = _kind_weights(problem, r, min(1e-15, eps / 8.0))
-    return w[0], w[1:]
-
-
-def decomposition(
-    problem: OperatorKind, a: float, r: float, eps: float = 1e-12
-) -> Decomposition:
-    """Three-term split of the extremal absolute series from the family weights.
+def decompositions(
+    problem: OperatorKind, a_values: Sequence[float], r: float, eps: float = 1e-12
+) -> list:
+    """Three-term splits of the extremal absolute series, one per ``a``.
 
     With ``lead = w_0`` and ``tail = w_1, w_2, ...``, the extremal ``z**d
     phi_a`` has ``|a_d| = a`` and ``|a_{d+k}| = (1-a^2) a**(k-1)``, so
@@ -143,18 +135,31 @@ def decomposition(
     the deficit being ``(1-a)`` times the radius equation at ``r`` (over ``r``
     for the Cesaro family).  ``bound`` is the closed-form sup bound and
     ``total`` the extremal member's majorant; an origin shift scales all
-    four terms by ``r**s``.
+    four terms by ``r**s``.  Every ``a`` is checked first; one weight vector,
+    cut at ``min(1e-15, eps/8)``, serves every row, its omitted tail well below
+    the ``eps`` at which each row sums ``total`` on its own.
     """
-    _check_a_r(a, r)
-    family, scale = problem.family, r**problem.s
-    lead, tail = _split_weights(problem, r, eps)
-    bracketed = [((1.0 + a) * a**k - 2.0) * w for k, w in enumerate(tail)]
-    return Decomposition(
-        bound_term=sup_bound(problem, r),
-        deficit_term=scale * ((1.0 - a) * (lead - 2.0 * math.fsum(tail))),
-        remainder=scale * ((1.0 - a) * math.fsum(bracketed)),
-        total=scale * extremal_majorant(family, a, r, eps),
-    )
+    for a in a_values:
+        _check_a_r(a, r)
+    lead, *tail = _kind_weights(problem, r, min(1e-15, eps / 8.0))
+    scale, bound = r**problem.s, sup_bound(problem, r)
+    unit_deficit = lead - 2.0 * math.fsum(tail)
+
+    def split(a: float) -> Decomposition:
+        bracketed = [((1.0 + a) * a**k - 2.0) * w for k, w in enumerate(tail)]
+        return Decomposition(
+            bound_term=bound,
+            deficit_term=scale * ((1.0 - a) * unit_deficit),
+            remainder=scale * ((1.0 - a) * math.fsum(bracketed)),
+            total=scale * extremal_majorant(problem.family, a, r, eps),
+        )
+
+    return [split(a) for a in a_values]
+
+
+def decomposition(problem: OperatorKind, a: float, r: float, eps: float = 1e-12) -> Decomposition:
+    """The one-``a`` case of ``decompositions``."""
+    return decompositions(problem, [a], r, eps)[0]
 
 
 def decomposition_cesaro(
@@ -209,7 +214,7 @@ def concavity_check(
 ) -> float:
     """Max centered second difference of the proof's upper envelope in ``a``.
 
-    In the family weights of ``decomposition`` the envelope is concave,
+    In the split weights of ``decompositions`` (cut 1e-15) the envelope is concave,
 
         r**s [ a lead + (1-a^2) sum tail ],
 
@@ -227,7 +232,7 @@ def concavity_check(
     if not (min(steps) > 0.0 and widest - min(steps) <= 1e-9 * max(widest, 1e-30)):
         raise ParameterDomainError("the a-grid must be uniform and increasing")
 
-    lead, tail = _split_weights(problem, r, 1e-12)
-    tail_sum, scale = math.fsum(tail), r**problem.s
-    v = [scale * (a * lead + (1.0 - a * a) * tail_sum) for a in grid]
+    w = _kind_weights(problem, r, 1e-15)
+    tail_sum, scale = math.fsum(w[1:]), r**problem.s
+    v = [scale * (a * w[0] + (1.0 - a * a) * tail_sum) for a in grid]
     return max((v[i + 2] - 2.0 * v[i + 1]) + v[i] for i in range(len(v) - 2))

@@ -13,7 +13,10 @@ summed by the plain tail loop.
 They take plain numpy arrays and nothing from the library.  The one
 exception is the Bernardi term loop that the library's bisection scan
 replaced: it reads the family's order-cap test and raises the library's
-``TruncationError``, so the two can be compared refusal for refusal.
+``TruncationError``, so the two can be compared refusal for refusal.  The
+last, the sharpness split of one ``a`` that ``bl.decompositions`` replaced,
+reads the library's weights, bound and extremal majorant, so the two can be
+compared bit for bit.
 
 The four checks at the end, the boundary-grid membership of a corpus
 member, the sampled sup bound, the index-shift relation between the
@@ -33,7 +36,8 @@ import numpy as np
 
 import bohrlab as bl
 from bohrlab.errors import ParameterDomainError, TruncationError
-from bohrlab.operators import MAX_SERIES_TERMS
+from bohrlab.operators import MAX_SERIES_TERMS, _kind_weights
+from bohrlab.sharpness import _check_a_r
 
 
 def binomial_weight_lgamma(beta: float, n: int) -> float:
@@ -264,6 +268,24 @@ def bernardi_radius_equation_loop(family, x: float) -> float:
     ``1/gamma`` plus each term past the first times -2, in one ``fsum``."""
     w = bernardi_terms_reference(family, x, family._equation_cut())
     return math.fsum([1.0 / family.gamma] + [-2.0 * v for v in w[1:]])
+
+
+def decomposition_reference(problem, a: float, r: float, eps: float = 1e-12):
+    """``bl.decomposition`` as it split one ``a`` before an a-grid shared one
+    weight pass: it checked ``a`` and ``r``, fetched the split weights at
+    ``min(1e-15, eps/8)`` and the sup bound for this row alone, and summed
+    the deficit, remainder and ``total`` from them."""
+    _check_a_r(a, r)
+    family, scale = problem.family, r**problem.s
+    w = _kind_weights(problem, r, min(1e-15, eps / 8.0))
+    lead, tail = w[0], w[1:]
+    bracketed = [((1.0 + a) * a**k - 2.0) * w for k, w in enumerate(tail)]
+    return bl.Decomposition(
+        bound_term=bl.sup_bound(problem, r),
+        deficit_term=scale * ((1.0 - a) * (lead - 2.0 * math.fsum(tail))),
+        remainder=scale * ((1.0 - a) * math.fsum(bracketed)),
+        total=scale * bl.extremal_majorant(family, a, r, eps),
+    )
 
 
 def validate_membership(f, grid_size: int) -> float:

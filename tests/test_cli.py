@@ -1,6 +1,7 @@
 """Command-line surface tests: exit codes, report schemas, determinism."""
 
 import argparse
+import builtins
 import io
 import json
 import math
@@ -265,6 +266,14 @@ class TestCurveCommand:
         code, out, err = run_cli(capsys, "curve", "--op", "cesaro", *grid)
         assert code == 2 and out == ""
         assert err == "parameter error: a grid holds at most 100000 points, got 100001\n"
+
+    def test_linspace_flag_with_grid_values_is_named_before_the_cap(self, capsys):
+        grid = ",".join(["1"] * 100_001)
+        code, out, err = run_cli(
+            capsys, "curve", "--op", "cesaro", "--grid-values", grid, "--grid-min", "1"
+        )
+        assert code == 2 and out == ""
+        assert err == "parameter error: --grid-min does not apply with --grid-values\n"
 
     def test_grid_at_the_cap_is_solved(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "MAX_GRID_POINTS", 3)
@@ -649,15 +658,15 @@ class TestSharpnessCommand:
         import bohrlab as bl
         from bohrlab import sharpness
 
-        decompose = sharpness.decomposition
+        decompose = sharpness.decompositions
 
-        def skewed(problem, a, r, eps=1e-12):
-            dec = decompose(problem, a, r, eps)
-            return bl.Decomposition(
-                dec.bound_term, dec.deficit_term, dec.remainder, dec.total * 1.001
-            )
+        def skewed(problem, a_values, r, eps=1e-12):
+            return [
+                bl.Decomposition(dec.bound_term, dec.deficit_term, dec.remainder, dec.total * 1.001)
+                for dec in decompose(problem, a_values, r, eps)
+            ]
 
-        monkeypatch.setattr(sharpness, "decomposition", skewed)
+        monkeypatch.setattr(sharpness, "decompositions", skewed)
         code, _, err = run_cli(capsys, "sharpness", "--op", "bernardi", "--gamma", "1",
                                "--m", "30", "--r", "0.5", "--a-values", "0.5")
         assert code == 5 and "min(1, bound)" in err
@@ -666,16 +675,69 @@ class TestSharpnessCommand:
         import bohrlab as bl
         from bohrlab import sharpness
 
-        decompose = sharpness.decomposition
+        decompose = sharpness.decompositions
 
-        def undefined(problem, a, r, eps=1e-12):
-            dec = decompose(problem, a, r, eps)
-            return bl.Decomposition(dec.bound_term, dec.deficit_term, dec.remainder, math.nan)
+        def undefined(problem, a_values, r, eps=1e-12):
+            return [
+                bl.Decomposition(dec.bound_term, dec.deficit_term, dec.remainder, math.nan)
+                for dec in decompose(problem, a_values, r, eps)
+            ]
 
-        monkeypatch.setattr(sharpness, "decomposition", undefined)
+        monkeypatch.setattr(sharpness, "decompositions", undefined)
         code, out, _ = run_cli(capsys, "sharpness", "--op", "libera", "--r", "0.5",
                                "--a-values", "0.5", "--format", "csv")
         assert code == 5 and out.splitlines()[1].split(",")[4:6] == ["nan", "nan"]
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize(
+        "argv,expected,err_line",
+        [
+            (("cesaro", "--beta", "1", "--r", "0.5", "--a-values", "0.5,,0.6"), 2,
+             "parameter error: --a-values: could not convert string to float: ''"),
+            (("cesaro", "--beta", "1", "--r", "0.5", "--a-values", "0.5,"), 2,
+             "parameter error: --a-values: could not convert string to float: ''"),
+            (("cesaro", "--beta", "1", "--r", "0.5", "--a-values", " "), 2,
+             "parameter error: the a-grid is empty"),
+            # a bad a anywhere in the grid comes before the weights' order cap
+            (("cesaro", "--beta", "1", "--r", "0.9999", "--a-values", "0.5,2"), 2,
+             "parameter error: a must lie in [0, 1], got 2.0"),
+            (("cesaro", "--beta", "1", "--r", "0.9999", "--a-values", "0.5"), 3,
+             "solver error: Cesaro weights need an order past 4470 at beta=1.0, r=0.9999, "
+             "eps=1e-15"),
+            (("bernardi", "--gamma", "1e-320", "--m", "0", "--r", "0.5", "--a-values", "0.5"), 2,
+             "parameter error: the sharp bound inf at r=0.5 overflows the normal float range"),
+        ],
+        ids=["empty-token", "trailing-comma", "blank", "bad-a-before-order-cap",
+             "order-cap", "overflowing-bound"],
+    )
+    def test_a_grid_refusals_write_nothing(self, capsys, tmp_path, argv, expected, err_line, fmt):
+        target = tmp_path / f"report.{fmt}"
+        code, out, err = run_cli(
+            capsys, "sharpness", "--op", *argv, "--format", fmt, "--out", str(target)
+        )
+        assert code == expected and out == "" and not target.exists()
+        assert err == err_line + "\n"
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_a_grid_past_the_cap_is_refused_before_any_float(
+        self, capsys, tmp_path, monkeypatch, fmt
+    ):
+        # cli's float also reads --r, through argparse
+        parsed = []
+        monkeypatch.setattr(cli, "float", lambda tok: parsed.append(tok) or builtins.float(tok),
+                            raising=False)
+        argv = ("sharpness", "--op", "libera", "--r", "0.6")
+        target = tmp_path / f"report.{fmt}"
+        a_values = ",".join(["0.5"] * (cli.MAX_GRID_POINTS + 1))
+        code, out, err = run_cli(
+            capsys, *argv, "--a-values", a_values, "--format", fmt, "--out", str(target)
+        )
+        assert code == 2 and out == "" and not target.exists()
+        assert err == "parameter error: a grid holds at most 100000 points, got 100001\n"
+        assert parsed == ["0.6"]
+        parsed.clear()
+        assert run_cli(capsys, *argv, "--a-values", "0.5,0.9")[0] == 0  # JSON reads no float
+        assert parsed == ["0.6", "0.5", "0.9"]
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_overflowing_bound_is_refused(self, capsys, fmt):
@@ -840,15 +902,15 @@ class TestFailurePaths:
         import bohrlab as bl
         from bohrlab import sharpness
 
-        decompose = sharpness.decomposition
+        decompose = sharpness.decompositions
 
-        def skewed(problem, a, r, eps=1e-12):
-            dec = decompose(problem, a, r, eps)
-            return bl.Decomposition(
-                dec.bound_term + 1e-6, dec.deficit_term, dec.remainder, dec.total
-            )
+        def skewed(problem, a_values, r, eps=1e-12):
+            return [
+                bl.Decomposition(dec.bound_term + 1e-6, dec.deficit_term, dec.remainder, dec.total)
+                for dec in decompose(problem, a_values, r, eps)
+            ]
 
-        monkeypatch.setattr(sharpness, "decomposition", skewed)
+        monkeypatch.setattr(sharpness, "decompositions", skewed)
         code, _, err = run_cli(
             capsys, "sharpness", "--op", "cesaro", "--beta", "1", "--r", "0.5"
         )

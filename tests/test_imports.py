@@ -155,7 +155,8 @@ EXPORTS = [
     "adaptive_simpson", "binomial_coeffs", "bohr_majorant", "cauchy_product",
     "cesaro_series_order", "concavity_check", "corpus", "critical_radius",
     "cumulative_identity_residual", "decomposition", "decomposition_bernardi",
-    "decomposition_cesaro", "derive_seed", "errors", "evaluate", "expand", "extremal_majorant",
+    "decomposition_cesaro", "decompositions", "derive_seed", "errors", "evaluate", "expand",
+    "extremal_majorant",
     "horner", "kernel_integral", "majorant_value", "majorant_values", "multiply_by_z",
     "operator_coeffs", "operators", "quadrature_value", "radii",
     "radius_curve", "radius_equation", "random_schur", "random_schur_block",

@@ -3,17 +3,20 @@ oracles, quadratic vanishing of the remainders, violation witnesses beyond
 the radii, and concavity of the proof envelopes."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
 
 import bohrlab as bl
-from bohrlab.errors import ParameterDomainError
+from bohrlab import sharpness
+from bohrlab.errors import ParameterDomainError, TruncationError
 from bohrlab.operators import _weights
 from oracles import (
     bernardi_abs_series_bruteforce,
     cesaro_abs_series_bruteforce,
     cesaro_remainder_integral,
+    decomposition_reference,
     phi_coeffs_direct,
     psi_coeffs_direct,
     quadratic_remainder_check,
@@ -242,6 +245,65 @@ class TestShiftedDecomposition:
         assert dec.total == bl.extremal_majorant(kind, a, r)
         assert dec.total == pytest.approx(r * family.total, rel=1e-14)
         assert dec.reconstruction_error <= 1e-9
+
+
+# The benchmark's 1003-point sharpness grid and the CLI's default grid.
+BENCHMARK_A_GRID = [k / 1000 for k in range(1000)] + [0.9999, 0.99999, 1.0]
+DEFAULT_A_GRID = [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.99, 0.999, 1.0]
+
+
+def _bits(dec) -> bytes:
+    return struct.pack("<4d", dec.bound_term, dec.deficit_term, dec.remainder, dec.total)
+
+
+class TestDecompositions:
+    """One weight pass per ``(kind, r)`` for a whole a-grid, bit for bit the
+    split of each ``a`` on its own."""
+
+    @pytest.mark.parametrize("r", [0.3, 0.5, 0.7])
+    @pytest.mark.parametrize(
+        "grid", [BENCHMARK_A_GRID, DEFAULT_A_GRID], ids=["benchmark-1003", "default-13"]
+    )
+    @pytest.mark.parametrize(
+        "kind",
+        [bl.CesaroBeta(0.25), bl.CesaroBeta(1.0), bl.CBeta(2.0), bl.Libera(), bl.Alexander(),
+         bl.PrimitiveI(), bl.Bernardi(0.3, 0), bl.Bernardi(2.0, 1), bl.Bernardi(0.5, 3)],
+        ids=str,
+    )
+    def test_matches_the_one_a_reference_bit_for_bit(self, kind, grid, r):
+        rows = bl.decompositions(kind, grid, r)
+        assert len(rows) == len(grid)
+        for a, dec in zip(grid, rows):
+            assert _bits(dec) == _bits(decomposition_reference(kind, a, r)), a
+
+    @pytest.mark.parametrize("kind", [bl.CesaroBeta(1.0), bl.CBeta(2.0), bl.Bernardi(0.5, 3)],
+                             ids=str)
+    def test_fetches_the_split_weights_once(self, monkeypatch, kind):
+        # one fetch at the split cut, then one per row from extremal_majorant
+        calls = []
+        fetch = sharpness._kind_weights
+        monkeypatch.setattr(
+            sharpness, "_kind_weights", lambda *args: calls.append(args[2]) or fetch(*args)
+        )
+        bl.decompositions(kind, DEFAULT_A_GRID, 0.5, 1e-12)
+        assert calls == [1e-15] + [1e-12] * len(DEFAULT_A_GRID)
+        calls.clear()
+        bl.decomposition(kind, 0.5, 0.5, 1e-12)
+        assert calls == [1e-15, 1e-12]
+
+    def test_checks_every_a_before_any_weight(self, monkeypatch):
+        # at r = 0.9999 the Cesaro split weights are past the order cap
+        def no_weights(*args):
+            raise AssertionError("built weights for a refused a-grid")
+
+        kind = bl.CesaroBeta(1.0)
+        with pytest.raises(TruncationError, match="order past 4470"):
+            bl.decompositions(kind, [0.5], 0.9999)
+        monkeypatch.setattr(sharpness, "_kind_weights", no_weights)
+        with pytest.raises(ParameterDomainError, match=r"a must lie in \[0, 1\], got 2.0"):
+            bl.decompositions(kind, [0.5, 2.0], 0.9999)
+        with pytest.raises(ParameterDomainError, match=r"a must lie in \[0, 1\], got nan"):
+            bl.decompositions(kind, [0.5, math.nan], 0.5)
 
 
 class TestDeficitSign:
