@@ -164,6 +164,21 @@ def _check_tol(tol: float) -> None:
         raise ParameterDomainError(f"tol must be finite and >= 1e-14, got {tol}")
 
 
+def _equation(family: Union[CesaroBeta, Bernardi]) -> Callable[[float], float]:
+    """The radius equation of a Cesaro or Bernardi ``family`` whose root the ladder reaches."""
+    if not isinstance(family, (CesaroBeta, Bernardi)):
+        raise ParameterDomainError(f"family must be a Cesaro or Bernardi kind, got {family!r}")
+    family.require_root_below(_LADDER)
+    return functools.partial(radius_equation, family)
+
+
+def _solve(eq: Callable[[float], float], tol: float, start: float = 0.5, step: float = 0.25):
+    """The sign change ``_bracket`` finds from ``start``, narrowed to ``tol`` and polished."""
+    found = _bracket(eq, start, step)
+    narrowed = _narrow(eq, *found, tol)
+    return found, narrowed, _polish(eq, *narrowed[:4])
+
+
 def solve_radius(family: Union[CesaroBeta, Bernardi], tol: float = 1e-12) -> RadiusResult:
     """Locate the positive root by ``_narrow`` on the ladder pair ``_bracket``
     finds from 0.5, plus a short polish.
@@ -174,15 +189,10 @@ def solve_radius(family: Union[CesaroBeta, Bernardi], tol: float = 1e-12) -> Rad
     the smallest residual.  The reported bracket is ``root -+ tol/2`` when
     the equation's signs there confirm it, else the narrowed bracket.
     """
-    if not isinstance(family, (CesaroBeta, Bernardi)):
-        raise ParameterDomainError(f"family must be a Cesaro or Bernardi kind, got {family!r}")
     _check_tol(tol)
-    family.require_root_below(_LADDER)
-    eq = functools.partial(radius_equation, family)
-    ladder_lo, f_lo, ladder_hi, f_hi = _bracket(eq, 0.5, 0.25)
-    lo, f_lo, hi, f_hi, iterations = _narrow(eq, ladder_lo, f_lo, ladder_hi, f_hi, tol)
+    eq = _equation(family)
+    (ladder_lo, _, ladder_hi, _), (lo, _, hi, _, iterations), (best_x, best_f) = _solve(eq, tol)
     bracket = (lo, hi)
-    best_x, best_f = _polish(eq, lo, f_lo, hi, f_hi)
 
     # Narrowing often ends with an endpoint a few ulps from the root, where
     # the sign of the computed equation is rounding noise; half a tolerance
@@ -213,14 +223,8 @@ def radius_curve(
     _check_tol(tol)
     rows: list = []
     for param, family in entries:
-        param = float(param)
-        if not isinstance(family, (CesaroBeta, Bernardi)):
-            raise ParameterDomainError(f"family must be a Cesaro or Bernardi kind, got {family!r}")
-        family.require_root_below(_LADDER)
-        eq, slope = functools.partial(radius_equation, family), 1.0
-        if len(rows) < 2:
-            root, residual = _polish(eq, *_narrow(eq, *_bracket(eq, 0.5, 0.25), tol)[:4])
-        else:
+        param, eq, slope, solved = float(param), _equation(family), 1.0, None
+        if len(rows) > 1:
             before, last = rows[-2], rows[-1]
             # inf for a repeated parameter: the guess is then the last root
             slope = (last.root - before.root) / (last.parameter - before.parameter or math.inf)
@@ -228,10 +232,10 @@ def radius_curve(
             # no higher than the ladder point at or above the last root
             guess = min(guess, next(x for x in _LADDER if x >= last.root))
             try:
-                warm = _bracket(eq, guess - half, 2.0 * half)
-                root, residual = _polish(eq, *_narrow(eq, *warm, tol)[:4])
+                solved = _solve(eq, tol, guess - half, 2.0 * half)
             except (BracketError, TruncationError):
-                root, residual = _polish(eq, *_narrow(eq, *_bracket(eq, 0.5, 0.25), tol)[:4])
+                pass  # solved again from 0.5 below
+        root, residual = (solved or _solve(eq, tol))[2]
         half = max(2.0 * abs(root - guess), 0.5 * tol) if len(rows) > 1 else 1e-3
         if rows:
             dp = abs(param - rows[-1].parameter)

@@ -1,8 +1,9 @@
 """Golden reports: the README commands must keep writing the same bytes.
 
-Each command runs in process through ``cli.main``, once with ``--out`` and
-once writing to stdout, and each report is compared byte for byte with the
-committed file in ``golden/``.
+The row of ``cli_checks.CHECKS`` that writes each golden runs here in
+process through ``cli.main``, once with ``--out`` and once writing to
+stdout, and each report is compared byte for byte with the committed file in
+``golden/``; ``test_cli_checks.py`` runs every golden row in fresh processes.
 A refactor that changes a report must change the golden file in the same
 commit and say which field changed and why.  The goldens were written with
 numpy 2.4.6 on x86-64 with AVX2.  The radius, curve and sharpness reports
@@ -20,44 +21,25 @@ with ``NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR"``; with
 
 To regenerate after an intended change, run from the repository root:
 
-    PYTHONPATH=src python -m tests.test_golden
+    PYTHONPATH=src python tests/test_golden.py
 """
 
+import shlex
 from pathlib import Path
 
 import pytest
 
 from bohrlab import cli
+from cli_checks import CHECKS, GOLDEN
 
-GOLDEN = Path(__file__).resolve().parent / "golden"
-
-# (golden file name, argv) for the seven commands listed in the README.
-README_COMMANDS = (
-    ("radius_cesaro.json", ("radius", "--op", "cesaro", "--beta", "1")),
-    (
-        "radius_bernardi.csv",
-        ("radius", "--op", "bernardi", "--gamma", "1", "--m", "0", "--format", "csv"),
-    ),
-    (
-        "curve_cesaro.csv",
-        ("curve", "--op", "cesaro", "--grid-min", "0.5", "--grid-max", "3",
-         "--grid-points", "26", "--format", "csv"),
-    ),
-    (
-        "verify_cesaro_below.json",
-        ("verify", "--op", "cesaro", "--beta", "2", "--samples", "1000", "--seed", "7",
-         "--r-mode", "below"),
-    ),
-    ("verify_libera_above.json", ("verify", "--op", "libera", "--r-mode", "above", "--r", "0.60")),
-    (
-        "sharpness_cesaro.csv",
-        ("sharpness", "--op", "cesaro", "--beta", "1", "--r", "0.5", "--format", "csv"),
-    ),
-    ("selftest.json", ("selftest",)),
-)
+# The argv that writes each golden file: the first table row naming it.
+WRITERS: dict = {}
+for _row in CHECKS:
+    if _row.golden is not None:
+        WRITERS.setdefault(_row.golden, _row.argv)
 
 
-@pytest.mark.parametrize("name,argv", README_COMMANDS, ids=[n for n, _ in README_COMMANDS])
+@pytest.mark.parametrize("name,argv", WRITERS.items(), ids=list(WRITERS))
 def test_readme_report_is_byte_identical(name, argv, tmp_path, capsysbinary):
     out = tmp_path / name
     assert cli.main([*argv, "--out", str(out)]) == 0
@@ -82,7 +64,17 @@ def test_selftest_draws_and_truncates_as_verify_does(tmp_path, monkeypatch):
     assert out.read_bytes() == (GOLDEN / "selftest.json").read_bytes()
 
 
+def test_readme_commands_are_golden_rows():
+    # The command block under "## Command line" in the README.
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## Command line\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [tuple(shlex.split(line))[1:] for line in block.splitlines()
+                if line.startswith("bohrlab ")]
+    golden = {row.argv for row in CHECKS if row.golden is not None}
+    assert commands and [argv for argv in commands if argv not in golden] == []
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
-    for name, argv in README_COMMANDS:
+    for name, argv in WRITERS.items():
         cli.main([*argv, "--out", str(GOLDEN / name)])
