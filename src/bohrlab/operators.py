@@ -32,11 +32,11 @@ so the majorant is a weight vector:
 ``(family, r, eps)`` as a tuple of ``math`` floats and applied to a whole
 coefficient matrix.  The weight vector is the family's one truncation
 decision: it ends where the partial sum is within ``eps`` of the absolute
-series of every unit-ball member, by the running-sum identity ``sum_{k<=n}
-c_k(b) = c_n(b+1)`` and a geometric envelope for Cesaro and a plain
-geometric bound for the others, under one cap tested before any weight is
-built: Cesaro order 4470, or 10**6 Bernardi or identity terms.  Every series
-order (``series_order``, the coefficients ``verify`` samples, the images
+series of every unit-ball member, by the closed-form tail ``r**N A(beta+1,
+r)`` of the Cesaro weights, the moments of the kernel ``(1-t)**(-beta)``,
+and a plain geometric bound for the others, under one cap tested before
+any weight is built, ``MAX_SERIES_TERMS`` weights.  Every series order
+(``series_order``, the coefficients ``verify`` samples, the images
 ``selftest`` checks against quadrature, the extremal sums) is read off its
 length, and the Bernardi radius equation is ``w_0 - 2 sum_{k>0} w_k``.
 One scale rule holds: each radius equation is evaluated at unit scale (the
@@ -63,9 +63,10 @@ building a weight vector loads neither.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from bisect import bisect_left
-from operator import attrgetter, mul, truediv
+from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, Sequence, Union
 
 from .errors import (
@@ -105,10 +106,8 @@ __all__ = [
     "MAX_SERIES_TERMS",
 ]
 
-# Term cap of the Bernardi and identity weight vectors.
+# Term cap of every weight vector.
 MAX_SERIES_TERMS = 10**6
-# Cesaro order cap: the largest N with (N+1)(N+2)/2 <= 10**7 products, ~1 s.
-_MAX_CESARO_ORDER = 4470
 # The Bernardi radius equation's tail cut, relative to its lead 1/gamma:
 # a root moves by about this much.
 _RADIUS_EPS = 1e-14
@@ -220,18 +219,19 @@ class CesaroBeta(Unshifted):
         return np.convolve(c, a[: n_max + 1])[: n_max + 1] / np.arange(1, n_max + 2)
 
     def weights(self, r: float, eps: float) -> list:
-        """``w_k = sum_j c_j(beta) r**(k+j) / (k+j+1)`` over ``k + j <= N``,
-        ``N = cesaro_series_order(beta, r, eps)``, for ``k <= N``: each term
-        ``c_j * r**i / (i+1)`` with ``i = k+j``, one ``fsum`` per ``k``.  The
-        order's cap, and so the ``(N+1)(N+2)/2`` products' cap, is
-        ``cesaro_series_order``'s: past it no product is taken."""
-        n_stop = cesaro_series_order(self.beta, r, eps)
-        c = binomial_coeffs(self.beta, n_stop)
-        r_pow = [r**i for i in range(n_stop + 1)]
-        denom = range(1, n_stop + 2)
-        return [
-            math.fsum(map(truediv, map(mul, c, r_pow[k:]), denom[k:])) for k in range(n_stop + 1)
-        ]
+        """Moments ``w_k = (1/r) integral_0^r t**k (1-t)**(-beta) dt``, ``k <= N =
+        cesaro_series_order(beta, r, eps)``.  ``J_k = w_k r**(1-k) (1-r)**(beta-1)``
+        has ``J_(k-1) = r ((k+1-beta) J_k + 1)/k``, two nonnegative terms for ``k >=
+        first = ceil(beta - 2)``: run down from 0 at ``N + ceil(log(1e-18)/log r)``,
+        it is scaled to ``w_first``, the bound if ``beta <= 2``, else a series."""
+        beta, n_stop = self.beta, cesaro_series_order(self.beta, r, eps)
+        first = min(max(0, math.ceil(beta - 2.0)), n_stop)
+        w = [_moment_series(beta, r, k) for k in range(first + 1)] if first else [self.bound(r)]
+        top = n_stop + math.ceil(math.log(1e-18) / math.log(r)) if first < n_stop else first
+        step = lambda j, k: r * ((k + 1.0 - beta) * j + 1.0) / k  # J_k to J_(k-1)
+        down = itertools.accumulate(range(top, first, -1), step, initial=0.0)
+        scaled = list(itertools.islice(down, top - n_stop, None))  # J_N .. J_first
+        return w + [w[first] * (j / scaled[-1]) * r**i for i, j in enumerate(scaled[-2::-1], 1)]
 
     def integral(self, f: Blaschke, z: complex, tol: float) -> complex:
         from .corpus import evaluate
@@ -451,37 +451,36 @@ def binomial_coeffs(beta: float, n_max: int) -> tuple:
 
 
 def cesaro_series_order(beta: float, r: float, eps: float) -> int:
-    """Smallest order N whose certified Cesaro-majorant tail is at most eps.
-
-    Terms with unit-ball coefficients are dominated by
-    ``t_n = c_n(beta+1) r**n / (n+1)``; past N the ratio of consecutive
-    dominating terms never exceeds ``q = r * max(1, (N+1+beta)/(N+2))``, so
-    the tail is at most ``t_{N+1} / (1 - q)``.  The scan stops with
-    ``ParameterDomainError`` once ``c_n(beta+1)`` overflows (no later term
-    is finite) and with ``TruncationError`` past ``_MAX_CESARO_ORDER``.
-    """
+    """Least N with ``r**N A(beta+1, r) <= eps``, ``A = kernel_integral``, taken in
+    logs: summing the geometric series under the moment integral bounds the
+    weights' tail ``sum_{k>N} w_k`` by it.  Past ``MAX_SERIES_TERMS - 1`` it
+    is ``TruncationError``."""
     if not 0.0 < r < 1.0:
         raise ParameterDomainError(f"r must lie in (0, 1), got {r}")
-    if not eps > 0.0:
-        raise ParameterDomainError("eps must be positive")
-    c_next = 1.0  # c_0(beta + 1)
-    r_pow = r  # r**(n+1) while scanning n
-    for n in range(_MAX_CESARO_ORDER + 1):
-        c_np1 = c_next * (n + beta + 1.0) / (n + 1.0)
-        if math.isinf(c_np1):
-            raise ParameterDomainError(
-                f"c_n(beta+1) overflows a float at n={n + 1} before the Cesaro majorant "
-                f"tail reaches eps={eps} at beta={beta}, r={r}"
-            )
-        t_next = c_np1 * r_pow / (n + 2.0)
-        q = r * max(1.0, (n + 1.0 + beta) / (n + 2.0))
-        if q < 1.0 and t_next / (1.0 - q) <= eps:
-            return n
-        c_next = c_np1
-        r_pow *= r
-    raise TruncationError(
-        f"Cesaro weights need an order past {_MAX_CESARO_ORDER} at beta={beta}, r={r}, eps={eps}"
-    )
+    if not (eps > 0.0 and beta > 0.0):
+        raise ParameterDomainError(f"eps and beta must be positive, got eps={eps}, beta={beta}")
+    log_base = math.log1p(-r)
+    log_tail = math.log(-math.expm1(beta * log_base) / beta) - beta * log_base
+    n_stop = max(0, math.ceil((math.log(eps) - log_tail) / math.log(r)))
+    if n_stop > MAX_SERIES_TERMS - 1:
+        raise TruncationError(f"Cesaro weights will not reach {eps} within {MAX_SERIES_TERMS} "
+                              f"terms at beta={beta}, r={r}")
+    return n_stop
+
+
+def _moment_series(beta: float, r: float, k: int) -> float:
+    """``w_k = r**k sum_j c_j(beta) r**j/(k+j+1)`` for ``beta > 2``, as one running
+    term whose ratio is at most ``q = r (j+beta)/(j+1)``, falling in ``j``: it stops
+    once the tail bound ``term q/(1-q)`` is ``2**-60`` of the sum.  The terms carry
+    ``2**-t``, near ``(1-r)**beta``, in place of ``r**k``, so none leaves the range."""
+    (mantissa, exponent), t = math.frexp(r), math.floor(-beta * math.log2(1.0 - r))
+    term, total = math.ldexp(1.0, -t) / (k + 1), 0.0
+    for j in itertools.count():
+        total += term
+        q = r * (j + beta) / (j + 1)
+        if q < 1.0 and term * q <= 2.0**-60 * (1.0 - q) * total:
+            return math.ldexp(total * mantissa**k, exponent * k + t)
+        term *= q * (k + j + 1) / (k + j + 2)
 
 
 def _require_leading_zeros(coeffs: np.ndarray, kind: OperatorKind) -> None:

@@ -5,8 +5,8 @@ A Taylor series ``a_0 .. a_N`` is a 1-D ``complex128`` array, the row that
 ``corpus.taylor_matrix`` and ``corpus.expand`` return; its truncation order
 is its length minus one, and nothing in this module resizes implicitly.  The
 weights ``c_n(beta)``, the Taylor coefficients of ``(1 - x)**(-beta)``,
-come from ``operators.binomial_coeffs``, the one recurrence the Cesaro
-weights use; this module re-exports it and checks its running-sum identity.
+come from ``operators.binomial_coeffs``, the recurrence behind the Cesaro
+image; this module re-exports it and checks its running-sum identity.
 
 All arithmetic is IEEE-754 binary64.  Long real sums go through
 ``math.fsum``, which is correctly rounded, so absolute-series values keep

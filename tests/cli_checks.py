@@ -110,10 +110,16 @@ CHECKS = (
     Check(("curve", "--op", "bernardi", "--m", "0", "--grid-min", "0.06", "--grid-max", "0.2",
            "--grid-points", "50"), rows=50),
 
+    # The Cesaro weights are the kernel's moments, which need no c_n(beta+1)
+    # (it overflows at n = 521 for beta 500) ...
+    Check(("verify", "--op", "cesaro", "--beta", "500", "--samples", "5")),
+    # ... up to beta 1700, with the sharp bound 1.5e293 (it overflows from
+    # beta 1771 at 0.99 R) and all 635 moments from their series.
+    Check(("verify", "--op", "cesaro", "--beta", "1700", "--samples", "200")),
+    # Built in O(N): order 437,469, under the 10**6-term cap.
+    Check(("sharpness", "--op", "cesaro", "--beta", "1", "--r", "0.9999", "--a-values", "0.5")),
+
     # Refused at once with exit 2.
-    Check(("verify", "--op", "cesaro", "--beta", "500", "--samples", "5"), 2, 5.0,
-          stderr="parameter error: c_n(beta+1) overflows a float at n=521 before the Cesaro "
-                 "majorant tail reaches eps=1e-12 at beta=500.0, r=0.33132000000000006"),
     Check(("radius", "--op", "cesaro", "--beta", "1", "--tol", "nan"), 2, 5.0,
           stderr="parameter error: tol must be finite and >= 1e-14, got nan"),
     # The baseline radius 1/3 is not solved, but its tol is checked.
@@ -143,9 +149,9 @@ CHECKS = (
     Check(("sharpness", "--op", "cesaro", "--beta", "1", "--r", "0.5", "--a-values",
            "0.5,,0.6"), 2, 5.0,
           stderr="parameter error: --a-values: could not convert string to float: ''"),
-    # A bad a is refused before the weights' order cap at r = 0.9999 (exit 3
-    # for --a-values 0.5, below).
-    Check(("sharpness", "--op", "cesaro", "--beta", "1", "--r", "0.9999", "--a-values",
+    # A bad a is refused before the weights' term cap at r = 0.99999 (exit 3
+    # for --a-values 0.5).
+    Check(("sharpness", "--op", "cesaro", "--beta", "1", "--r", "0.99999", "--a-values",
            "0.5,2"), 2, 5.0, stderr="parameter error: a must lie in [0, 1], got 2.0"),
     # r**0 / (0 + 1e-320) overflows to inf: refused before any row is built.
     *(Check(("sharpness", "--op", "bernardi", "--gamma", "1e-320", "--m", "0", "--r", "0.5",
@@ -158,16 +164,12 @@ CHECKS = (
             stderr="parameter error: the grid from --grid-min to --grid-max overflows")
       for fmt in ("json", "csv")),
 
-    # Refused at once with exit 3: Cesaro weights past order 4470, whose
-    # (N+1)(N+2)/2 products are the most within 10**7, and Bohr weights past
-    # 10**6 terms, refused unbuilt.
-    Check(("sharpness", "--op", "cesaro", "--beta", "1", "--r", "0.9999", "--a-values", "0.5"),
-          3, 5.0, stderr="solver error: Cesaro weights need an order past 4470 at beta=1.0, "
-                         "r=0.9999, eps=1e-15"),
+    # Refused at once with exit 3: Bohr and Cesaro weights past the 10**6-term
+    # cap, refused unbuilt (the Cesaro order here is about 4.6e9).
     Check(("verify", "--op", "bohr", "--r-mode", "above", "--r", "0.9999999"), 3, 5.0,
           stderr="solver error: Bohr weights will not reach 1e-12 within 1000000 terms at "
                  "r=0.9999999"),
     Check(("verify", "--op", "cesaro", "--beta", "1", "--r-mode", "above", "--r", "0.99999999"),
-          3, 5.0, stderr="solver error: Cesaro weights need an order past 4470 at beta=1.0, "
-                         "r=0.99999999, eps=1e-12"),
+          3, 5.0, stderr="solver error: Cesaro weights will not reach 1e-12 within 1000000 "
+                         "terms at beta=1.0, r=0.99999999"),
 )

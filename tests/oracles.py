@@ -18,6 +18,10 @@ last, the sharpness split of one ``a`` that ``bl.decompositions`` replaced,
 reads the library's weights, bound and extremal majorant, so the two can be
 compared bit for bit.
 
+The Cesaro majorant weights and their tail have mpmath references: each is
+a Gauss hypergeometric value at 40 digits, with no recurrence of the
+library's.
+
 The four checks at the end, the boundary-grid membership of a corpus
 member, the sampled sup bound, the index-shift relation between the
 Cesaro forms and the quadratic decay of the sharpness remainder, are built
@@ -189,13 +193,33 @@ def corpus_member_reference(seed: int, max_factors: int, radius_cap: float) -> t
     return cmath.exp(2j * math.pi * u(4)) * scale, zeros
 
 
+def cesaro_moment_mp(beta: float, r: float, k: int, dps: int = 40):
+    """The Cesaro majorant weight ``w_k = (1/r) integral_0^r t**k (1-t)**(-beta) dt``
+    as ``r**k / (k+1) * 2F1(beta, k+1; k+2; r)``, an mpf at ``dps`` digits."""
+    with mpmath.workdps(dps):
+        x = mpmath.mpf(r)
+        return x**k / (k + 1) * mpmath.hyp2f1(beta, k + 1, k + 2, x)
+
+
+def cesaro_tail_mp(beta: float, r: float, n: int, dps: int = 40):
+    """The weights' tail ``sum_{k>n} w_k = (1/r) integral_0^r t**(n+1) (1-t)**(-beta-1)
+    dt``, ``r**(n+1) / (n+2) * 2F1(beta+1, n+2; n+3; r)``, an mpf at ``dps`` digits."""
+    with mpmath.workdps(dps):
+        x = mpmath.mpf(r)
+        return x ** (n + 1) / (n + 2) * mpmath.hyp2f1(beta + 1, n + 2, n + 3, x)
+
+
 def cesaro_abs_series_reference(beta: float, absf, r: float, n_stop: int) -> float:
-    """Cesaro absolute series cut at order ``n_stop``: the image's absolute
-    coefficients by one convolution, then one correctly rounded sum."""
-    n = np.arange(1, n_stop + 1, dtype=np.float64)
+    """Cesaro absolute series of the member cut at order ``n_stop`` (its later
+    coefficients dropped): the image's absolute coefficients by one
+    convolution, carried 400 orders past the cut, where at the sampled radii
+    (below 0.6) its terms are far below rounding, then one correctly rounded
+    sum."""
+    n_terms = n_stop + 401
+    n = np.arange(1, n_terms, dtype=np.float64)
     c = np.concatenate(([1.0], np.cumprod((n - 1.0 + beta) / n)))
-    conv = np.convolve(c, np.asarray(absf)[: n_stop + 1])[: n_stop + 1]
-    return math.fsum(conv * r ** np.arange(n_stop + 1) / np.arange(1, n_stop + 2))
+    conv = np.convolve(c, np.asarray(absf)[: n_stop + 1])[:n_terms]
+    return math.fsum(conv * r ** np.arange(n_terms) / np.arange(1, n_terms + 1))
 
 
 def bernardi_abs_series_reference(gamma: float, m: int, absf, r: float, eps: float) -> float:

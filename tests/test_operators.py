@@ -7,6 +7,7 @@ import random
 import time
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,6 +26,8 @@ from oracles import (
     cbeta_abs_series_bruteforce,
     cbeta_relation_residual,
     cesaro_abs_series_bruteforce,
+    cesaro_moment_mp,
+    cesaro_tail_mp,
     phi_coeffs_direct,
     sup_bound_check,
 )
@@ -503,81 +506,132 @@ class TestSupBounds:
             lambda: bl.kernel_integral(math.nan, 0.5),
             lambda: bl.binomial_coeffs(math.nan, 3),
             lambda: bl.cesaro_series_order(1.0, 0.5, math.nan),
+            lambda: bl.cesaro_series_order(math.nan, 0.5, 1e-12),
             lambda: bl.adaptive_simpson(lambda t: t * t, 0.0, 1.0, math.nan),
         ],
         ids=["kernel_integral-beta", "binomial_coeffs-beta", "cesaro_series_order-eps",
-             "adaptive_simpson-tol"],
+             "cesaro_series_order-beta", "adaptive_simpson-tol"],
     )
     def test_nan_fails_the_positivity_check(self, call):
         # refused at once, not after a full order scan or a depth-60 subdivision
         with pytest.raises(ParameterDomainError, match="must be positive"):
             call()
 
-    def test_cesaro_order_stops_where_the_weights_overflow(self):
-        assert bl.cesaro_series_order(400.0, 0.3322, 1e-12) == 649
-        with pytest.raises(ParameterDomainError, match=r"beta=450\.0, r=0\.3322"):
-            bl.cesaro_series_order(450.0, 0.3322, 1e-12)
+    @pytest.mark.parametrize(
+        "beta,r,eps,order",
+        [(400.0, 0.3322, 1e-12, 167), (450.0, 0.3322, 1e-12, 185), (150.0, 0.97, 1e-15, 18238),
+         (1.0, 0.9999, 1e-15, 437469), (2.0, 0.495, 1e-12, 40), (0.25, 0.5, 1e-15, 50)],
+    )
+    def test_cesaro_order_is_the_least_with_its_tail_bound_below_eps(self, beta, r, eps, order):
+        # r**N A(beta+1, r) at 40 digits: the closed form has no c_n(beta+1)
+        # to overflow (at beta 450) and no cap below 10**6 terms
+        def bound(n):
+            with mpmath.workdps(40):
+                x = mpmath.mpf(r)
+                return x**n * ((1 - x) ** -beta - 1) / beta
 
-    def test_cesaro_weights_past_the_product_cap_are_refused_unbuilt(self):
-        # order 437,469 at the sharpness split's cut: about 1e11 products
+        assert bl.cesaro_series_order(beta, r, eps) == order
+        assert bound(order) <= eps < bound(order - 1)
+
+    def test_cesaro_split_near_one_solves(self):
+        # order 437,469 at the split's cut, built in O(N)
         start = time.perf_counter()
-        with pytest.raises(TruncationError) as refused:
-            bl.decomposition(bl.CesaroBeta(1.0), 0.5, 0.9999)
+        split = bl.decomposition(bl.CesaroBeta(1.0), 0.5, 0.9999)
         assert time.perf_counter() - start < 5.0
-        assert str(refused.value) == (
-            "Cesaro weights need an order past 4470 at beta=1.0, r=0.9999, eps=1e-15"
-        )
+        assert bl.series_order(bl.CesaroBeta(1.0), 0.9999, 1e-15) == 437469
+        assert split.reconstruction_error <= 1e-12 * split.bound_term
 
     @pytest.mark.parametrize("beta", (0.25, 1.0, 3.0))
-    def test_cesaro_product_cap_admits_its_own_order(self, beta, monkeypatch):
+    def test_cesaro_term_cap_admits_its_own_order(self, beta, monkeypatch):
         r, eps = 0.9, 1e-12
         order = bl.cesaro_series_order(beta, r, eps)
-        monkeypatch.setattr(operators, "_MAX_CESARO_ORDER", order)
+        monkeypatch.setattr(operators, "MAX_SERIES_TERMS", order + 1)
         assert len(bl.CesaroBeta(beta).weights(r, eps)) == order + 1
-        monkeypatch.setattr(operators, "_MAX_CESARO_ORDER", order - 1)
+        monkeypatch.setattr(operators, "MAX_SERIES_TERMS", order)
         with pytest.raises(TruncationError) as refused:
             bl.CesaroBeta(beta).weights(r, eps)
         assert str(refused.value) == (
-            f"Cesaro weights need an order past {order - 1} at beta={beta}, r=0.9, eps=1e-12"
+            f"Cesaro weights will not reach 1e-12 within {order} terms at beta={beta}, r=0.9"
         )
 
-    def test_cesaro_order_cap_is_the_last_order_within_the_product_cap(self):
+    def test_cesaro_order_cap_is_the_term_cap(self):
         # beta = 1: the tail bound r**(N+1)/(1-r) falls with N, so the order
         # steps by one as r grows, and adjacent r straddle the cap
-        cap = operators._MAX_CESARO_ORDER
-        assert (cap + 1) * (cap + 2) // 2 <= 10**7 < (cap + 2) * (cap + 3) // 2
-
         def order(r):
             try:
                 return bl.cesaro_series_order(1.0, r, 1e-12)
             except TruncationError:
                 return None
 
-        lo, hi = 0.99, 0.9999
+        lo, hi = 0.99, 0.99999999
         while math.nextafter(lo, 1.0) < hi:
             mid = 0.5 * (lo + hi)
             lo, hi = (lo, mid) if order(mid) is None else (mid, hi)
-        assert order(lo) == cap
-        assert len(bl.CesaroBeta(1.0).weights(lo, 1e-12)) == cap + 1
+        assert order(lo) == MAX_SERIES_TERMS - 1
+        assert len(bl.CesaroBeta(1.0).weights(lo, 1e-12)) == MAX_SERIES_TERMS
         with pytest.raises(TruncationError) as refused:
             bl.CesaroBeta(1.0).weights(hi, 1e-12)
         assert str(refused.value) == (
-            f"Cesaro weights need an order past 4470 at beta=1.0, r={hi}, eps=1e-12"
+            f"Cesaro weights will not reach 1e-12 within 1000000 terms at beta=1.0, r={hi}"
         )
 
-    @pytest.mark.parametrize("r,eps", [(0.9999, 1e-15), (0.99999999, 1e-12)])
+    @pytest.mark.parametrize("r,eps", [(0.99999, 1e-15), (0.99999999, 1e-12)])
     def test_cesaro_order_past_the_cap_is_refused_in_milliseconds(self, r, eps):
-        # the scan stops at order 4470, not at 437,469 or 10**6
+        # orders of about 4.6e6 and 4.6e9, refused by the closed form unbuilt
         start = time.perf_counter()
-        with pytest.raises(TruncationError, match="order past 4470"):
-            bl.cesaro_series_order(1.0, r, eps)
+        with pytest.raises(TruncationError, match="within 1000000 terms at beta=1.0"):
+            bl.CesaroBeta(1.0).weights(r, eps)
         assert time.perf_counter() - start < 0.25
 
-    def test_cesaro_cap_comes_before_a_later_overflow(self):
-        # c_n(151) would overflow at n = 5973, past the cap
-        with pytest.raises(TruncationError, match="order past 4470 at beta=150.0, r=0.97"):
-            bl.cesaro_series_order(150.0, 0.97, 1e-15)
 
     def test_sample_floor(self):
         with pytest.raises(ParameterDomainError):
             sup_bound_check(bl.CesaroBeta(1.0), bl.Constant(1.0), 0.5, 4)
+
+
+# The Cesaro weights' mpmath grid: each beta at 0.99 R and at r = 0.5.
+CESARO_BETAS = (0.25, 0.5, 1.0, 2.0, 3.5, 10.0, 50.0, 500.0)
+
+
+def _cesaro_radius(beta):
+    return bl.solve_radius(bl.CesaroBeta(beta)).root
+
+
+class TestCesaroMoments:
+    """The weights are the kernel's moments, checked against 40-digit mpmath."""
+
+    @pytest.mark.parametrize("at_radius", (True, False), ids=("0.99R", "r-0.5"))
+    @pytest.mark.parametrize("beta", CESARO_BETAS)
+    def test_weights_match_the_moments(self, beta, at_radius):
+        r = 0.99 * _cesaro_radius(beta) if at_radius else 0.5
+        w = bl.CesaroBeta(beta).weights(r, 1e-12)
+        n = len(w) - 1
+        # the series head ends at ceil(beta - 2), where the recurrence takes over
+        head = min(n, max(0, math.ceil(beta - 2.0)))
+        for k in sorted({0, 1, head, n // 2, n}):
+            exact = cesaro_moment_mp(beta, r, k)
+            assert abs((w[k] - exact) / exact) <= 1e-14, k
+        # the tail past the cut, summed by the oracle, is within the cut
+        assert cesaro_tail_mp(beta, r, n) <= 1e-12
+
+    @pytest.mark.parametrize("beta", CESARO_BETAS)
+    def test_weights_sum_to_the_radius_equation(self, beta):
+        # w_0 - 2 sum_{k>0} w_k = (3 A(beta, r) - 2 A(beta+1, r))/r + 2 tail, and
+        # radius_equation is r (1-r)**beta times the first term: at every grid
+        # r whose bound is a float, the difference is twice the tail, within
+        # 2 eps, up to the weights' 1e-14 relative error over the sums
+        family, eps = bl.CesaroBeta(beta), 1e-12
+        radius = _cesaro_radius(beta)
+        for r in (0.1, 0.25, 1.0 / 3.0, 0.99 * radius, radius, 0.5, 0.75, 0.9):
+            try:
+                bl.sup_bound(family, r)
+            except ParameterDomainError:
+                continue
+            w = family.weights(r, eps)
+            scale, tail = r * (1.0 - r) ** beta, float(cesaro_tail_mp(beta, r, len(w) - 1))
+            lead, rest = scale * w[0], scale * math.fsum(w[1:])
+            equation = family.radius_equation(r)
+            rounding = 1e-14 * (lead + 2.0 * rest + abs(equation))
+            assert tail <= eps
+            assert abs(lead - 2.0 * rest - equation - 2.0 * scale * tail) <= rounding, r
+

@@ -292,16 +292,16 @@ class TestDecompositions:
         assert calls == [1e-15, 1e-12]
 
     def test_checks_every_a_before_any_weight(self, monkeypatch):
-        # at r = 0.9999 the Cesaro split weights are past the order cap
+        # at r = 0.99999 the Cesaro split weights are past the term cap
         def no_weights(*args):
             raise AssertionError("built weights for a refused a-grid")
 
         kind = bl.CesaroBeta(1.0)
-        with pytest.raises(TruncationError, match="order past 4470"):
-            bl.decompositions(kind, [0.5], 0.9999)
+        with pytest.raises(TruncationError, match="within 1000000 terms"):
+            bl.decompositions(kind, [0.5], 0.99999)
         monkeypatch.setattr(sharpness, "_kind_weights", no_weights)
         with pytest.raises(ParameterDomainError, match=r"a must lie in \[0, 1\], got 2.0"):
-            bl.decompositions(kind, [0.5, 2.0], 0.9999)
+            bl.decompositions(kind, [0.5, 2.0], 0.99999)
         with pytest.raises(ParameterDomainError, match=r"a must lie in \[0, 1\], got nan"):
             bl.decompositions(kind, [0.5, math.nan], 0.5)
 
