@@ -65,6 +65,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import sys
 from bisect import bisect_left
 from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, Sequence, Union
@@ -220,18 +221,23 @@ class CesaroBeta(Unshifted):
 
     def weights(self, r: float, eps: float) -> list:
         """Moments ``w_k = (1/r) integral_0^r t**k (1-t)**(-beta) dt``, ``k <= N =
-        cesaro_series_order(beta, r, eps)``.  ``J_k = w_k r**(1-k) (1-r)**(beta-1)``
-        has ``J_(k-1) = r ((k+1-beta) J_k + 1)/k``, two nonnegative terms for ``k >=
-        first = ceil(beta - 2)``: run down from 0 at ``N + ceil(log(1e-18)/log r)``,
-        it is scaled to ``w_first``, the bound if ``beta <= 2``, else a series."""
+        cesaro_series_order(beta, r, eps)``, by the recurrence ``k J_(k-1) = r ((k+1-beta)
+        J_k + 1)`` of ``J_k = w_k r**(1-k) (1-r)**(beta-1)``, run where it damps errors:
+        up from ``J_0`` (``w_0`` is the bound) while ``k (1+m) <= (beta-1) m``, ``m = r -
+        1/beta`` a lower bound of ``w_k/w_(k-1)``, and down, scaled to the last of those,
+        from 0 at ``max(N, beta) + log(1e-18)/log r``, where ``w_k/w_(k-1) <= r``."""
         beta, n_stop = self.beta, cesaro_series_order(self.beta, r, eps)
-        first = min(max(0, math.ceil(beta - 2.0)), n_stop)
-        w = [_moment_series(beta, r, k) for k in range(first + 1)] if first else [self.bound(r)]
-        top = n_stop + math.ceil(math.log(1e-18) / math.log(r)) if first < n_stop else first
+        m = max(0.0, r - 1.0 / beta)
+        split = min(n_stop, max(0, math.floor((beta - 1.0) * m / (1.0 + m))))
+        inv, bound = -1.0 / _expm1_ratio(beta - 1.0, math.log1p(-r)), self.bound(r)  # 1/J_0
+        up = lambda g, k: (inv - k * g / r) / (beta - 1.0 - k)  # J_(k-1)/J_0 to J_k/J_0
+        w = [bound * g * r**k for k, g in enumerate(
+            itertools.accumulate(range(1, split + 1), up, initial=1.0))]
+        top = max(n_stop, math.ceil(beta)) + math.ceil(math.log(1e-18) / math.log(r))
         step = lambda j, k: r * ((k + 1.0 - beta) * j + 1.0) / k  # J_k to J_(k-1)
-        down = itertools.accumulate(range(top, first, -1), step, initial=0.0)
-        scaled = list(itertools.islice(down, top - n_stop, None))  # J_N .. J_first
-        return w + [w[first] * (j / scaled[-1]) * r**i for i, j in enumerate(scaled[-2::-1], 1)]
+        down = itertools.accumulate(range(top, split, -1), step, initial=0.0)
+        scaled = list(itertools.islice(down, top - n_stop, None))  # J_N .. J_split
+        return w + [w[split] * (j / scaled[-1]) * r**i for i, j in enumerate(scaled[-2::-1], 1)]
 
     def integral(self, f: Blaschke, z: complex, tol: float) -> complex:
         from .corpus import evaluate
@@ -253,7 +259,7 @@ class CesaroBeta(Unshifted):
         if abs(1.0 - beta) < 1e-8:
             return (1.0 - x) * (-3.0 * log_base) - 2.0 * x
         first = -math.expm1((beta - 1.0) * log_base) / (beta - 1.0)
-        return 3.0 * (1.0 - x) * first + 2.0 * math.expm1(beta * log_base) / beta
+        return 3.0 * (1.0 - x) * first + 2.0 * _expm1_ratio(beta, log_base)
 
     def require_root_below(self, ladder: Sequence[float]) -> None:
         """Every Cesaro root lies in (1/3, 0.59), far below any ladder top."""
@@ -413,24 +419,32 @@ OperatorKind = Union[CesaroBeta, Bernardi, ClassicalBohr, Shifted]
 
 
 def kernel_integral(beta: float, r: float) -> float:
-    """``integral_0^r (1-t)**(-beta) dt``, evaluated stably.
-
-    Uses ``-expm1((1-beta) log1p(-r)) / (1-beta)`` away from beta = 1 and
-    the exact logarithmic limit when ``|1 - beta| < 1e-8``.
-    """
+    """``integral_0^r (1-t)**(-beta) dt``, evaluated stably: ``-expm1(x) / (1-beta)``
+    with ``x = (1-beta) log1p(-r)`` (its limit ``-log1p(-r)`` where ``x`` is not a normal
+    float) while ``|x| <= 1``.  Further out the rounded ``x`` would cost ``|x|`` ulps,
+    so the power is taken of ``1 - r`` split exactly as ``hi + lo``:
+    ``hi**(1-beta) (1 + (1-beta) lo/hi)``."""
     if not 0.0 < r < 1.0:
         raise ParameterDomainError(f"r must lie in (0, 1), got {r}")
     if not beta > 0.0:
         raise ParameterDomainError(f"beta must be positive, got {beta}")
-    log_base = math.log1p(-r)
-    if abs(1.0 - beta) < 1e-8:
-        return -log_base
+    log_base, hi = math.log1p(-r), 1.0 - r
     try:
-        return -math.expm1((1.0 - beta) * log_base) / (1.0 - beta)
+        if abs((1.0 - beta) * log_base) <= 1.0:
+            return -_expm1_ratio(1.0 - beta, log_base)
+        power = math.pow(hi, 1.0 - beta) * (1.0 + (1.0 - beta) * ((1.0 - hi) - r) / hi)
+        return (power - 1.0) / (beta - 1.0)
     except OverflowError:
         raise ParameterDomainError(
             f"integral_0^r (1-t)**(-beta) dt overflows a float at beta={beta}, r={r}"
         ) from None
+
+
+def _expm1_ratio(beta: float, log_base: float) -> float:
+    """``expm1(beta log_base) / beta``, or its limit ``log_base`` where the product
+    falls below the normal range (``-A(beta+1, r)`` at ``log_base = log1p(-r)``)."""
+    product = beta * log_base
+    return math.expm1(product) / beta if abs(product) >= sys.float_info.min else log_base
 
 
 def binomial_coeffs(beta: float, n_max: int) -> tuple:
@@ -460,27 +474,12 @@ def cesaro_series_order(beta: float, r: float, eps: float) -> int:
     if not (eps > 0.0 and beta > 0.0):
         raise ParameterDomainError(f"eps and beta must be positive, got eps={eps}, beta={beta}")
     log_base = math.log1p(-r)
-    log_tail = math.log(-math.expm1(beta * log_base) / beta) - beta * log_base
+    log_tail = math.log(-_expm1_ratio(beta, log_base)) - beta * log_base
     n_stop = max(0, math.ceil((math.log(eps) - log_tail) / math.log(r)))
     if n_stop > MAX_SERIES_TERMS - 1:
         raise TruncationError(f"Cesaro weights will not reach {eps} within {MAX_SERIES_TERMS} "
                               f"terms at beta={beta}, r={r}")
     return n_stop
-
-
-def _moment_series(beta: float, r: float, k: int) -> float:
-    """``w_k = r**k sum_j c_j(beta) r**j/(k+j+1)`` for ``beta > 2``, as one running
-    term whose ratio is at most ``q = r (j+beta)/(j+1)``, falling in ``j``: it stops
-    once the tail bound ``term q/(1-q)`` is ``2**-60`` of the sum.  The terms carry
-    ``2**-t``, near ``(1-r)**beta``, in place of ``r**k``, so none leaves the range."""
-    (mantissa, exponent), t = math.frexp(r), math.floor(-beta * math.log2(1.0 - r))
-    term, total = math.ldexp(1.0, -t) / (k + 1), 0.0
-    for j in itertools.count():
-        total += term
-        q = r * (j + beta) / (j + 1)
-        if q < 1.0 and term * q <= 2.0**-60 * (1.0 - q) * total:
-            return math.ldexp(total * mantissa**k, exponent * k + t)
-        term *= q * (k + j + 1) / (k + j + 2)
 
 
 def _require_leading_zeros(coeffs: np.ndarray, kind: OperatorKind) -> None:

@@ -606,13 +606,56 @@ class TestCesaroMoments:
         r = 0.99 * _cesaro_radius(beta) if at_radius else 0.5
         w = bl.CesaroBeta(beta).weights(r, 1e-12)
         n = len(w) - 1
-        # the series head ends at ceil(beta - 2), where the recurrence takes over
-        head = min(n, max(0, math.ceil(beta - 2.0)))
-        for k in sorted({0, 1, head, n // 2, n}):
+        # the upward run ends at split, where the downward one takes over
+        m = max(0.0, r - 1.0 / beta)
+        split = min(n, max(0, math.floor((beta - 1.0) * m / (1.0 + m))))
+        for k in sorted({0, 1, split, min(n, split + 1), n // 2, n}):
             exact = cesaro_moment_mp(beta, r, k)
             assert abs((w[k] - exact) / exact) <= 1e-14, k
         # the tail past the cut, summed by the oracle, is within the cut
         assert cesaro_tail_mp(beta, r, n) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "beta,r", [(100.0, 0.1), (100.0, 0.999), (348.03137076880034, 0.8245426062813312),
+                   (1700.0, 0.3), (1700.0, 0.33)],
+    )
+    def test_weights_where_the_runs_meet_or_the_order_is_below_beta(self, beta, r):
+        # N below beta (0.1, 0.3, 0.33) and the run near 1: by 30-digit quadrature,
+        # which stays right where 2F1 at these parameters does not
+        family = bl.CesaroBeta(beta)
+        w = family.weights(r, 1e-12 * min(1.0, bl.sup_bound(family, r)))
+        n = len(w) - 1
+        m = r - 1.0 / beta
+        split = min(n, math.floor((beta - 1.0) * m / (1.0 + m)))
+        with mpmath.workdps(30):
+            x, b = mpmath.mpf(r), mpmath.mpf(beta)
+            for k in sorted({1, split, min(n, split + 1), n // 2, n}):
+                exact = mpmath.quad(lambda t: t**k * (1 - t) ** -b, [0, x / 2, x * 0.99, x]) / x
+                assert abs((w[k] - exact) / exact) <= 1e-14, k
+
+    @pytest.mark.parametrize(
+        "beta,r",
+        [(50.0, 0.3), (300.0, 0.33), (400.0, 0.3322), (1000.0, 0.5), (1700.0, 0.33039),
+         (0.5, 0.9999), (1.0 + 1e-10, 0.5), (2.0, 0.495), (1.0, 0.5)],
+    )
+    def test_bound_is_within_two_ulps(self, beta, r):
+        # past |(1-beta) log(1-r)| = 1 the power is taken of the exact 1 - r:
+        # the rounded exponent cost up to 2e-14 at beta 400
+        value = bl.kernel_integral(beta, r)
+        with mpmath.workdps(40):
+            b, x = mpmath.mpf(beta), mpmath.mpf(r)
+            exact = -mpmath.log1p(-x) if b == 1 else (1 - (1 - x) ** (1 - b)) / (1 - b)
+        assert abs(value - exact) <= 2 * math.ulp(value)
+
+    @pytest.mark.parametrize("beta", (5e-324, 1e-310, 3e-308))
+    def test_underflowing_beta_takes_the_limit(self, beta):
+        # beta log(1-r) below the normal range: A(beta+1, r) is -log(1-r), and
+        # the radius equation is 3x + 2 log(1-x) times (1-x)**beta
+        order = bl.cesaro_series_order
+        assert order(beta, 0.3, 1e-12) == order(1e-300, 0.3, 1e-12)
+        root = bl.solve_radius(bl.CesaroBeta(beta)).root
+        assert root == pytest.approx(float(mpmath.findroot(
+            lambda x: 3 * x + 2 * mpmath.log1p(-x), 0.58)), abs=1e-12)
 
     @pytest.mark.parametrize("beta", CESARO_BETAS)
     def test_weights_sum_to_the_radius_equation(self, beta):
