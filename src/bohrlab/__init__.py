@@ -6,11 +6,12 @@ functions, solves the associated radius equations with certified brackets,
 verifies the inequalities over seeded corpora, and reproduces the
 sharpness arguments through the extremal disk-automorphism families.
 
-Every export below resolves on first access (PEP 562), importing only its
-own submodule: ``bohrlab.solve_radius`` loads ``radii``, ``operators`` and
-``errors``, and ``bohrlab.decomposition`` adds ``sharpness``, all of which
-need only the standard library, while the first name from ``corpus`` or
-``series`` loads numpy.
+``_EXPORTS`` below is the one list of public names; each submodule reads
+its ``__all__`` from it.  Every export resolves on first access (PEP 562),
+importing only its own submodule: ``bohrlab.solve_radius`` loads
+``radii``, ``operators`` and ``errors``, and ``bohrlab.decomposition`` adds
+``sharpness``, all of which need only the standard library, while the first
+name from ``corpus`` or ``series`` loads numpy.
 """
 
 import importlib

@@ -29,23 +29,11 @@ from typing import Sequence
 
 import numpy as np
 
+from . import _EXPORTS
 from .errors import ParameterDomainError, PreconditionError
 from .operators import BLASCHKE_ZERO_CAP, Record, check_draw
 
-__all__ = [
-    "BLASCHKE_ZERO_CAP",
-    "Constant",
-    "Blaschke",
-    "evaluate",
-    "taylor_coeffs",
-    "taylor_matrix",
-    "schwarz_shift",
-    "multiply_by_z",
-    "random_schur",
-    "random_schur_block",
-    "expand",
-    "derive_seed",
-]
+__all__ = _EXPORTS["corpus"]
 
 class Blaschke(Record):
     """A finite Blaschke product times a lead ``scale`` of modulus at most 1.

@@ -1,5 +1,9 @@
 """Exception types shared across the package."""
 
+from . import _EXPORTS
+
+__all__ = _EXPORTS["errors"]
+
 
 class BohrlabError(Exception):
     """Base class for all package-specific errors."""

@@ -70,6 +70,7 @@ from bisect import bisect_left
 from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, Sequence, Union
 
+from . import _EXPORTS
 from .errors import (
     ParameterDomainError,
     PreconditionError,
@@ -82,30 +83,7 @@ if TYPE_CHECKING:
 
     from .corpus import Blaschke
 
-__all__ = [
-    "CesaroBeta",
-    "Bernardi",
-    "ClassicalBohr",
-    "Shifted",
-    "CBeta",
-    "Libera",
-    "Alexander",
-    "PrimitiveI",
-    "OperatorKind",
-    "kernel_integral",
-    "binomial_coeffs",
-    "cesaro_series_order",
-    "series_order",
-    "operator_coeffs",
-    "majorant_value",
-    "majorant_values",
-    "bohr_majorant",
-    "quadrature_value",
-    "sup_bound",
-    "adaptive_simpson",
-    "check_draw",
-    "MAX_SERIES_TERMS",
-]
+__all__ = _EXPORTS["operators"]
 
 # Term cap of every weight vector.
 MAX_SERIES_TERMS = 10**6

@@ -43,16 +43,11 @@ import functools
 import math
 from typing import Callable, Iterable, Union
 
+from . import _EXPORTS
 from .errors import BracketError, ContinuityError, ParameterDomainError, TruncationError
 from .operators import Bernardi, CesaroBeta, Record
 
-__all__ = [
-    "RadiusResult",
-    "CurveRow",
-    "radius_equation",
-    "solve_radius",
-    "radius_curve",
-]
+__all__ = _EXPORTS["radii"]
 
 
 class RadiusResult(Record):

@@ -6,7 +6,7 @@ A Taylor series ``a_0 .. a_N`` is a 1-D ``complex128`` array, the row that
 is its length minus one, and nothing in this module resizes implicitly.  The
 weights ``c_n(beta)``, the Taylor coefficients of ``(1 - x)**(-beta)``,
 come from ``operators.binomial_coeffs``, the recurrence behind the Cesaro
-image; this module re-exports it and checks its running-sum identity.
+image; this module checks its running-sum identity.
 
 All arithmetic is IEEE-754 binary64.  Long real sums go through
 ``math.fsum``, which is correctly rounded, so absolute-series values keep
@@ -19,15 +19,11 @@ import math
 
 import numpy as np
 
+from . import _EXPORTS
 from .errors import ParameterDomainError, TruncationError
 from .operators import binomial_coeffs
 
-__all__ = [
-    "binomial_coeffs",
-    "cauchy_product",
-    "cumulative_identity_residual",
-    "horner",
-]
+__all__ = _EXPORTS["series"]
 
 
 def cauchy_product(u: np.ndarray, v: np.ndarray, n_max: int) -> np.ndarray:

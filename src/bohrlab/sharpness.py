@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 from typing import Optional, Sequence
 
+from . import _EXPORTS
 from .errors import ParameterDomainError
 from .operators import (
     Bernardi,
@@ -40,19 +41,7 @@ from .operators import (
 )
 from .radii import _check_tol, solve_radius
 
-__all__ = [
-    "Decomposition",
-    "ViolationReport",
-    "BOHR_BASELINE_RADIUS",
-    "critical_radius",
-    "extremal_majorant",
-    "decomposition",
-    "decompositions",
-    "decomposition_cesaro",
-    "decomposition_bernardi",
-    "violation_search",
-    "concavity_check",
-]
+__all__ = _EXPORTS["sharpness"]
 
 # The classical constant for the identity operator: the absolute series of
 # every unit-ball member stays at most 1 up to radius 1/3, and no further.

@@ -125,11 +125,6 @@ CHECKS = (
     Check(("sharpness", "--op", "cesaro", "--beta", "5e-324", "--r", "0.3", "--a-values", "0.5")),
 
     # Refused at once with exit 2.
-    Check(("radius", "--op", "cesaro", "--beta", "1", "--tol", "nan"), 2, 5.0,
-          stderr="parameter error: tol must be finite and >= 1e-14, got nan"),
-    # The baseline radius 1/3 is not solved, but its tol is checked.
-    Check(("verify", "--op", "bohr", "--samples", "5", "--tol", "nan"), 2, 5.0,
-          stderr="parameter error: tol must be finite and >= 1e-14, got nan"),
     Check(("radius", "--op", "libera", "--gamma", "5"), 2, 5.0,
           stderr="parameter error: --gamma does not apply to --op libera, which takes no "
                  "operator flag"),

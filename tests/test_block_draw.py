@@ -9,7 +9,9 @@ of the stream in ``tests/oracles.py`` (Python ints, ``math.sqrt``,
 ``cmath.exp``) and with ``taylor_matrix`` of the ``random_schur`` members;
 they check the mixture's statistics over more than 1e5 seeds.  The same
 tests run once more in a subprocess with numpy's AVX-512 dispatch disabled,
-so the corpus does not depend on it.
+together with ``test_golden.py`` and the golden rows of
+``test_cli_checks.py``, so neither the corpus nor any golden report depends
+on it.
 """
 
 import os
@@ -156,9 +158,17 @@ def test_block_draw_without_avx512_dispatch():
             filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
         ),
     }
+    # this file's tests, every golden in process, and every golden row of
+    # cli_checks.CHECKS in fresh processes
+    selected = ("test_block_draw.py::", "test_golden.py::",
+                "test_cli_checks.py::test_cli_check[golden")
     run = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", __file__,
-         "-k", "not without_avx512"],
+        [sys.executable, "-m", "pytest", "-q", "-rA", "-p", "no:cacheprovider",
+         "tests/test_block_draw.py", "tests/test_golden.py", "tests/test_cli_checks.py",
+         "-k", "not without_avx512 and "
+               "(test_block_draw.py or test_golden.py or test_cli_check[golden)"],
         cwd=ROOT, env=env, capture_output=True, text=True,
     )
     assert run.returncode == 0, run.stdout[-4000:] + run.stderr[-2000:]
+    for name in selected:
+        assert f"PASSED tests/{name}" in run.stdout

@@ -120,14 +120,12 @@ class TestRadiusCommand:
                 ("verify-bohr", ("verify", "--op", "bohr", "--samples", "5")),
                 ("verify-bohr-above", ("verify", "--op", "bohr", "--r-mode", "above")),
             )
-            # cli_checks.CHECKS runs these two with --tol nan
-            if (tol, name) not in {("nan", "radius"), ("nan", "verify-bohr")}
         ],
     )
     def test_nonfinite_tol_exits_2(self, capsys, argv, tol):
         code, out, err = run_cli(capsys, *argv, "--tol", tol)
         assert code == 2 and out == ""
-        assert err.startswith("parameter error:") and "tol must be finite" in err
+        assert err == f"parameter error: tol must be finite and >= 1e-14, got {float(tol)}\n"
 
     def test_csv_format(self, capsys):
         code, out, _ = run_cli(

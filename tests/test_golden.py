@@ -14,8 +14,10 @@ multiply is FMA-fused under ``X86_V3`` (AVX2), where it differs from
 Python's product in about 44% of random products, and ``np.abs`` of a
 complex array differs from ``math.hypot`` in about 35% of values under
 any dispatch.  Every golden passes under numpy's full x86-64 dispatch and
-with ``NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR"``; with
-``X86_V3`` disabled as well, ``selftest.json`` changes (its
+with its AVX-512 dispatch disabled, which
+``test_block_draw.py::test_block_draw_without_avx512_dispatch`` checks
+by running this file and the golden rows in a subprocess; with ``X86_V3``
+disabled as well, ``selftest.json`` changes (its
 ``series-vs-quadrature`` detail reads 2.753354500040578e-14, not
 2.758904216193514e-14).
 

@@ -6,6 +6,7 @@ start-up time), and the commands that build arrays
 OpenBLAS held to one thread.  Each command runs in a fresh interpreter,
 because the test process has imported numpy long before."""
 
+import importlib
 import json
 import os
 import subprocess
@@ -182,8 +183,18 @@ class TestLazyExports:
         assert bohrlab.solve_radius is radii.solve_radius
         assert bohrlab.Bernardi is operators.Bernardi
         assert bohrlab.radii is radii
-        # one recurrence, defined in operators and re-exported by series
+        # one recurrence, defined in operators and imported by series
         assert bohrlab.binomial_coeffs is operators.binomial_coeffs is series.binomial_coeffs
+
+    @pytest.mark.parametrize("module", bohrlab._EXPORTS)
+    def test_module_all_is_its_table_entry(self, module):
+        # the table is the one list: a module's __all__ and star-import are its entry
+        names = bohrlab._EXPORTS[module]
+        assert importlib.import_module(f"bohrlab.{module}").__all__ == names
+        namespace = {}
+        exec(f"from bohrlab.{module} import *", namespace)
+        del namespace["__builtins__"]
+        assert sorted(namespace) == sorted(names)
 
     def test_unknown_attribute_raises(self):
         with pytest.raises(AttributeError, match="no_such_name"):

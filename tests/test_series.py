@@ -1,5 +1,5 @@
-"""Series-core tests: binomial weights, Cauchy products, the running-sum
-identity, and the compensated accumulator."""
+"""Series-core tests: binomial weights, Cauchy products and the running-sum
+identity."""
 
 from fractions import Fraction
 
