@@ -60,7 +60,6 @@ from .operators import (
     CesaroBeta,
     ClassicalBohr,
     Libera,
-    MAX_GRID_POINTS,
     OperatorKind,
     PrimitiveI,
     check_draw,
@@ -84,6 +83,7 @@ _SOLVER_ERRORS = (BracketError, TruncationError, QuadratureError, ContinuityErro
 DEFAULT_SOLVER_TOL = 1e-12
 DEFAULT_MAJORANT_EPS = 1e-12
 DEFAULT_QUAD_TOL = 1e-10
+MAX_GRID_POINTS = 100_000  # the most values a grid or a comma list may hold
 
 # Samples per verify batch: one coefficient matrix and one majorant pass each.
 VERIFY_BLOCK = 256
@@ -346,6 +346,8 @@ def cmd_sharpness(args: argparse.Namespace) -> tuple:
          "remainder_ratio": dec.remainder / (1.0 - a) ** 2 if a < 1.0 else None}
         for a, dec in zip(a_values, splits)
     ]
+    if not all(math.isfinite(row["remainder_ratio"] or 0.0) for row in rows):
+        raise ParameterDomainError(f"the remainder ratio at r={args.r} overflows the float range")
     worst_recon = max(0.0, *(row["reconstruction_error"] for row in rows))
     report = (
         {**_operator_params(args), "r": args.r, "a_values": a_values},

@@ -34,8 +34,8 @@ coefficient matrix.  The weight vector is the family's one truncation
 decision: it ends where the partial sum is within ``eps`` of the absolute
 series of every unit-ball member, by the closed-form tail ``r**N A(beta+1,
 r)`` of the Cesaro weights, the moments of the kernel ``(1-t)**(-beta)``,
-and a plain geometric bound for the others, under one cap tested before
-any weight is built, ``MAX_SERIES_TERMS`` weights.  Every series order
+and a plain geometric bound for the others, at most ``MAX_SERIES_TERMS``
+weights (``_require_term_cap`` refuses more, unbuilt).  Every series order
 (``series_order``, the coefficients ``verify`` samples, the images
 ``selftest`` checks against quadrature, the extremal sums) is read off its
 length, and the Bernardi radius equation is ``w_0 - 2 sum_{k>0} w_k``.
@@ -55,9 +55,9 @@ image and ``majorant_values`` a row outside the unit ball, NaN included.
 The radius layer (``kernel_integral`` and both radius equations), the binomial
 weights ``binomial_coeffs``, every family's ``weights`` and ``check_draw``,
 the rule on the corpus draw's parameters that ``verify`` applies in every
-mode, need only ``math``.  numpy and ``corpus`` are imported inside the
-functions that use them, so importing this module, solving a radius or
-building a weight vector loads neither.
+mode, need only ``math``.  numpy, ``series`` and ``corpus`` are imported
+inside the functions that use them, so importing this module, solving a
+radius or building a weight vector loads none of them.
 """
 
 from __future__ import annotations
@@ -98,8 +98,6 @@ BLASCHKE_ZERO_CAP = 0.95
 # Most Blaschke factors a corpus member may draw: a block of draws holds
 # ``5 + 2 * max_factors`` uniforms per member, so the cap bounds its memory.
 MAX_FACTORS = 1000
-# Most points a ``curve`` grid may hold: ``cli`` refuses a larger one unbuilt.
-MAX_GRID_POINTS = 100_000
 
 
 def check_draw(max_factors: int, radius_cap: float) -> None:
@@ -192,10 +190,9 @@ class CesaroBeta(Unshifted):
         super().__init__(beta)
 
     def image(self, a: np.ndarray, n_max: int) -> np.ndarray:
-        import numpy as np
+        from .series import cauchy_product
 
-        c = binomial_coeffs(self.beta, n_max)
-        return np.convolve(c, a[: n_max + 1])[: n_max + 1] / np.arange(1, n_max + 2)
+        return cauchy_product(binomial_coeffs(self.beta, n_max), a, n_max) / range(1, n_max + 2)
 
     def weights(self, r: float, eps: float) -> list:
         """Moments ``w_k = (1/r) integral_0^r t**k (1-t)**(-beta) dt``, ``k <= N =
@@ -279,18 +276,18 @@ class Bernardi(Unshifted):
     def weights(self, r: float, eps: float) -> list:
         """``w_k = r**k / (k+gamma)``, cut before the first ``k`` with ``r**k /
         ((k+gamma)(1-r)) <= eps``, at most ``ceil(log(eps (1-r)) / log r) + 1``
-        as ``k + gamma > 1`` from ``k = 1``; the test is monotone in ``k``, so
-        bisection finds it.  The same bisection refuses a cut past
-        ``MAX_SERIES_TERMS - 1`` with ``TruncationError``, unbuilt."""
-        top = math.ceil(math.log(eps * (1.0 - r)) / math.log(r)) + 1
-        cap, scale, gamma = MAX_SERIES_TERMS - 1, 1.0 - r, self.gamma
-        stop = bisect_left(range(min(top, cap) + 1), True,
-                           key=lambda k: r**k / ((k + gamma) * scale) <= eps)
-        if stop > cap:
-            raise TruncationError(
-                f"Bernardi weights will not reach {eps} within {MAX_SERIES_TERMS} terms at r={r}"
-            )
+        as ``k + gamma > 1`` from ``k = 1``; the test ``_is_cut`` is monotone
+        in ``k``, so bisection finds it among ``k <= MAX_SERIES_TERMS``, and a
+        cut past the term cap is refused unbuilt."""
+        top, gamma = math.ceil(math.log(eps * (1.0 - r)) / math.log(r)) + 1, self.gamma
+        stop = bisect_left(range(min(top, MAX_SERIES_TERMS) + 1), True, key=self._is_cut(r, eps))
+        _require_term_cap(stop, "Bernardi", eps, r=r)
         return [r**k / (k + gamma) for k in range(stop)]
+
+    def _is_cut(self, r: float, eps: float) -> Callable[[int], bool]:
+        """The cut test of ``weights``: is the tail from index ``k`` within ``eps``?"""
+        scale, gamma = 1.0 - r, self.gamma
+        return lambda k: r**k / ((k + gamma) * scale) <= eps
 
     def integral(self, f: Blaschke, z: complex, tol: float) -> complex:
         """The endpoint singularity of the kernel (gamma < 1) is removed by
@@ -316,14 +313,14 @@ class Bernardi(Unshifted):
 
         As ``sum_{n>0} x**n/(n+gamma) <= -log(1-x)``, the equation is at least
         ``1/gamma + 2 log(1-x)``, so the root is at least ``1 -
-        exp(-1/(2 gamma))``.  The cap test of ``weights`` at ``_equation_cut``
-        grows with ``x``: if the first ladder point from there fails it, the
+        exp(-1/(2 gamma))``.  If at the first ladder point from there
+        ``_is_cut`` at ``_equation_cut`` fails at index ``MAX_SERIES_TERMS``, the
         solver would hit ``TruncationError`` before a bracket.  The message
         calls ``gamma`` ``m+gamma``, as ``Bernardi(gamma, m)`` builds it."""
-        s, cut, cap = self.gamma, self._equation_cut(), MAX_SERIES_TERMS - 1
+        s = self.gamma
         floor = -math.expm1(-0.5 / s)
         x = next((x for x in ladder if x >= floor), None)
-        if x is None or x**cap / ((cap + s) * (1.0 - x)) > cut:
+        if x is None or not self._is_cut(x, self._equation_cut())(MAX_SERIES_TERMS):
             raise ParameterDomainError(
                 f"m+gamma={s:g}: the radius equation's root R lies above every ladder "
                 f"point its {MAX_SERIES_TERMS}-term tail can reach, since 1 - R <= "
@@ -347,13 +344,10 @@ class ClassicalBohr(Unshifted):
 
     def weights(self, r: float, eps: float) -> list:
         """``w_k = r**k`` for ``k <= N``, cut where the tail ``r**(N+1)/(1-r)``
-        of a unit-ball series is at most ``eps``; refused unbuilt with
-        ``TruncationError`` past Bernardi's ``MAX_SERIES_TERMS - 1`` weights."""
+        of a unit-ball series is at most ``eps``; refused unbuilt past the term
+        cap, as every family's weights are."""
         n_stop = max(1, math.ceil(math.log(eps * (1.0 - r)) / math.log(r)))
-        if n_stop >= MAX_SERIES_TERMS - 1:
-            raise TruncationError(
-                f"Bohr weights will not reach {eps} within {MAX_SERIES_TERMS} terms at r={r}"
-            )
+        _require_term_cap(n_stop + 1, "Bohr", eps, r=r)
         return [r**k for k in range(n_stop + 1)]
 
     def bound(self, r: float) -> float:
@@ -445,8 +439,8 @@ def binomial_coeffs(beta: float, n_max: int) -> tuple:
 def cesaro_series_order(beta: float, r: float, eps: float) -> int:
     """Least N with ``r**N A(beta+1, r) <= eps``, ``A = kernel_integral``, taken in
     logs: summing the geometric series under the moment integral bounds the
-    weights' tail ``sum_{k>N} w_k`` by it.  Past ``MAX_SERIES_TERMS - 1`` it
-    is ``TruncationError``."""
+    weights' tail ``sum_{k>N} w_k`` by it.  An order whose ``N + 1`` weights
+    pass the term cap is refused."""
     if not 0.0 < r < 1.0:
         raise ParameterDomainError(f"r must lie in (0, 1), got {r}")
     if not (eps > 0.0 and beta > 0.0):
@@ -454,10 +448,16 @@ def cesaro_series_order(beta: float, r: float, eps: float) -> int:
     log_base = math.log1p(-r)
     log_tail = math.log(-_expm1_ratio(beta, log_base)) - beta * log_base
     n_stop = max(0, math.ceil((math.log(eps) - log_tail) / math.log(r)))
-    if n_stop > MAX_SERIES_TERMS - 1:
-        raise TruncationError(f"Cesaro weights will not reach {eps} within {MAX_SERIES_TERMS} "
-                              f"terms at beta={beta}, r={r}")
+    _require_term_cap(n_stop + 1, "Cesaro", eps, beta=beta, r=r)
     return n_stop
+
+
+def _require_term_cap(count: int, family: str, eps: float, **at) -> None:
+    """Refuse ``count > MAX_SERIES_TERMS`` weights, unbuilt; ``at`` names the point."""
+    if count > MAX_SERIES_TERMS:
+        where = ", ".join(f"{name}={value}" for name, value in at.items())
+        raise TruncationError(f"{family} weights will not reach {eps} within {MAX_SERIES_TERMS} "
+                              f"terms at {where}")
 
 
 def _require_leading_zeros(coeffs: np.ndarray, kind: OperatorKind) -> None:

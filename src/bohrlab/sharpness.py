@@ -126,13 +126,13 @@ def decompositions(
     ``total`` the extremal member's majorant; an origin shift scales all
     four terms by ``r**s``.  Every ``a`` is checked first; one weight vector,
     cut at ``min(1e-15, eps/8)``, serves every row, its omitted tail well below
-    the ``eps`` at which each row sums ``total`` on its own.
+    the ``eps`` at which each row sums ``total`` on its own.  A grid whose sums
+    or terms overflow the float range is refused, as a bound that does is.
     """
     for a in a_values:
         _check_a_r(a, r)
     lead, *tail = _kind_weights(problem, r, min(1e-15, eps / 8.0))
     scale, bound = r**problem.s, sup_bound(problem, r)
-    unit_deficit = lead - 2.0 * math.fsum(tail)
 
     def split(a: float) -> Decomposition:
         bracketed = [((1.0 + a) * a**k - 2.0) * w for k, w in enumerate(tail)]
@@ -143,7 +143,15 @@ def decompositions(
             total=scale * extremal_majorant(problem.family, a, r, eps),
         )
 
-    return [split(a) for a in a_values]
+    try:
+        unit_deficit = lead - 2.0 * math.fsum(tail)
+        splits = [split(a) for a in a_values]
+        # reconstruction_error is finite only where all four terms are
+        if all(math.isfinite(dec.reconstruction_error) for dec in splits):
+            return splits
+    except OverflowError:  # an fsum of finite terms past the float range
+        pass
+    raise ParameterDomainError(f"the extremal split at r={r} overflows the float range")
 
 
 def decomposition(problem: OperatorKind, a: float, r: float, eps: float = 1e-12) -> Decomposition:

@@ -143,6 +143,14 @@ CHECKS = (
              "--a-values", "0.5", "--format", fmt), 2, 5.0,
             stderr="parameter error: the sharp bound inf at r=0.5 overflows the normal float "
                    "range") for fmt in ("json", "csv")),
+    # The bound (at most 1.8e306) is a normal float, but the split's sums or the
+    # remainder ratio remainder / (1-a)^2 overflow: refused before any report.
+    *(Check(("sharpness", "--op", "cesaro", "--beta", beta, "--r", r, "--format", fmt), 2, 5.0,
+            stderr=f"parameter error: the {part} at r={r} overflows the float range")
+      for beta, r, part in (("155.12", "0.99", "extremal split"),
+                            ("103.75", "0.999", "extremal split"),
+                            ("237.93", "0.95", "remainder ratio"))
+      for fmt in ("json", "csv")),
 
     # Refused at once with exit 3: Cesaro weights past the 10**6-term cap,
     # refused unbuilt (the order here is about 4.6e9).

@@ -265,10 +265,10 @@ def bernardi_terms_reference(family, r: float, eps: float) -> list:
     """``Bernardi.weights`` as the plain loop its bisection scan replaced,
     which tests each term's cut before appending it: ``r**k / (k+gamma)``
     from ``k = 0`` until ``r**k / ((k+gamma)(1-r)) <= eps``.  A loop that
-    tests every ``k <= MAX_SERIES_TERMS - 1`` without a cut raises the same
+    tests every ``k <= MAX_SERIES_TERMS`` without a cut raises the same
     ``TruncationError``."""
     w, scale, gamma = [], 1.0 - r, family.gamma
-    for k in range(MAX_SERIES_TERMS):
+    for k in range(MAX_SERIES_TERMS + 1):
         r_pow, denom = r**k, k + gamma
         if r_pow / (denom * scale) <= eps:
             return w
@@ -282,7 +282,7 @@ def bernardi_root_reachable_reference(family, ladder) -> bool:
     """The scan ``Bernardi.require_root_below`` made before it tested one
     point: whether any ``ladder`` point at or above the root floor ``1 -
     exp(-1/(2 gamma))`` passes the weights' cap test at the equation's cut."""
-    cap, gamma, cut = MAX_SERIES_TERMS - 1, family.gamma, family._equation_cut()
+    cap, gamma, cut = MAX_SERIES_TERMS, family.gamma, family._equation_cut()
     floor = -math.expm1(-0.5 / gamma)
     return any(x**cap / ((cap + gamma) * (1.0 - x)) <= cut for x in ladder if x >= floor)
 

@@ -4,9 +4,11 @@ alone, without ``dataclasses`` or ``inspect`` (which would only add
 start-up time), and the commands that build arrays
 (``verify --r-mode below`` and ``selftest``) load numpy themselves, with
 OpenBLAS held to one thread.  Each command runs in a fresh interpreter,
-because the test process has imported numpy long before."""
+because the test process has imported numpy long before.  Every function
+the benchmark's tracer wraps by name is where it looks for it."""
 
 import importlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -205,3 +207,17 @@ def test_corpus_loads_no_series():
     # a Taylor series is a plain complex array; the corpus needs no series type
     proc = fresh_python("import sys, bohrlab.corpus; print('bohrlab.series' in sys.modules)")
     assert proc.stdout.strip() == "False"
+
+
+def test_the_tracer_finds_every_layer():
+    # benchmarks/tracing.py looks its layers up by name on bohrlab's modules;
+    # a src/ rename or deletion it does not follow would break a traced bench run
+    path = SRC.parent / "benchmarks" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bohrlab_bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for module in tracing._MODULES:
+        importlib.import_module(f"bohrlab.{module}")
+    for module, name in tracing.LAYERS:
+        found = getattr(importlib.import_module(f"bohrlab.{module}"), name, None)
+        assert callable(found), f"bohrlab.{module}.{name}"

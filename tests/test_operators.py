@@ -418,7 +418,7 @@ class TestTermScan:
     def test_past_the_order_cap_where_the_cap_fits(self):
         # the log bound lies past the cap, the cut test at the cap passes
         family, r, eps = bl.Bernardi(1.0, 0), 1.0 - 2.5e-5, 1e-9
-        cap = MAX_SERIES_TERMS - 1
+        cap = MAX_SERIES_TERMS
         assert math.log(eps * (1.0 - r)) / math.log(r) > MAX_SERIES_TERMS
         assert r**cap / ((cap + 1.0) * (1.0 - r)) <= eps
         assert family.weights(r, eps) == bernardi_terms_reference(family, r, eps)
@@ -435,32 +435,29 @@ class TestTermScan:
             "Bernardi weights will not reach 1e-09 within 1000000 terms at r=0.999999"
         )
 
-    @pytest.mark.parametrize("gamma", (0.05, 1.0, 30.0))
-    def test_the_term_cap_admits_a_cut_at_its_own_index(self, gamma, monkeypatch):
-        family, r, eps = bl.Bernardi(gamma, 0), 0.9, 1e-12
-        stop = len(family.weights(r, eps))
-        monkeypatch.setattr(operators, "MAX_SERIES_TERMS", stop + 1)  # the cap is stop
-        assert len(family.weights(r, eps)) == stop
-        monkeypatch.setattr(operators, "MAX_SERIES_TERMS", stop)
-        with pytest.raises(TruncationError) as refused:
-            family.weights(r, eps)
-        assert str(refused.value) == (
-            f"Bernardi weights will not reach 1e-12 within {stop} terms at r=0.9"
-        )
+
+@pytest.mark.parametrize("family,refusal", [
+    *(pytest.param(bl.CesaroBeta(beta), f"Cesaro weights will not reach 1e-12 within {{n}} terms "
+                   f"at beta={beta}, r=0.9", id=f"cesaro-{beta}") for beta in (0.25, 1.0, 3.0)),
+    *(pytest.param(bl.Bernardi(gamma), "Bernardi weights will not reach 1e-12 within {n} terms "
+                   "at r=0.9", id=f"bernardi-{gamma}") for gamma in (0.05, 1.0, 30.0)),
+    pytest.param(bl.ClassicalBohr(), "Bohr weights will not reach 1e-12 within {n} terms at r=0.9",
+                 id="bohr"),
+])
+def test_the_term_cap_admits_its_own_length(family, refusal, monkeypatch):
+    # one rule for every family: at most MAX_SERIES_TERMS weights, tested unbuilt
+    r, eps = 0.9, 1e-12
+    weights = family.weights(r, eps)
+    n = len(weights)
+    monkeypatch.setattr(operators, "MAX_SERIES_TERMS", n)
+    assert family.weights(r, eps) == weights
+    monkeypatch.setattr(operators, "MAX_SERIES_TERMS", n - 1)
+    with pytest.raises(TruncationError) as refused:
+        family.weights(r, eps)
+    assert str(refused.value) == refusal.format(n=n - 1)
 
 
 class TestBohrWeights:
-    def test_the_term_cap_is_bernardis(self, monkeypatch):
-        # at most MAX_SERIES_TERMS - 1 weights, as for Bernardi
-        family, r, eps = bl.ClassicalBohr(), 0.9, 1e-12
-        n = len(family.weights(r, eps))
-        monkeypatch.setattr(operators, "MAX_SERIES_TERMS", n + 1)
-        assert family.weights(r, eps) == [r**k for k in range(n)]
-        monkeypatch.setattr(operators, "MAX_SERIES_TERMS", n)
-        with pytest.raises(TruncationError) as refused:
-            family.weights(r, eps)
-        assert str(refused.value) == f"Bohr weights will not reach 1e-12 within {n} terms at r=0.9"
-
     def test_refused_unbuilt_near_one(self):
         # at eps = 1e-12 the cap falls near r = 0.9999622
         family = bl.ClassicalBohr()
@@ -540,19 +537,6 @@ class TestSupBounds:
         assert time.perf_counter() - start < 5.0
         assert bl.series_order(bl.CesaroBeta(1.0), 0.9999, 1e-15) == 437469
         assert split.reconstruction_error <= 1e-12 * split.bound_term
-
-    @pytest.mark.parametrize("beta", (0.25, 1.0, 3.0))
-    def test_cesaro_term_cap_admits_its_own_order(self, beta, monkeypatch):
-        r, eps = 0.9, 1e-12
-        order = bl.cesaro_series_order(beta, r, eps)
-        monkeypatch.setattr(operators, "MAX_SERIES_TERMS", order + 1)
-        assert len(bl.CesaroBeta(beta).weights(r, eps)) == order + 1
-        monkeypatch.setattr(operators, "MAX_SERIES_TERMS", order)
-        with pytest.raises(TruncationError) as refused:
-            bl.CesaroBeta(beta).weights(r, eps)
-        assert str(refused.value) == (
-            f"Cesaro weights will not reach 1e-12 within {order} terms at beta={beta}, r=0.9"
-        )
 
     def test_cesaro_order_cap_is_the_term_cap(self):
         # beta = 1: the tail bound r**(N+1)/(1-r) falls with N, so the order

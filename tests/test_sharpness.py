@@ -305,6 +305,15 @@ class TestDecompositions:
         with pytest.raises(ParameterDomainError, match=r"a must lie in \[0, 1\], got nan"):
             bl.decompositions(kind, [0.5, math.nan], 0.5)
 
+    # 155.12 and 103.75: an fsum overflows; 103.4: the tail's fsum is finite,
+    # twice it is not, so the deficit would read -inf
+    @pytest.mark.parametrize("beta,r", [(155.12, 0.99), (103.75, 0.999), (103.4, 0.999)])
+    def test_a_split_past_the_float_range_is_refused(self, beta, r):
+        assert bl.sup_bound(bl.CesaroBeta(beta), r) < 2e306  # the bound itself is admitted
+        with pytest.raises(ParameterDomainError,
+                           match=f"^the extremal split at r={r} overflows the float range$"):
+            bl.decompositions(bl.CesaroBeta(beta), [0.5, 0.9], r)
+
 
 class TestDeficitSign:
     """The deficit term is the proofs' pivot: positive below the radius,
