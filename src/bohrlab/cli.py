@@ -20,6 +20,8 @@ returns ``(params, results, csv_header, csv_rows)`` and an exit code, and
 the standard library.  ``verify --r-mode below|at`` imports numpy and the
 corpus once it draws samples, and ``selftest`` imports both when it runs.
 ``main`` sets ``OPENBLAS_NUM_THREADS=1`` unless set: no command calls BLAS.
+Run as the process's command (no argv), it freezes the collector as it
+returns, so the interpreter's exit-time collections skip the imports.
 ``verify`` and ``selftest``'s corpus suites take every operand from
 ``_operands``, and every ``verify`` mode refuses the draw flags the corpus
 would, ``above`` included.
@@ -37,6 +39,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import gc
 import io
 import json
 import math
@@ -62,8 +65,8 @@ from .operators import (
     Libera,
     OperatorKind,
     PrimitiveI,
+    _screened_majorants,
     check_draw,
-    majorant_values,
     operator_coeffs,
     quadrature_value,
     series_order,
@@ -239,7 +242,7 @@ def _operands(seeds, max_factors: int, radius_cap: float, origin_zeros: int, ord
 
     block = random_schur_block(seeds, max_factors, radius_cap)
     coeffs = np.zeros((len(seeds), order + 1), dtype=np.complex128)
-    coeffs[:, origin_zeros:] = expand(*block, order - origin_zeros)
+    expand(*block, order - origin_zeros, out=coeffs[:, origin_zeros:])
     return coeffs, block
 
 
@@ -303,9 +306,11 @@ def cmd_verify(args: argparse.Namespace) -> tuple:
         indices = np.arange(start, min(start + VERIFY_BLOCK, args.samples), dtype=np.uint64)
         seeds = derive_seed(args.seed, indices)
         coeffs, _ = _operands(seeds, args.max_factors, args.radius_cap, kind.d, order)
-        excesses = [v - bound for v in majorant_values(kind, coeffs, r, eps)]
-        worst = max(worst, *excesses)
-        over = [(i, e) for i, e in enumerate(excesses) if e > tol]
+        # The exact excess of every row that may be the block's maximum or a violation.
+        kept = _screened_majorants(kind, coeffs, r, eps, bound, tol)
+        excesses = {i: v - bound for i, v in kept.items()}
+        worst = max(worst, *excesses.values())
+        over = [(i, e) for i, e in excesses.items() if e > tol]
         violations += len(over)
         if over and first_violation is None:
             i, excess = over[0]
@@ -501,8 +506,8 @@ def main(argv: Optional[list] = None) -> int:
     # Before the commands' lazy numpy import, which starts OpenBLAS's pool.
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         _refuse_foreign_flags(args)
         report, code = _HANDLERS[args.command](args)
     except (ParameterDomainError, PreconditionError) as exc:
@@ -511,8 +516,16 @@ def main(argv: Optional[list] = None) -> int:
     except _SOLVER_ERRORS as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    _emit(args, *report)
-    return code
+    else:
+        _emit(args, *report)
+        return code
+    finally:
+        if argv is None:
+            # The process's own command: it exits next, and the interpreter's
+            # exit-time collections would walk numpy's whole import graph for
+            # nothing.  Frozen objects are skipped; an in-process caller that
+            # passes argv keeps a normal collector.
+            gc.freeze()
 
 
 if __name__ == "__main__":

@@ -91,16 +91,21 @@ def taylor_matrix(fs: Sequence[Blaschke], n_max: int) -> np.ndarray:
     return expand(h0, zeros, live, n_max)
 
 
-def expand(h0: np.ndarray, zeros: np.ndarray, live: np.ndarray, n_max: int) -> np.ndarray:
-    """Taylor coefficients ``a_0 .. a_{n_max}`` of a block of Blaschke products.
+def expand(
+    h0: np.ndarray, zeros: np.ndarray, live: np.ndarray, n_max: int, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Taylor coefficients ``a_0 .. a_{n_max}`` of a block of Blaschke products,
+    written into ``out`` (a new matrix if None) and returned.
 
     Row ``i`` is ``h0[i] * prod_j (z - a_j) / (1 - conj(a_j) z)`` over the
     zeros ``a_j = zeros[i, j]`` with ``live[i, j]``; the zeros of a row come
     first and the padding is 0.  Each zero multiplies the series by
     ``(z - a)``, ``g_n = h_{n-1} - a h_n``, then divides by
     ``(1 - conj(a) z)``, ``h_n = g_n + conj(a) h_{n-1}``, with numpy over the
-    rows.  Zeros must stay inside the modulus cap 0.95 so the coefficients
-    decay geometrically.
+    rows.  The rows are taken in order of their live-zero count, most first
+    (a stable sort), so the rows that hold zero ``j`` are a leading slice.
+    Zeros must stay inside the modulus cap 0.95 so the coefficients decay
+    geometrically.
     """
     if n_max < 0:
         raise ParameterDomainError(f"n_max must be nonnegative, got {n_max}")
@@ -109,19 +114,27 @@ def expand(h0: np.ndarray, zeros: np.ndarray, live: np.ndarray, n_max: int) -> n
         raise ParameterDomainError(
             f"Blaschke zero modulus {worst} at or above the cap {BLASCHKE_ZERO_CAP}"
         )
+    counts = live.sum(axis=1)
+    if not np.array_equal(live, np.arange(live.shape[1]) < counts[:, None]):
+        raise ParameterDomainError("the live zeros of a row must come first")
+    rows = np.argsort(-counts, kind="stable")
     # Coefficient index first: one recurrence step over all rows is contiguous.
     h = np.zeros((n_max + 1, len(h0)), dtype=np.complex128)
-    h[0] = h0
-    # A row without this zero skips the multiply; its padding a = 0 makes the divide exact.
-    # In place: each masked read on the right copies before its write.
-    for a, a_bar, on in zip(zeros.T, zeros.conj().T, live.T):
-        h[1:, on] = h[:-1, on] - a[on] * h[1:, on]
-        h[0, on] = -a[on] * h[0, on]
+    h[0] = h0[rows]
+    # Zero j of the sorted rows, contiguous; the padding a = 0 makes the divide exact.
+    column = np.ascontiguousarray(zeros[rows].T)
+    for a, a_bar, held in zip(column, column.conj(), live.sum(axis=0).tolist()):
+        a = a[:held]
+        h[1:, :held] = h[:-1, :held] - a * h[1:, :held]
+        h[0, :held] = -a * h[0, :held]
         for n in range(1, n_max + 1):
             h[n] += a_bar * h[n - 1]
     if not np.all(np.isfinite(h)):
         raise ParameterDomainError("coefficient entries must be finite")
-    return np.ascontiguousarray(h.T)
+    if out is None:
+        out = np.empty((len(h0), n_max + 1), dtype=np.complex128)
+    out[rows] = h.T
+    return out
 
 
 def schwarz_shift(f: Blaschke, m: int) -> Blaschke:

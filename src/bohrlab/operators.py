@@ -30,12 +30,15 @@ the module functions below apply the shift rule once for all of them:
 so the majorant is a weight vector:
 ``M(f, r) = r**s * sum_k |a_{k+d}| w_k(r)``, built once per
 ``(family, r, eps)`` as a tuple of ``math`` floats and applied to a whole
-coefficient matrix.  The weight vector is the family's one truncation
-decision: it ends where the partial sum is within ``eps`` of the absolute
-series of every unit-ball member, by the closed-form tail ``r**N A(beta+1,
-r)`` of the Cesaro weights, the moments of the kernel ``(1-t)**(-beta)``,
-and a plain geometric bound for the others, at most ``MAX_SERIES_TERMS``
-weights (``_require_term_cap`` refuses more, unbuilt).  Every series order
+coefficient matrix, each row summed by ``math.fsum``; ``verify`` takes a
+block's row sums in numpy and ``fsum``s only the rows that a certified bound
+on those sums cannot rule out as its maximum or a violation.  The weight
+vector is the family's one truncation decision: it ends where the partial
+sum is within ``eps`` of the absolute series of every unit-ball member, by
+the closed-form tail ``r**N A(beta+1, r)`` of the Cesaro weights, the
+moments of the kernel ``(1-t)**(-beta)``, and a plain geometric bound for
+the others, at most ``MAX_SERIES_TERMS`` weights (``_require_term_cap``
+refuses more, unbuilt).  Every series order
 (``series_order``, the coefficients ``verify`` samples, the images
 ``selftest`` checks against quadrature, the extremal sums) is read off its
 length, and the Bernardi radius equation is ``w_0 - 2 sum_{k>0} w_k``.
@@ -525,27 +528,63 @@ def _unit_ball_moduli(coeffs: np.ndarray) -> np.ndarray:
     return absf
 
 
+def _majorant_terms(kind: OperatorKind, coeffs: np.ndarray, r: float, eps: float) -> tuple:
+    """``(terms, r**s)``: row ``i`` of ``terms`` holds the products ``|a_(k+d)| w_k``
+    whose sum, times ``r**s``, is the majorant of row ``i`` of ``coeffs``."""
+    import numpy as np
+
+    absf = _unit_ball_moduli(coeffs)
+    _require_leading_zeros(absf, kind)
+    w = np.array(_kind_weights(kind, r, eps))
+    if absf.shape[1] < kind.d + w.size:
+        raise TruncationError(
+            f"the weights read {kind.d + w.size} coefficients, the rows carry {absf.shape[1]}"
+        )
+    return absf[:, kind.d : kind.d + w.size] * w, r**kind.s
+
+
 def majorant_values(
     kind: OperatorKind, coeffs: np.ndarray, r: float, eps: float = 1e-12
 ) -> list:
     """Absolute series of the operator image at radius ``r`` for each row of
     ``coeffs``, each within ``eps`` (times a family bound below 1): ``r**s *
     sum_k |a_{k+d}| w_k`` with the family's weights.  Each row is summed by
-    ``math.fsum``, so its value does not depend on the other rows.  The rows
-    must be unit-ball members (``|a_k| <= 1``), which the weight cuts rely
-    on; a NaN entry fails that check.  Columns past the weight vector's cut
-    are not read, and a matrix that stops before it is refused with
-    ``TruncationError``: its missing tail would go uncounted."""
+    ``math.fsum``, so its value does not depend on the other rows; ``verify``
+    ``fsum``s only the rows ``_screened_majorants`` cannot rule out, to the
+    same values.  The rows must be unit-ball members (``|a_k| <= 1``), which
+    the weight cuts rely on; a NaN entry fails that check.  Columns past the
+    weight vector's cut are not read, and a matrix that stops before it is
+    refused with ``TruncationError``: its missing tail would go uncounted."""
+    terms, scale = _majorant_terms(kind, coeffs, r, eps)
+    return [scale * math.fsum(row.tolist()) for row in terms]
+
+
+def _screened_majorants(
+    kind: OperatorKind, coeffs: np.ndarray, r: float, eps: float, bound: float, tol: float
+) -> dict:
+    """The ``majorant_values`` of the rows that may hold the block's largest
+    value or may exceed ``bound`` by more than ``tol`` (``value - bound >
+    tol``), keyed by row index in row order; numpy's row sum ``S`` of the same
+    ``n`` terms rules out every other row.  The terms are nonnegative, so ``S``
+    is within ``gamma_(n-1) = (n-1) u / (1 - (n-1) u)`` of their exact sum
+    ``T`` relative to it in any summation order (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, ch. 4), ``u = 2**-53``, and the
+    ``fsum`` within ``u T`` (or half the least subnormal): the row's ``fsum``
+    lies within ``(n+1) 2**-52 S + 2**-1022`` of ``S``, with a factor two to
+    spare for the screen's own roundings.  Scaling by ``r**s`` and
+    subtracting ``bound`` are rounded monotone maps, so a row ruled out at
+    its upper end is ruled out exactly."""
     import numpy as np
 
-    absf = _unit_ball_moduli(coeffs)
-    _require_leading_zeros(absf, kind)
-    w, scale = np.array(_kind_weights(kind, r, eps)), r**kind.s
-    if absf.shape[1] < kind.d + w.size:
-        raise TruncationError(
-            f"the weights read {kind.d + w.size} coefficients, the rows carry {absf.shape[1]}"
-        )
-    return [scale * math.fsum(row.tolist()) for row in absf[:, kind.d : kind.d + w.size] * w]
+    terms, scale = _majorant_terms(kind, coeffs, r, eps)
+    sums = terms.sum(axis=1)
+    slack = sums * ((terms.shape[1] + 1) * 2.0**-52) + 2.0**-1022
+    upper = sums + slack
+    # A sum past the float range has the lower end NaN, which fmax skips, and
+    # the upper end inf, which keeps its row.
+    top = np.fmax.reduce(sums - slack, initial=-math.inf)
+    keep = (upper >= top) | (scale * upper - bound > tol)
+    return {i: scale * math.fsum(terms[i].tolist()) for i in np.flatnonzero(keep).tolist()}
 
 
 def majorant_value(kind: OperatorKind, a: np.ndarray, r: float, eps: float = 1e-12) -> float:

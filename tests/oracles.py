@@ -6,9 +6,10 @@ through math.fsum, and series are expanded by explicit double loops.
 
 The reference implementations after them are the per-sample paths that
 the batched verify sweep replaced: a Blaschke product expanded as a chain
-of Cauchy products, the corpus member of a seed drawn one uniform at a
-time from splitmix64 on Python ints, and the three absolute series with
-their truncation cuts; and the Bernardi radius equation over ``x**m``
+of Cauchy products, a block of them expanded over masked rows in block
+order, the corpus member of a seed drawn one uniform at a time from
+splitmix64 on Python ints, and the three absolute series with their
+truncation cuts; and the Bernardi radius equation over ``x**m``
 summed by the plain tail loop.
 They take plain numpy arrays and nothing from the library.  The one
 exception is the Bernardi term loop that the library's bisection scan
@@ -156,6 +157,20 @@ def blaschke_coeffs_reference(zeros, lead: complex, n_max: int) -> np.ndarray:
         factor = np.convolve(linear, geometric)[: n_max + 1]
         product = np.convolve(product, factor)[: n_max + 1]
     return product
+
+
+def expand_masked_reference(h0, zeros, live, n_max: int) -> np.ndarray:
+    """The block expansion that ``corpus.expand``'s sorted rows replaced: the
+    same recurrence per zero column, over the rows that hold it gathered by
+    their ``live`` mask in the block's own row order."""
+    h = np.zeros((n_max + 1, len(h0)), dtype=np.complex128)
+    h[0] = h0
+    for a, a_bar, on in zip(zeros.T, zeros.conj().T, live.T):
+        h[1:, on] = h[:-1, on] - a[on] * h[1:, on]
+        h[0, on] = -a[on] * h[0, on]
+        for n in range(1, n_max + 1):
+            h[n] += a_bar * h[n - 1]
+    return np.ascontiguousarray(h.T)
 
 
 def splitmix64_reference(state: int, index: int) -> int:

@@ -5,7 +5,9 @@
 matrix.  Both are checked here against ``oracles``' reference
 implementations of the per-sample Cauchy-product chain and absolute series,
 and the ``verify`` command is checked to give the same report whatever the
-block size.
+block size.  ``verify`` sums exactly only the rows its screened numpy sum
+cannot rule out; the screen is checked against ``majorant_values`` over
+every row, on the verify paths and on blocks built to defeat it.
 """
 
 import json
@@ -17,6 +19,7 @@ import pytest
 import bohrlab as bl
 from bohrlab import cli
 from bohrlab.errors import ParameterDomainError, PreconditionError
+from bohrlab.operators import _screened_majorants
 from oracles import (
     bernardi_abs_series_reference,
     blaschke_coeffs_reference,
@@ -199,3 +202,144 @@ class TestBlockBoundaries:
         monkeypatch.setattr(cli, "VERIFY_BLOCK", 7)
         _, small_block = _verify(capsys, *argv)
         assert small_block == default_block
+
+
+def _exhaustive(kind, coeffs, r, eps, bound, tol):
+    """Block maximum and violations ``(index, excess)`` from every row's
+    ``majorant_values``: what the screened sum must reproduce."""
+    values = bl.majorant_values(kind, coeffs, r, eps)
+    over = [(i, v - bound) for i, v in enumerate(values) if v - bound > tol]
+    return values, max(values), over
+
+
+def _assert_screen_is_exhaustive(kind, coeffs, r, eps, bound, tol):
+    kept = _screened_majorants(kind, coeffs, r, eps, bound, tol)
+    values, top, over = _exhaustive(kind, coeffs, r, eps, bound, tol)
+    assert list(kept) == sorted(kept)
+    assert all(kept[i] == values[i] for i in kept)
+    assert max(kept.values()) == top
+    assert [(i, v - bound) for i, v in kept.items() if v - bound > tol] == over
+    return kept
+
+
+# The five majorant paths of the verify-sweep workload.
+SCREENED_PATHS = VERIFY_SWEEP[:5]
+SCREENED_IDS = ["cesaro-1", "cbeta-2", "libera", "bernardi-2-1", "bohr"]
+
+
+@pytest.mark.parametrize("mode", ["below", "at"])
+@pytest.mark.parametrize("seed", [1, 7, 20261])
+@pytest.mark.parametrize("op_flags,kind", SCREENED_PATHS, ids=SCREENED_IDS)
+def test_screened_sum_is_the_exhaustive_sum(capsys, monkeypatch, op_flags, kind, seed, mode):
+    blocks = []
+    screened = cli._screened_majorants
+
+    def record(*args):
+        blocks.append(args)
+        _assert_screen_is_exhaustive(*args)
+        return screened(*args)
+
+    monkeypatch.setattr(cli, "_screened_majorants", record)
+    code, out = _verify(capsys, *op_flags, "--samples", "600", "--seed", str(seed),
+                        "--r-mode", mode)
+    results = json.loads(out)["results"]
+    assert len(blocks) == 3
+    # The report from every row's majorant_values, block by block.
+    worst, over = -math.inf, []
+    for start, (kind_, coeffs, r, eps, bound, tol) in zip(range(0, 600, cli.VERIFY_BLOCK), blocks):
+        assert kind_ == kind and bound == results["bound"]
+        values, top, block_over = _exhaustive(kind_, coeffs, r, eps, bound, tol)
+        worst = max(worst, top - bound)
+        over += [(start + i, excess) for i, excess in block_over]
+    assert results["max_excess"] == worst
+    assert results["violations"] == len(over)
+    first = results["first_violation"]
+    assert (None if first is None else (first["index"], first["excess"])) == (
+        over[0] if over else None)
+    assert code == (cli.EXIT_VERIFY if over else cli.EXIT_OK)
+
+
+class TestScreenedSumAdversarial:
+    """Blocks built so that the screen's slack is all that separates rows."""
+
+    KIND, R, EPS = bl.ClassicalBohr(), 0.5, MAJORANT_EPS  # w_0 = 1 and r**s = 1
+
+    def _block(self, count=64, seed=3):
+        order = bl.series_order(self.KIND.family, self.R, self.EPS)
+        return bl.taylor_matrix(_corpus(seed, count, 4), order)
+
+    def _bumped(self, row, steps):
+        """``row`` with ``|a_0|`` moved by whole ulps until its majorant moves by
+        ``steps`` ulps (``|a_0|``'s weight is 1, so the majorant moves by at
+        most one ulp per step)."""
+        value = bl.majorant_value(self.KIND, row, self.R, self.EPS)
+        target, row = value, row.copy()
+        for _ in range(abs(steps)):
+            target = math.nextafter(target, math.copysign(math.inf, steps))
+        while bl.majorant_value(self.KIND, row, self.R, self.EPS) != target:
+            row[0] = math.nextafter(row[0].real, math.copysign(math.inf, steps))
+        return row
+
+    def _screen(self, coeffs, bound=None, tol=None):
+        bound = bl.sup_bound(self.KIND, self.R) if bound is None else bound
+        tol = cli._rounding_tol(bound) if tol is None else tol
+        return _assert_screen_is_exhaustive(self.KIND, coeffs, self.R, self.EPS, bound, tol)
+
+    def _top_row(self, coeffs):
+        """A row above every corpus row of ``coeffs``: ``|a_k| = 0.9`` throughout."""
+        return np.full(coeffs.shape[1], 0.9, dtype=np.complex128)
+
+    def test_duplicated_rows(self):
+        coeffs = self._block()
+        coeffs = np.concatenate([coeffs, coeffs[::-1], coeffs[:5]])
+        kept = self._screen(coeffs)
+        values = bl.majorant_values(self.KIND, coeffs, self.R, self.EPS)
+        assert len([i for i in kept if values[i] == max(values)]) >= 2
+
+    @pytest.mark.parametrize("at", [0, 17, 63])
+    def test_two_rows_one_ulp_apart_at_the_maximum(self, at):
+        coeffs = self._block()
+        top = self._top_row(coeffs)
+        coeffs[at], coeffs[(at + 9) % len(coeffs)] = self._bumped(top, 1), top
+        kept = self._screen(coeffs)
+        assert kept[at] == math.nextafter(kept[(at + 9) % len(coeffs)], math.inf)
+
+    @pytest.mark.parametrize("steps", [-1, 0, 1])
+    def test_a_row_one_ulp_either_side_of_bound_plus_tol(self, steps):
+        coeffs = self._block()
+        row = self._top_row(coeffs)
+        value = bl.majorant_value(self.KIND, row, self.R, self.EPS)
+        bound = value / 2.0  # value - bound == tol exactly, so bound + tol == value
+        coeffs[40] = self._bumped(row, steps)
+        kept = self._screen(coeffs, bound, value - bound)
+        assert (kept[40] - bound > value - bound) == (steps > 0)
+
+    def test_a_row_whose_numpy_sum_drops_its_small_terms(self):
+        # numpy sums a row of 42 terms in eight running sums and then the last
+        # two: each of the six terms 2**-53 here is added to 1 and rounds away,
+        # so numpy reads row 3 as 1, below row 50 (exactly 1 + 2**-52), while
+        # row 3's exact sum is 1 + 3 * 2**-52.
+        coeffs = 0.1 * self._block()
+        coeffs[[3, 50]] = 0.0
+        small = np.array([8, 16, 24, 32, 40, 41])
+        coeffs[3, 0], coeffs[3, small] = 1.0, 2.0 ** (small - 53)
+        coeffs[50, 0], coeffs[50, 1] = 1.0, 2.0**-51
+        assert coeffs.shape[1] == 42
+        assert self._screen(coeffs)[3] == 1.0 + 3 * 2.0**-52
+        # Under a larger maximum, row 3 is kept as a violation alone: its
+        # excess 0.5 + 3 * 2**-52 exceeds tol, numpy's excess 0.5 does not.
+        coeffs[50, 1] = 1.0
+        assert 3 in self._screen(coeffs, 0.5, 0.5 + 2.0**-52)
+
+    def test_an_all_zero_block(self):
+        kept = self._screen(np.zeros_like(self._block(cli.VERIFY_BLOCK)))
+        assert kept == dict.fromkeys(range(cli.VERIFY_BLOCK), 0.0)
+
+    @pytest.mark.parametrize("kind", [k for _, k in SCREENED_PATHS], ids=SCREENED_IDS)
+    def test_a_block_where_every_row_violates(self, kind):
+        seeds = bl.derive_seed(5, np.arange(cli.VERIFY_BLOCK, dtype=np.uint64))
+        order = kind.d + bl.series_order(kind.family, 0.4, MAJORANT_EPS)
+        coeffs, _ = cli._operands(seeds, 4, 0.9, kind.d, order)
+        kept = _assert_screen_is_exhaustive(kind, coeffs, 0.4, MAJORANT_EPS, 1e-30,
+                                            cli._rounding_tol(1e-30))
+        assert len(kept) == cli.VERIFY_BLOCK

@@ -7,7 +7,9 @@ stream for a whole block of seeds with array arithmetic, and
 uint64 bit patterns over more than 1e4 seeds, with a scalar transcription
 of the stream in ``tests/oracles.py`` (Python ints, ``math.sqrt``,
 ``cmath.exp``) and with ``taylor_matrix`` of the ``random_schur`` members;
-they check the mixture's statistics over more than 1e5 seeds.  The same
+they check the mixture's statistics over more than 1e5 seeds, and
+``expand``'s rows, sorted by zero count, against the masked gather in
+``tests/oracles.py`` bit for bit.  The same
 tests run once more in a subprocess with numpy's AVX-512 dispatch disabled,
 together with ``test_golden.py`` and the golden rows of
 ``test_cli_checks.py``, so neither the corpus nor any golden report depends
@@ -25,7 +27,7 @@ import pytest
 import bohrlab as bl
 from bohrlab import cli
 from bohrlab.errors import ParameterDomainError
-from oracles import corpus_member_reference, splitmix64_reference
+from oracles import corpus_member_reference, expand_masked_reference, splitmix64_reference
 
 ROOT = Path(__file__).resolve().parents[1]
 NO_AVX512 = "X86_V4 AVX512_ICL AVX512_SPR"
@@ -84,6 +86,40 @@ def test_block_draw_is_the_scalar_stream_bit_for_bit(max_factors, radius_cap):
         assert all(map(_same_bits, drawn, _reference_arrays(seeds, max_factors, radius_cap)))
         fs = [bl.random_schur(s, max_factors, radius_cap) for s in seeds]
         assert _same_bits(bl.expand(*drawn, 12), bl.taylor_matrix(fs, 12))
+
+
+def _one_count_block(max_factors, rows, count):
+    """A drawn block of ``rows`` members that all hold ``count`` zeros."""
+    seeds = bl.derive_seed(77 + count, np.arange(64 * rows, dtype=np.uint64))
+    h0, zeros, live = bl.random_schur_block(seeds, max_factors, 0.9)
+    (held,) = np.nonzero(live.sum(axis=1) == count)
+    return h0[held[:rows]], zeros[held[:rows]], live[held[:rows]]
+
+
+@pytest.mark.parametrize("rows", [1, 7, 256])
+@pytest.mark.parametrize("max_factors", [0, 1, 4, 8])
+def test_sorted_expansion_is_the_masked_gather_bit_for_bit(max_factors, rows):
+    seeds = bl.derive_seed(max_factors, np.arange(rows, dtype=np.uint64))
+    blocks = [bl.random_schur_block(seeds, max_factors, 0.9)]
+    counts = sorted({0, max_factors // 2, max_factors})  # every row with the same count
+    blocks += [_one_count_block(max_factors, rows, count) for count in counts]
+    for block in blocks:
+        assert len(block[0]) == rows
+        for n_max in (0, 1, 44):
+            want = expand_masked_reference(*block, n_max)
+            assert np.array_equal(bl.expand(*block, n_max).view(np.uint64), want.view(np.uint64))
+            # Written into the columns after two origin zeros, as verify's operands are.
+            coeffs = np.zeros((rows, n_max + 3), dtype=np.complex128)
+            assert bl.expand(*block, n_max, out=coeffs[:, 2:]).base is coeffs
+            assert np.array_equal(coeffs[:, 2:].view(np.uint64), want.view(np.uint64))
+            assert not coeffs[:, :2].any()
+
+
+def test_live_zeros_must_lead_their_row():
+    live = np.zeros((3, 2), dtype=bool)
+    live[1, 1] = True  # the second zero of row 1 without its first
+    with pytest.raises(ParameterDomainError, match="must come first"):
+        bl.expand(np.ones(3, dtype=np.complex128), np.full((3, 2), 0.5j), live, 5)
 
 
 def test_seed_array_and_list_draw_alike():

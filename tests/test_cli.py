@@ -2,9 +2,12 @@
 
 import argparse
 import builtins
+import gc
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 import time
 import tracemalloc
@@ -12,7 +15,7 @@ import tracemalloc
 import pytest
 
 from bohrlab import cli
-from cli_checks import run
+from cli_checks import CHECKS, SRC, run
 
 
 def run_cli(capsys, *argv):
@@ -468,9 +471,11 @@ class TestVerifyCommand:
     @pytest.mark.parametrize("gamma", [1e11, 1e13])
     def test_one_percent_above_a_tiny_bound_is_a_violation(self, capsys, monkeypatch, gamma):
         # An absolute 1e-9 allowance would forgive any excess over these bounds.
+        # verify takes every row's value from the screened sum, which keeps each violation.
         monkeypatch.setattr(
-            cli, "majorant_values",
-            lambda kind, coeffs, r, eps: [1.01 * cli.sup_bound(kind, r)] * len(coeffs),
+            cli, "_screened_majorants",
+            lambda kind, coeffs, r, eps, bound, tol: dict.fromkeys(
+                range(len(coeffs)), 1.01 * cli.sup_bound(kind, r)),
         )
         code, out, _ = run_cli(capsys, "verify", "--op", "bernardi", "--gamma", str(gamma),
                                "--samples", "5")
@@ -939,3 +944,54 @@ def test_unbuffered_stdout_takes_the_report_in_blocks(monkeypatch, fmt):
     size = len(raw.getvalue())
     assert size > 1 << 16 and raw.writes <= size // 8192 + 2
 
+
+
+# A verify golden, a curve golden and a refused row of cli_checks.CHECKS.
+CONSOLE_ROWS = [
+    next(row for row in CHECKS if row.golden == "verify_cesaro_below.json"),
+    next(row for row in CHECKS if row.golden == "curve_cesaro.csv"),
+    next(row for row in CHECKS if row.exit == 2),
+]
+
+
+@pytest.mark.parametrize("row", CONSOLE_ROWS, ids=lambda row: " ".join(row.argv[:3]))
+def test_console_process_writes_what_the_in_process_call_writes(tmp_path, capsysbinary, row):
+    # main() freezes the collector only as the process's own command (argv None).
+    frozen = gc.get_freeze_count()
+    inside, fresh = tmp_path / "in-process", tmp_path / "fresh"
+    for in_argv, fresh_argv in ((row.argv, row.argv),
+                                ((*row.argv, "--out", str(inside)),
+                                 (*row.argv, "--out", str(fresh)))):
+        code = cli.main(list(in_argv))
+        assert gc.get_freeze_count() == frozen
+        captured = capsysbinary.readouterr()
+        proc = run(fresh_argv, row.timeout)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, captured.out, captured.err)
+    assert code == row.exit
+    if row.exit == 0:
+        assert fresh.read_bytes() == inside.read_bytes()
+    else:
+        assert not fresh.exists() and not inside.exists()
+
+
+# main() as the process's command, then the freeze count, whatever main raised.
+PROBE = """import gc, sys
+from bohrlab.cli import main
+try:
+    code = main()
+finally:
+    sys.stderr.write(f"frozen {gc.get_freeze_count() > 0}\\n")
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("argv,code", [
+    (("radius", "--op", "libera"), 0),
+    (("radius", "--op", "libera", "--gamma", "5"), 2),  # refused by main
+    (("radius", "--op", "nosuch"), 2),  # refused by argparse: SystemExit
+], ids=["ok", "refused", "usage"])
+def test_console_command_freezes_the_collector_on_every_path(argv, code):
+    proc = subprocess.run([sys.executable, "-c", PROBE, *argv, "--out", os.devnull],
+                          env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True)
+    assert proc.returncode == code
+    assert proc.stderr.splitlines()[-1] == b"frozen True"
