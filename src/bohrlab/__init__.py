@@ -9,7 +9,7 @@ sharpness arguments through the extremal disk-automorphism families.
 ``_EXPORTS`` below is the one list of public names; each submodule reads
 its ``__all__`` from it.  Every export resolves on first access (PEP 562),
 importing only its own submodule: ``bohrlab.solve_radius`` loads
-``radii``, ``operators`` and ``errors``, and ``bohrlab.decomposition`` adds
+``radii``, ``operators`` and ``errors``, and ``bohrlab.decompositions`` adds
 ``sharpness``, all of which need only the standard library, while the first
 name from ``corpus`` or ``series`` loads numpy.
 """
@@ -27,15 +27,15 @@ _EXPORTS = {
         "cauchy_product", "cumulative_identity_residual", "horner",
     ),
     "corpus": (
-        "BLASCHKE_ZERO_CAP", "Blaschke", "Constant", "derive_seed", "evaluate", "expand",
+        "BLASCHKE_ZERO_CAP", "Blaschke", "derive_seed", "evaluate", "expand",
         "multiply_by_z", "random_schur", "random_schur_block", "schwarz_shift",
-        "taylor_coeffs", "taylor_matrix",
+        "taylor_coeffs",
     ),
     "operators": (
         "Alexander", "Bernardi", "CBeta", "CesaroBeta", "ClassicalBohr", "Libera", "OperatorKind",
         "PrimitiveI", "Shifted", "adaptive_simpson", "binomial_coeffs", "bohr_majorant",
         "cesaro_series_order",
-        "kernel_integral", "majorant_value", "majorant_values", "operator_coeffs",
+        "kernel_integral", "majorant_value", "operator_coeffs",
         "quadrature_value", "series_order", "sup_bound",
     ),
     "radii": (
@@ -43,7 +43,7 @@ _EXPORTS = {
     ),
     "sharpness": (
         "BOHR_BASELINE_RADIUS", "Decomposition", "ViolationReport", "concavity_check",
-        "critical_radius", "decomposition", "decomposition_bernardi", "decomposition_cesaro",
+        "critical_radius", "decomposition_bernardi", "decomposition_cesaro",
         "decompositions", "extremal_majorant", "violation_search",
     ),
 }

@@ -3,7 +3,7 @@
 Every member is one type, ``Blaschke``: a finite Blaschke product
 ``c * prod_j (z - a_j) / (1 - conj(a_j) z)`` with a lead ``|c| <= 1``, which
 is unimodular (a rotation) for a pure product and smaller for a damped one.
-A constant is the empty product, ``Constant(c)``; ``z**m`` times a member is
+A constant is the empty product, ``Blaschke((), c)``; ``z**m`` times a member is
 the member with ``m`` more zeros at the origin; and the paper's extremal
 ``z**m phi_a``, ``phi_a(z) = (z - a)/(1 - a z)``, is ``Blaschke((0j,) * m +
 (a,))``.  The constructor is the membership check.  A member has an exact
@@ -56,11 +56,6 @@ class Blaschke(Record):
         super().__init__(zeros, scale)
 
 
-def Constant(value: complex) -> Blaschke:
-    """The constant ``value``, ``|value| <= 1``: the empty Blaschke product scaled by it."""
-    return Blaschke((), value)
-
-
 def evaluate(f: Blaschke, z: complex) -> complex:
     """Exact structural evaluation at a point of the open unit disk."""
     z = complex(z)
@@ -74,21 +69,10 @@ def evaluate(f: Blaschke, z: complex) -> complex:
 
 def taylor_coeffs(f: Blaschke, n_max: int) -> np.ndarray:
     """The first ``n_max + 1`` Taylor coefficients of ``f`` at the origin, a
-    complex row: the one-row case of ``taylor_matrix``."""
-    return taylor_matrix([f], n_max)[0]
-
-
-def taylor_matrix(fs: Sequence[Blaschke], n_max: int) -> np.ndarray:
-    """Taylor coefficients ``a_0 .. a_{n_max}`` of each member, one row each,
-    laid out as the arrays ``expand`` reads."""
-    width = max((len(f.zeros) for f in fs), default=0)
-    h0 = np.array([f.scale for f in fs], dtype=np.complex128)
-    zeros = np.zeros((len(fs), width), dtype=np.complex128)
-    live = np.zeros((len(fs), width), dtype=bool)
-    for i, f in enumerate(fs):
-        zeros[i, : len(f.zeros)] = f.zeros
-        live[i, : len(f.zeros)] = True
-    return expand(h0, zeros, live, n_max)
+    complex row: ``expand`` of the one-row block of ``f``."""
+    zeros = np.array([f.zeros], dtype=np.complex128)
+    h0 = np.array([f.scale], dtype=np.complex128)
+    return expand(h0, zeros, np.ones(zeros.shape, dtype=bool), n_max)[0]
 
 
 def expand(

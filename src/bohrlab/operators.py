@@ -53,7 +53,7 @@ type and fields, so an equal family built anew is the same weight-cache key.
 
 A Taylor series is a 1-D ``complex128`` array ``a_0 .. a_N``, a block of
 them a matrix with one row each; ``operator_coeffs`` refuses a non-finite
-image and ``majorant_values`` a row outside the unit ball, NaN included.
+image and ``majorant_value`` a row outside the unit ball, NaN included.
 
 The radius layer (``kernel_integral`` and both radius equations), the binomial
 weights ``binomial_coeffs``, every family's ``weights`` and ``check_draw``,
@@ -543,27 +543,11 @@ def _majorant_terms(kind: OperatorKind, coeffs: np.ndarray, r: float, eps: float
     return absf[:, kind.d : kind.d + w.size] * w, r**kind.s
 
 
-def majorant_values(
-    kind: OperatorKind, coeffs: np.ndarray, r: float, eps: float = 1e-12
-) -> list:
-    """Absolute series of the operator image at radius ``r`` for each row of
-    ``coeffs``, each within ``eps`` (times a family bound below 1): ``r**s *
-    sum_k |a_{k+d}| w_k`` with the family's weights.  Each row is summed by
-    ``math.fsum``, so its value does not depend on the other rows; ``verify``
-    ``fsum``s only the rows ``_screened_majorants`` cannot rule out, to the
-    same values.  The rows must be unit-ball members (``|a_k| <= 1``), which
-    the weight cuts rely on; a NaN entry fails that check.  Columns past the
-    weight vector's cut are not read, and a matrix that stops before it is
-    refused with ``TruncationError``: its missing tail would go uncounted."""
-    terms, scale = _majorant_terms(kind, coeffs, r, eps)
-    return [scale * math.fsum(row.tolist()) for row in terms]
-
-
 def _screened_majorants(
     kind: OperatorKind, coeffs: np.ndarray, r: float, eps: float, bound: float, tol: float
 ) -> dict:
-    """The ``majorant_values`` of the rows that may hold the block's largest
-    value or may exceed ``bound`` by more than ``tol`` (``value - bound >
+    """The ``majorant_value`` of each row of ``coeffs`` that may hold the block's
+    largest value or may exceed ``bound`` by more than ``tol`` (``value - bound >
     tol``), keyed by row index in row order; numpy's row sum ``S`` of the same
     ``n`` terms rules out every other row.  The terms are nonnegative, so ``S``
     is within ``gamma_(n-1) = (n-1) u / (1 - (n-1) u)`` of their exact sum
@@ -588,13 +572,18 @@ def _screened_majorants(
 
 
 def majorant_value(kind: OperatorKind, a: np.ndarray, r: float, eps: float = 1e-12) -> float:
-    """The one-row case of ``majorant_values``."""
-    return majorant_values(kind, a[None, :], r, eps)[0]
+    """Absolute series ``r**s * sum_k |a_{k+d}| w_k`` of the operator image of
+    ``a`` at radius ``r`` with the family's weights, within ``eps`` (times a
+    family bound below 1), summed by ``math.fsum``.  ``a`` must be a unit-ball
+    member (``|a_k| <= 1``, NaN fails), which the weight cuts rely on; a row
+    that stops before the cut is refused with ``TruncationError``."""
+    terms, scale = _majorant_terms(kind, a[None, :], r, eps)
+    return scale * math.fsum(terms[0].tolist())
 
 
 def bohr_majorant(a: np.ndarray, r: float) -> float:
     """Plain absolute series ``sum |a_n| r**n`` of the coefficients themselves,
-    which must be unit-ball coefficients as in ``majorant_values``."""
+    which must be unit-ball coefficients as in ``majorant_value``."""
     import numpy as np
 
     if not 0.0 < r < 1.0:

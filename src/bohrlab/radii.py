@@ -196,9 +196,6 @@ def solve_radius(family: Union[CesaroBeta, Bernardi], tol: float = 1e-12) -> Rad
     lo, hi = max(best_x - half, ladder_lo), min(best_x + half, ladder_hi)
     if eq(lo) > 0.0 >= eq(hi):
         bracket = (lo, hi)
-
-    if not 0.0 < best_x < 1.0:
-        raise BracketError(f"solver produced an out-of-range root {best_x}")
     return RadiusResult(root=best_x, residual=best_f, bracket=bracket, iterations=iterations)
 
 

@@ -2,7 +2,7 @@
 binomial weights.
 
 A Taylor series ``a_0 .. a_N`` is a 1-D ``complex128`` array, the row that
-``corpus.taylor_matrix`` and ``corpus.expand`` return; its truncation order
+``corpus.taylor_coeffs`` and ``corpus.expand`` return; its truncation order
 is its length minus one, and nothing in this module resizes implicitly.  The
 weights ``c_n(beta)``, the Taylor coefficients of ``(1 - x)**(-beta)``,
 come from ``operators.binomial_coeffs``, the recurrence behind the Cesaro

@@ -154,21 +154,18 @@ def decompositions(
     raise ParameterDomainError(f"the extremal split at r={r} overflows the float range")
 
 
-def decomposition(problem: OperatorKind, a: float, r: float, eps: float = 1e-12) -> Decomposition:
-    """The one-``a`` case of ``decompositions``."""
-    return decompositions(problem, [a], r, eps)[0]
-
-
 def decomposition_cesaro(
     beta: float, a: float, r: float, eps: float = 1e-12
 ) -> Decomposition:
-    return decomposition(CesaroBeta(beta), a, r, eps)
+    """The one-``a`` split of ``CesaroBeta(beta)``."""
+    return decompositions(CesaroBeta(beta), [a], r, eps)[0]
 
 
 def decomposition_bernardi(
     gamma: float, m: int, a: float, r: float, eps: float = 1e-12
 ) -> Decomposition:
-    return decomposition(Bernardi(gamma, m), a, r, eps)
+    """The one-``a`` split of ``Bernardi(gamma, m)``."""
+    return decompositions(Bernardi(gamma, m), [a], r, eps)[0]
 
 
 def violation_search(

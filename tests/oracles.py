@@ -19,6 +19,13 @@ last, the sharpness split of one ``a`` that ``bl.decompositions`` replaced,
 reads the library's weights, bound and extremal majorant, so the two can be
 compared bit for bit.
 
+Three helpers serve the tests, not the library: ``taylor_matrix``, the
+``bl.expand`` of a list of members; ``majorant_values``, every row's
+majorant of a coefficient matrix summed by ``math.fsum`` from the library's
+own terms, the exhaustive sum that ``verify``'s screened sum must
+reproduce; and ``decomposition``, the one-``a`` call of
+``bl.decompositions``.
+
 The Cesaro majorant weights and their tail have mpmath references: each is
 a Gauss hypergeometric value at 40 digits, with no recurrence of the
 library's.
@@ -41,7 +48,7 @@ import numpy as np
 
 import bohrlab as bl
 from bohrlab.errors import ParameterDomainError, TruncationError
-from bohrlab.operators import MAX_SERIES_TERMS, _kind_weights
+from bohrlab.operators import MAX_SERIES_TERMS, _kind_weights, _majorant_terms
 from bohrlab.sharpness import _check_a_r
 
 
@@ -171,6 +178,29 @@ def expand_masked_reference(h0, zeros, live, n_max: int) -> np.ndarray:
         for n in range(1, n_max + 1):
             h[n] += a_bar * h[n - 1]
     return np.ascontiguousarray(h.T)
+
+
+def taylor_matrix(fs, n_max: int) -> np.ndarray:
+    """Taylor coefficients ``a_0 .. a_{n_max}`` of each member, one row each,
+    laid out as the arrays ``bl.expand`` reads."""
+    width = max((len(f.zeros) for f in fs), default=0)
+    h0 = np.array([f.scale for f in fs], dtype=np.complex128)
+    zeros = np.zeros((len(fs), width), dtype=np.complex128)
+    live = np.zeros((len(fs), width), dtype=bool)
+    for i, f in enumerate(fs):
+        zeros[i, : len(f.zeros)] = f.zeros
+        live[i, : len(f.zeros)] = True
+    return bl.expand(h0, zeros, live, n_max)
+
+
+def majorant_values(kind, coeffs: np.ndarray, r: float, eps: float = 1e-12) -> list:
+    """Absolute series of the operator image at radius ``r`` for each row of
+    ``coeffs``: ``r**s * sum_k |a_{k+d}| w_k`` with the family's weights, each
+    row summed by ``math.fsum``, so its value does not depend on the other
+    rows.  Refused as ``bl.majorant_value`` refuses a row: outside the unit
+    ball (NaN included), or stopping before the weight vector's cut."""
+    terms, scale = _majorant_terms(kind, coeffs, r, eps)
+    return [scale * math.fsum(row.tolist()) for row in terms]
 
 
 def splitmix64_reference(state: int, index: int) -> int:
@@ -309,8 +339,13 @@ def bernardi_radius_equation_loop(family, x: float) -> float:
     return math.fsum([1.0 / family.gamma] + [-2.0 * v for v in w[1:]])
 
 
+def decomposition(problem, a: float, r: float, eps: float = 1e-12):
+    """The one-``a`` case of ``bl.decompositions``."""
+    return bl.decompositions(problem, [a], r, eps)[0]
+
+
 def decomposition_reference(problem, a: float, r: float, eps: float = 1e-12):
-    """``bl.decomposition`` as it split one ``a`` before an a-grid shared one
+    """``decomposition`` as it split one ``a`` before an a-grid shared one
     weight pass: it checked ``a`` and ``r``, fetched the split weights at
     ``min(1e-15, eps/8)`` and the sup bound for this row alone, and summed
     the deficit, remainder and ``total`` from them."""
@@ -374,7 +409,7 @@ def cbeta_relation_residual(h, beta: float, r: float, eps: float = 1e-12) -> flo
 
 
 def quadratic_remainder_check(problem, r: float, a_list, eps: float = 1e-12) -> list:
-    """Ratios ``remainder / (1-a)**2`` of ``bl.decomposition`` along ``a_list``.
+    """Ratios ``remainder / (1-a)**2`` of ``decomposition`` along ``a_list``.
 
     The remainder vanishes quadratically as a -> 1, so the ratios should
     stabilize; acceptance asks for max/min magnitude within a factor 4 over
@@ -385,4 +420,4 @@ def quadratic_remainder_check(problem, r: float, a_list, eps: float = 1e-12) -> 
         raise ParameterDomainError("all a values must lie in [0, 1)")
     if any(b <= a for a, b in zip(values, values[1:])):
         raise ParameterDomainError("a_list must be strictly increasing")
-    return [bl.decomposition(problem, a, r, eps).remainder / (1.0 - a) ** 2 for a in values]
+    return [decomposition(problem, a, r, eps).remainder / (1.0 - a) ** 2 for a in values]

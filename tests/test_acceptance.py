@@ -197,7 +197,7 @@ def test_criterion_09_quadratic_remainder():
 
 def test_criterion_10_oracle_equivalence():
     corpus = (
-        bl.Constant(0.6 - 0.2j),
+        bl.Blaschke((), 0.6 - 0.2j),
         bl.Blaschke((0.5, -0.3j), complex(math.cos(0.8), math.sin(0.8)) * 0.9),
         bl.Blaschke((0.6,)),
         bl.Blaschke((0j, 0j, 0.5)),

@@ -1,13 +1,16 @@
 """The batched verify sweep against the per-sample reference paths.
 
-``taylor_matrix`` expands a block of corpus members at once, and
-``majorant_values`` applies one weight vector to the whole coefficient
-matrix.  Both are checked here against ``oracles``' reference
-implementations of the per-sample Cauchy-product chain and absolute series,
-and the ``verify`` command is checked to give the same report whatever the
-block size.  ``verify`` sums exactly only the rows its screened numpy sum
-cannot rule out; the screen is checked against ``majorant_values`` over
-every row, on the verify paths and on blocks built to defeat it.
+``expand`` turns a block of corpus members into Taylor coefficients at
+once (``oracles.taylor_matrix`` lays a list of members out as its block),
+and one weight vector applies to the whole coefficient matrix
+(``oracles.majorant_values`` sums every row).  Both are checked here against
+``oracles``' reference implementations of the per-sample Cauchy-product
+chain and absolute series, the one-row ``taylor_coeffs`` and
+``majorant_value`` against their block rows bit for bit, and the ``verify``
+command is checked to give the same report whatever the block size.
+``verify`` sums exactly only the rows its screened numpy sum cannot rule
+out; the screen is checked against ``majorant_values`` over every row, on
+the verify paths and on blocks built to defeat it.
 """
 
 import json
@@ -25,6 +28,8 @@ from oracles import (
     blaschke_coeffs_reference,
     bohr_abs_series_bruteforce,
     cesaro_abs_series_reference,
+    majorant_values,
+    taylor_matrix,
 )
 
 MAJORANT_EPS = 1e-12
@@ -46,26 +51,30 @@ class TestTaylorMatrix:
     def test_rows_match_cauchy_product_chain(self, seed, max_factors):
         fs = _corpus(seed, 150, max_factors)
         n_max = 120
-        rows = bl.taylor_matrix(fs, n_max)
+        rows = taylor_matrix(fs, n_max)
         assert rows.shape == (len(fs), n_max + 1)
         for f, row in zip(fs, rows):
             ref = blaschke_coeffs_reference(*_product_form(f), n_max)
             assert np.max(np.abs(row - ref)) <= 1e-14
 
     def test_taylor_coeffs_is_the_one_row_case(self):
-        for f in _corpus(5, 40, 4):
-            row = bl.taylor_matrix([f], 60)[0]
-            assert np.array_equal(bl.taylor_coeffs(f, 60), row)
+        members = [(f, 60) for f in _corpus(5, 40, 4)]
+        # members with no zeros, and order 0
+        members += [(bl.Blaschke((), 0.3 - 0.4j), 60), (bl.Blaschke((0.5, -0.2j), 0.8j), 0),
+                    (bl.Blaschke((), -0.7), 0)]
+        for f, n_max in members:
+            row = taylor_matrix([f], n_max)[0]
+            assert np.array_equal(bl.taylor_coeffs(f, n_max).view(np.uint64), row.view(np.uint64))
 
     def test_empty_block_and_order_zero(self):
-        assert bl.taylor_matrix([], 5).shape == (0, 6)
+        assert taylor_matrix([], 5).shape == (0, 6)
         f = bl.Blaschke((0.5,), 1j)
-        assert bl.taylor_matrix([f], 0).tolist() == [[-0.5j]]
+        assert taylor_matrix([f], 0).tolist() == [[-0.5j]]
 
     def test_zero_cap_checked_over_the_block(self):
         fs = _corpus(3, 10, 2) + [bl.Blaschke((0.1, 0.97))]
         with pytest.raises(ParameterDomainError, match="cap"):
-            bl.taylor_matrix(fs, 10)
+            taylor_matrix(fs, 10)
 
 
 class TestMajorantValues:
@@ -78,8 +87,8 @@ class TestMajorantValues:
     def test_rows_are_the_one_row_values(self, kind):
         zeros = kind.d
         coeffs = np.zeros((30, 81 + zeros), dtype=np.complex128)
-        coeffs[:, zeros:] = bl.taylor_matrix(_corpus(9, 30, 4), 80)
-        values = bl.majorant_values(kind, coeffs, 0.4)
+        coeffs[:, zeros:] = taylor_matrix(_corpus(9, 30, 4), 80)
+        values = majorant_values(kind, coeffs, 0.4)
         for row, value in zip(coeffs, values):
             assert bl.majorant_value(kind, np.array(row, dtype=complex), 0.4) == value
 
@@ -87,7 +96,7 @@ class TestMajorantValues:
         coeffs = np.zeros((3, 5), dtype=np.complex128)
         coeffs[2, 1] = 1.5
         with pytest.raises(ParameterDomainError):
-            bl.majorant_values(bl.CesaroBeta(1.0), coeffs, 0.5)
+            majorant_values(bl.CesaroBeta(1.0), coeffs, 0.5)
 
     @pytest.mark.parametrize(
         "kind,rows",
@@ -97,13 +106,13 @@ class TestMajorantValues:
     def test_nan_coefficient_is_refused(self, kind, rows):
         # NaN compares false with every bound, so the check must be written to fail on it
         with pytest.raises(ParameterDomainError, match="unit-ball"):
-            bl.majorant_values(kind, np.array(rows), 0.5)
+            majorant_values(kind, np.array(rows), 0.5)
 
     def test_leading_zeros_checked_over_the_block(self):
         coeffs = np.zeros((3, 5), dtype=np.complex128)
         coeffs[1, 0] = 0.5
         with pytest.raises(PreconditionError):
-            bl.majorant_values(bl.CBeta(1.0), coeffs, 0.5)
+            majorant_values(bl.CBeta(1.0), coeffs, 0.5)
 
 
 def _reference_majorant(kind, absf, r):
@@ -207,7 +216,7 @@ class TestBlockBoundaries:
 def _exhaustive(kind, coeffs, r, eps, bound, tol):
     """Block maximum and violations ``(index, excess)`` from every row's
     ``majorant_values``: what the screened sum must reproduce."""
-    values = bl.majorant_values(kind, coeffs, r, eps)
+    values = majorant_values(kind, coeffs, r, eps)
     over = [(i, v - bound) for i, v in enumerate(values) if v - bound > tol]
     return values, max(values), over
 
@@ -266,7 +275,7 @@ class TestScreenedSumAdversarial:
 
     def _block(self, count=64, seed=3):
         order = bl.series_order(self.KIND.family, self.R, self.EPS)
-        return bl.taylor_matrix(_corpus(seed, count, 4), order)
+        return taylor_matrix(_corpus(seed, count, 4), order)
 
     def _bumped(self, row, steps):
         """``row`` with ``|a_0|`` moved by whole ulps until its majorant moves by
@@ -293,7 +302,7 @@ class TestScreenedSumAdversarial:
         coeffs = self._block()
         coeffs = np.concatenate([coeffs, coeffs[::-1], coeffs[:5]])
         kept = self._screen(coeffs)
-        values = bl.majorant_values(self.KIND, coeffs, self.R, self.EPS)
+        values = majorant_values(self.KIND, coeffs, self.R, self.EPS)
         assert len([i for i in kept if values[i] == max(values)]) >= 2
 
     @pytest.mark.parametrize("at", [0, 17, 63])

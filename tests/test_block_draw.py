@@ -6,7 +6,7 @@ stream for a whole block of seeds with array arithmetic, and
 ``random_schur`` is its one-row case.  The tests compare the block, as
 uint64 bit patterns over more than 1e4 seeds, with a scalar transcription
 of the stream in ``tests/oracles.py`` (Python ints, ``math.sqrt``,
-``cmath.exp``) and with ``taylor_matrix`` of the ``random_schur`` members;
+``cmath.exp``) and with ``oracles.taylor_matrix`` of the ``random_schur`` members;
 they check the mixture's statistics over more than 1e5 seeds, and
 ``expand``'s rows, sorted by zero count, against the masked gather in
 ``tests/oracles.py`` bit for bit.  The same
@@ -27,7 +27,12 @@ import pytest
 import bohrlab as bl
 from bohrlab import cli
 from bohrlab.errors import ParameterDomainError
-from oracles import corpus_member_reference, expand_masked_reference, splitmix64_reference
+from oracles import (
+    corpus_member_reference,
+    expand_masked_reference,
+    splitmix64_reference,
+    taylor_matrix,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 NO_AVX512 = "X86_V4 AVX512_ICL AVX512_SPR"
@@ -85,7 +90,7 @@ def test_block_draw_is_the_scalar_stream_bit_for_bit(max_factors, radius_cap):
         drawn = bl.random_schur_block(seeds, max_factors, radius_cap)
         assert all(map(_same_bits, drawn, _reference_arrays(seeds, max_factors, radius_cap)))
         fs = [bl.random_schur(s, max_factors, radius_cap) for s in seeds]
-        assert _same_bits(bl.expand(*drawn, 12), bl.taylor_matrix(fs, 12))
+        assert _same_bits(bl.expand(*drawn, 12), taylor_matrix(fs, 12))
 
 
 def _one_count_block(max_factors, rows, count):

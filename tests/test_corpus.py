@@ -37,7 +37,7 @@ class TestExtremalFamilies:
 
     def test_evaluate_examples(self):
         assert bl.evaluate(psi(0.5), 0.0) == -0.5
-        assert bl.evaluate(bl.Constant(1.0), 0.3 + 0.2j) == 1.0
+        assert bl.evaluate(bl.Blaschke((), 1.0), 0.3 + 0.2j) == 1.0
         assert bl.evaluate(psi(0.5), 0.5) == 0.0
 
     def test_parameter_domains(self):
@@ -46,10 +46,10 @@ class TestExtremalFamilies:
         with pytest.raises(ParameterDomainError):
             bl.multiply_by_z(psi(0.5), -1)
         with pytest.raises(ParameterDomainError):
-            bl.Constant(1.5)
+            bl.Blaschke((), 1.5)
         # NaN fails every check: zero and lead
         for build in (
-            lambda: bl.Constant(NAN),
+            lambda: bl.Blaschke((), NAN),
             lambda: bl.Blaschke((complex(NAN, 0.0),)),
             lambda: bl.Blaschke((0.2,), complex(NAN, 0.0)),
             lambda: bl.Blaschke((0.2,), complex(0.5, NAN)),
@@ -61,25 +61,21 @@ class TestExtremalFamilies:
 class TestOneMemberModel:
     """Constants and z**m phi_a are cases of the one Blaschke member type."""
 
-    @pytest.mark.parametrize("c", [0.0, 0.5, -1.0, 0.3 - 0.4j])
-    def test_constant_is_the_empty_blaschke_product(self, c):
-        assert bl.Constant(c) == bl.Blaschke((), c)
-
     @pytest.mark.parametrize("m", range(4))
     def test_psi_at_one_is_minus_z_to_the_m(self, m):
         # the a = 1 end of the extremal law z**m phi_a is the member -z**m
         f = bl.Blaschke((0j,) * m, -1.0)
-        assert f == bl.multiply_by_z(bl.Constant(-1.0), m)
+        assert f == bl.multiply_by_z(bl.Blaschke((), -1.0), m)
         expected = [0.0] * (m + 3)
         expected[m] = -1.0
         assert bl.taylor_coeffs(f, m + 2).tolist() == expected
 
     def test_zero_constant_shifts_to_itself(self):
-        assert bl.schwarz_shift(bl.Constant(0), 2) == bl.Constant(0)
+        assert bl.schwarz_shift(bl.Blaschke((), 0), 2) == bl.Blaschke((), 0)
 
     def test_nonzero_constant_has_no_origin_zero(self):
         with pytest.raises(PreconditionError):
-            bl.schwarz_shift(bl.Constant(0.5), 1)
+            bl.schwarz_shift(bl.Blaschke((), 0.5), 1)
 
     def test_one_member_type(self):
         from bohrlab import corpus
@@ -119,16 +115,16 @@ class TestBlaschke:
 
 class TestMembershipValidation:
     def test_constant(self):
-        assert validate_membership(bl.Constant(0.3), 64) == pytest.approx(0.3)
+        assert validate_membership(bl.Blaschke((), 0.3), 64) == pytest.approx(0.3)
 
     def test_grid_floor(self):
         with pytest.raises(ParameterDomainError):
-            validate_membership(bl.Constant(0.1), 8)
+            validate_membership(bl.Blaschke((), 0.1), 8)
 
 
 class TestSchwarz:
     def test_structural_shift_round_trip(self):
-        for f in (psi(0.3), bl.Blaschke((0.2, -0.4j)), bl.Constant(0.25)):
+        for f in (psi(0.3), bl.Blaschke((0.2, -0.4j)), bl.Blaschke((), 0.25)):
             g = bl.multiply_by_z(f, 2)
             h = bl.schwarz_shift(g, 2)
             for z in (0.2, -0.3 + 0.4j):
@@ -205,4 +201,4 @@ def test_direct_coefficient_oracles_agree():
 
 def test_evaluate_requires_interior_point():
     with pytest.raises(ParameterDomainError):
-        bl.evaluate(bl.Constant(0.5), 1.0)
+        bl.evaluate(bl.Blaschke((), 0.5), 1.0)

@@ -152,19 +152,19 @@ def test_blas_is_single_threaded_unless_the_user_chose(tmp_path):
 EXPORTS = [
     "Alexander", "BLASCHKE_ZERO_CAP", "BOHR_BASELINE_RADIUS", "Bernardi", "Blaschke",
     "BohrlabError", "BracketError", "CBeta", "CesaroBeta", "ClassicalBohr",
-    "Constant", "ContinuityError", "CurveRow", "Decomposition", "Libera",
+    "ContinuityError", "CurveRow", "Decomposition", "Libera",
     "OperatorKind", "ParameterDomainError", "PreconditionError", "PrimitiveI",
     "QuadratureError", "RadiusResult", "Shifted", "TruncationError", "ViolationReport",
     "adaptive_simpson", "binomial_coeffs", "bohr_majorant", "cauchy_product",
     "cesaro_series_order", "concavity_check", "corpus", "critical_radius",
-    "cumulative_identity_residual", "decomposition", "decomposition_bernardi",
+    "cumulative_identity_residual", "decomposition_bernardi",
     "decomposition_cesaro", "decompositions", "derive_seed", "errors", "evaluate", "expand",
     "extremal_majorant",
-    "horner", "kernel_integral", "majorant_value", "majorant_values", "multiply_by_z",
+    "horner", "kernel_integral", "majorant_value", "multiply_by_z",
     "operator_coeffs", "operators", "quadrature_value", "radii",
     "radius_curve", "radius_equation", "random_schur", "random_schur_block",
     "schwarz_shift", "series", "series_order", "sharpness",
-    "solve_radius", "sup_bound", "taylor_coeffs", "taylor_matrix",
+    "solve_radius", "sup_bound", "taylor_coeffs",
     "violation_search",
 ]
 

@@ -254,7 +254,7 @@ class TestCBetaRelation:
     def test_constant_input_closed_form(self):
         # both routes equal 2 r log 2 at r = 1/2
         r = 0.5
-        res = cbeta_relation_residual(bl.Constant(1.0), 1.0, r, eps=1e-12)
+        res = cbeta_relation_residual(bl.Blaschke((), 1.0), 1.0, r, eps=1e-12)
         assert res <= 2e-12
         n = bl.cesaro_series_order(1.0, r, 1e-12)
         g = bl.taylor_coeffs(bl.Blaschke((0j,)), n + 1)  # z itself
@@ -265,7 +265,7 @@ class TestCBetaRelation:
         assert cbeta_relation_residual(bl.Blaschke((0.5,)), 0.5, 0.3) <= 2e-12
 
     def test_zero_function(self):
-        assert cbeta_relation_residual(bl.Constant(0.0), 1.0, 0.5) == 0.0
+        assert cbeta_relation_residual(bl.Blaschke((), 0.0), 1.0, 0.5) == 0.0
 
     def test_shift_against_double_sum_oracle(self):
         beta, r, a = 0.8, 0.45, 0.6
@@ -278,16 +278,16 @@ class TestCBetaRelation:
 
 class TestQuadrature:
     def test_cesaro_one_constant(self):
-        out = bl.quadrature_value(bl.CesaroBeta(1.0), bl.Constant(1.0), 0.5, 1e-12)
+        out = bl.quadrature_value(bl.CesaroBeta(1.0), bl.Blaschke((), 1.0), 0.5, 1e-12)
         assert out.real == pytest.approx(2.0 * math.log(2.0), abs=1e-11)
         assert out.imag == pytest.approx(0.0, abs=1e-12)
 
     def test_bernardi_constant(self):
-        out = bl.quadrature_value(bl.Bernardi(1.0, 0), bl.Constant(1.0), 0.3 + 0.1j)
+        out = bl.quadrature_value(bl.Bernardi(1.0, 0), bl.Blaschke((), 1.0), 0.3 + 0.1j)
         assert out == pytest.approx(1.0, abs=1e-10)
 
     def test_cesaro_two_constant_exact_value(self):
-        out = bl.quadrature_value(bl.CesaroBeta(2.0), bl.Constant(1.0), 0.5, 1e-12)
+        out = bl.quadrature_value(bl.CesaroBeta(2.0), bl.Blaschke((), 1.0), 0.5, 1e-12)
         assert out.real == pytest.approx(2.0, abs=1e-10)
 
     def test_singular_kernel_agrees_with_series(self):
@@ -311,7 +311,7 @@ class TestQuadrature:
 
     def test_domain_check(self):
         with pytest.raises(ParameterDomainError):
-            bl.quadrature_value(bl.CesaroBeta(1.0), bl.Constant(0.5), 1.0)
+            bl.quadrature_value(bl.CesaroBeta(1.0), bl.Blaschke((), 0.5), 1.0)
 
     @pytest.mark.parametrize(
         "kind",
@@ -472,7 +472,7 @@ class TestBohrWeights:
 class TestSupBounds:
     def test_equality_case_at_positive_axis(self):
         # the constant 1 attains the bound at z = r
-        out = sup_bound_check(bl.CesaroBeta(1.0), bl.Constant(1.0), 0.5, 8, tol=1e-12)
+        out = sup_bound_check(bl.CesaroBeta(1.0), bl.Blaschke((), 1.0), 0.5, 8, tol=1e-12)
         assert abs(out) <= 1e-10
 
     def test_bernardi_corpus_stays_below_one(self):
@@ -533,7 +533,7 @@ class TestSupBounds:
     def test_cesaro_split_near_one_solves(self):
         # order 437,469 at the split's cut, built in O(N)
         start = time.perf_counter()
-        split = bl.decomposition(bl.CesaroBeta(1.0), 0.5, 0.9999)
+        (split,) = bl.decompositions(bl.CesaroBeta(1.0), [0.5], 0.9999)
         assert time.perf_counter() - start < 5.0
         assert bl.series_order(bl.CesaroBeta(1.0), 0.9999, 1e-15) == 437469
         assert split.reconstruction_error <= 1e-12 * split.bound_term
@@ -570,7 +570,7 @@ class TestSupBounds:
 
     def test_sample_floor(self):
         with pytest.raises(ParameterDomainError):
-            sup_bound_check(bl.CesaroBeta(1.0), bl.Constant(1.0), 0.5, 4)
+            sup_bound_check(bl.CesaroBeta(1.0), bl.Blaschke((), 1.0), 0.5, 4)
 
 
 # The Cesaro weights' mpmath grid: each beta at 0.99 R and at r = 0.5.

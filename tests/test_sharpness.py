@@ -16,6 +16,7 @@ from oracles import (
     bernardi_abs_series_bruteforce,
     cesaro_abs_series_bruteforce,
     cesaro_remainder_integral,
+    decomposition,
     decomposition_reference,
     phi_coeffs_direct,
     psi_coeffs_direct,
@@ -115,7 +116,7 @@ class TestCesaroIntegralOracle:
     @pytest.mark.parametrize("r", (0.3, 0.5))
     @pytest.mark.parametrize("beta", (0.25, 1.0, 2.0, 20.0))
     def test_remainder_matches_the_integral(self, beta, r, a):
-        remainder = bl.decomposition(bl.CesaroBeta(beta), a, r).remainder
+        remainder = decomposition(bl.CesaroBeta(beta), a, r).remainder
         assert remainder == pytest.approx(cesaro_remainder_integral(beta, a, r), rel=1e-10)
 
     def test_forty_digit_point(self):
@@ -237,14 +238,21 @@ class TestShiftedDecomposition:
     )
     def test_family_split_times_r_to_the_s(self, kind, a):
         r = 0.5
-        family = bl.decomposition(kind.family, a, r)
-        dec = bl.decomposition(kind, a, r)
+        family = decomposition(kind.family, a, r)
+        dec = decomposition(kind, a, r)
         assert dec.bound_term == r * family.bound_term
         assert dec.deficit_term == r * family.deficit_term
         assert dec.remainder == r * family.remainder
         assert dec.total == bl.extremal_majorant(kind, a, r)
         assert dec.total == pytest.approx(r * family.total, rel=1e-14)
         assert dec.reconstruction_error <= 1e-9
+        # the family's one-a wrapper is the one-row call of decompositions, eps included
+        eps = 1e-13
+        if isinstance(kind.family, bl.CesaroBeta):
+            wrapped = bl.decomposition_cesaro(kind.family.beta, a, r, eps)
+        else:
+            wrapped = bl.decomposition_bernardi(kind.family.gamma, 0, a, r, eps)
+        assert _bits(wrapped) == _bits(bl.decompositions(kind.family, [a], r, eps)[0])
 
 
 # The benchmark's 1003-point sharpness grid and the CLI's default grid.
@@ -288,7 +296,7 @@ class TestDecompositions:
         bl.decompositions(kind, DEFAULT_A_GRID, 0.5, 1e-12)
         assert calls == [1e-15] + [1e-12] * len(DEFAULT_A_GRID)
         calls.clear()
-        bl.decomposition(kind, 0.5, 0.5, 1e-12)
+        decomposition(kind, 0.5, 0.5, 1e-12)
         assert calls == [1e-15, 1e-12]
 
     def test_checks_every_a_before_any_weight(self, monkeypatch):
@@ -334,7 +342,7 @@ class TestDeficitSign:
     @pytest.mark.parametrize("r", (0.1, 0.3, 0.32, 0.34, 0.5, 0.9))
     def test_classical_flip_at_one_third(self, r):
         a = 0.5
-        deficit = bl.decomposition(bl.ClassicalBohr(), a, r).deficit_term
+        deficit = decomposition(bl.ClassicalBohr(), a, r).deficit_term
         assert deficit == pytest.approx((1.0 - a) * (1.0 - 3.0 * r) / (1.0 - r), abs=1e-14)
         assert (deficit > 0.0) == (r < 1.0 / 3.0)
 
