@@ -61,6 +61,16 @@ class TestExtremalFamilies:
 class TestOneMemberModel:
     """Constants and z**m phi_a are cases of the one Blaschke member type."""
 
+    @pytest.mark.parametrize("c", [0.0, 0.5, -1.0, 0.3 - 0.4j])
+    def test_constant_is_the_empty_blaschke_product(self, c):
+        # with no zeros the member is the constant c: its value everywhere
+        # and its Taylor row c, 0, 0, ...
+        f = bl.Blaschke((), c)
+        assert f.zeros == () and f.scale == complex(c)
+        for z in (0.0, 0.3 + 0.2j, -0.9j):
+            assert bl.evaluate(f, z) == c
+        assert bl.taylor_coeffs(f, 3).tolist() == [complex(c), 0, 0, 0]
+
     @pytest.mark.parametrize("m", range(4))
     def test_psi_at_one_is_minus_z_to_the_m(self, m):
         # the a = 1 end of the extremal law z**m phi_a is the member -z**m
