@@ -232,11 +232,9 @@ class CesaroBeta(Unshifted):
     def radius_equation(self, x: float) -> float:
         """``(1-x)**beta (3 A(beta, x) - 2 A(beta+1, x))`` with ``A = kernel_integral``,
         at unit scale: ``3 (1-x) (1 - (1-x)**(beta-1))/(beta-1) - 2 (1 - (1-x)**beta)/beta``
-        by ``expm1``/``log1p``, with the limit ``-3 (1-x) log(1-x) - 2x`` at beta = 1."""
+        by ``_expm1_ratio``, whose limit gives ``-3 (1-x) log(1-x) - 2x`` at beta = 1."""
         beta, log_base = self.beta, math.log1p(-x)
-        if abs(1.0 - beta) < 1e-8:
-            return (1.0 - x) * (-3.0 * log_base) - 2.0 * x
-        first = -math.expm1((beta - 1.0) * log_base) / (beta - 1.0)
+        first = -_expm1_ratio(beta - 1.0, log_base)
         return 3.0 * (1.0 - x) * first + 2.0 * _expm1_ratio(beta, log_base)
 
     def require_root_below(self, ladder: Sequence[float]) -> None:

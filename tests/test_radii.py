@@ -72,8 +72,9 @@ class TestRadiusEquation:
             assert bl.radius_equation(family, 1e-4) == pytest.approx(1e-4, rel=1e-2)
 
     def test_limit_form_continuity(self):
-        # the true beta-derivative of the equation reaches about -68 at
-        # x = 0.95, so the window must scale with |beta - 1|
+        # one closed form for every beta: near beta = 1 it moves from the
+        # beta = 1 limit by the true beta-derivative, which reaches about
+        # -68 at x = 0.95, so the bound must scale with |beta - 1|
         base = bl.CesaroBeta(1.0)
         for beta in (1.0 - 1e-7, 1.0 + 1e-7):
             shifted = bl.CesaroBeta(beta)

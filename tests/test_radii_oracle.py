@@ -21,8 +21,11 @@ from oracles import bernardi_root_reachable_reference
 
 ORACLE_BRACKET = ("0.3", "0.999999999")
 
-BETAS = (1e-3, 0.01, 0.05, 0.1, 0.25, 0.5, 1.0, 1.5, 2.0, 3.7, 7.0, 10.0, 20.0, 45.0, 50.0,
-         100.0, 300.0, 1e3, 1e4, 1e6)
+# beta next to 1, where the equation divides by a small but normal beta - 1,
+# must follow the oracle as closely as beta = 1 itself.
+BETAS = (1e-3, 0.01, 0.05, 0.1, 0.25, 0.5, 1.0 - 9.9e-9, 1.0 - 5e-9, 1.0 - 1e-10, 1.0,
+         1.0 + 1e-9, 1.0 + 9e-9, 1.5, 2.0, 3.7, 7.0, 10.0, 20.0, 45.0, 50.0, 100.0, 300.0,
+         1e3, 1e4, 1e6)
 
 # (gamma, m): the benchmark grid ends, gamma = 0.06 (root 0.99978, the
 # highest below the refused corners), large gamma, where the equation's
