@@ -344,7 +344,7 @@ def cmd_sharpness(args: argparse.Namespace) -> tuple:
     a_values = _parse_floats("--a-values", args.a_values)
     if not a_values:
         raise ParameterDomainError("the a-grid is empty")
-    splits = decompositions(kind, a_values, args.r, DEFAULT_MAJORANT_EPS)
+    splits = decompositions(kind, a_values, args.r)
     tol = _rounding_tol(splits[0].bound_term)  # one bound for every row
     rows = [
         {"a": a, **dec._asdict(), "reconstruction_error": dec.reconstruction_error,

@@ -17,10 +17,10 @@ coefficients, which follow the closed real law ``-a`` at index ``m`` and
 a residual, which makes the three-term reconstruction a genuine cross-check.
 The law holds up to ``a = 1``, past the corpus's zero cap, so ``total`` sums
 it against the weights directly, with no coefficient array and no ``corpus``
-member.  An a-grid shares one split weight vector and one bound.  Every sum
-here is a ``math.fsum`` over floats, so the module needs no numpy.  The
-integral form of the Cesaro remainder is kept as an independent oracle in
-``tests/oracles.py``.
+member.  An a-grid shares one bound and one weight vector, read by the split
+and ``total`` alike.  Every sum here is a ``math.fsum`` over floats, so the
+module needs no numpy.  The integral form of the Cesaro remainder is kept as
+an independent oracle in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -49,6 +49,9 @@ BOHR_BASELINE_RADIUS = 1.0 / 3.0
 
 # The witness scan tries a = 1 - 2**-k for k = 1 .. _WITNESS_DOUBLINGS.
 _WITNESS_DOUBLINGS = 40
+
+# The split weights' cut: the tail they omit is at most 1e-15 * min(1, bound).
+_SPLIT_EPS = 1e-15
 
 
 class Decomposition(Record):
@@ -110,9 +113,7 @@ def extremal_majorant(
     return r**problem.s * math.fsum(terms)
 
 
-def decompositions(
-    problem: OperatorKind, a_values: Sequence[float], r: float, eps: float = 1e-12
-) -> list:
+def decompositions(problem: OperatorKind, a_values: Sequence[float], r: float) -> list:
     """Three-term splits of the extremal absolute series, one per ``a``.
 
     With ``lead = w_0`` and ``tail = w_1, w_2, ...``, the extremal ``z**d
@@ -124,14 +125,13 @@ def decompositions(
     the deficit being ``(1-a)`` times the radius equation at ``r`` (over ``r``
     for the Cesaro family).  ``bound`` is the closed-form sup bound and
     ``total`` the extremal member's majorant; an origin shift scales all
-    four terms by ``r**s``.  Every ``a`` is checked first; one weight vector,
-    cut at ``min(1e-15, eps/8)``, serves every row, its omitted tail well below
-    the ``eps`` at which each row sums ``total`` on its own.  A grid whose sums
-    or terms overflow the float range is refused, as a bound that does is.
+    four terms by ``r**s``.  Every ``a`` is checked first; one weight vector
+    serves every row's split and ``total``.  A grid whose sums or terms
+    overflow the float range is refused, as a bound that does is.
     """
     for a in a_values:
         _check_a_r(a, r)
-    lead, *tail = _kind_weights(problem, r, min(1e-15, eps / 8.0))
+    lead, *tail = _kind_weights(problem, r, _SPLIT_EPS)
     scale, bound = r**problem.s, sup_bound(problem, r)
 
     def split(a: float) -> Decomposition:
@@ -140,7 +140,7 @@ def decompositions(
             bound_term=bound,
             deficit_term=scale * ((1.0 - a) * unit_deficit),
             remainder=scale * ((1.0 - a) * math.fsum(bracketed)),
-            total=scale * extremal_majorant(problem.family, a, r, eps),
+            total=extremal_majorant(problem, a, r, _SPLIT_EPS),
         )
 
     try:
@@ -154,18 +154,14 @@ def decompositions(
     raise ParameterDomainError(f"the extremal split at r={r} overflows the float range")
 
 
-def decomposition_cesaro(
-    beta: float, a: float, r: float, eps: float = 1e-12
-) -> Decomposition:
+def decomposition_cesaro(beta: float, a: float, r: float) -> Decomposition:
     """The one-``a`` split of ``CesaroBeta(beta)``."""
-    return decompositions(CesaroBeta(beta), [a], r, eps)[0]
+    return decompositions(CesaroBeta(beta), [a], r)[0]
 
 
-def decomposition_bernardi(
-    gamma: float, m: int, a: float, r: float, eps: float = 1e-12
-) -> Decomposition:
+def decomposition_bernardi(gamma: float, m: int, a: float, r: float) -> Decomposition:
     """The one-``a`` split of ``Bernardi(gamma, m)``."""
-    return decompositions(Bernardi(gamma, m), [a], r, eps)[0]
+    return decompositions(Bernardi(gamma, m), [a], r)[0]
 
 
 def violation_search(
@@ -208,7 +204,7 @@ def concavity_check(
 ) -> float:
     """Max centered second difference of the proof's upper envelope in ``a``.
 
-    In the split weights of ``decompositions`` (cut 1e-15) the envelope is concave,
+    In the split weights of ``decompositions`` the envelope is concave,
 
         r**s [ a lead + (1-a^2) sum tail ],
 
@@ -226,7 +222,7 @@ def concavity_check(
     if not (min(steps) > 0.0 and widest - min(steps) <= 1e-9 * max(widest, 1e-30)):
         raise ParameterDomainError("the a-grid must be uniform and increasing")
 
-    w = _kind_weights(problem, r, 1e-15)
+    w = _kind_weights(problem, r, _SPLIT_EPS)
     tail_sum, scale = math.fsum(w[1:]), r**problem.s
     v = [scale * (a * w[0] + (1.0 - a * a) * tail_sum) for a in grid]
     return max((v[i + 2] - 2.0 * v[i + 1]) + v[i] for i in range(len(v) - 2))

@@ -339,26 +339,27 @@ def bernardi_radius_equation_loop(family, x: float) -> float:
     return math.fsum([1.0 / family.gamma] + [-2.0 * v for v in w[1:]])
 
 
-def decomposition(problem, a: float, r: float, eps: float = 1e-12):
+def decomposition(problem, a: float, r: float):
     """The one-``a`` case of ``bl.decompositions``."""
-    return bl.decompositions(problem, [a], r, eps)[0]
+    return bl.decompositions(problem, [a], r)[0]
 
 
-def decomposition_reference(problem, a: float, r: float, eps: float = 1e-12):
+def decomposition_reference(problem, a: float, r: float):
     """``decomposition`` as it split one ``a`` before an a-grid shared one
     weight pass: it checked ``a`` and ``r``, fetched the split weights at
-    ``min(1e-15, eps/8)`` and the sup bound for this row alone, and summed
-    the deficit, remainder and ``total`` from them."""
+    ``1e-15`` and the sup bound for this row alone, and summed the deficit
+    and remainder from them, and ``total`` as ``r**s`` times the family's
+    extremal majorant at the same cut."""
     _check_a_r(a, r)
     family, scale = problem.family, r**problem.s
-    w = _kind_weights(problem, r, min(1e-15, eps / 8.0))
+    w = _kind_weights(problem, r, 1e-15)
     lead, tail = w[0], w[1:]
     bracketed = [((1.0 + a) * a**k - 2.0) * w for k, w in enumerate(tail)]
     return bl.Decomposition(
         bound_term=bl.sup_bound(problem, r),
         deficit_term=scale * ((1.0 - a) * (lead - 2.0 * math.fsum(tail))),
         remainder=scale * ((1.0 - a) * math.fsum(bracketed)),
-        total=scale * bl.extremal_majorant(family, a, r, eps),
+        total=scale * bl.extremal_majorant(family, a, r, 1e-15),
     )
 
 
@@ -408,7 +409,7 @@ def cbeta_relation_residual(h, beta: float, r: float, eps: float = 1e-12) -> flo
     return abs(lhs - rhs)
 
 
-def quadratic_remainder_check(problem, r: float, a_list, eps: float = 1e-12) -> list:
+def quadratic_remainder_check(problem, r: float, a_list) -> list:
     """Ratios ``remainder / (1-a)**2`` of ``decomposition`` along ``a_list``.
 
     The remainder vanishes quadratically as a -> 1, so the ratios should
@@ -420,4 +421,4 @@ def quadratic_remainder_check(problem, r: float, a_list, eps: float = 1e-12) -> 
         raise ParameterDomainError("all a values must lie in [0, 1)")
     if any(b <= a for a, b in zip(values, values[1:])):
         raise ParameterDomainError("a_list must be strictly increasing")
-    return [decomposition(problem, a, r, eps).remainder / (1.0 - a) ** 2 for a in values]
+    return [decomposition(problem, a, r).remainder / (1.0 - a) ** 2 for a in values]

@@ -622,10 +622,10 @@ class TestSharpnessCommand:
 
         decompose = sharpness.decompositions
 
-        def skewed(problem, a_values, r, eps=1e-12):
+        def skewed(problem, a_values, r):
             return [
                 bl.Decomposition(dec.bound_term, dec.deficit_term, dec.remainder, dec.total * 1.001)
-                for dec in decompose(problem, a_values, r, eps)
+                for dec in decompose(problem, a_values, r)
             ]
 
         monkeypatch.setattr(sharpness, "decompositions", skewed)
@@ -639,10 +639,10 @@ class TestSharpnessCommand:
 
         decompose = sharpness.decompositions
 
-        def undefined(problem, a_values, r, eps=1e-12):
+        def undefined(problem, a_values, r):
             return [
                 bl.Decomposition(dec.bound_term, dec.deficit_term, dec.remainder, math.nan)
-                for dec in decompose(problem, a_values, r, eps)
+                for dec in decompose(problem, a_values, r)
             ]
 
         monkeypatch.setattr(sharpness, "decompositions", undefined)
@@ -841,10 +841,10 @@ class TestFailurePaths:
 
         decompose = sharpness.decompositions
 
-        def skewed(problem, a_values, r, eps=1e-12):
+        def skewed(problem, a_values, r):
             return [
                 bl.Decomposition(dec.bound_term + 1e-6, dec.deficit_term, dec.remainder, dec.total)
-                for dec in decompose(problem, a_values, r, eps)
+                for dec in decompose(problem, a_values, r)
             ]
 
         monkeypatch.setattr(sharpness, "decompositions", skewed)

@@ -325,6 +325,10 @@ class TestQuadrature:
             pytest.param(bl.Libera(), id="Libera()"),
             pytest.param(bl.Alexander(), id="Alexander()"),
             pytest.param(bl.PrimitiveI(), id="PrimitiveI()"),
+            # family gamma 3 and 10: Bernardi.integral's direct form for
+            # gamma >= 1, where the u = t**gamma substitution alone fails
+            pytest.param(bl.Bernardi(2.0, 1), id="Bernardi(gamma=2.0, m=1)"),
+            pytest.param(bl.Bernardi(10.0, 0), id="Bernardi(gamma=10.0, m=0)"),
         ],
         ids=str,
     )

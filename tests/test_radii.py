@@ -3,26 +3,27 @@ certified solver against independent root oracles, and parameter sweeps."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from scipy.optimize import brentq
 
 import bohrlab as bl
 from bohrlab.errors import BracketError, ParameterDomainError
-from test_radii_oracle import solved_family
+from test_radii_oracle import oracle_root, solved_family
 
 
-def _libera_equation(x: float) -> float:
-    return 3.0 * x + 2.0 * math.log(1.0 - x)
+def _libera_equation(x, log=math.log):
+    return 3.0 * x + 2.0 * log(1.0 - x)
 
 
-def _cesaro_one_equation(x: float) -> float:
-    return 2.0 * x - 3.0 * (1.0 - x) * math.log(1.0 / (1.0 - x))
+def _cesaro_one_equation(x, log=math.log):
+    return 2.0 * x - 3.0 * (1.0 - x) * log(1.0 / (1.0 - x))
 
 
-# Roots frozen from independent Brent solves of the displayed closed forms.
-LIBERA_ROOT = brentq(_libera_equation, 0.1, 0.9, xtol=1e-14)
-CESARO_ONE_ROOT = brentq(_cesaro_one_equation, 0.1, 0.9, xtol=1e-14)
+# Roots of the displayed closed forms, solved at 40 digits by the mpmath
+# oracle and rounded to the nearest double.
+LIBERA_ROOT = float(oracle_root(lambda x: _libera_equation(x, mpmath.log)))
+CESARO_ONE_ROOT = float(oracle_root(lambda x: _cesaro_one_equation(x, mpmath.log)))
 
 
 class TestClosedBound:

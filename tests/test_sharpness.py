@@ -243,16 +243,15 @@ class TestShiftedDecomposition:
         assert dec.bound_term == r * family.bound_term
         assert dec.deficit_term == r * family.deficit_term
         assert dec.remainder == r * family.remainder
-        assert dec.total == bl.extremal_majorant(kind, a, r)
+        assert dec.total == bl.extremal_majorant(kind, a, r, 1e-15)
         assert dec.total == pytest.approx(r * family.total, rel=1e-14)
         assert dec.reconstruction_error <= 1e-9
-        # the family's one-a wrapper is the one-row call of decompositions, eps included
-        eps = 1e-13
+        # the family's one-a wrapper is the one-row call of decompositions
         if isinstance(kind.family, bl.CesaroBeta):
-            wrapped = bl.decomposition_cesaro(kind.family.beta, a, r, eps)
+            wrapped = bl.decomposition_cesaro(kind.family.beta, a, r)
         else:
-            wrapped = bl.decomposition_bernardi(kind.family.gamma, 0, a, r, eps)
-        assert _bits(wrapped) == _bits(bl.decompositions(kind.family, [a], r, eps)[0])
+            wrapped = bl.decomposition_bernardi(kind.family.gamma, 0, a, r)
+        assert _bits(wrapped) == _bits(bl.decompositions(kind.family, [a], r)[0])
 
 
 # The benchmark's 1003-point sharpness grid and the CLI's default grid.
@@ -287,17 +286,32 @@ class TestDecompositions:
     @pytest.mark.parametrize("kind", [bl.CesaroBeta(1.0), bl.CBeta(2.0), bl.Bernardi(0.5, 3)],
                              ids=str)
     def test_fetches_the_split_weights_once(self, monkeypatch, kind):
-        # one fetch at the split cut, then one per row from extremal_majorant
+        # one fetch for the split, then one per row from extremal_majorant,
+        # every one at the split cut: one weight vector, one cache miss
         calls = []
         fetch = sharpness._kind_weights
         monkeypatch.setattr(
             sharpness, "_kind_weights", lambda *args: calls.append(args[2]) or fetch(*args)
         )
-        bl.decompositions(kind, DEFAULT_A_GRID, 0.5, 1e-12)
-        assert calls == [1e-15] + [1e-12] * len(DEFAULT_A_GRID)
+        _weights.cache_clear()
+        bl.decompositions(kind, DEFAULT_A_GRID, 0.5)
+        assert calls == [1e-15] * (1 + len(DEFAULT_A_GRID))
+        assert _weights.cache_info().misses == 1
         calls.clear()
-        decomposition(kind, 0.5, 0.5, 1e-12)
-        assert calls == [1e-15, 1e-12]
+        decomposition(kind, 0.5, 0.5)
+        assert calls == [1e-15, 1e-15]
+
+    @pytest.mark.parametrize(
+        "kind",
+        [bl.CesaroBeta(1.0), bl.CesaroBeta(0.25), bl.CBeta(2.0), bl.Libera(), bl.Alexander(),
+         bl.Bernardi(0.3, 0)],
+        ids=str,
+    )
+    def test_reconstruction_is_rounding_on_the_benchmark_grid(self, kind):
+        # total reads the split's weights, so only rounding separates it
+        # from bound - deficit + remainder, never a tail cut at another eps
+        for a, dec in zip(BENCHMARK_A_GRID, bl.decompositions(kind, BENCHMARK_A_GRID, 0.5)):
+            assert dec.reconstruction_error <= 4.0 * math.ulp(dec.bound_term), a
 
     def test_checks_every_a_before_any_weight(self, monkeypatch):
         # at r = 0.99999 the Cesaro split weights are past the term cap

@@ -194,7 +194,7 @@ def test_sharpness_row_holds_the_decomposition_record(tmp_path):
     rows = _report(
         tmp_path, "sharpness", "--op", "cesaro", "--beta", "1", "--r", "0.5", "--a-values", "0.5"
     )["rows"]
-    record = bl.decompositions(bl.CesaroBeta(1.0), [0.5], 0.5, cli.DEFAULT_MAJORANT_EPS)[0]
+    record = bl.decompositions(bl.CesaroBeta(1.0), [0.5], 0.5)[0]
     names = list(record._asdict())
     assert names == ["bound_term", "deficit_term", "remainder", "total"]
     assert list(rows[0]) == ["a", *names, "reconstruction_error", "remainder_ratio"]
